@@ -1743,18 +1743,29 @@ let () =
   in
   let args = parse [] (Array.to_list Sys.argv |> List.tl) in
   let selected = match args with [] | [ "all" ] -> List.map fst all_experiments | l -> l in
+  (* refuse bad input before any experiment runs *)
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name all_experiments) then begin
+        Printf.eprintf "unknown experiment %S; known: %s\n" name
+          (String.concat ", " (List.map fst all_experiments));
+        exit 1
+      end)
+    selected;
+  Option.iter
+    (fun path ->
+      match Json.check_writable path with
+      | Ok () -> ()
+      | Error e ->
+          prerr_endline ("cannot write --json report: " ^ e);
+          exit 1)
+    !json_path;
   Printf.printf "SpecPMT evaluation harness (scale: %s)\n" (scale_name ());
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
-      match List.assoc_opt name all_experiments with
-      | Some f ->
-          prewarm (grid_of_experiment name);
-          f ()
-      | None ->
-          Printf.eprintf "unknown experiment %S; known: %s\n" name
-            (String.concat ", " (List.map fst all_experiments));
-          exit 1)
+      prewarm (grid_of_experiment name);
+      List.assoc name all_experiments ())
     selected;
   let wall_s = Unix.gettimeofday () -. t0 in
   Option.iter (write_json_report ~wall_s) !json_path

@@ -14,9 +14,26 @@
 open Cmdliner
 open Specpmt
 
-let scheme_arg =
+(* Operator-input errors: one line on stderr and exit 2, raised before
+   the command does any work. *)
+let fail fmt = Fmt.kpf (fun _ -> exit 2) Fmt.stderr fmt
+
+(* --scheme, checked against the names the command can run (the
+   registries match names case-insensitively) *)
+let scheme_term known =
   let doc = "Crash-consistency scheme (see `list`)." in
-  Arg.(value & opt string "SpecSPMT" & info [ "s"; "scheme" ] ~doc)
+  let check s =
+    let lc = String.lowercase_ascii in
+    if List.exists (fun k -> lc k = lc s) known then s
+    else
+      fail "specpmt_run: unknown scheme %S (known: %s)@." s
+        (String.concat ", " known)
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt string "SpecSPMT" & info [ "s"; "scheme" ] ~doc))
+
+let scheme_arg = scheme_term scheme_names
 
 let workload_arg =
   let doc = "STAMP workload name (see `list`)." in
@@ -34,12 +51,12 @@ let parse_scale = function
   | "quick" -> Workload.Quick
   | "small" -> Workload.Small
   | "full" -> Workload.Full
-  | s -> Fmt.invalid_arg "unknown scale %S (quick|small|full)" s
+  | s -> fail "specpmt_run: unknown scale %S (quick|small|full)@." s
 
 let get_workload name =
   match Workload.find name with
   | Some w -> w
-  | None -> Fmt.invalid_arg "unknown workload %S" name
+  | None -> fail "specpmt_run: unknown workload %S (see `list`)@." name
 
 let list_cmd =
   let run () =
@@ -66,12 +83,22 @@ let print_measurement (m : Run.measurement) =
   Fmt.pr "log          %d KiB resident@." (m.Run.log_bytes / 1024);
   Fmt.pr "checksum     %x@." m.Run.checksum
 
+(* the report path is opened up front, so an unwritable one fails before
+   the run instead of after it *)
 let json_arg =
   let doc = "Also write the measurement(s) as a JSON report to $(docv)." in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc)
+  let check path =
+    Option.iter
+      (fun p ->
+        match Json.check_writable p with
+        | Ok () -> ()
+        | Error e -> fail "specpmt_run: cannot write --json report: %s@." e)
+      path;
+    path
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc))
 
 let reclaim_arg =
   let doc =
@@ -92,7 +119,6 @@ let recovery_arg =
 (* Apply --reclaim/--recovery to a SpecSPMT params record; [None] when
    neither flag was given (the registry path stays in charge). *)
 let spec_params_override ~reclaim ~recovery base =
-  let fail fmt = Fmt.kpf (fun _ -> exit 2) Fmt.stderr fmt in
   match (reclaim, recovery) with
   | None, None -> None
   | _ ->
@@ -131,10 +157,9 @@ let run_cmd =
     let m =
       match spec_params_of_name scheme with
       | None when wants_override ->
-          Fmt.epr
+          fail
             "specpmt_run: --reclaim/--recovery only apply to the SpecSPMT \
-             schemes@.";
-          exit 2
+             schemes@."
       | Some base when wants_override ->
           let params =
             Option.get (spec_params_override ~reclaim ~recovery base)
@@ -345,7 +370,6 @@ let explore_cmd =
   in
   let run scheme seed budget cells txs max_writes policies fuse choice jobs
       json =
-    let fail fmt = Fmt.kpf (fun _ -> exit 2) Fmt.stderr fmt in
     if jobs < 1 then fail "specpmt_run: --jobs must be at least 1@.";
     let policies =
       match Crashmc.policies_of_string policies with
@@ -408,7 +432,9 @@ let explore_cmd =
          "Deterministically explore the crash-state space of a scheme \
           (crashmc)")
     Term.(
-      const run $ scheme_arg $ seed_arg $ budget_arg $ cells_arg $ txs_arg
+      const run
+      $ scheme_term (Crashmc.target_names ())
+      $ seed_arg $ budget_arg $ cells_arg $ txs_arg
       $ max_writes_arg $ policies_arg $ fuse_arg $ choice_arg $ jobs_arg
       $ json_arg)
 
@@ -464,7 +490,6 @@ let svc_bench_cmd =
   in
   let run scheme shards batches depth mix skew clients ops keys seed reclaim
       recovery jobs domains json =
-    let fail fmt = Fmt.kpf (fun _ -> exit 2) Fmt.stderr fmt in
     if jobs < 1 then fail "specpmt_run: --jobs must be at least 1@.";
     let batches =
       String.split_on_char ',' batches
@@ -477,9 +502,8 @@ let svc_bench_cmd =
       match spec_params_of_name scheme with
       | Some p -> p
       | None ->
-          Fmt.epr "specpmt_run: svc-bench needs a SpecSPMT scheme, not %S@."
-            scheme;
-          exit 2
+          fail "specpmt_run: svc-bench needs a SpecSPMT scheme, not %S@."
+            scheme
     in
     let params =
       Option.value ~default:base (spec_params_override ~reclaim ~recovery base)
@@ -694,7 +718,6 @@ let ycsb_cmd =
   in
   let run mix rates arrivals ops keys shards batch depth theta scan_max seed
       domains fuse jobs json =
-    let fail fmt = Fmt.kpf (fun _ -> exit 2) Fmt.stderr fmt in
     if jobs < 1 then fail "specpmt_run: --jobs must be at least 1@.";
     let mix =
       match Svc.Scenario.mix_of_string mix with

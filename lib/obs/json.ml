@@ -63,3 +63,12 @@ let to_file path j =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string j))
+
+let check_writable path =
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_creat ] 0o644 path with
+  | oc ->
+      close_out oc;
+      if not existed then Sys.remove path;
+      Ok ()
+  | exception Sys_error e -> Error e

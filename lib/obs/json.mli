@@ -26,3 +26,9 @@ val to_string : t -> string
 
 val to_file : string -> t -> unit
 (** Write [to_string] to a file (truncating). *)
+
+val check_writable : string -> (unit, string) result
+(** Open [path] for writing without truncating it, removing it again if
+    this created it: lets a CLI refuse a report path it cannot write
+    before running the experiment the report would record.  [Error]
+    carries the system message. *)

@@ -25,7 +25,9 @@ type slot = {
    [addrs]/[slots] arrays; a linear-probing index over the address space
    maps address -> position.  Slot records are reused across transactions
    ([clear] keeps them allocated), so the steady-state commit path does
-   no hashing through a generic Hashtbl and no allocation per write. *)
+   no hashing through a generic Hashtbl and no allocation per write.  The
+   probe table only grows, so [clear] empties just the slots this
+   transaction filled. *)
 type t = {
   mutable addrs : Addr.t array;
   mutable slots : slot array; (* parallel to addrs; records are reused *)
@@ -52,10 +54,6 @@ let create () =
     mask = (4 * initial_cells) - 1;
   }
 
-let clear t =
-  t.n <- 0;
-  Array.fill t.keys 0 (t.mask + 1) (-1)
-
 let size t = t.n
 
 (* cells are 8-byte aligned, so fold the low bits out before mixing *)
@@ -67,6 +65,19 @@ let probe t addr =
     h := (!h + 1) land t.mask
   done;
   !h
+
+(* Under linear probing with no deletions, removing the most recently
+   inserted key restores the table exactly as it was before that insert:
+   the key took the first empty slot on its probe path, and every other
+   key present went in earlier, when that slot was already empty, so no
+   other key's probe path crosses it.  [grow] re-inserts in first-write
+   order, so emptying the cells' slots newest first walks the table back
+   to empty. *)
+let clear t =
+  for i = t.n - 1 downto 0 do
+    t.keys.(probe t t.addrs.(i)) <- -1
+  done;
+  t.n <- 0
 
 let insert_index t addr pos =
   let h = probe t addr in

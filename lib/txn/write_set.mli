@@ -27,7 +27,12 @@ type slot = {
 type t
 
 val create : unit -> t
+
 val clear : t -> unit
+(** Forget every cell, keeping the grown arrays and slot records.  Costs
+    O(cells in the transaction), however large an earlier transaction made
+    the probe table. *)
+
 val size : t -> int
 
 val record : t -> Addr.t -> old_value:int -> slot * bool

@@ -1,0 +1,84 @@
+(* Operator-input errors at the two CLIs: a bad scheme name or an
+   unwritable --json path must fail up front with one line on stderr and
+   the CLI's usage-error exit code (specpmt_run: 2, bench: 1), before any
+   experiment runs (nothing on stdout). *)
+
+let exe rel = Filename.concat (Filename.dirname Sys.executable_name) rel
+let specpmt_run = exe "../bin/specpmt_run.exe"
+let bench = exe "../bench/main.exe"
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (( <> ) "")
+
+(* run [prog args], returning the exit code, stdout and stderr lines *)
+let run prog args =
+  let out = Filename.temp_file "cli" ".out"
+  and err = Filename.temp_file "cli" ".err" in
+  let cmd =
+    String.concat " " (List.map Filename.quote (prog :: args))
+    ^ Printf.sprintf " >%s 2>%s" (Filename.quote out) (Filename.quote err)
+  in
+  let code = Sys.command cmd in
+  let o = read_lines out and e = read_lines err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, o, e)
+
+(* a report path whose directory does not exist *)
+let missing_dir_path () =
+  let f = Filename.temp_file "cli" "" in
+  Sys.remove f;
+  Filename.concat f "x.json"
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let check_usage_error ~code ~mentions (got, out, err) =
+  Alcotest.(check int) "exit code" code got;
+  Alcotest.(check (list string)) "no work ran (stdout empty)" [] out;
+  match err with
+  | [ line ] ->
+      if not (contains line mentions) then
+        Alcotest.failf "stderr %S does not mention %S" line mentions
+  | _ -> Alcotest.failf "want one stderr line, got %d" (List.length err)
+
+let test_run_unknown_scheme () =
+  run specpmt_run [ "run"; "-s"; "Bogus"; "--scale"; "quick" ]
+  |> check_usage_error ~code:2 ~mentions:"Bogus"
+
+let test_run_unwritable_json () =
+  let path = missing_dir_path () in
+  run specpmt_run [ "run"; "--scale"; "quick"; "--json"; path ]
+  |> check_usage_error ~code:2 ~mentions:path;
+  (* a writable path still gets the report *)
+  let ok = Filename.temp_file "cli" ".json" in
+  let code, _, _ = run specpmt_run [ "run"; "--scale"; "quick"; "--json"; ok ] in
+  Alcotest.(check int) "writable path runs" 0 code;
+  Alcotest.(check bool) "report written" true
+    (In_channel.with_open_text ok In_channel.input_all <> "");
+  Sys.remove ok
+
+let test_bench_unwritable_json () =
+  let path = missing_dir_path () in
+  run bench [ "--quick"; "table2"; "--json"; path ]
+  |> check_usage_error ~code:1 ~mentions:path
+
+let () =
+  Alcotest.run "cli"
+    [
+      ( "operator input",
+        [
+          Alcotest.test_case "run: unknown scheme" `Quick
+            test_run_unknown_scheme;
+          Alcotest.test_case "run: unwritable --json" `Quick
+            test_run_unwritable_json;
+          Alcotest.test_case "bench: unwritable --json" `Quick
+            test_bench_unwritable_json;
+        ] );
+    ]

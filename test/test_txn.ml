@@ -74,6 +74,218 @@ let test_write_set_first_and_order () =
   Write_set.iter_in_order ws (fun a _ -> order := a :: !order);
   Alcotest.(check (list int)) "oldest first" [ 16; 8 ] !order
 
+(* Probe-colliding cells.  The write set hashes cell index x = addr / 8 to
+   (x * C) mod table size, so cells whose indexes agree modulo 2^20 share a
+   home slot in every probe table of up to 2^20 slots.  [tail_x] mirrors
+   write_set.ml's multiplier C to home its class on each table's last
+   slot, so those chains wrap past the end into the class of residue 0. *)
+let collide_bits = 20
+
+let tail_x =
+  let m = (1 lsl collide_bits) - 1 in
+  let rec go x = if (x * 0x9E3779B1) land m = m then x else go (x + 1) in
+  go 0
+
+let colliding ~residue j = 8 * (residue + (j lsl collide_bits))
+
+(* One transaction big enough to grow the table several times (> 65,536
+   distinct cells: 64 -> 131,072 cell capacity), with two 512-long
+   colliding chains that wrap, in a seeded order. *)
+let big_tx_cells seed =
+  let cells =
+    Array.concat
+      [
+        Array.init 512 (colliding ~residue:tail_x);
+        Array.init 512 (colliding ~residue:0);
+        Array.init 70_000 (fun x -> 8 * x);
+      ]
+  in
+  let rand = Random.State.make [| seed |] in
+  for i = Array.length cells - 1 downto 1 do
+    let j = Random.State.int rand (i + 1) in
+    let c = cells.(i) in
+    cells.(i) <- cells.(j);
+    cells.(j) <- c
+  done;
+  cells
+
+let ws_cells ws =
+  let l = ref [] in
+  Write_set.iter_in_order ws (fun a s ->
+      l := (a, s.Write_set.old_value, s.Write_set.last_value) :: !l);
+  List.rev !l
+
+let test_write_set_clear_after_big () =
+  let ws = Write_set.create () in
+  let big = big_tx_cells 1 in
+  Array.iter (fun a -> ignore (Write_set.record ws a ~old_value:a)) big;
+  (* address 0 is both in the residue-0 chain and in the dense range *)
+  Alcotest.(check int) "big tx cells" (70_000 + 1023) (Write_set.size ws);
+  Write_set.clear ws;
+  Alcotest.(check int) "cleared" 0 (Write_set.size ws);
+  Array.iter
+    (fun a ->
+      if Write_set.find ws a <> None then
+        Alcotest.failf "cell %d still indexed after clear" a)
+    big;
+  (* a tiny transaction over old and new cells: each is a first write and
+     iteration yields only these *)
+  let tiny =
+    [ colliding ~residue:tail_x 3; 8 * 70_001; big.(0);
+      colliding ~residue:0 511; colliding ~residue:tail_x 600 ]
+  in
+  List.iteri
+    (fun i a ->
+      let _, first = Write_set.record ws a ~old_value:i in
+      if not first then Alcotest.failf "cell %d not a first write" a)
+    tiny;
+  Alcotest.(check (list (triple int int int)))
+    "only the new cells, oldest first"
+    (List.mapi (fun i a -> (a, i, i)) tiny)
+    (ws_cells ws);
+  let newest = ref [] in
+  Write_set.iter_newest_first ws (fun a _ -> newest := a :: !newest);
+  Alcotest.(check (list int)) "newest first" tiny !newest
+
+(* Differential test against a Hashtbl model: tiny transactions around
+   one > 65,536-cell transaction, addresses from colliding classes that
+   the big transaction also filled. *)
+type ws_op =
+  | Rec of int * int
+  | Find of int
+  | In_order
+  | Newest_first
+  | Clear
+  | Big of int  (** record every [big_tx_cells seed] cell *)
+
+let pp_ws_op = function
+  | Rec (a, v) -> Printf.sprintf "Rec(%d,%d)" a v
+  | Find a -> Printf.sprintf "Find %d" a
+  | In_order -> "In_order"
+  | Newest_first -> "Newest_first"
+  | Clear -> "Clear"
+  | Big s -> Printf.sprintf "Big %d" s
+
+let ws_ops_arb =
+  let open QCheck.Gen in
+  let addr =
+    int_bound 63 >>= fun j ->
+    oneof
+      [
+        return (colliding ~residue:tail_x j);
+        return (colliding ~residue:0 j);
+        map (fun x -> 8 * x) (int_bound 4095);
+      ]
+  in
+  let tiny =
+    frequency
+      [
+        (6, map2 (fun a v -> Rec (a, v)) addr (int_bound 1_000_000));
+        (3, map (fun a -> Find a) addr);
+        (1, return In_order);
+        (1, return Newest_first);
+        (2, return Clear);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_ws_op ops))
+    (map3
+       (fun pre seed post -> pre @ (Big seed :: post))
+       (list_size (0 -- 30) tiny) nat
+       (list_size (0 -- 150) tiny))
+
+let prop_write_set_model =
+  QCheck.Test.make ~name:"write set = Hashtbl model across a big tx"
+    ~count:20 ws_ops_arb (fun ops ->
+      let ws = Write_set.create () in
+      (* addr -> (old value, last value); [order] is newest first *)
+      let model = Hashtbl.create 64 and order = ref [] in
+      let record a v =
+        let s, first = Write_set.record ws a ~old_value:v in
+        (match Hashtbl.find_opt model a with
+        | None ->
+            if not first then
+              QCheck.Test.fail_reportf "%d: repeat reported for a new cell" a;
+            order := a :: !order
+        | Some (old, _) ->
+            if first then
+              QCheck.Test.fail_reportf "%d: first write reported twice" a;
+            if s.Write_set.old_value <> old then
+              QCheck.Test.fail_reportf "%d: undo image overwritten" a);
+        let old = if first then v else s.Write_set.old_value in
+        s.Write_set.last_value <- v + 1;
+        Hashtbl.replace model a (old, v + 1)
+      in
+      let expect () =
+        List.rev_map
+          (fun a ->
+            let old, last = Hashtbl.find model a in
+            (a, old, last))
+          !order
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Rec (a, v) -> record a v
+          | Big seed -> Array.iter (fun a -> record a a) (big_tx_cells seed)
+          | Find a ->
+              let got =
+                Option.map
+                  (fun s -> (s.Write_set.old_value, s.Write_set.last_value))
+                  (Write_set.find ws a)
+              in
+              if got <> Hashtbl.find_opt model a then
+                QCheck.Test.fail_reportf "find %d disagrees with the model" a
+          | In_order ->
+              if ws_cells ws <> expect () then
+                QCheck.Test.fail_report "iter_in_order disagrees"
+          | Newest_first ->
+              let l = ref [] in
+              Write_set.iter_newest_first ws (fun a s ->
+                  l := (a, s.Write_set.old_value, s.Write_set.last_value) :: !l);
+              if !l <> expect () then
+                QCheck.Test.fail_report "iter_newest_first disagrees"
+          | Clear ->
+              Write_set.clear ws;
+              Hashtbl.reset model;
+              order := []);
+          if Write_set.size ws <> Hashtbl.length model then
+            QCheck.Test.fail_reportf "size %d, model %d" (Write_set.size ws)
+              (Hashtbl.length model))
+        ops;
+      true)
+
+(* History independence: a reset must not pay for the largest write set
+   the runtime has seen.  10,000 one-cell record+clear cycles after a
+   65,536-cell transaction must cost under 8x the same loop on a fresh
+   write set.  A ratio of CPU times, best of interleaved rounds, so it
+   holds on a slow or busy host. *)
+let test_reset_history_independent () =
+  let cycles ws =
+    let t0 = Sys.time () in
+    for i = 1 to 10_000 do
+      ignore (Write_set.record ws 8 ~old_value:i);
+      Write_set.clear ws
+    done;
+    Sys.time () -. t0
+  in
+  let fresh = Write_set.create () and used = Write_set.create () in
+  for x = 0 to 65_535 do
+    ignore (Write_set.record used (8 * x) ~old_value:0)
+  done;
+  Write_set.clear used;
+  let best_fresh = ref infinity and best_used = ref infinity in
+  for _ = 1 to 7 do
+    best_fresh := Float.min !best_fresh (cycles fresh);
+    best_used := Float.min !best_used (cycles used)
+  done;
+  let ratio = !best_used /. Float.max !best_fresh 1e-6 in
+  if ratio >= 8.0 then
+    Alcotest.failf
+      "10k one-cell resets cost %.1fx more after a 65,536-cell tx (%.0f vs \
+       %.0f us)"
+      ratio (!best_used *. 1e6) (!best_fresh *. 1e6)
+
 (* log arena *)
 
 let scan_all pm =
@@ -954,6 +1166,14 @@ let () =
         [
           Alcotest.test_case "first/order semantics" `Quick
             test_write_set_first_and_order;
+          Alcotest.test_case "clear after a 65,536-cell tx" `Quick
+            test_write_set_clear_after_big;
+          QCheck_alcotest.to_alcotest prop_write_set_model;
+        ] );
+      ( "reset",
+        [
+          Alcotest.test_case "cost independent of past write sets" `Quick
+            test_reset_history_independent;
         ] );
       ( "log arena",
         [
