@@ -60,7 +60,7 @@ let record ((_, _, cs) as k) m =
     recorded := (cs, m) :: !recorded
   end
 
-(* Rows of the recovery/reclamation sweep (`recovery-sweep`); they are
+(* Rows of the recovery sweep (`recovery-sweep`); they are
    not workload measurements, so they ride in their own additive
    top-level key rather than in [results]. *)
 let sweep_rows : Json.t list ref = ref []
@@ -583,7 +583,7 @@ let sweeps () =
               ~spec_params:
                 {
                   Spec_soft.default_params with
-                  Spec_soft.reclaim = Spec_soft.Threshold reclaim_threshold;
+                  Spec_soft.reclaim_bytes = reclaim_threshold;
                 }
               heap "SpecSPMT")
           ~name:"SpecSPMT-reclaim" (workload "intruder") !scale
@@ -755,8 +755,8 @@ let recovery () =
           ~spec_params:
             {
               Spec_soft.default_params with
-              Spec_soft.reclaim =
-                Spec_soft.Threshold (if reclaim then 256 * 1024 else max_int);
+              Spec_soft.reclaim_bytes =
+                (if reclaim then 256 * 1024 else max_int);
             }
           heap "SpecSPMT"
       in
@@ -784,7 +784,7 @@ let recovery () =
       (64_000, true);
     ]
 
-(* ---------- Extension: coalescing recovery & adaptive reclamation ---------- *)
+(* ---------- Extension: coalescing recovery ---------- *)
 
 let mode_name = function
   | Spec_soft.Coalesce -> "coalesce"
@@ -805,7 +805,7 @@ let recovery_case ~cells ~rounds ~mode =
       ~spec_params:
         {
           Spec_soft.default_params with
-          Spec_soft.reclaim = Spec_soft.Threshold max_int;
+          Spec_soft.reclaim_bytes = max_int;
           Spec_soft.recovery = mode;
         }
       heap "SpecSPMT"
@@ -897,44 +897,7 @@ let recovery_sweep () =
       sweep_row ~experiment:"live-sweep" ~mode:Spec_soft.Coalesce ~cells
         ~rounds r;
       Printf.printf "%-8d %10d %12.3f %12d\n" cells kib (ns /. 1e6) writes)
-    [ 64; 256; 1024 ];
-  (* 3: adaptive vs fixed-threshold reclamation on a real workload *)
-  Printf.printf "\nreclamation policy (SpecSPMT, intruder):\n";
-  Printf.printf "%-22s %10s %10s %10s %8s %9s\n" "policy" "sim ms" "bg ms"
-    "log KiB" "cycles" "deferred";
-  List.iter
-    (fun (label, policy) ->
-      let m =
-        Run.run_custom
-          ~make:(fun heap ->
-            create_scheme
-              ~spec_params:
-                { Spec_soft.default_params with Spec_soft.reclaim = policy }
-              heap "SpecSPMT")
-          ~name:("SpecSPMT-" ^ label) (workload "intruder") !scale
-      in
-      let counter n = Obs.Metrics.counter_value (Obs.Metrics.counter n) in
-      let cycles = counter "reclaim.cycles" in
-      let deferred = counter "reclaim.deferred_bg_budget" in
-      record_sweep
-        (Json.Obj
-           [
-             ("experiment", Json.Str "reclaim-policy");
-             ("policy", Json.Str label);
-             ("ns", Json.Float m.Run.ns);
-             ("bg_ns", Json.Float m.Run.bg_ns);
-             ("log_kib", Json.Int (m.Run.log_bytes / 1024));
-             ("reclaim_cycles", Json.Int cycles);
-             ("deferred_bg_budget", Json.Int deferred);
-           ]);
-      Printf.printf "%-22s %10.3f %10.3f %10d %8d %9d\n" label
-        (m.Run.ns /. 1e6) (m.Run.bg_ns /. 1e6) (m.Run.log_bytes / 1024)
-        cycles deferred)
-    [
-      ("threshold-1MiB", Spec_soft.default_params.Spec_soft.reclaim);
-      ("threshold-256KiB", Spec_soft.Threshold (256 * 1024));
-      ("adaptive", Spec_soft.adaptive_policy);
-    ]
+    [ 64; 256; 1024 ]
 
 (* ---------- Extension: service layer (group commit) ---------- *)
 

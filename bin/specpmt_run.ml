@@ -102,11 +102,10 @@ let json_arg =
 
 let reclaim_arg =
   let doc =
-    "Reclamation policy for the SpecSPMT schemes: $(b,adaptive) (the \
-     pressure-model scheduler) or $(b,threshold:BYTES) (fixed footprint \
-     trigger)."
+    "Reclamation trigger for the SpecSPMT schemes: compact the log once its \
+     footprint exceeds $(docv) bytes."
   in
-  Arg.(value & opt (some string) None & info [ "reclaim" ] ~docv:"POLICY" ~doc)
+  Arg.(value & opt (some int) None & info [ "reclaim" ] ~docv:"BYTES" ~doc)
 
 let recovery_arg =
   let doc =
@@ -125,19 +124,8 @@ let spec_params_override ~reclaim ~recovery base =
       let p =
         match reclaim with
         | None -> base
-        | Some "adaptive" ->
-            { base with Spec_soft.reclaim = Spec_soft.adaptive_policy }
-        | Some s when String.length s > 10 && String.sub s 0 10 = "threshold:"
-          -> (
-            match
-              int_of_string_opt (String.sub s 10 (String.length s - 10))
-            with
-            | Some b when b > 0 ->
-                { base with Spec_soft.reclaim = Spec_soft.Threshold b }
-            | _ -> fail "specpmt_run: bad --reclaim threshold in %S@." s)
-        | Some s ->
-            fail "specpmt_run: unknown --reclaim %S (adaptive|threshold:BYTES)@."
-              s
+        | Some b when b > 0 -> { base with Spec_soft.reclaim_bytes = b }
+        | Some b -> fail "specpmt_run: --reclaim must be positive, not %d@." b
       in
       let p =
         match recovery with

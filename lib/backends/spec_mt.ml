@@ -85,7 +85,7 @@ let recover t =
         t.runtimes;
       (* stores first, flushes after — interleaving would drain a line
          shared by several cells once per cell instead of once per line *)
-      Hashtbl.iter (fun a (v, _, _) -> Pmem.store_int t.pm a v) index;
+      Hashtbl.iter (fun a (v, _) -> Pmem.store_int t.pm a v) index;
       Hashtbl.iter (fun a _ -> Pmem.clwb t.pm a) index;
       Pmem.sfence t.pm;
       Metrics.add (Metrics.counter "recover.records_scanned") !records;

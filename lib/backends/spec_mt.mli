@@ -55,4 +55,4 @@ val threads : t -> int
 val recover : t -> unit
 (** Post-crash recovery across all thread logs, merged by timestamp
     (per the pool's {!Spec_soft.recovery_mode}), then reattaches every
-    thread's arena and rebuilds its volatile live index. *)
+    thread's arena. *)

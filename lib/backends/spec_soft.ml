@@ -2,20 +2,12 @@ open Specpmt_pmem
 open Specpmt_pmalloc
 open Specpmt_txn
 
-type reclaim_policy =
-  | Threshold of int
-  | Adaptive of {
-      min_log_bytes : int;
-      stale_trigger : float;
-      bg_duty : float;
-    }
-
 type recovery_mode = Coalesce | Replay
 
 type params = {
   data_persist : bool;
   block_bytes : int;
-  reclaim : reclaim_policy;
+  reclaim_bytes : int;
   recovery : recovery_mode;
 }
 
@@ -23,23 +15,11 @@ let default_params =
   {
     data_persist = false;
     block_bytes = 4096;
-    reclaim = Threshold (1 lsl 20);
+    reclaim_bytes = 1 lsl 20;
     recovery = Coalesce;
   }
 
 let dp_params = { default_params with data_persist = true }
-
-let adaptive_policy =
-  Adaptive
-    { min_log_bytes = 64 * 1024; stale_trigger = 0.5; bg_duty = 0.05 }
-
-(* One live (freshest) logged entry per datum, mirrored in DRAM: the value,
-   the commit timestamp of the record holding it, and the log block the
-   entry lives in.  The index is what turns reclamation from O(log) into
-   O(live): the compactor rewrites straight from it, never scanning the
-   chain, and per-block live counts tell the scheduler where the stale
-   bytes are. *)
-type vcell = { mutable v : int; mutable ts : int; mutable block : Addr.t }
 
 type t = {
   heap : Heap.t;
@@ -67,87 +47,17 @@ type t = {
       (* growth-based trigger: reclaiming again before the log has grown
          past twice the last compacted size would make reclamation cost
          quadratic when the live set itself exceeds the threshold *)
-  vindex : (Addr.t, vcell) Hashtbl.t;
-  block_live : (Addr.t, int) Hashtbl.t;
-  mutable bg_spent : float;
-      (* background-core ns this runtime has consumed, against the
-         adaptive policy's duty-cycle budget *)
 }
 
 let params t = t.params
 let pmem t = t.pm
-let live_cells t = Hashtbl.length t.vindex
-let stale_entries t = Log_arena.total_entries t.arena - live_cells t
-
-(* commit-path counter bump: exception form instead of [find_opt] so no
-   option is boxed per write-set cell *)
-let live_in_block t b =
-  match Hashtbl.find t.block_live b with n -> n | exception Not_found -> 0
-
-let bump_live t b d =
-  if b >= 0 then Hashtbl.replace t.block_live b (live_in_block t b + d)
-
-(* Merge the committed (or rolled-back-and-committed) write set into the
-   volatile index at the record's timestamp.  [last_value]/[entry_block]
-   were captured on the write path, so this is pure DRAM bookkeeping — no
-   device traffic. *)
-let index_commit t ts =
-  Write_set.iter_in_order t.ws (fun a slot ->
-      (match Hashtbl.find t.vindex a with
-      | c ->
-          bump_live t c.block (-1);
-          c.v <- slot.Write_set.last_value;
-          c.ts <- ts;
-          c.block <- slot.Write_set.entry_block
-      | exception Not_found ->
-          Hashtbl.replace t.vindex a
-            {
-              v = slot.Write_set.last_value;
-              ts;
-              block = slot.Write_set.entry_block;
-            });
-      bump_live t slot.Write_set.entry_block 1)
-
-(* Rebuild the volatile index from the log itself (attach/recover paths).
-   When the caller already holds a coalesced recovery index it is reused;
-   otherwise an unmetered scan derives it — the rebuild belongs to the
-   background core, exactly like the reclamation scans it replaces. *)
-let rebuild_vindex ?from t =
-  Hashtbl.reset t.vindex;
-  Hashtbl.reset t.block_live;
-  let idx =
-    match from with
-    | Some idx -> idx
-    | None ->
-        let idx = Hashtbl.create 256 in
-        Pmem.with_unmetered t.pm (fun () ->
-            ignore
-              (Log_arena.recover_collect t.pm ~head_slot:t.head_slot
-                 ~block_bytes:t.params.block_bytes ~index:idx));
-        idx
-  in
-  Hashtbl.iter
-    (fun a (v, ts, block) ->
-      Hashtbl.replace t.vindex a { v; ts; block };
-      bump_live t block 1)
-    idx
 
 (* ---------- Reclamation ---------- *)
 
 (* Background reclamation (Section 4.2): runs on a dedicated core in the
    paper, so its memory operations are unmetered here and an estimated
-   cost is charged to the background ledger instead. *)
-
-let charge_bg t ns =
-  t.bg_spent <- t.bg_spent +. ns;
-  Pmem.charge_bg_ns t.pm ns;
-  Specpmt_obs.Metrics.add
-    (Specpmt_obs.Metrics.counter "reclaim.bg_ns")
-    (int_of_float ns)
-
-(* Legacy scan-based compaction: O(log) scan + O(live) copy.  Kept as the
-   reference path (Threshold policy, {!reclaim_now}) and as the
-   differential oracle for the indexed compactor. *)
+   cost — O(log) scan + O(live) copy — is charged to the background
+   ledger instead. *)
 let reclaim t =
   let open Specpmt_obs in
   Phase.run Phase.Reclaim @@ fun () ->
@@ -157,10 +67,9 @@ let reclaim t =
   t.reclaims <- t.reclaims + 1;
   let scan_ns = float_of_int stats.Log_arena.entries_scanned *. 6.0 in
   let copy_ns = float_of_int stats.Log_arena.entries_live *. 30.0 in
-  charge_bg t (scan_ns +. copy_ns);
-  (* compaction moved every surviving entry; the volatile index must
-     follow it (cheapest as a rebuild — the survivor set IS the index) *)
-  rebuild_vindex t;
+  Pmem.charge_bg_ns t.pm (scan_ns +. copy_ns);
+  Metrics.add (Metrics.counter "reclaim.bg_ns")
+    (int_of_float (scan_ns +. copy_ns));
   Metrics.incr (Metrics.counter "reclaim.cycles");
   Metrics.add (Metrics.counter "reclaim.blocks_freed")
     stats.Log_arena.blocks_freed;
@@ -178,148 +87,24 @@ let reclaim t =
 let reclaim_now t = reclaim t
 let reclaim_count t = t.reclaims
 
-(* Victim selection for the indexed compactor: walk the chain oldest
-   first — staleness concentrates there, so the oldest blocks are visited
-   first — and remember the newest clean-start boundary whose prefix is
-   still stale enough to be worth evacuating.  Everything before the
-   boundary is rewritten from the index; the hot tail (including the
-   append block) is never touched. *)
-let choose_boundary t ~stale_trigger =
-  let arena = t.arena in
-  let entries = ref 0 and live = ref 0 and blocks = ref 0 in
-  let best = ref None in
-  List.iter
-    (fun b ->
-      if
-        !blocks > 0 && !entries > 0
-        && Log_arena.is_clean_start arena b
-        && float_of_int (!entries - !live) /. float_of_int !entries
-           >= stale_trigger
-      then best := Some (b, !blocks, !live);
-      entries := !entries + Log_arena.entries_in_block arena b;
-      live := !live + live_in_block t b;
-      incr blocks)
-    (Log_arena.chain arena);
-  !best
-
-(* Indexed reclamation: build the timestamp-ascending live groups straight
-   from the volatile index and hand them to {!Log_arena.compact_indexed}.
-   [prefix] restricts the rewrite to cells living in the evacuated chain
-   prefix. *)
-let reclaim_indexed t ~boundary =
-  let open Specpmt_obs in
-  Phase.run Phase.Reclaim @@ fun () ->
-  let keep_from, blocks_visited =
-    match boundary with
-    | Some (b, nblocks, _) -> (Some b, nblocks)
-    | None -> (None, Log_arena.block_count t.arena)
-  in
-  let in_prefix =
-    match keep_from with
-    | None -> fun _ -> true
-    | Some b ->
-        let prefix = Hashtbl.create 16 in
-        let rec mark = function
-          | blk :: _ when blk = b -> ()
-          | blk :: rest ->
-              Hashtbl.replace prefix blk ();
-              mark rest
-          | [] -> ()
-        in
-        mark (Log_arena.chain t.arena);
-        fun blk -> Hashtbl.mem prefix blk
-  in
-  let by_ts : (int, (Addr.t * int) list ref) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun a c ->
-      if in_prefix c.block then
-        match Hashtbl.find_opt by_ts c.ts with
-        | Some l -> l := (a, c.v) :: !l
-        | None -> Hashtbl.add by_ts c.ts (ref [ (a, c.v) ]))
-    t.vindex;
-  let live =
-    Hashtbl.fold (fun ts l acc -> (ts, !l) :: acc) by_ts []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let stats =
-    Pmem.with_unmetered t.pm (fun () ->
-        Log_arena.compact_indexed ?keep_from t.arena ~live
-          ~on_place:(fun a ~block ->
-            match Hashtbl.find_opt t.vindex a with
-            | Some c -> c.block <- block
-            | None -> ()))
-  in
-  t.reclaims <- t.reclaims + 1;
-  (* no scan term: the index replaced it — that is the O(live) win *)
-  charge_bg t (float_of_int stats.Log_arena.entries_live *. 30.0);
-  (* per-block live counts follow the moved survivors *)
-  Hashtbl.reset t.block_live;
-  Hashtbl.iter (fun _ c -> bump_live t c.block 1) t.vindex;
-  Metrics.incr (Metrics.counter "reclaim.cycles");
-  Metrics.incr (Metrics.counter "reclaim.indexed_cycles");
-  Metrics.add (Metrics.counter "reclaim.blocks_visited") blocks_visited;
-  Metrics.add (Metrics.counter "reclaim.blocks_freed")
-    stats.Log_arena.blocks_freed;
-  Metrics.add (Metrics.counter "reclaim.entries_live")
-    stats.Log_arena.entries_live;
-  Trace.emit "spec.reclaim_indexed" ~a:stats.Log_arena.blocks_freed
-    ~b:stats.Log_arena.entries_live;
-  stats
-
-(* The pressure model (evaluated after every commit, O(1) except for the
-   boundary walk, which is O(blocks)): compact when the log is big enough
-   to matter, stale enough to pay off, and the background core has budget
-   for the copy.  All three inputs come from the volatile index. *)
+(* Footprint trigger, checked after every commit: compact once the log
+   outgrows [reclaim_bytes] and at least doubles its last compacted
+   size. *)
 let maybe_reclaim t =
-  let open Specpmt_obs in
   let foot = Log_arena.footprint t.arena in
-  match t.params.reclaim with
-  | Threshold threshold ->
-      if foot > threshold && foot > 2 * t.last_compact_footprint then begin
-        ignore (reclaim t);
-        t.last_compact_footprint <- Log_arena.footprint t.arena
-      end
-  | Adaptive { min_log_bytes; stale_trigger; bg_duty } ->
-      let total = Log_arena.total_entries t.arena in
-      let stale = total - live_cells t in
-      let stale_frac =
-        if total = 0 then 0.0
-        else float_of_int stale /. float_of_int total
-      in
-      Metrics.set_gauge (Metrics.gauge "reclaim.stale_frac") stale_frac;
-      Metrics.set_gauge
-        (Metrics.gauge "reclaim.live_cells")
-        (float_of_int (live_cells t));
-      if foot >= min_log_bytes && stale_frac >= stale_trigger then begin
-        let boundary = choose_boundary t ~stale_trigger in
-        let to_copy =
-          match boundary with
-          | Some (_, _, prefix_live) -> prefix_live
-          | None -> live_cells t
-        in
-        let est_ns = float_of_int to_copy *. 30.0 in
-        let allowed = bg_duty *. (Pmem.stats t.pm).Stats.ns in
-        if t.bg_spent +. est_ns > allowed then
-          (* the background core is over its duty cycle: defer, the
-             pressure check will fire again on a later commit *)
-          Metrics.incr (Metrics.counter "reclaim.deferred_bg_budget")
-        else begin
-          ignore (reclaim_indexed t ~boundary);
-          t.last_compact_footprint <- Log_arena.footprint t.arena
-        end
-      end
+  if foot > t.params.reclaim_bytes && foot > 2 * t.last_compact_footprint
+  then begin
+    ignore (reclaim t);
+    t.last_compact_footprint <- Log_arena.footprint t.arena
+  end
 
 (* ---------- Transactions ---------- *)
 
 let tx_write t a v =
   let slot, first = Write_set.record t.ws a ~old_value:(Pmem.load_int t.pm a) in
-  if first then begin
-    slot.Write_set.entry_pos <-
-      Log_arena.add_entry t.arena ~target:a ~value:v;
-    slot.Write_set.entry_block <- Log_arena.current_block t.arena
-  end
+  if first then
+    slot.Write_set.entry_pos <- Log_arena.add_entry t.arena ~target:a ~value:v
   else Log_arena.set_entry_value t.arena slot.Write_set.entry_pos v;
-  slot.Write_set.last_value <- v;
   Pmem.store_int t.pm a v
 
 let commit t =
@@ -328,8 +113,7 @@ let commit t =
   if Log_arena.entry_words t.arena = 0 then Log_arena.abandon_record t.arena
   else begin
     let ts = Tsc.next t.tsc in
-    Log_arena.commit_record t.arena ~tentative:t.in_batch ~timestamp:ts;
-    index_commit t ts
+    Log_arena.commit_record t.arena ~tentative:t.in_batch ~timestamp:ts
   end;
   if t.params.data_persist then begin
     (* SpecSPMT-DP: also force the in-place updates into the persistence
@@ -353,14 +137,12 @@ let commit t =
 let rollback t =
   Write_set.iter_newest_first t.ws (fun a slot ->
       Pmem.store_int t.pm a slot.Write_set.old_value;
-      slot.Write_set.last_value <- slot.Write_set.old_value;
       Log_arena.set_entry_value t.arena slot.Write_set.entry_pos
         slot.Write_set.old_value);
   if Log_arena.entry_words t.arena = 0 then Log_arena.abandon_record t.arena
   else begin
     let ts = Tsc.next t.tsc in
-    Log_arena.commit_record t.arena ~tentative:t.in_batch ~timestamp:ts;
-    index_commit t ts
+    Log_arena.commit_record t.arena ~tentative:t.in_batch ~timestamp:ts
   end;
   (* compensate the aborted transaction's allocations: its deferred frees
      are simply dropped, but blocks it allocated would otherwise leak *)
@@ -463,7 +245,7 @@ let replay_internal ?(head_slot = Slots.spec_head) ?(mode = Coalesce) pm
          a line shared by several cells after its flush and drain it once
          per cell instead of once per line *)
       Hashtbl.iter
-        (fun a (v, _, _) ->
+        (fun a (v, _) ->
           Pmem.store_int pm a v;
           Hashtbl.replace restored a v)
         index;
@@ -473,7 +255,7 @@ let replay_internal ?(head_slot = Slots.spec_head) ?(mode = Coalesce) pm
       Metrics.add (Metrics.counter "recover.entries_scanned") entries;
       Metrics.add (Metrics.counter "recover.data_writes")
         (Hashtbl.length index);
-      (restored, max_ts, Some index)
+      (restored, max_ts)
   | Replay ->
       let restored = Hashtbl.create 256 in
       let records = ref 0 and entries = ref 0 in
@@ -493,17 +275,17 @@ let replay_internal ?(head_slot = Slots.spec_head) ?(mode = Coalesce) pm
       Metrics.add (Metrics.counter "recover.records_scanned") !records;
       Metrics.add (Metrics.counter "recover.entries_scanned") !entries;
       Metrics.add (Metrics.counter "recover.data_writes") !entries;
-      (restored, max_ts, None)
+      (restored, max_ts)
 
 let recover_standalone ?(mode = Coalesce) pm ~block_bytes =
-  let restored, _, _ = replay_internal ~mode pm ~block_bytes in
+  let restored, _ = replay_internal ~mode pm ~block_bytes in
   restored
 
 let recover t =
   let open Specpmt_obs in
   Phase.run Phase.Recover @@ fun () ->
   (* replay first: the heap walk must see the restored image *)
-  let restored, max_ts, index =
+  let restored, max_ts =
     replay_internal ~head_slot:t.head_slot ~mode:t.params.recovery t.pm
       ~block_bytes:t.params.block_bytes
   in
@@ -512,7 +294,6 @@ let recover t =
   t.arena <-
     Log_arena.attach t.heap ~head_slot:t.head_slot
       ~block_bytes:t.params.block_bytes;
-  rebuild_vindex ?from:index t;
   t.frees <- [] (* deferred frees of a crashed transaction are dead *);
   t.allocs <- [] (* likewise its allocations: Heap.recover owns the walk *);
   Write_set.clear t.ws;
@@ -530,7 +311,6 @@ let reattach t =
   t.arena <-
     Log_arena.attach t.heap ~head_slot:t.head_slot
       ~block_bytes:t.params.block_bytes;
-  rebuild_vindex t;
   t.frees <- [];
   t.allocs <- [];
   Write_set.clear t.ws;
@@ -552,17 +332,20 @@ let snapshot_region t addr len =
 (* Switching crash-consistency mechanisms (Section 4.3.1): because
    SpecPMT uses in-place updates, leaving speculative logging only
    requires persisting the dirty durable data at the transition point.
-   The volatile live index holds exactly the set of cells the log covers
-   (every logged datum has a freshest entry), so the selective flush is
-   O(live) with no log scan.  Once done, the speculative log is no longer
+   The flush set is every cell the live log covers, found with one scan
+   of the log — O(log).  Once done, the speculative log is no longer
    needed and is emptied, and any other mechanism (undo, redo...) may run
    on the same pool from then on. *)
 let switch_out t =
   if t.in_tx then invalid_arg "Spec_soft.switch_out: open transaction";
   if t.in_batch then invalid_arg "Spec_soft.switch_out: open batch";
   (* 1: persist every datum with a live record *)
-  let touched = live_cells t in
-  Hashtbl.iter (fun a _ -> Pmem.clwb t.pm a) t.vindex;
+  let touched = Hashtbl.create 256 in
+  ignore
+    (Log_arena.recover_scan t.pm ~head_slot:t.head_slot
+       ~block_bytes:t.params.block_bytes ~f:(fun ~ts:_ entries ->
+         Array.iter (fun (a, _) -> Hashtbl.replace touched a ()) entries));
+  Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
   Pmem.sfence t.pm;
   (* 2: the log is now dead weight and must be durably invalidated — not
      just trimmed.  Records left alive in the tail block are a time bomb:
@@ -571,9 +354,7 @@ let switch_out t =
      values over the new owner's committed data.  [reset] persists an
      end-of-log sentinel before recycling the other blocks. *)
   Log_arena.reset t.arena;
-  Hashtbl.reset t.vindex;
-  Hashtbl.reset t.block_live;
-  touched
+  Hashtbl.length touched
 
 let create ?(head_slot = Slots.spec_head) ?tsc heap params =
   let pm = Heap.pmem heap in
@@ -594,9 +375,6 @@ let create ?(head_slot = Slots.spec_head) ?tsc heap params =
       in_batch = false;
       reclaims = 0;
       last_compact_footprint = params.block_bytes;
-      vindex = Hashtbl.create 256;
-      block_live = Hashtbl.create 16;
-      bg_spent = 0.0;
     }
   in
   let backend =

@@ -18,40 +18,15 @@
     available as {!Replay}, the differential-testing oracle.
 
     Background reclamation (Section 4.2) compacts the log off the
-    critical path; its cost is charged to the background ledger.  The
-    {!Threshold} policy is the footprint trigger with the legacy
-    scan-based compactor; the {!Adaptive} policy drives the index-backed
-    compactor from a pressure model — live-entry ratio, arena occupancy
-    and a background-core duty budget — and evacuates the stalest chain
-    prefix first (see DESIGN.md, "Recovery & reclamation performance
+    critical path ({!Specpmt_txn.Log_arena.compact}: one scan, copy the
+    freshest entry per datum, two-fence splice) once its footprint
+    outgrows [reclaim_bytes]; its cost is charged to the background
+    ledger (see DESIGN.md, "Recovery & reclamation performance
     model"). *)
 
 open Specpmt_pmem
 open Specpmt_pmalloc
 open Specpmt_txn
-
-type reclaim_policy =
-  | Threshold of int
-      (** legacy fixed trigger: scan-compact the whole log when its
-          footprint exceeds this many bytes *)
-  | Adaptive of {
-      min_log_bytes : int;
-          (** arena-occupancy floor — never compact a log smaller than
-              this, the copy would cost more than the space is worth *)
-      stale_trigger : float;
-          (** stale-entry fraction ([0..1]) that arms compaction, both
-              globally (when to run) and per chain prefix (which blocks
-              to visit) *)
-      bg_duty : float;
-          (** background-core budget as a fraction of elapsed simulated
-              foreground ns; compactions whose estimated copy cost would
-              exceed it are deferred (counted in
-              [reclaim.deferred_bg_budget]) *)
-    }
-      (** pressure model fed by the volatile live-entry index: decides
-          {e when} to compact and {e which} blocks to visit first, and
-          reclaims via {!Specpmt_txn.Log_arena.compact_indexed} — O(live)
-          copies, no log scan *)
 
 type recovery_mode =
   | Coalesce
@@ -67,29 +42,26 @@ type params = {
           suboptimal SpecSPMT-DP used to isolate the gain of removing data
           persistence *)
   block_bytes : int;  (** log-block size (default 4096) *)
-  reclaim : reclaim_policy;
-      (** when and how background reclamation runs (default
-          [Threshold (1 lsl 20)], the pre-existing behaviour) *)
+  reclaim_bytes : int;
+      (** reclamation trigger: compact the log once its footprint exceeds
+          this many bytes and at least doubles its last compacted size
+          (default [1 lsl 20]) *)
   recovery : recovery_mode;  (** how {!recover} restores data (default
           {!Coalesce}) *)
 }
 
 val default_params : params
 (** [{ data_persist = false; block_bytes = 4096;
-       reclaim = Threshold (1 lsl 20); recovery = Coalesce }] *)
+       reclaim_bytes = 1 lsl 20; recovery = Coalesce }] *)
 
 val dp_params : params
 (** {!default_params} with [data_persist = true] — the SpecSPMT-DP
     configuration. *)
 
-val adaptive_policy : reclaim_policy
-(** A reasonable default {!Adaptive} policy:
-    [min_log_bytes = 64 KiB], [stale_trigger = 0.5], [bg_duty = 0.05]. *)
-
 type t
-(** A per-thread runtime instance: its log arena, write set, volatile
-    live-entry index and reclamation state.  Obtained from {!create}
-    alongside the generic backend record. *)
+(** A per-thread runtime instance: its log arena, write set and
+    reclamation state.  Obtained from {!create} alongside the generic
+    backend record. *)
 
 val params : t -> params
 (** The parameters this runtime was created with. *)
@@ -149,30 +121,19 @@ val switch_out : t -> int
     crash-consistency mechanism (e.g. the PMDK backend) can run on the
     same pool, and no later replay of the speculative log can clobber
     that mechanism's committed data with the stale speculative values.
-    The flush set comes straight from the volatile live index — O(live),
-    no log scan.  Returns the number of cells persisted.  Must be called
-    between transactions. *)
+    The flush set is found with one scan of the log.  Returns the number
+    of cells persisted.  Must be called between transactions. *)
 
 val reclaim_now : t -> Log_arena.compact_stats
-(** Explicit reclamation trigger (the paper's API-triggered mode); always
-    runs the legacy scan-based compactor regardless of policy. *)
+(** Explicit reclamation trigger (the paper's API-triggered mode). *)
 
 val reclaim_count : t -> int
 (** Number of reclamation cycles run so far. *)
 
-val live_cells : t -> int
-(** Cells with a live (freshest committed) log entry — the size of the
-    volatile index and the adaptive pressure model's numerator. *)
-
-val stale_entries : t -> int
-(** Log entries superseded by fresher commits
-    ([Log_arena.total_entries - live_cells]). *)
-
 val reattach : t -> unit
 (** Reattach the runtime to its log after an external replay (used by the
     multi-threaded recovery, which replays all threads' logs in global
-    timestamp order first).  Rebuilds the volatile live index from the
-    log. *)
+    timestamp order first). *)
 
 val recover_standalone :
   ?mode:recovery_mode -> Pmem.t -> block_bytes:int -> (Addr.t, int) Hashtbl.t

@@ -163,7 +163,7 @@ let mc_params ~data_persist =
   {
     Spec_soft.data_persist;
     block_bytes = 256;
-    reclaim = Spec_soft.Threshold 512;
+    reclaim_bytes = 512;
     recovery = Spec_soft.Coalesce;
   }
 
@@ -199,30 +199,6 @@ let replay_target =
                 {
                   (mc_params ~data_persist:false) with
                   Spec_soft.recovery = Spec_soft.Replay;
-                })));
-  }
-
-(* Adaptive reclamation under crash exploration: aggressive knobs so the
-   index-driven compactor (prefix evacuation included) actually fires
-   inside the tiny exhaustive workloads. *)
-let adaptive_target =
-  {
-    t_name = "SpecSPMT-adaptive";
-    t_program = None;
-    make =
-      (fun heap ~cells:_ ~total_txs:_ ->
-        of_backend
-          (fst
-             (Spec_soft.create heap
-                {
-                  (mc_params ~data_persist:false) with
-                  Spec_soft.reclaim =
-                    Spec_soft.Adaptive
-                      {
-                        min_log_bytes = 512;
-                        stale_trigger = 0.3;
-                        bg_duty = 1.0;
-                      };
                 })));
   }
 
@@ -471,8 +447,8 @@ let recoverable_hw =
 
 let targets () =
   List.map sw_target (Lazy.force recoverable_sw)
-  @ [ replay_target; adaptive_target; mt_target; switch_target;
-      batched_target; btree_target ]
+  @ [ replay_target; mt_target; switch_target; batched_target;
+      btree_target ]
   @ List.map hw_target (Lazy.force recoverable_hw)
 
 let target_names () = List.map (fun t -> t.t_name) (targets ())

@@ -28,12 +28,10 @@
     Failures carry the recent {!Specpmt_obs.Trace} events.
 
     Explorable schemes are every recoverable registered backend
-    (software and simulated hardware), plus six composite targets that
+    (software and simulated hardware), plus five composite targets that
     only exist here: ["SpecSPMT-replay"], the default scheme under the
     legacy replay-every-record recovery (the differential oracle for the
-    coalescing recovery path); ["SpecSPMT-adaptive"], with aggressive
-    adaptive-reclamation knobs so the index-driven prefix evacuation
-    fires inside the explored window; ["SpecSPMT-MT"], the 3-thread
+    coalescing recovery path); ["SpecSPMT-MT"], the 3-thread
     runtime with per-thread logs recovered in global timestamp order
     (Section 5.2.2); ["SpecSPMT+switch"], which switches out of
     speculative logging to PMDK-style undo mid-workload (Section 4.3.1);

@@ -81,18 +81,6 @@ type t = {
 let shard_of_key t k = t.owner.(k)
 let domain_of_shard t s = s mod t.cfg.domains
 
-(* Clamp a footprint-triggered reclaim so compaction fires well inside
-   the carved region: the splice allocates the compacted chain before
-   freeing the old one, so the trigger must leave headroom. *)
-let clamp_reclaim params ~log_region_bytes =
-  match params.Spec_soft.reclaim with
-  | Spec_soft.Threshold n ->
-      {
-        params with
-        Spec_soft.reclaim = Spec_soft.Threshold (min n (log_region_bytes / 4));
-      }
-  | Spec_soft.Adaptive _ -> params
-
 let create ?(params = Spec_soft.default_params) ?(shadow = true) t_heap cfg =
   if cfg.shards < 1 || cfg.shards > Spec_mt.max_threads then
     Fmt.invalid_arg "Dataplane.create: 1-%d shards" Spec_mt.max_threads;
@@ -104,7 +92,16 @@ let create ?(params = Spec_soft.default_params) ?(shadow = true) t_heap cfg =
   if cfg.keys < 1 then invalid_arg "Dataplane.create: keys < 1";
   if cfg.log_region_bytes < 1 lsl 16 then
     invalid_arg "Dataplane.create: log_region_bytes < 64 KiB";
-  let params = clamp_reclaim params ~log_region_bytes:cfg.log_region_bytes in
+  (* compaction must fire well inside the carved region: the splice
+     allocates the compacted chain before freeing the old one, so the
+     trigger must leave headroom *)
+  let params =
+    {
+      params with
+      Spec_soft.reclaim_bytes =
+        min params.Spec_soft.reclaim_bytes (cfg.log_region_bytes / 4);
+    }
+  in
   let pm = Heap.pmem t_heap in
   let owner = Array.init cfg.keys (Service.route ~shards:cfg.shards) in
   (* per-shard ownership tables, built once: ascending owned-key rows

@@ -52,10 +52,9 @@ val create : ?params:Spec_soft.params -> ?shadow:bool -> Heap.t -> config -> t
     under root slot {!Specpmt_backends.Slots.svc_index}).  [shadow]
     (default [true]) mirrors each shard's tree in DRAM, built through
     the shard's own view; workers publish the [shadow.*] counter
-    deltas on clean stop, before detaching their caches.  A
-    [Threshold] reclaim trigger is clamped to a quarter of the log
-    region so compaction keeps each shard's chain inside its carved
-    region. *)
+    deltas on clean stop, before detaching their caches.  The
+    [reclaim_bytes] trigger is clamped to a quarter of the log region so
+    compaction keeps each shard's chain inside its carved region. *)
 
 type shard_report = {
   d_shard : int;

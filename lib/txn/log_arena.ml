@@ -73,14 +73,6 @@ type t = {
   mutable tseg_a : Addr.t array;
   mutable tseg_b : Addr.t array;
   mutable n_tseg : int;
-  (* volatile accounting for the adaptive reclamation scheduler: entry
-     populations per block and which blocks start on a record boundary
-     (only those are legal prefix-evacuation splice points — a scan must
-     never land mid-record).  Rebuilt by [attach], maintained by appends
-     and reclamation. *)
-  mutable total_entries : int;
-  entries_per_block : (Addr.t, int) Hashtbl.t;
-  clean_starts : (Addr.t, unit) Hashtbl.t;
 }
 
 type compact_stats = {
@@ -153,8 +145,6 @@ let alloc_block t =
   b
 
 let mk heap ~head_slot ~block_bytes b =
-  let clean_starts = Hashtbl.create 16 in
-  Hashtbl.replace clean_starts b ();
   {
     heap;
     pm = Heap.pmem heap;
@@ -182,22 +172,7 @@ let mk heap ~head_slot ~block_bytes b =
     tseg_a = Array.make 8 0;
     tseg_b = Array.make 8 0;
     n_tseg = 0;
-    total_entries = 0;
-    entries_per_block = Hashtbl.create 16;
-    clean_starts;
   }
-
-let total_entries t = t.total_entries
-
-let entries_in_block t b =
-  Option.value ~default:0 (Hashtbl.find_opt t.entries_per_block b)
-
-let is_clean_start t b = Hashtbl.mem t.clean_starts b
-let chain t = List.rev t.blocks
-
-let count_entries t b n =
-  t.total_entries <- t.total_entries + n;
-  Hashtbl.replace t.entries_per_block b (entries_in_block t b + n)
 
 let publish_head t b =
   let slot = Heap.root_slot t.heap t.head_slot in
@@ -221,9 +196,6 @@ let create heap ~head_slot ~block_bytes =
    pointer is set, and its cell is queued to persist with the next commit. *)
 let chain_block t =
   let nb = alloc_block t in
-  (* a block chained between records starts on a record boundary and is a
-     legal prefix-evacuation splice point; one chained mid-record is not *)
-  if not (has_open_record t) then Hashtbl.replace t.clean_starts nb ();
   if has_open_record t then begin
     Pmem.store_int t.pm t.pos marker_target;
     Pmem.store_int t.pm (t.pos + 8) nb;
@@ -261,7 +233,6 @@ let add_entry t ~target ~value =
   t.pos <- p + entry_bytes;
   t.rec_size <- t.rec_size + entry_bytes;
   t.rec_entries <- t.rec_entries + 1;
-  count_entries t t.cur_block 1;
   p + 8
 
 let set_entry_value t pos v =
@@ -283,10 +254,9 @@ let abandon_record t =
   t.seg_start <- -1
 
 (* Walk the entry stream of a record, following markers.  [block] is the
-   block containing [meta].  Calls [f ~block target value] for every entry
-   and marker ([block] is the block holding that entry); returns
-   [Some (next_pos, next_block)] one past the stream, or [None] if the
-   stream is malformed (torn size or dangling marker). *)
+   block containing [meta].  Calls [f target value] for every entry and
+   marker; returns [Some (next_pos, next_block)] one past the stream, or
+   [None] if the stream is malformed (torn size or dangling marker). *)
 let walk_entries pm ~block_bytes ~block ~meta ~size f =
   let pos = ref (meta + meta_bytes) in
   let cur_block = ref block in
@@ -301,7 +271,7 @@ let walk_entries pm ~block_bytes ~block ~meta ~size f =
       if target = marker_target then
         if value <= 0 || value + block_bytes > mem then ok := false
         else begin
-          f ~block:!cur_block target value;
+          f target value;
           consumed := !consumed + entry_bytes;
           cur_block := value;
           pos := payload value
@@ -314,18 +284,16 @@ let walk_entries pm ~block_bytes ~block ~meta ~size f =
           || !pos + page_entry_bytes > !cur_block + block_bytes
         then ok := false
         else begin
-          f ~block:!cur_block target value;
+          f target value;
           for w = 0 to (Addr.page_size / 8) - 1 do
-            f ~block:!cur_block
-              (value + (w * 8))
-              (Pmem.load_int pm (!pos + entry_bytes + (w * 8)))
+            f (value + (w * 8)) (Pmem.load_int pm (!pos + entry_bytes + (w * 8)))
           done;
           consumed := !consumed + page_entry_bytes;
           pos := !pos + page_entry_bytes
         end
       else if target < 0 then ok := false
       else begin
-        f ~block:!cur_block target value;
+        f target value;
         consumed := !consumed + entry_bytes;
         pos := !pos + entry_bytes
       end
@@ -339,7 +307,7 @@ let record_checksum pm ~block_bytes ~block ~meta ~size ~ts =
      remains the differential-test oracle for this fold) *)
   let crc = ref (Checksum.crc32c_word (Checksum.crc32c_word 0 size) ts) in
   match
-    walk_entries pm ~block_bytes ~block ~meta ~size (fun ~block:_ tgt v ->
+    walk_entries pm ~block_bytes ~block ~meta ~size (fun tgt v ->
         crc := Checksum.crc32c_word (Checksum.crc32c_word !crc tgt) v)
   with
   | None -> None
@@ -427,37 +395,44 @@ let seal_tentative t =
 (* Shared valid-prefix walk, one pass per record: the checksum words and
    the entry list are accumulated by the same [walk_entries] traversal, so
    every log line is loaded once (the scan is the sequential stream the
-   device's read fast path models).  Calls
-   [f ~ts ~meta ~meta_block entries] per valid record, oldest first, where
-   [entries] carries each entry's target, value and holding block; returns
-   (max_ts, end_pos, end_block). *)
+   device's read fast path models).  Calls [f ~ts entries] per valid
+   record, oldest first; returns (max_ts, end_pos, end_block).
+
+   A record is valid only if its checksum matches {e and} its timestamp
+   exceeds every earlier one.  Every writer stamps a log from a monotonic
+   counter, and compaction emits its survivors in ascending timestamp
+   order, so a valid log scans the same under either rule.  What the
+   timestamp rule rejects is a block reached through a successor pointer
+   that hit the media before the fresh block's zeroed header did: a block
+   recycled from an older chain, whose media still holds records with
+   valid checksums and older timestamps.  It also ends a walk around a
+   cyclic chain, since a revisited record is never newer than itself; a
+   cycle of record-less (skip-marked) blocks is cut by the hop bound, as
+   no chain holds more blocks than the device does. *)
 let scan_records pm ~block_bytes ~head ~f =
   let mem = Pmem.mem_size pm in
   let max_ts = ref 0 in
   let continue = ref true in
   let cur_block = ref head in
   let pos = ref (payload head) in
-  while !continue do
-    if !cur_block + block_bytes - !pos < min_space then begin
-      (* geometry rule: the log continued in the next block, if any *)
-      let nb = Pmem.load_int pm !cur_block in
-      if nb <= 0 || nb + block_bytes > mem then continue := false
-      else begin
-        cur_block := nb;
-        pos := payload nb
-      end
+  let hops = ref (mem / block_bytes) in
+  let follow_next () =
+    let nb = Pmem.load_int pm !cur_block in
+    if nb <= 0 || nb + block_bytes > mem || !hops = 0 then continue := false
+    else begin
+      decr hops;
+      cur_block := nb;
+      pos := payload nb
     end
+  in
+  while !continue do
+    if !cur_block + block_bytes - !pos < min_space then
+      (* geometry rule: the log continued in the next block, if any *)
+      follow_next ()
     else begin
       let size = Pmem.load_int pm !pos in
-      if size = skip_tag then begin
-        (* sealed block: continue in the successor *)
-        let nb = Pmem.load_int pm !cur_block in
-        if nb <= 0 || nb + block_bytes > mem then continue := false
-        else begin
-          cur_block := nb;
-          pos := payload nb
-        end
-      end
+      if size = skip_tag then (* sealed block: continue in the successor *)
+        follow_next ()
       else if size < entry_bytes || size mod entry_bytes <> 0 || size > mem
       then continue := false
       else begin
@@ -467,14 +442,13 @@ let scan_records pm ~block_bytes ~head ~f =
         let entries = ref [] in
         match
           walk_entries pm ~block_bytes ~block:!cur_block ~meta:!pos ~size
-            (fun ~block tgt v ->
+            (fun tgt v ->
               fold := Checksum.crc32c_word (Checksum.crc32c_word !fold tgt) v;
-              if tgt >= 0 then entries := (tgt, v, block) :: !entries)
+              if tgt >= 0 then entries := (tgt, v) :: !entries)
         with
-        | Some (next_pos, next_block) when !fold = crc && ts > 0 ->
-            f ~ts ~meta:!pos ~meta_block:!cur_block
-              (Array.of_list (List.rev !entries));
-            if ts > !max_ts then max_ts := ts;
+        | Some (next_pos, next_block) when !fold = crc && ts > !max_ts ->
+            f ~ts (Array.of_list (List.rev !entries));
+            max_ts := ts;
             pos := next_pos;
             cur_block := next_block
         | Some _ | None -> continue := false
@@ -483,18 +457,12 @@ let scan_records pm ~block_bytes ~head ~f =
   done;
   (!max_ts, !pos, !cur_block)
 
-(* Compatibility wrapper: per-record callback without entry blocks. *)
-let scan_prefix pm ~block_bytes ~head ~f =
-  scan_records pm ~block_bytes ~head
-    ~f:(fun ~ts ~meta:_ ~meta_block:_ entries ->
-      f ~ts (Array.map (fun (tgt, v, _) -> (tgt, v)) entries))
-
 let recover_scan pm ~head_slot ~block_bytes ~f =
   let slot = Layout.root_slot head_slot in
   let head = Pmem.load_int pm slot in
   if head <= 0 then 0
   else
-    let max_ts, _, _ = scan_prefix pm ~block_bytes ~head ~f in
+    let max_ts, _, _ = scan_records pm ~block_bytes ~head ~f in
     max_ts
 
 (* Coalescing scan: one walk over the valid prefix folds every entry into
@@ -511,15 +479,14 @@ let recover_collect pm ~head_slot ~block_bytes ~index =
   else begin
     let records = ref 0 and scanned = ref 0 in
     let max_ts, _, _ =
-      scan_records pm ~block_bytes ~head
-        ~f:(fun ~ts ~meta:_ ~meta_block:_ entries ->
+      scan_records pm ~block_bytes ~head ~f:(fun ~ts entries ->
           incr records;
           scanned := !scanned + Array.length entries;
           Array.iter
-            (fun (tgt, v, block) ->
+            (fun (tgt, v) ->
               match Hashtbl.find_opt index tgt with
-              | Some (_, ts', _) when ts' > ts -> ()
-              | _ -> Hashtbl.replace index tgt (v, ts, block))
+              | Some (_, ts') when ts' > ts -> ()
+              | _ -> Hashtbl.replace index tgt (v, ts))
             entries)
     in
     (max_ts, !records, !scanned)
@@ -531,22 +498,9 @@ let attach heap ~head_slot ~block_bytes =
   let head = Pmem.load_int pm slot in
   if head <= 0 then create heap ~head_slot ~block_bytes
   else begin
-    (* one scan both finds the append point and rebuilds the volatile
-       reclamation accounting: entry populations per block and which
-       blocks start on a record boundary *)
-    let per_block : (Addr.t, int) Hashtbl.t = Hashtbl.create 16 in
-    let clean : (Addr.t, unit) Hashtbl.t = Hashtbl.create 16 in
-    let entries_total = ref 0 in
+    (* the scan finds the append point *)
     let _, pos, cur_block =
-      scan_records pm ~block_bytes ~head
-        ~f:(fun ~ts:_ ~meta ~meta_block entries ->
-          if meta = payload meta_block then Hashtbl.replace clean meta_block ();
-          entries_total := !entries_total + Array.length entries;
-          Array.iter
-            (fun (_, _, b) ->
-              Hashtbl.replace per_block b
-                (Option.value ~default:0 (Hashtbl.find_opt per_block b) + 1))
-            entries)
+      scan_records pm ~block_bytes ~head ~f:(fun ~ts:_ _ -> ())
     in
     (* rebuild the block list by walking the chain; a hashed visited set
        keeps the cycle check O(1) per block on long chains *)
@@ -568,9 +522,6 @@ let attach heap ~head_slot ~block_bytes =
     t.n_blocks <- List.length !blocks;
     t.cur_block <- cur_block;
     t.pos <- pos;
-    Hashtbl.iter (Hashtbl.replace t.entries_per_block) per_block;
-    Hashtbl.iter (fun b () -> Hashtbl.replace t.clean_starts b ()) clean;
-    t.total_entries <- !entries_total;
     (* Make sure torn garbage right at the append point cannot be mistaken
        for a record before the next commit.  The sentinel must itself be
        persisted: a crash before the next commit would otherwise drop the
@@ -635,9 +586,7 @@ let append_page_record ?(fence = false) t ~timestamp ~page_base =
   Pmem.store_int t.pm (meta + 16) !crc;
   Pmem.flush_range t.pm meta (t.pos + 8 - meta);
   flush_pending t;
-  if fence then Pmem.sfence t.pm;
-  (* the page image scans as one word entry per page word *)
-  count_entries t t.cur_block (Addr.page_size / 8)
+  if fence then Pmem.sfence t.pm
 
 let current_block t = t.cur_block
 
@@ -668,13 +617,7 @@ let drop_prefix t ~keep_from =
   else begin
     (* atomic head switch, then the prefix blocks are dead *)
     publish_head t keep_from;
-    List.iter
-      (fun b ->
-        t.total_entries <- t.total_entries - entries_in_block t b;
-        Hashtbl.remove t.entries_per_block b;
-        Hashtbl.remove t.clean_starts b;
-        Heap.free t.heap b)
-      dropped;
+    List.iter (fun b -> Heap.free t.heap b) dropped;
     t.blocks <- kept;
     t.n_blocks <- List.length kept;
     t.head_block <- keep_from;
@@ -713,10 +656,6 @@ let reset t =
   t.cur_block <- head;
   t.pos <- payload head;
   t.n_pend <- 0;
-  t.total_entries <- 0;
-  Hashtbl.reset t.entries_per_block;
-  Hashtbl.reset t.clean_starts;
-  Hashtbl.replace t.clean_starts head ();
   Specpmt_obs.Trace.emit "arena.reset" ~a:head
 
 let compact t =
@@ -726,7 +665,7 @@ let compact t =
   let freshest : (Addr.t, int * int) Hashtbl.t = Hashtbl.create 256 in
   let records = ref 0 and scanned = ref 0 in
   let _, _, _ =
-    scan_prefix t.pm ~block_bytes:t.block_bytes ~head:t.head_block
+    scan_records t.pm ~block_bytes:t.block_bytes ~head:t.head_block
       ~f:(fun ~ts entries ->
         incr records;
         Array.iter
@@ -756,9 +695,7 @@ let compact t =
   let timestamps =
     List.sort compare (Hashtbl.fold (fun ts _ acc -> ts :: acc) by_ts [])
   in
-  let b0 = Heap.alloc_log t.heap t.block_bytes in
-  Pmem.store_int t.pm b0 0;
-  Pmem.store_int t.pm (payload b0) 0;
+  let b0 = alloc_block t in
   let t2 = mk t.heap ~head_slot:t.head_slot ~block_bytes:t.block_bytes b0 in
   if live > 0 then begin
     List.iter
@@ -790,12 +727,6 @@ let compact t =
   t.pend_a <- t2.pend_a;
   t.pend_b <- t2.pend_b;
   t.n_pend <- t2.n_pend;
-  t.total_entries <- t2.total_entries;
-  Hashtbl.reset t.entries_per_block;
-  Hashtbl.iter (Hashtbl.replace t.entries_per_block) t2.entries_per_block;
-  Hashtbl.reset t.clean_starts;
-  Hashtbl.iter (fun b () -> Hashtbl.replace t.clean_starts b ())
-    t2.clean_starts;
   let stats =
     {
       records_scanned = !records;
@@ -815,156 +746,3 @@ let compact t =
     stats.blocks_allocated;
   Trace.emit "arena.compact" ~a:stats.blocks_freed ~b:live;
   stats
-
-(* Index-driven reclamation: rewrite from a caller-supplied live set — no
-   scan of the old chain at all, O(live) instead of O(log).  With
-   [keep_from] set, only the chain prefix strictly older than that block
-   is evacuated: the new chain carries the prefix's live entries and is
-   spliced onto the retained suffix with a seal marker, so a scan flows
-   new-prefix -> suffix.  The boundary must be a clean-start block (a
-   record boundary): records never span such a boundary, and append order
-   is timestamp order, so every evacuated timestamp precedes every
-   retained one and the scan-order-equals-timestamp-order invariant
-   survives.  Crash safety is the same 2-fence splice as {!compact}: the
-   entire new chain (including its splice pointer) persists with fence #1
-   while still unreachable, and becomes live only at the atomic head
-   publish (fence #2) — the order in which live entries were gathered or
-   written is invisible to every crash point. *)
-let compact_indexed ?keep_from ?(on_place = fun _ ~block:_ -> ()) t ~live =
-  assert (not (has_open_record t));
-  assert (t.n_tent = 0);
-  (match keep_from with
-  | Some b ->
-      if not (List.mem b t.blocks) || not (Hashtbl.mem t.clean_starts b) then
-        invalid_arg
-          "Log_arena.compact_indexed: keep_from must be a clean-start chain \
-           block"
-  | None -> ());
-  ignore
-    (List.fold_left
-       (fun prev (ts, _) ->
-         assert (ts > prev);
-         ts)
-       0 live);
-  let copied = List.fold_left (fun n (_, es) -> n + List.length es) 0 live in
-  let zero =
-    {
-      records_scanned = 0;
-      entries_scanned = 0;
-      entries_live = copied;
-      blocks_freed = 0;
-      blocks_allocated = 0;
-    }
-  in
-  let finish stats =
-    let open Specpmt_obs in
-    Metrics.incr (Metrics.counter "log.compact.indexed_cycles");
-    Metrics.add (Metrics.counter "log.compact.entries_live") copied;
-    Metrics.add (Metrics.counter "log.compact.blocks_freed")
-      stats.blocks_freed;
-    Metrics.add (Metrics.counter "log.compact.blocks_allocated")
-      stats.blocks_allocated;
-    Trace.emit "arena.compact_indexed" ~a:stats.blocks_freed ~b:copied;
-    stats
-  in
-  match keep_from with
-  | Some b when b = t.head_block -> finish zero (* empty prefix: no-op *)
-  | Some b when copied = 0 ->
-      (* fully stale prefix: drop it with one pointer persist, zero copies *)
-      finish { zero with blocks_freed = drop_prefix t ~keep_from:b }
-  | _ ->
-      let b0 = alloc_block t in
-      let t2 =
-        mk t.heap ~head_slot:t.head_slot ~block_bytes:t.block_bytes b0
-      in
-      List.iter
-        (fun (ts, entries) ->
-          begin_record t2;
-          List.iter
-            (fun (tgt, v) ->
-              ignore (add_entry t2 ~target:tgt ~value:v);
-              on_place tgt ~block:t2.cur_block)
-            entries;
-          (* flushes persist on WPQ acceptance; one fence below covers the
-             whole new chain *)
-          commit_record t2 ~timestamp:ts ~fence:false)
-        live;
-      (match keep_from with
-      | Some b ->
-          (* seal the new chain into the retained suffix: the scanner must
-             flow past the last evacuated record into [b], not stop at an
-             end-of-log sentinel *)
-          Pmem.store_int t.pm t2.pos skip_tag;
-          Pmem.clwb t.pm t2.pos;
-          Pmem.store_int t.pm t2.cur_block b;
-          Pmem.clwb t.pm t2.cur_block
-      | None -> if copied = 0 then Pmem.flush_range t.pm b0 16);
-      Pmem.sfence t.pm (* fence #1: new chain durable, still unreachable *);
-      publish_head t2 t2.head_block (* fence #2: atomic switch *);
-      let dropped =
-        match keep_from with
-        | None ->
-            let old = t.blocks in
-            t.blocks <- t2.blocks;
-            t.n_blocks <- t2.n_blocks;
-            t.head_block <- t2.head_block;
-            t.cur_block <- t2.cur_block;
-            t.pos <- t2.pos;
-            t.pend_a <- t2.pend_a;
-            t.pend_b <- t2.pend_b;
-            t.n_pend <- t2.n_pend;
-            t.total_entries <- t2.total_entries;
-            Hashtbl.reset t.entries_per_block;
-            Hashtbl.iter
-              (Hashtbl.replace t.entries_per_block)
-              t2.entries_per_block;
-            Hashtbl.reset t.clean_starts;
-            Hashtbl.iter
-              (fun blk () -> Hashtbl.replace t.clean_starts blk ())
-              t2.clean_starts;
-            old
-        | Some b ->
-            let rec split acc = function
-              | [] -> assert false (* membership checked above *)
-              | blk :: rest when blk = b -> (List.rev (blk :: acc), rest)
-              | blk :: rest -> split (blk :: acc) rest
-            in
-            let kept, dropped = split [] t.blocks in
-            let is_dropped = Hashtbl.create 16 in
-            List.iter (fun blk -> Hashtbl.replace is_dropped blk ()) dropped;
-            List.iter
-              (fun blk ->
-                t.total_entries <- t.total_entries - entries_in_block t blk;
-                Hashtbl.remove t.entries_per_block blk;
-                Hashtbl.remove t.clean_starts blk)
-              dropped;
-            t.blocks <- kept @ t2.blocks;
-            t.n_blocks <- List.length t.blocks;
-            t.head_block <- t2.head_block;
-            (* drop pending chain-pointer spans that lived in evacuated
-               blocks; in-place filter keeps the append order *)
-            let kept_pend = ref 0 in
-            for i = 0 to t.n_pend - 1 do
-              if not (Hashtbl.mem is_dropped t.pend_a.(i)) then begin
-                t.pend_a.(!kept_pend) <- t.pend_a.(i);
-                t.pend_b.(!kept_pend) <- t.pend_b.(i);
-                incr kept_pend
-              end
-            done;
-            t.n_pend <- !kept_pend;
-            t.total_entries <- t.total_entries + t2.total_entries;
-            Hashtbl.iter
-              (Hashtbl.replace t.entries_per_block)
-              t2.entries_per_block;
-            Hashtbl.iter
-              (fun blk () -> Hashtbl.replace t.clean_starts blk ())
-              t2.clean_starts;
-            dropped
-      in
-      List.iter (fun blk -> Heap.free t.heap blk) dropped;
-      finish
-        {
-          zero with
-          blocks_freed = List.length dropped;
-          blocks_allocated = t2.n_blocks;
-        }

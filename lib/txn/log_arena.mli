@@ -9,7 +9,10 @@
     (size, timestamp), entries and markers, and doubles as the commit
     status: recovery replays records from the head and stops at the first
     mismatch (Section 4.1, "the checksum also serves as the transaction's
-    commit status").
+    commit status").  Timestamps rise strictly along a log, so the scan
+    also stops at the first record no newer than its predecessor — a
+    stale record in a recycled block the chain reaches before its fresh
+    header is durable.
 
     Appends are plain stores — nothing is flushed until {!commit_record},
     which persists the whole record with one flush run and a single fence.
@@ -109,17 +112,19 @@ val recover_scan :
 (** Walk the valid record prefix from the head pointer, oldest first,
     calling [f] per record; returns the largest timestamp seen (0 if
     none).  Stops at the first checksum mismatch — later records are by
-    construction uncommitted. *)
+    construction uncommitted — and at the first record whose timestamp
+    does not exceed every earlier one (a stale record in a recycled
+    block; see the module preamble). *)
 
 val recover_collect :
   Pmem.t ->
   head_slot:int ->
   block_bytes:int ->
-  index:(Addr.t, int * int * Addr.t) Hashtbl.t ->
+  index:(Addr.t, int * int) Hashtbl.t ->
   int * int * int
 (** Coalescing scan: one walk over the valid record prefix folds every
     entry into [index], a last-writer-wins map from cell address to
-    [(value, commit timestamp, holding block)].  An entry replaces an
+    [(value, commit timestamp)].  An entry replaces an
     existing binding iff its timestamp is at least as new, so feeding
     several per-thread logs through the same [index] merges them by
     global timestamp (timestamps are globally unique across logs sharing
@@ -146,27 +151,6 @@ val compact : t -> compact_stats
     global timestamp order (Section 5.2.2) remains correct.  Must not be
     called while a record is open. *)
 
-val compact_indexed :
-  ?keep_from:Addr.t ->
-  ?on_place:(Addr.t -> block:Addr.t -> unit) ->
-  t ->
-  live:(int * (Addr.t * int) list) list ->
-  compact_stats
-(** Index-driven reclamation: rewrite the chain from a caller-supplied
-    live set — [(timestamp, (target, value) list)] groups in strictly
-    ascending timestamp order — without scanning the old chain at all:
-    O(live) copies instead of {!compact}'s O(log) scan.  [on_place] is
-    called with each entry's target and the new block it lands in, so the
-    caller can keep a volatile index current.  With [keep_from] (which
-    must be a {!is_clean_start} block of the chain) only the prefix
-    strictly older than that block is evacuated: [live] must then hold
-    exactly the prefix's live entries, and the new chain is sealed into
-    the retained suffix; a fully stale prefix ([live = []]) is dropped
-    with a single pointer persist and zero copies.  Crash safety is the
-    same 2-fence splice as {!compact}: everything new persists with fence
-    #1 while unreachable and becomes live only at the atomic head publish
-    (fence #2).  Must not be called while a record is open. *)
-
 val reset : t -> unit
 (** Durably empty the log: persist an end-of-log sentinel at the head
     block's payload, sever its chain pointer, and recycle every other
@@ -192,32 +176,13 @@ val drop_prefix : t -> keep_from:Addr.t -> int
     start epochs on sealed block boundaries and drop the oldest epoch's
     blocks in the foreground with one pointer persist. *)
 
-(** {1 Introspection}
-
-    The per-block figures below are volatile accounting maintained by the
-    arena (and rebuilt by {!attach}) — the inputs of the adaptive
-    reclamation scheduler's pressure model. *)
+(** {1 Introspection} *)
 
 val footprint : t -> int
 (** Persistent bytes currently held by the chain. *)
 
 val block_count : t -> int
 (** Number of blocks in the chain. *)
-
-val total_entries : t -> int
-(** Entries currently recorded in the chain, live and stale alike (page
-    records count one entry per page word). *)
-
-val entries_in_block : t -> Addr.t -> int
-(** Entries recorded in one chain block (0 for unknown blocks). *)
-
-val chain : t -> Addr.t list
-(** The chain's blocks, oldest first. *)
-
-val is_clean_start : t -> Addr.t -> bool
-(** Whether the block's payload starts on a record boundary — only such
-    blocks are legal {!compact_indexed} [keep_from] splice points, because
-    no record spans into them. *)
 
 val pm : t -> Pmem.t
 (** The device the arena lives on. *)

@@ -12,13 +12,6 @@ type slot = {
   mutable entry_pos : int;
       (** backend-specific position of the cell's log entry; [-1] if the
           backend has not materialised one *)
-  mutable last_value : int;
-      (** most recent value written to the cell this transaction — lets
-          commit feed a volatile live-entry index without re-reading the
-          device *)
-  mutable entry_block : int;
-      (** log block holding the cell's entry ([-1] if none) — feeds the
-          per-block liveness accounting behind adaptive reclamation *)
 }
 
 (* Flat representation: cells in first-write order live in the parallel
@@ -39,8 +32,7 @@ type t = {
 
 (* shared placeholder for not-yet-materialised slot cells; recognised by
    physical equality and replaced with a fresh record on first use *)
-let dummy_slot =
-  { old_value = 0; entry_pos = -1; last_value = 0; entry_block = -1 }
+let dummy_slot = { old_value = 0; entry_pos = -1 }
 
 let initial_cells = 64
 
@@ -111,18 +103,13 @@ let record t addr ~old_value =
     let slot = t.slots.(pos) in
     let slot =
       if slot == dummy_slot then begin
-        let s =
-          { old_value; entry_pos = -1; last_value = old_value;
-            entry_block = -1 }
-        in
+        let s = { old_value; entry_pos = -1 } in
         t.slots.(pos) <- s;
         s
       end
       else begin
         slot.old_value <- old_value;
         slot.entry_pos <- -1;
-        slot.last_value <- old_value;
-        slot.entry_block <- -1;
         slot
       end
     in

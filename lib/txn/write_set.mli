@@ -15,13 +15,6 @@ type slot = {
   mutable entry_pos : int;
       (** backend-specific position of the cell's log entry; [-1] if the
           backend has not materialised one *)
-  mutable last_value : int;
-      (** most recent value written to the cell this transaction — lets
-          commit feed a volatile live-entry index without re-reading the
-          device *)
-  mutable entry_block : int;
-      (** log block holding the cell's entry ([-1] if none) — feeds the
-          per-block liveness accounting behind adaptive reclamation *)
 }
 
 type t

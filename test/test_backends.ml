@@ -199,7 +199,7 @@ let test_spec_reclamation_bounds_log () =
   let heap = Heap.create pm in
   let backend, t =
     Spec_soft.create heap
-      { Spec_soft.default_params with reclaim = Spec_soft.Threshold (16 * 1024) }
+      { Spec_soft.default_params with reclaim_bytes = 16 * 1024 }
   in
   let base = Heap.alloc heap (8 * 8) in
   for round = 0 to 400 do
@@ -218,6 +218,57 @@ let test_spec_reclamation_bounds_log () =
   for i = 0 to 7 do
     Alcotest.(check int) "freshest value" (400 + i) cells.(i)
   done
+
+(* The footprint trigger: compact once the log exceeds [reclaim_bytes]
+   and at least doubles its last compacted size, checked after every
+   commit.  Here the live set compacts to more than [reclaim_bytes], so
+   only the doubling rule keeps the runtime from compacting on every
+   commit. *)
+let test_spec_reclaim_trigger () =
+  let pm = Pmem.create ~seed:29 Config.small in
+  let heap = Heap.create pm in
+  let block_bytes = 256 and reclaim_bytes = 1024 in
+  let backend, t =
+    Spec_soft.create heap
+      { Spec_soft.default_params with block_bytes; reclaim_bytes }
+  in
+  let base = Heap.alloc heap (64 * 8) in
+  let expect = Array.make 64 0 in
+  let last = ref block_bytes and prev = ref (backend.Ctx.log_footprint ()) in
+  let due foot = foot > reclaim_bytes && foot > 2 * !last in
+  for round = 0 to 300 do
+    let before = Spec_soft.reclaim_count t in
+    backend.Ctx.run_tx (fun ctx ->
+        for i = 0 to 3 do
+          let c = ((round * 4) + i) mod 64 in
+          ctx.Ctx.write (base + (c * 8)) (round + i);
+          expect.(c) <- round + i
+        done);
+    let foot = backend.Ctx.log_footprint () in
+    (match Spec_soft.reclaim_count t - before with
+    | 0 ->
+        if due foot then
+          Alcotest.failf "round %d: %d B due (last compacted %d B)" round
+            foot !last
+    | 1 ->
+        (* a four-entry record grows the log by at most one block *)
+        if not (due (!prev + block_bytes)) then
+          Alcotest.failf "round %d: compacted at <= %d B (last %d B)" round
+            (!prev + block_bytes) !last;
+        last := foot
+    | n -> Alcotest.failf "round %d: %d compactions in one commit" round n);
+    prev := foot
+  done;
+  Alcotest.(check bool) "compacted log stays above the threshold" true
+    (!last > reclaim_bytes);
+  Alcotest.(check bool) "compacted more than once" true
+    (Spec_soft.reclaim_count t >= 2);
+  Alcotest.(check bool) "not on every commit" true
+    (Spec_soft.reclaim_count t < 30);
+  Pmem.crash pm;
+  backend.Ctx.recover ();
+  Alcotest.(check (array int)) "freshest values" expect
+    (Testlib.read_cells pm base 64)
 
 let test_spec_snapshot_external_data () =
   let pm = Pmem.create { Config.small with crash_word_persist_prob = 1.0 } in
@@ -631,72 +682,51 @@ let prop_mt_recovery_differential =
       in
       run Spec_soft.Coalesce = run Spec_soft.Replay)
 
-(* the adaptive scheduler fires on its own once footprint and staleness
-   cross its thresholds, keeps the log bounded, and its prefix
-   evacuations stay crash-consistent *)
-let test_adaptive_reclaim_triggers () =
-  let pm = Pmem.create ~seed:17 Config.small in
+(* Reattach and reclamation do the arena's work and nothing more: no
+   second walk of the log behind [Log_arena.attach] or [Log_arena.compact].
+   Each pair runs on identical images (same seed, same workload), and
+   [Pmem.events] counts unmetered device operations too. *)
+let spec_image () =
+  let pm = Pmem.create ~seed:23 Config.small in
   let heap = Heap.create pm in
   let backend, t =
     Spec_soft.create heap
-      {
-        Spec_soft.default_params with
-        reclaim =
-          Spec_soft.Adaptive
-            { min_log_bytes = 8 * 1024; stale_trigger = 0.5; bg_duty = 1.0 };
-      }
+      { Spec_soft.default_params with block_bytes = 256; reclaim_bytes = max_int }
   in
-  let base = Heap.alloc heap (8 * 8) in
-  for round = 0 to 400 do
+  let base = Heap.alloc heap (16 * 8) in
+  for round = 0 to 60 do
     backend.Ctx.run_tx (fun ctx ->
-        for i = 0 to 7 do
-          ctx.Ctx.write (base + (i * 8)) (round + i)
+        for i = 0 to 3 do
+          ctx.Ctx.write (base + ((((round * 3) + i) mod 16) * 8)) (round + i)
         done)
   done;
-  Alcotest.(check bool) "scheduler fired" true (Spec_soft.reclaim_count t > 0);
-  Alcotest.(check bool) "log stays bounded" true
-    (backend.Ctx.log_footprint () <= 32 * 1024);
-  Alcotest.(check int) "index tracks the working set" 8
-    (Spec_soft.live_cells t);
-  Pmem.crash pm;
-  backend.Ctx.recover ();
-  let cells = Testlib.read_cells pm base 8 in
-  for i = 0 to 7 do
-    Alcotest.(check int) "freshest value" (400 + i) cells.(i)
-  done
+  (pm, heap, t)
 
-(* with no background budget the scheduler must hold off and account for
-   the deferral rather than compact on the foreground's dime.  The
-   long-lived cells pin live entries into the oldest blocks so every
-   candidate evacuation has a nonzero copy estimate (a fully-dead prefix
-   would be a zero-cost drop, which even a zero budget allows). *)
-let test_adaptive_defers_without_budget () =
-  let pm = Pmem.create ~seed:19 Config.small in
-  let heap = Heap.create pm in
-  let backend, t =
-    Spec_soft.create heap
-      {
-        Spec_soft.default_params with
-        reclaim =
-          Spec_soft.Adaptive
-            { min_log_bytes = 1024; stale_trigger = 0.5; bg_duty = 0.0 };
-      }
+let events_of pm f =
+  let before = Pmem.events pm in
+  ignore (f ());
+  Pmem.events pm - before
+
+let test_reattach_is_one_attach () =
+  let pm1, _, t = spec_image () in
+  let pm2, heap2, _ = spec_image () in
+  Pmem.crash pm1;
+  Pmem.crash pm2;
+  let arena =
+    events_of pm2 (fun () ->
+        Log_arena.attach heap2 ~head_slot:Slots.spec_head ~block_bytes:256)
   in
-  Specpmt_obs.Metrics.reset_all ();
-  let base = Heap.alloc heap (9 * 8) in
-  backend.Ctx.run_tx (fun ctx ->
-      for i = 1 to 8 do
-        ctx.Ctx.write (base + (i * 8)) i
-      done);
-  for round = 1 to 300 do
-    backend.Ctx.run_tx (fun ctx -> ctx.Ctx.write base round)
-  done;
-  Alcotest.(check int) "no compaction without budget" 0
-    (Spec_soft.reclaim_count t);
-  Alcotest.(check bool) "deferrals accounted" true
-    (Specpmt_obs.Metrics.counter_value
-       (Specpmt_obs.Metrics.counter "reclaim.deferred_bg_budget")
-    > 0)
+  Alcotest.(check bool) "the log spans several blocks" true (arena > 100);
+  Alcotest.(check int) "reattach = one Log_arena.attach" arena
+    (events_of pm1 (fun () -> Spec_soft.reattach t))
+
+let test_reclaim_is_one_compact () =
+  let pm1, _, t = spec_image () in
+  let pm2, heap2, _ = spec_image () in
+  let a = Log_arena.attach heap2 ~head_slot:Slots.spec_head ~block_bytes:256 in
+  let compact = events_of pm2 (fun () -> Log_arena.compact a) in
+  Alcotest.(check int) "reclaim_now = one Log_arena.compact" compact
+    (events_of pm1 (fun () -> Spec_soft.reclaim_now t))
 
 let durability_cases =
   List.concat_map
@@ -770,6 +800,39 @@ let test_switch_out_invalidates_log () =
   undo.Ctx.recover ();
   Alcotest.(check int) "stale speculative record not replayed" 99
     (Pmem.peek_volatile_int pm base)
+
+(* switch-out's flush set is every cell the live log covers — found by
+   scanning the log, so cells whose only record a compaction rewrote
+   count too — each flushed once; a cell stored outside any transaction
+   is not the log's to persist *)
+let test_switch_out_flush_set () =
+  let pm =
+    Pmem.create ~seed:93 { Config.small with crash_word_persist_prob = 0.0 }
+  in
+  let heap = Heap.create pm in
+  let backend, spec =
+    Spec_soft.create heap { Spec_soft.default_params with block_bytes = 256 }
+  in
+  let base = Heap.alloc heap (33 * 8) in
+  (* a line of its own: no logged cell below base + 192 shares it *)
+  let unlogged = base + (32 * 8) in
+  for round = 0 to 40 do
+    backend.Ctx.run_tx (fun ctx ->
+        for i = 0 to 2 do
+          ctx.Ctx.write (base + ((((round * 3) + i) mod 24) * 8)) (round + 1)
+        done)
+  done;
+  ignore (Spec_soft.reclaim_now spec);
+  backend.Ctx.run_tx (fun ctx -> ctx.Ctx.write base 99);
+  Pmem.store_int pm unlogged 5;
+  Alcotest.(check int) "every logged cell, once" 24 (Spec_soft.switch_out spec);
+  for c = 0 to 23 do
+    let a = base + (c * 8) in
+    Alcotest.(check int) (Printf.sprintf "cell %d durable" c)
+      (Pmem.peek_volatile_int pm a) (Pmem.peek_media_int pm a)
+  done;
+  Alcotest.(check int) "unlogged cell not flushed" 0
+    (Pmem.peek_media_int pm unlogged)
 
 (* an aborted transaction's allocations must be compensated, or every
    abort leaks heap blocks *)
@@ -983,6 +1046,8 @@ let () =
           Alcotest.test_case "no data flush" `Quick test_spec_no_data_flush;
           Alcotest.test_case "reclamation bounds log" `Quick
             test_spec_reclamation_bounds_log;
+          Alcotest.test_case "reclamation waits for twice the compacted size"
+            `Quick test_spec_reclaim_trigger;
           Alcotest.test_case "external data snapshot" `Quick
             test_spec_snapshot_external_data;
           Alcotest.test_case "kamino recovery unsupported" `Quick
@@ -994,10 +1059,10 @@ let () =
           Alcotest.test_case "coalesced recovery writes each cell once" `Quick
             test_recover_coalesces_stale_overwrites;
           QCheck_alcotest.to_alcotest prop_mt_recovery_differential;
-          Alcotest.test_case "adaptive reclamation triggers" `Quick
-            test_adaptive_reclaim_triggers;
-          Alcotest.test_case "adaptive reclamation defers on budget" `Quick
-            test_adaptive_defers_without_budget;
+          Alcotest.test_case "reattach is one attach" `Quick
+            test_reattach_is_one_attach;
+          Alcotest.test_case "reclaim is one compact" `Quick
+            test_reclaim_is_one_compact;
           Alcotest.test_case "batch API guards" `Quick test_batch_api_guards;
           Alcotest.test_case "batch seals under one fence" `Quick
             test_batch_single_fence;
@@ -1008,6 +1073,8 @@ let () =
             test_mt_compaction_preserves_replay_order;
           Alcotest.test_case "switch_out invalidates log" `Quick
             test_switch_out_invalidates_log;
+          Alcotest.test_case "switch_out flushes exactly the logged cells"
+            `Quick test_switch_out_flush_set;
           Alcotest.test_case "abort releases allocations" `Quick
             test_abort_releases_allocations;
           Alcotest.test_case "spht read-only tx skips the write buffer"

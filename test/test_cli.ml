@@ -64,6 +64,27 @@ let test_run_unwritable_json () =
     (In_channel.with_open_text ok In_channel.input_all <> "");
   Sys.remove ok
 
+(* --reclaim is a byte count: a policy name is a cmdliner parse error
+   (exit 124, usage on stderr), a non-positive count a usage error *)
+let test_run_reclaim_bytes () =
+  run specpmt_run
+    [ "run"; "-s"; "SpecSPMT"; "--scale"; "quick"; "--reclaim"; "0" ]
+  |> check_usage_error ~code:2 ~mentions:"--reclaim";
+  let code, out, err =
+    run specpmt_run
+      [ "run"; "-s"; "SpecSPMT"; "--scale"; "quick"; "--reclaim"; "adaptive" ]
+  in
+  Alcotest.(check int) "parse error exit code" 124 code;
+  Alcotest.(check (list string)) "no work ran (stdout empty)" [] out;
+  (match err with
+  | line :: _ when contains line "--reclaim" -> ()
+  | _ -> Alcotest.failf "stderr does not start with a --reclaim error");
+  let code, _, _ =
+    run specpmt_run
+      [ "run"; "-s"; "SpecSPMT"; "--scale"; "quick"; "--reclaim"; "4096" ]
+  in
+  Alcotest.(check int) "a byte count runs" 0 code
+
 let test_bench_unwritable_json () =
   let path = missing_dir_path () in
   run bench [ "--quick"; "table2"; "--json"; path ]
@@ -78,6 +99,8 @@ let () =
             test_run_unknown_scheme;
           Alcotest.test_case "run: unwritable --json" `Quick
             test_run_unwritable_json;
+          Alcotest.test_case "run: --reclaim takes bytes" `Quick
+            test_run_reclaim_bytes;
           Alcotest.test_case "bench: unwritable --json" `Quick
             test_bench_unwritable_json;
         ] );

@@ -109,6 +109,35 @@ let test_btree_sweep () =
   Alcotest.(check int) "all cases pass" r.Crashmc.cases r.Crashmc.passes;
   Alcotest.(check bool) "swept a real case count" true (r.Crashmc.cases >= 100)
 
+(* A recycled log block keeps its old checksummed records.  In this
+   case the newest record (ts 14) ends within a record's length of its
+   block's end, the scan follows the block's persisted successor pointer,
+   and the successor is a block the compaction after ts 7 recycled, whose
+   media still holds records from before it.  Replaying them after ts 14
+   rolls cells back; the scan must stop at the first record that is not
+   newer. *)
+let test_recycled_block_point () =
+  match
+    Crashmc.replay ~cells:8 ~txs:24 ~max_writes:4 ~scheme:"SpecSPMT-replay"
+      ~seed:3 ~fuse:525 ~choice:Crashmc.Persist_none ()
+  with
+  | Crashmc.Audit_ok _ -> ()
+  | Crashmc.Run_completed -> Alcotest.fail "fuse 525 should crash"
+  | Crashmc.Audit_failed f ->
+      Alcotest.failf "recovered stale values:@.%a" Crashmc.pp_failure f
+
+(* every crash point of a history long enough to compact, recycle and
+   reuse log blocks several times over *)
+let test_long_history_stride_1 scheme () =
+  let r = Crashmc.explore ~txs:24 ~budget:1_000_000 ~scheme ~seed:1 () in
+  Alcotest.(check int) (scheme ^ ": stride 1") 1 r.Crashmc.stride;
+  if r.Crashmc.failures <> [] then
+    Alcotest.failf "%s: %d failures:\n%s" scheme
+      (List.length r.Crashmc.failures)
+      (pp_failures r);
+  Alcotest.(check int) (scheme ^ ": all cases pass") r.Crashmc.cases
+    r.Crashmc.passes
+
 (* the reproducer encoding survives a round trip for every choice form *)
 let test_choice_roundtrip () =
   List.iter
@@ -141,6 +170,15 @@ let () =
         [
           Alcotest.test_case "structural coverage" `Quick test_btree_coverage;
           Alcotest.test_case "strided sweep clean" `Slow test_btree_sweep;
+        ] );
+      ( "recycled log blocks",
+        [
+          Alcotest.test_case "replay point over a recycled block" `Quick
+            test_recycled_block_point;
+          Alcotest.test_case "SpecSPMT-replay, 24 txs, stride 1" `Slow
+            (test_long_history_stride_1 "SpecSPMT-replay");
+          Alcotest.test_case "SpecSPMT, 24 txs, stride 1" `Slow
+            (test_long_history_stride_1 "SpecSPMT");
         ] );
       ( "engine",
         [

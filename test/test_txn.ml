@@ -112,7 +112,7 @@ let big_tx_cells seed =
 let ws_cells ws =
   let l = ref [] in
   Write_set.iter_in_order ws (fun a s ->
-      l := (a, s.Write_set.old_value, s.Write_set.last_value) :: !l);
+      l := (a, s.Write_set.old_value, s.Write_set.entry_pos) :: !l);
   List.rev !l
 
 let test_write_set_clear_after_big () =
@@ -140,8 +140,8 @@ let test_write_set_clear_after_big () =
       if not first then Alcotest.failf "cell %d not a first write" a)
     tiny;
   Alcotest.(check (list (triple int int int)))
-    "only the new cells, oldest first"
-    (List.mapi (fun i a -> (a, i, i)) tiny)
+    "only the new cells, oldest first, entries not yet placed"
+    (List.mapi (fun i a -> (a, i, -1)) tiny)
     (ws_cells ws);
   let newest = ref [] in
   Write_set.iter_newest_first ws (fun a _ -> newest := a :: !newest);
@@ -198,7 +198,9 @@ let prop_write_set_model =
   QCheck.Test.make ~name:"write set = Hashtbl model across a big tx"
     ~count:20 ws_ops_arb (fun ops ->
       let ws = Write_set.create () in
-      (* addr -> (old value, last value); [order] is newest first *)
+      (* addr -> (old value, entry position); [order] is newest first.
+         The entry position is the slot's mutable payload: the model
+         writes [v + 1] into it on every record. *)
       let model = Hashtbl.create 64 and order = ref [] in
       let record a v =
         let s, first = Write_set.record ws a ~old_value:v in
@@ -213,7 +215,7 @@ let prop_write_set_model =
             if s.Write_set.old_value <> old then
               QCheck.Test.fail_reportf "%d: undo image overwritten" a);
         let old = if first then v else s.Write_set.old_value in
-        s.Write_set.last_value <- v + 1;
+        s.Write_set.entry_pos <- v + 1;
         Hashtbl.replace model a (old, v + 1)
       in
       let expect () =
@@ -231,7 +233,7 @@ let prop_write_set_model =
           | Find a ->
               let got =
                 Option.map
-                  (fun s -> (s.Write_set.old_value, s.Write_set.last_value))
+                  (fun s -> (s.Write_set.old_value, s.Write_set.entry_pos))
                   (Write_set.find ws a)
               in
               if got <> Hashtbl.find_opt model a then
@@ -242,7 +244,7 @@ let prop_write_set_model =
           | Newest_first ->
               let l = ref [] in
               Write_set.iter_newest_first ws (fun a s ->
-                  l := (a, s.Write_set.old_value, s.Write_set.last_value) :: !l);
+                  l := (a, s.Write_set.old_value, s.Write_set.entry_pos) :: !l);
               if !l <> expect () then
                 QCheck.Test.fail_report "iter_newest_first disagrees"
           | Clear ->
@@ -518,204 +520,103 @@ let test_recover_collect_last_writer_wins () =
   Alcotest.(check int) "records scanned" 2 records;
   Alcotest.(check int) "entries scanned" 3 entries;
   Alcotest.(check int) "index holds live set" 2 (Hashtbl.length index);
-  let v, ts, _ = Hashtbl.find index 8 in
-  Alcotest.(check (pair int int)) "freshest write wins" (2, 2) (v, ts);
-  let v, ts, _ = Hashtbl.find index 16 in
-  Alcotest.(check (pair int int)) "old but live survives" (10, 1) (v, ts)
+  Alcotest.(check (pair int int))
+    "freshest write wins" (2, 2) (Hashtbl.find index 8);
+  Alcotest.(check (pair int int))
+    "old but live survives" (10, 1) (Hashtbl.find index 16)
 
-let freshest_cells pm =
-  let h = Hashtbl.create 8 in
-  ignore
-    (Log_arena.recover_scan pm ~head_slot ~block_bytes:bb ~f:(fun ~ts:_ es ->
-         Array.iter (fun (t, v) -> Hashtbl.replace h t v) es));
-  List.sort compare (Hashtbl.fold (fun t v acc -> (t, v) :: acc) h [])
+(* Append one-entry records (24 B meta + one 16 B entry) stamped [ts0],
+   [ts0 + 1], ... until the next record would have to start a new block.
+   Twelve of them fill a 512 B block's 504 B payload to within [min_space]
+   of its end, so a scan that reaches the block's end follows its
+   successor pointer — the path a stale recycled block is reached by. *)
+let fill_block a ~ts0 =
+  let block = Log_arena.current_block a in
+  for r = 0 to 11 do
+    Log_arena.begin_record a;
+    ignore (Log_arena.add_entry a ~target:(8 * (r + 1)) ~value:(ts0 + r));
+    Log_arena.commit_record a ~timestamp:(ts0 + r)
+  done;
+  assert (Log_arena.current_block a = block);
+  block
 
-(* Group a coalescing-scan index into [compact_indexed]'s input shape:
-   timestamp-ascending (target, value) groups, optionally restricted to
-   entries living in [blocks]. *)
-let live_groups ?blocks pm =
-  let index = Hashtbl.create 32 in
-  ignore (Log_arena.recover_collect pm ~head_slot ~block_bytes:bb ~index);
-  let keep b =
-    match blocks with None -> true | Some bs -> List.mem b bs
-  in
-  let by_ts = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun a (v, ts, b) ->
-      if keep b then
-        let l = try Hashtbl.find by_ts ts with Not_found -> [] in
-        Hashtbl.replace by_ts ts ((a, v) :: l))
-    index;
-  Hashtbl.fold (fun ts l acc -> (ts, l) :: acc) by_ts []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let persist_word pm addr v =
+  Pmem.store_int pm addr v;
+  Pmem.clwb pm addr;
+  Pmem.sfence pm
 
-let test_compact_indexed_equals_scan_compact () =
-  (* the index-driven compactor and the legacy scan-based one must leave
-     behind logs that recover identically — same cells, same one-record-
-     per-surviving-timestamp ascending layout *)
-  let pm1, _, a1 = mk_arena () in
-  let pm2, _, a2 = mk_arena () in
-  fill_arena a1 20;
-  fill_arena a2 20;
-  ignore (Log_arena.compact a1);
-  let live = live_groups pm2 in
-  let st = Log_arena.compact_indexed a2 ~live in
-  Alcotest.(check int) "4 live entries copied" 4 st.Log_arena.entries_live;
-  Alcotest.(check bool) "blocks freed" true (st.Log_arena.blocks_freed > 0);
-  Pmem.crash pm1;
-  Pmem.crash pm2;
-  Alcotest.(check (list (pair int int)))
-    "same recovered cells" (freshest_cells pm1) (freshest_cells pm2);
-  (* one record per surviving timestamp, ascending; entry order within a
-     record is immaterial (at most one entry per datum per record) *)
-  let layout pm =
-    let recs = ref [] in
-    ignore
-      (Log_arena.recover_scan pm ~head_slot ~block_bytes:bb ~f:(fun ~ts e ->
-           recs := (ts, List.sort compare (Array.to_list e)) :: !recs));
-    List.rev !recs
-  in
-  Alcotest.(check (list (pair int (list (pair int int)))))
-    "same record layout" (layout pm1) (layout pm2)
-
-let test_compact_indexed_prefix_keeps_suffix () =
-  let pm, _, a = mk_arena () in
-  fill_arena a 6;
-  Log_arena.seal_block a;
-  (* the sealed boundary starts a fresh block: a legal splice point *)
-  let boundary = Log_arena.current_block a in
-  Alcotest.(check bool) "boundary is a clean start" true
-    (Log_arena.is_clean_start a boundary);
-  fill_arena a 3;
-  let before = freshest_cells pm in
-  let prefix =
-    let rec take = function
-      | b :: _ when b = boundary -> []
-      | b :: rest -> b :: take rest
-      | [] -> []
-    in
-    take (Log_arena.chain a)
-  in
-  let live = live_groups ~blocks:prefix pm in
-  let placed = ref 0 in
-  let st =
-    Log_arena.compact_indexed ~keep_from:boundary a ~live
-      ~on_place:(fun _ ~block:_ -> incr placed)
-  in
-  Alcotest.(check int) "every prefix survivor placed" !placed
-    st.Log_arena.entries_live;
-  Alcotest.(check bool) "prefix blocks freed" true
-    (st.Log_arena.blocks_freed > 0);
-  Alcotest.(check (list (pair int int)))
-    "suffix and prefix survivors all recover" before (freshest_cells pm);
-  (* the arena must still append: the retained suffix owns the tail *)
-  Log_arena.begin_record a;
-  ignore (Log_arena.add_entry a ~target:8192 ~value:777);
-  Log_arena.commit_record a ~timestamp:400;
-  Pmem.crash pm;
-  Alcotest.(check (list (pair int int)))
-    "append after prefix evacuation"
-    (List.sort compare ((8192, 777) :: before))
-    (freshest_cells pm)
-
-let test_compact_indexed_fully_stale_prefix_drops () =
-  (* when nothing in the prefix is live, evacuation degrades to the
-     zero-copy pointer-switch drop *)
-  let pm, _, a = mk_arena () in
-  fill_arena a 6;
-  Log_arena.seal_block a;
-  let boundary = Log_arena.current_block a in
-  (* overwrite every cell after the boundary: the prefix is all stale *)
-  fill_arena a 3;
-  let before = freshest_cells pm in
-  let st = Log_arena.compact_indexed ~keep_from:boundary a ~live:[] in
-  Alcotest.(check int) "zero copies" 0 st.Log_arena.entries_live;
-  Alcotest.(check int) "zero blocks allocated" 0 st.Log_arena.blocks_allocated;
-  Alcotest.(check bool) "prefix dropped" true (st.Log_arena.blocks_freed > 0);
-  Pmem.crash pm;
-  Alcotest.(check (list (pair int int)))
-    "suffix alone recovers everything" before (freshest_cells pm)
-
-let test_compact_indexed_crash_atomic () =
-  (* crash at every event during an indexed compaction (full rewrite and
-     prefix evacuation): a scan must always see the freshest value of
-     every cell — the same property [test_compact_is_crash_atomic] pins
-     for the legacy compactor *)
-  let run ~prefix fuse =
-    let pm =
-      Pmem.create { Config.small with crash_word_persist_prob = 0.5 }
-    in
-    let heap = Heap.create pm in
-    let a = Log_arena.create heap ~head_slot ~block_bytes:bb in
-    fill_arena a 6;
-    let keep_from =
-      if not prefix then None
-      else begin
-        Log_arena.seal_block a;
-        let b = Log_arena.current_block a in
-        fill_arena a 3;
-        Some b
-      end
-    in
-    let final = freshest_cells pm in
-    let blocks =
-      Option.map
-        (fun b ->
-          let rec take = function
-            | x :: _ when x = b -> []
-            | x :: rest -> x :: take rest
-            | [] -> []
-          in
-          take (Log_arena.chain a))
-        keep_from
-    in
-    let live = live_groups ?blocks pm in
-    Pmem.set_fuse pm (Some fuse);
-    let crashed =
-      try
-        ignore (Log_arena.compact_indexed ?keep_from a ~live);
-        false
-      with Pmem.Crash -> true
-    in
-    Pmem.crash pm;
-    Alcotest.(check (list (pair int int)))
-      (Printf.sprintf "prefix=%b fuse %d: freshest cells survive" prefix fuse)
-      final (freshest_cells pm);
-    crashed
-  in
-  List.iter
-    (fun prefix ->
-      let fuse = ref 1 in
-      while run ~prefix !fuse do
-        incr fuse
-      done;
-      Alcotest.(check bool) "eventually completes" true (!fuse > 1))
-    [ false; true ]
-
-(* the arena's volatile accounting (total entries, per-block entries,
-   clean starts) must survive an [attach] — it feeds the adaptive
-   reclamation scheduler's pressure model *)
-let test_attach_rebuilds_accounting () =
+(* A block recycled from an older chain still holds records with valid
+   checksums.  If the successor pointer leading to it reaches the media
+   before its fresh header does, the scan walks into those records; they
+   are older than everything before them, so the scan must stop there.
+   Replaying them after the newer records would roll cells back. *)
+let test_scan_stops_at_stale_recycled_record () =
   let pm, heap, a = mk_arena () in
-  fill_arena a 12;
-  let total = Log_arena.total_entries a in
-  let per_block =
-    List.map (fun b -> Log_arena.entries_in_block a b) (Log_arena.chain a)
+  let head = fill_block a ~ts0:10 in
+  (* the recycled block: another log's records, ts 1-3, same cells *)
+  let old = Log_arena.create heap ~head_slot:(head_slot + 1) ~block_bytes:bb in
+  for ts = 1 to 3 do
+    Log_arena.begin_record old;
+    ignore (Log_arena.add_entry old ~target:8 ~value:(-ts));
+    Log_arena.commit_record old ~timestamp:ts
+  done;
+  Alcotest.(check int) "head block has no successor yet" 0
+    (Pmem.load_int pm head);
+  persist_word pm head (Log_arena.current_block old);
+  Pmem.crash pm;
+  let expect = List.init 12 (fun r -> (10 + r, [ (8 * (r + 1), 10 + r) ])) in
+  Alcotest.(check (list (pair int (list (pair int int)))))
+    "recover_scan stops before the stale records" expect (scan_all pm);
+  let index = Hashtbl.create 16 in
+  let max_ts, records, _ =
+    Log_arena.recover_collect pm ~head_slot ~block_bytes:bb ~index
   in
-  let clean =
-    List.map (fun b -> Log_arena.is_clean_start a b) (Log_arena.chain a)
-  in
-  Alcotest.(check int) "12 records x 10 entries" 120 total;
-  ignore pm;
-  let a2 = Log_arena.attach heap ~head_slot ~block_bytes:bb in
-  Alcotest.(check int) "total entries rebuilt" total
-    (Log_arena.total_entries a2);
-  Alcotest.(check (list int))
-    "per-block entries rebuilt" per_block
-    (List.map (fun b -> Log_arena.entries_in_block a2 b) (Log_arena.chain a2));
-  Alcotest.(check (list bool))
-    "clean starts rebuilt" clean
-    (List.map (fun b -> Log_arena.is_clean_start a2 b) (Log_arena.chain a2))
+  Alcotest.(check (pair int int)) "recover_collect stops too" (21, 12)
+    (max_ts, records);
+  Alcotest.(check (pair int int)) "cell 8 keeps its newest value" (10, 10)
+    (Hashtbl.find index 8);
+  (* attach resumes right after ts 21, not after the stale records *)
+  let a = Log_arena.attach heap ~head_slot ~block_bytes:bb in
+  Log_arena.begin_record a;
+  ignore (Log_arena.add_entry a ~target:8 ~value:22);
+  Log_arena.commit_record a ~timestamp:22;
+  Pmem.crash pm;
+  Alcotest.(check (list (pair int (list (pair int int)))))
+    "the next record follows the last valid one"
+    (expect @ [ (22, [ (8, 22) ]) ])
+    (scan_all pm)
+
+(* A cyclic chain must not hang the scan.  Records: the walk comes back
+   to a record no newer than the last one and stops.  Record-less blocks
+   (skip markers only): the hop bound stops it. *)
+let test_scan_cyclic_chain_terminates () =
+  let pm, heap, a = mk_arena () in
+  let first = fill_block a ~ts0:1 in
+  Log_arena.begin_record a (* chains the second block *);
+  let second = Log_arena.current_block a in
+  Log_arena.abandon_record a;
+  ignore (fill_block a ~ts0:13);
+  persist_word pm second first;
+  Pmem.crash pm;
+  Alcotest.(check (list int)) "each record once, in order"
+    (List.init 24 (fun r -> r + 1))
+    (List.map fst (scan_all pm));
+  let a = Log_arena.attach heap ~head_slot ~block_bytes:bb in
+  Alcotest.(check int) "attach walks both blocks once" (2 * bb)
+    (Log_arena.footprint a);
+  (* two sealed empty blocks pointing at each other *)
+  let skip_slot = head_slot + 1 in
+  let s = Log_arena.create heap ~head_slot:skip_slot ~block_bytes:bb in
+  let x = Log_arena.current_block s in
+  Log_arena.seal_block s;
+  let y = Log_arena.current_block s in
+  Log_arena.seal_block s;
+  persist_word pm y x;
+  let n = ref 0 in
+  Alcotest.(check int) "no record in a skip-marker cycle" 0
+    (Log_arena.recover_scan pm ~head_slot:skip_slot ~block_bytes:bb
+       ~f:(fun ~ts:_ _ -> incr n));
+  Alcotest.(check int) "nothing replayed" 0 !n
 
 (* a torn [reset] must never leave a scannable record prefix: the caller
    has already persisted the covered data, and replaying a stale prefix
@@ -1198,16 +1099,10 @@ let () =
             test_compact_preserves_timestamps;
           Alcotest.test_case "recover_collect last-writer-wins" `Quick
             test_recover_collect_last_writer_wins;
-          Alcotest.test_case "compact_indexed equals scan compact" `Quick
-            test_compact_indexed_equals_scan_compact;
-          Alcotest.test_case "compact_indexed keeps suffix" `Quick
-            test_compact_indexed_prefix_keeps_suffix;
-          Alcotest.test_case "compact_indexed drops stale prefix" `Quick
-            test_compact_indexed_fully_stale_prefix_drops;
-          Alcotest.test_case "compact_indexed crash-atomic" `Slow
-            test_compact_indexed_crash_atomic;
-          Alcotest.test_case "attach rebuilds accounting" `Quick
-            test_attach_rebuilds_accounting;
+          Alcotest.test_case "scan stops at a recycled block's stale record"
+            `Quick test_scan_stops_at_stale_recycled_record;
+          Alcotest.test_case "scan of a cyclic chain terminates" `Quick
+            test_scan_cyclic_chain_terminates;
           Alcotest.test_case "reset crash-atomic" `Quick
             test_reset_crash_atomic;
           Alcotest.test_case "page record roundtrip" `Quick
