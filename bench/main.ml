@@ -901,12 +901,12 @@ let recovery_sweep () =
 
 (* ---------- Extension: service layer (group commit) ---------- *)
 
-(* Batch-size sweep over the sharded KV service: the same closed-loop
-   load at every batch_max, so the only thing that moves is how many
-   transactions share one seal fence.  Fences per write must fall
-   monotonically towards 1/batch_max — the group-commit amortization of
-   SpecPMT's last ordering point.  Each JSON row is one Loadgen report
-   (additive `svc` top-level key). *)
+(* Batch-size sweep over the sharded KV service: the same closed loop of
+   48 clients over the same stream at every batch_max, so the only thing
+   that moves is how many transactions share one seal fence.  Fences per
+   write must fall monotonically towards 1/batch_max — the group-commit
+   amortization of SpecPMT's last ordering point.  Each JSON row is one
+   Openloop report (additive `svc` top-level key). *)
 let svc () =
   header
     "Extension: sharded KV service — group commit amortizes the per-commit fence (lib/svc)";
@@ -917,8 +917,11 @@ let svc () =
     | Workload.Small -> 8_000
     | Workload.Full -> 24_000
   in
-  let lg_cfg =
-    { Svc.Loadgen.clients; ops; read_frac = 0.5; skew = 0.9; seed = 42 }
+  (* YCSB-A: 50% reads *)
+  let stream =
+    Svc.Scenario.op_stream
+      (Svc.Scenario.spec ~theta:0.9 Svc.Scenario.A)
+      ~ops ~keys ~seed:42
   in
   let run_one batch_max =
     let pm = Pmem.create ~seed:42 Pmem_config.default in
@@ -926,7 +929,9 @@ let svc () =
     let svc =
       Svc.Service.create heap { Svc.Service.shards; batch_max; depth; keys }
     in
-    Svc.Loadgen.run svc lg_cfg
+    Svc.Openloop.run svc
+      { Svc.Openloop.rate = 0.0; arrivals = Closed { clients }; seed = 42 }
+      stream
   in
   Printf.printf
     "\nbatch-size sweep (%d shards, %d clients, depth %d, %d ops, 50%% \
@@ -934,23 +939,21 @@ let svc () =
     shards clients depth ops;
   Printf.printf "%-6s %14s %10s %10s %10s %10s %10s\n" "batch" "fences/write"
     "p50 ns" "p90 ns" "p99 ns" "ops/ms" "rejected";
-  let open Svc.Loadgen in
+  let open Svc.Openloop in
+  let fences_per_write r = float_of_int r.fences /. float_of_int (max 1 r.writes) in
   (* each sweep point is its own service on its own device — fan them
      over the pool, then print and record in batch order *)
   let reports = Par.map_list ~jobs:(max 1 !jobs) run_one [ 1; 2; 4; 8; 16 ] in
-  let reports =
-    List.map2
-      (fun batch_max r ->
-        record_svc (Svc.Loadgen.report_to_json r);
-        let q p = Obs.Hist.quantile r.latency p in
-        Printf.printf "%-6d %14.3f %10d %10d %10d %10.1f %10d\n" batch_max
-          r.fences_per_write (q 0.5) (q 0.9) (q 0.99)
-          (List.fold_left (fun a s -> a +. s.sh_ops_per_ms) 0.0 r.shards)
-          r.rejected;
-        r)
-      [ 1; 2; 4; 8; 16 ] reports
-  in
-  let fpw = List.map (fun r -> r.fences_per_write) reports in
+  List.iter2
+    (fun batch_max r ->
+      record_svc (Svc.Openloop.report_to_json r);
+      let q p = Obs.Hist.quantile r.latency p in
+      Printf.printf "%-6d %14.3f %10d %10d %10d %10.1f %10d\n" batch_max
+        (fences_per_write r) (q 0.5) (q 0.9) (q 0.99)
+        (r.goodput_ops_per_sec /. 1e3)
+        r.rejects)
+    [ 1; 2; 4; 8; 16 ] reports;
+  let fpw = List.map fences_per_write reports in
   let monotone =
     List.for_all2 (fun a b -> b <= a +. 1e-9) fpw (List.tl fpw @ [ 0.0 ])
   in
@@ -966,11 +969,11 @@ let svc () =
   Printf.printf "%-6s %10s %10s %10s %10s %12s\n" "shard" "ops" "ops/ms"
     "p99 ns" "rejected" "max inflight";
   List.iter
-    (fun s ->
-      Printf.printf "%-6d %10d %10.1f %10d %10d %12d\n" s.sh_id s.sh_ops
-        s.sh_ops_per_ms
-        (Obs.Hist.quantile s.sh_latency 0.99)
-        s.sh_rejected s.sh_max_inflight)
+    (fun (s : Svc.Service.shard_stats) ->
+      Printf.printf "%-6d %10d %10.1f %10d %10d %12d\n" s.s_id s.s_ops
+        (float_of_int s.s_ops /. (r8.span_ns /. 1e6))
+        (Obs.Hist.quantile s.s_latency 0.99)
+        s.s_rejected s.s_max_inflight)
     r8.shards
 
 (* Domain sweep over the shard-per-domain data plane: the same
@@ -991,11 +994,12 @@ let svc_scale () =
     | Workload.Small -> 6_000
     | Workload.Full -> 20_000
   in
-  let lg_cfg =
-    (* write-heavy: the log/fence path is what domains parallelize *)
-    { Svc.Loadgen.clients = 48; ops; read_frac = 0.1; skew = 0.9; seed = 42 }
+  (* write-heavy: the log/fence path is what domains parallelize *)
+  let stream =
+    Svc.Scenario.op_stream
+      { (Svc.Scenario.spec ~theta:0.9 Svc.Scenario.A) with read = 0.1; update = 0.9 }
+      ~ops ~keys ~seed:42
   in
-  let stream = Svc.Loadgen.op_stream lg_cfg ~keys in
   let domain_counts =
     List.filter (fun d -> d <= shards) [ 1; 2; 4 ]
   in
@@ -1104,6 +1108,7 @@ let ycsb () =
       ("writes", Json.Int r.writes);
       ("rmws", Json.Int r.rmws);
       ("scans", Json.Int r.scans);
+      ("reads_sum", Json.Int r.reads_sum);
       ("attempts", Json.Int r.attempts);
       ("rejects", Json.Int r.rejects);
       ("max_backlog", Json.Int r.max_backlog);
@@ -1213,60 +1218,44 @@ let ycsb () =
     Svc.Openloop.recovery_under_load heap cfg rec_stream ~fuse_batches:20
   in
   Printf.printf "\n%s" (Format.asprintf "%a" Svc.Openloop.pp_recovery rv);
-  (* 6: shadow mirror on/off — mix E (scan-heavy) through the serial
-     service in a closed loop, same stream both ways.  Batch
-     composition here is a pure function of the stream (submit until a
-     shed, then drain), so the acked count, completion checksum and
-     fence count must be byte-identical; only the device clock — which
-     with the mirror no longer pays descent reads — and the host clock
-     may move. *)
+  (* 6: shadow mirror on/off — mix E (scan-heavy) through the saturation
+     probe, same stream both ways.  The probe's batch composition is a
+     pure function of the stream, so the acked count, the read checksum
+     and the fence count must be byte-identical; only the device clock —
+     which with the mirror no longer pays descent reads — and the host
+     clock may move. *)
   let e_stream = stream_of Svc.Scenario.E in
   let run_e shadow =
     Obs.Metrics.reset_all ();
     let pm = Pmem.create ~seed Pmem_config.default in
-    let heap = Heap.create pm in
     let svc =
-      Svc.Service.create ~shadow heap
+      Svc.Service.create ~shadow (Heap.create pm)
         { Svc.Service.shards; batch_max; depth; keys }
     in
-    let acked = ref 0 and cksum = ref 0 in
-    let absorb () =
-      List.iter
-        (fun c ->
-          incr acked;
-          cksum := ((!cksum * 31) + c.Svc.Service.value) land max_int)
-        (Svc.Service.drain svc)
-    in
-    let st0 = Stats.copy (Pmem.stats pm) in
+    let loads0 = (Pmem.stats pm).Stats.loads in
     let w0 = Unix.gettimeofday () in
-    Array.iter
-      (fun (key, op) ->
-        let rec submit () =
-          match Svc.Service.submit svc ~client:0 ~key op with
-          | Svc.Admission.Accepted -> ()
-          | Svc.Admission.Rejected _ ->
-              absorb ();
-              submit ()
-        in
-        submit ())
-      e_stream;
-    absorb ();
-    let wall_ns = (Unix.gettimeofday () -. w0) *. 1e9 in
-    let d = Stats.diff st0 (Pmem.stats pm) in
-    (!acked, !cksum, d.Stats.fences, d.Stats.loads, d.Stats.ns, wall_ns)
+    let r =
+      Svc.Openloop.run svc
+        { Svc.Openloop.rate = 0.0; arrivals = Svc.Openloop.Poisson; seed = 7 }
+        e_stream
+    in
+    (r, (Pmem.stats pm).Stats.loads - loads0, (Unix.gettimeofday () -. w0) *. 1e9)
   in
-  let a_off, ck_off, f_off, l_off, sim_off, wall_off = run_e false in
-  let a_on, ck_on, f_on, l_on, sim_on, wall_on = run_e true in
-  let e_same = a_off = a_on && ck_off = ck_on && f_off = f_on in
-  let per v a = v /. float_of_int (max 1 a) in
+  let e_off, l_off, wall_off = run_e false in
+  let e_on, l_on, wall_on = run_e true in
+  let e_same =
+    e_off.ops = e_on.ops && e_off.reads_sum = e_on.reads_sum
+    && e_off.fences = e_on.fences
+  in
+  let per v r = v /. float_of_int r.ops in
   Printf.printf
-    "\nmix E, shadow off vs on (serial closed loop, %d ops): op counts, \
-     checksum and fences %s\n" ops
+    "\nmix E, shadow off vs on (saturation probe, %d ops): op counts, \
+     reads_sum and fences %s\n" ops
     (if e_same then "identical" else "DIVERGE");
   Printf.printf "  off: %8.1f sim ns/op  %8.0f host ns/op  %9d loads\n"
-    (per sim_off a_off) (per wall_off a_off) l_off;
+    (per e_off.span_ns e_off) (per wall_off e_off) l_off;
   Printf.printf "  on:  %8.1f sim ns/op  %8.0f host ns/op  %9d loads\n"
-    (per sim_on a_on) (per wall_on a_on) l_on;
+    (per e_on.span_ns e_on) (per wall_on e_on) l_on;
   record_ycsb "invariant"
     (Json.Obj
        [
@@ -1308,9 +1297,9 @@ let ycsb () =
            Json.Obj
              [
                ("identical", Json.Bool e_same);
-               ("acked", Json.Int a_off);
-               ("checksum", Json.Int ck_off);
-               ("fences", Json.Int f_off);
+               ("acked", Json.Int e_off.ops);
+               ("reads_sum", Json.Int e_off.reads_sum);
+               ("fences", Json.Int e_off.fences);
              ] );
        ]);
   record_ycsb "modelled"
@@ -1346,8 +1335,8 @@ let ycsb () =
          ( "shadow_mix_e",
            Json.Obj
              [
-               ("ns_per_op_off", Json.Float (per sim_off a_off));
-               ("ns_per_op_on", Json.Float (per sim_on a_on));
+               ("ns_per_op_off", Json.Float (per e_off.span_ns e_off));
+               ("ns_per_op_on", Json.Float (per e_on.span_ns e_on));
                ("loads_off", Json.Int l_off);
                ("loads_on", Json.Int l_on);
              ] );
@@ -1369,8 +1358,8 @@ let ycsb () =
          ( "shadow_mix_e",
            Json.Obj
              [
-               ("wall_ns_per_op_off", Json.Float (per wall_off a_off));
-               ("wall_ns_per_op_on", Json.Float (per wall_on a_on));
+               ("wall_ns_per_op_off", Json.Float (per wall_off e_off));
+               ("wall_ns_per_op_on", Json.Float (per wall_on e_on));
              ] );
        ])
 

@@ -47,6 +47,32 @@ let seed_arg =
   let doc = "Deterministic seed for the device." in
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
+(* Numeric flags are range-checked as the command line is read, so a bad
+   value is an operator-input error (exit 2) instead of an
+   Invalid_argument escaping from deep inside a run. *)
+let check_int ~flag ?(lo = 1) ?hi v =
+  if v < lo then fail "specpmt_run: --%s must be at least %d, not %d@." flag lo v;
+  Option.iter
+    (fun hi ->
+      if v > hi then
+        fail "specpmt_run: --%s must be at most %d, not %d@." flag hi v)
+    hi;
+  v
+
+let int_arg ?lo ?hi ~default flag doc =
+  let arg = Arg.value (Arg.opt Arg.int default (Arg.info [ flag ] ~doc)) in
+  Term.(const (check_int ~flag ?lo ?hi) $ arg)
+
+(* the numeric flags svc-bench and ycsb share; defaults differ per command *)
+let shards_arg =
+  int_arg ~hi:Spec_mt.max_threads ~default:4 "shards"
+    (Printf.sprintf "Service shards (1..%d)." Spec_mt.max_threads)
+
+let depth_arg ~default =
+  int_arg ~default "depth" "Per-shard admission (inflight) bound."
+
+let keys_arg ~default = int_arg ~default "keys" "KV table size."
+
 let parse_scale = function
   | "quick" -> Workload.Quick
   | "small" -> Workload.Small
@@ -314,7 +340,29 @@ let jobs_arg =
      the machine's recommended domain count minus one, capped at 8.  The \
      output is byte-identical for every value."
   in
-  Arg.(value & opt int (Par.default_jobs ()) & info [ "j"; "jobs" ] ~doc)
+  Term.(
+    const (fun j -> check_int ~flag:"jobs" j)
+    $ Arg.(value & opt int (Par.default_jobs ()) & info [ "j"; "jobs" ] ~doc))
+
+(* a fresh 64 MiB device and heap for one service run *)
+let svc_heap ~seed =
+  Heap.create
+    (Pmem.create ~seed { Pmem_config.default with mem_size = 64 * 1024 * 1024 })
+
+let dataplane_config ~shards ~domains ~batch ~depth ~keys =
+  if depth < batch then
+    fail "specpmt_run: the data plane needs --depth >= --batch, not %d < %d@."
+      depth batch;
+  if domains > shards then
+    fail "specpmt_run: --domains must be at most --shards@.";
+  {
+    Svc.Dataplane.shards;
+    domains;
+    batch_max = batch;
+    depth;
+    keys;
+    log_region_bytes = Svc.Dataplane.default_log_region_bytes;
+  }
 
 let explore_cmd =
   let budget_arg =
@@ -358,7 +406,6 @@ let explore_cmd =
   in
   let run scheme seed budget cells txs max_writes policies fuse choice jobs
       json =
-    if jobs < 1 then fail "specpmt_run: --jobs must be at least 1@.";
     let policies =
       match Crashmc.policies_of_string policies with
       | Ok p -> p
@@ -427,27 +474,34 @@ let explore_cmd =
       $ json_arg)
 
 let svc_bench_cmd =
-  let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Service shards.")
-  in
   let batch_arg =
-    Arg.(
-      value & opt string "8"
-      & info [ "batch" ] ~docv:"N[,N..]"
-          ~doc:
-            "Transactions per group-commit batch.  A comma-separated list \
-             sweeps every value (the sweep runs on $(b,--jobs) domains; \
-             reports print in list order).")
-  in
-  let depth_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "depth" ] ~doc:"Per-shard admission (inflight) bound.")
+    let check batches =
+      String.split_on_char ',' batches
+      |> List.map (fun s ->
+             match int_of_string_opt (String.trim s) with
+             | Some b -> check_int ~flag:"batch" b
+             | None -> fail "specpmt_run: bad --batch %S (positive int list)@." s)
+    in
+    Term.(
+      const check
+      $ Arg.(
+          value & opt string "8"
+          & info [ "batch" ] ~docv:"N[,N..]"
+              ~doc:
+                "Transactions per group-commit batch.  A comma-separated \
+                 list sweeps every value (the sweep runs on $(b,--jobs) \
+                 domains; reports print in list order)."))
   in
   let mix_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "mix" ] ~doc:"Read fraction of the operation mix (0..1).")
+    let check m =
+      if m >= 0.0 && m <= 1.0 then m
+      else fail "specpmt_run: --mix must be in [0, 1], not %g@." m
+    in
+    Term.(
+      const check
+      $ Arg.(
+          value & opt float 0.5
+          & info [ "mix" ] ~doc:"Read fraction of the operation mix (0..1)."))
   in
   let skew_arg =
     Arg.(
@@ -455,37 +509,21 @@ let svc_bench_cmd =
       & info [ "skew" ] ~doc:"Zipf theta of the key distribution (0 = uniform).")
   in
   let clients_arg =
-    Arg.(value & opt int 32 & info [ "clients" ] ~doc:"Closed-loop clients.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 20_000 & info [ "ops" ] ~doc:"Operations to complete.")
-  in
-  let keys_arg =
-    Arg.(value & opt int 4096 & info [ "keys" ] ~doc:"KV table size.")
+    int_arg ~default:32 "clients"
+      "Closed-loop clients: ops outstanding at once, each ack releasing the \
+       next op of the stream."
   in
   let domains_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "domains" ]
-          ~doc:
-            "Run the shard-per-domain data plane on this many worker \
-             domains (1..shards) instead of the serial in-process \
-             service.  Reports measured wall-clock ops/sec and latency \
-             percentiles alongside the modelled device time; the \
-             $(b,invariant) JSON section is byte-identical for any \
-             domain count.  0 (default) keeps the serial closed-loop \
-             path.")
+    int_arg ~lo:0 ~default:0 "domains"
+      "Run the shard-per-domain data plane on this many worker domains \
+       (1..shards) instead of the serial in-process service.  Reports \
+       measured wall-clock ops/sec and latency percentiles alongside the \
+       modelled device time; the $(b,invariant) JSON section is \
+       byte-identical for any domain count.  0 (default) keeps the serial \
+       closed-loop path."
   in
   let run scheme shards batches depth mix skew clients ops keys seed reclaim
       recovery jobs domains json =
-    if jobs < 1 then fail "specpmt_run: --jobs must be at least 1@.";
-    let batches =
-      String.split_on_char ',' batches
-      |> List.map (fun s ->
-             match int_of_string_opt (String.trim s) with
-             | Some b when b > 0 -> b
-             | _ -> fail "specpmt_run: bad --batch %S (positive int list)@." s)
-    in
     let base =
       match spec_params_of_name scheme with
       | Some p -> p
@@ -496,6 +534,14 @@ let svc_bench_cmd =
     let params =
       Option.value ~default:base (spec_params_override ~reclaim ~recovery base)
     in
+    (* a read/write mix: YCSB-A's key draw with the given read fraction *)
+    let sp =
+      {
+        (Svc.Scenario.spec ~theta:skew Svc.Scenario.A) with
+        Svc.Scenario.read = mix;
+        update = 1.0 -. mix;
+      }
+    in
     if domains > 0 then begin
       (* shard-per-domain data plane: one worker domain per shard group,
          measured wall clock alongside the modelled device time *)
@@ -504,32 +550,13 @@ let svc_bench_cmd =
         | [ b ] -> b
         | _ -> fail "specpmt_run: --domains takes a single --batch value@."
       in
-      if domains > shards then
-        fail "specpmt_run: --domains must be at most --shards@.";
+      let cfg = dataplane_config ~shards ~domains ~batch ~depth ~keys in
       Obs.Phase.reset ();
       Obs.Metrics.reset_all ();
-      let pm =
-        Pmem.create ~seed
-          { Pmem_config.default with mem_size = 64 * 1024 * 1024 }
+      let dp = Svc.Dataplane.create ~params (svc_heap ~seed) cfg in
+      let report =
+        Svc.Dataplane.run dp (Svc.Scenario.op_stream sp ~ops ~keys ~seed)
       in
-      let heap = Heap.create pm in
-      let cfg =
-        {
-          Svc.Dataplane.shards;
-          domains;
-          batch_max = batch;
-          depth;
-          keys;
-          log_region_bytes = Svc.Dataplane.default_log_region_bytes;
-        }
-      in
-      let dp = Svc.Dataplane.create ~params heap cfg in
-      let stream =
-        Svc.Loadgen.op_stream
-          { Svc.Loadgen.clients; ops; read_frac = mix; skew; seed }
-          ~keys
-      in
-      let report = Svc.Dataplane.run dp stream in
       Fmt.pr "%a" Svc.Dataplane.pp (cfg, report);
       Option.iter
         (fun path ->
@@ -545,25 +572,22 @@ let svc_bench_cmd =
         json
     end
     else begin
+    let stream = Svc.Scenario.op_stream sp ~ops ~keys ~seed in
     (* One independent service instance per batch size; the sweep points
        share nothing, so they parallelize trivially and the reports are
        the same for any --jobs. *)
     let run_one batch =
       Obs.Phase.reset ();
       Obs.Metrics.reset_all ();
-      let pm =
-        Pmem.create ~seed
-          { Pmem_config.default with mem_size = 64 * 1024 * 1024 }
-      in
-      let heap = Heap.create pm in
       let svc =
-        Svc.Service.create ~params heap
+        Svc.Service.create ~params (svc_heap ~seed)
           { Svc.Service.shards; batch_max = batch; depth; keys }
       in
       let w0 = Unix.gettimeofday () in
       let r =
-        Svc.Loadgen.run svc
-          { Svc.Loadgen.clients; ops; read_frac = mix; skew; seed }
+        Svc.Openloop.run svc
+          { Svc.Openloop.rate = 0.0; arrivals = Closed { clients }; seed }
+          stream
       in
       (r, Unix.gettimeofday () -. w0)
     in
@@ -572,24 +596,22 @@ let svc_bench_cmd =
     List.iter2
       (fun batch (report, wall_s) ->
         if sweep then Fmt.pr "--- batch %d ---@." batch;
-        Fmt.pr "%a" Svc.Loadgen.pp report;
+        Fmt.pr "%a" Svc.Openloop.pp report;
         Fmt.pr "  measured: %.3f s wall, %.0f ops/s@." wall_s
-          (if wall_s > 0.0 then
-             float_of_int report.Svc.Loadgen.total_ops /. wall_s
+          (if wall_s > 0.0 then float_of_int report.Svc.Openloop.ops /. wall_s
            else 0.0))
       batches reports;
     Option.iter
       (fun path ->
-        (* wall keys are additive and timing-dependent: strip them (like
-           span_ns) before diffing reports across runs or job counts *)
+        (* wall keys are additive and timing-dependent: strip them before
+           diffing reports across runs or job counts *)
         let point (report, wall_s) =
-          ( ("report", Svc.Loadgen.report_to_json report),
+          ( ("report", Svc.Openloop.report_to_json report),
             ("wall_s", Json.Float wall_s) )
         in
         let body =
           match (batches, reports) with
           | [ _ ], [ r ] ->
-              (* single point: the pre-sweep report shape, unchanged *)
               let rep, wall = point r in
               [ rep; wall ]
           | _ ->
@@ -620,11 +642,13 @@ let svc_bench_cmd =
     (Cmd.info "svc-bench"
        ~doc:
          "Drive the sharded KV service (group commit + admission control) \
-          with the closed-loop load generator")
+          with a closed loop of clients")
     Term.(
-      const run $ scheme_arg $ shards_arg $ batch_arg $ depth_arg $ mix_arg
-      $ skew_arg $ clients_arg $ ops_arg $ keys_arg $ seed_arg $ reclaim_arg
-      $ recovery_arg $ jobs_arg $ domains_arg $ json_arg)
+      const run $ scheme_arg $ shards_arg $ batch_arg
+      $ depth_arg ~default:64 $ mix_arg $ skew_arg $ clients_arg
+      $ int_arg ~default:20_000 "ops" "Operations to complete."
+      $ keys_arg ~default:4096 $ seed_arg $ reclaim_arg $ recovery_arg
+      $ jobs_arg $ domains_arg $ json_arg)
 
 let ycsb_cmd =
   let mix_arg =
@@ -655,24 +679,8 @@ let ycsb_cmd =
             "Arrival process: $(b,poisson) or $(b,burst[:ON_MS:OFF_MS]) \
              (on/off arrivals, Poisson inside ON windows).")
   in
-  let ops_arg =
-    Arg.(value & opt int 6_000 & info [ "ops" ] ~doc:"Operations to offer.")
-  in
-  let keys_arg =
-    Arg.(value & opt int 1024 & info [ "keys" ] ~doc:"KV table size.")
-  in
-  let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Service shards.")
-  in
   let batch_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "batch" ] ~doc:"Transactions per group-commit batch.")
-  in
-  let depth_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "depth" ] ~doc:"Per-shard admission (inflight) bound.")
+    int_arg ~default:8 "batch" "Transactions per group-commit batch."
   in
   let theta_arg =
     Arg.(
@@ -680,33 +688,29 @@ let ycsb_cmd =
       & info [ "theta" ] ~doc:"Zipf theta of the key distribution.")
   in
   let scan_max_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "scan-max" ] ~doc:"Maximum scan length (mix E).")
+    int_arg ~default:16 "scan-max" "Maximum scan length (mix E)."
   in
   let domains_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "domains" ]
-          ~doc:
-            "Worker domains of the data plane for the recovery drill \
-             (only with $(b,--fuse-batches)).")
+    int_arg ~default:2 "domains"
+      "Worker domains of the data plane for the recovery drill (only with \
+       $(b,--fuse-batches))."
   in
   let fuse_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuse-batches" ] ~docv:"K"
-          ~doc:
-            "Recovery-under-load drill: halt the data plane after its \
-             $(docv)-th batch, crash, recover, audit every cell \
-             (acked-durable/unacked-invisible) and resume under the \
-             arrival backlog.  Exits nonzero on a dirty audit.  Only \
-             read/write mixes (A-D) can be audited.")
+    Term.(
+      const (Option.map (fun k -> check_int ~flag:"fuse-batches" k))
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "fuse-batches" ] ~docv:"K"
+              ~doc:
+                "Recovery-under-load drill: halt the data plane after its \
+                 $(docv)-th batch, crash, recover, audit every cell \
+                 (acked-durable/unacked-invisible) and resume under the \
+                 arrival backlog.  Exits nonzero on a dirty audit.  Only \
+                 read/write mixes (A-D) can be audited."))
   in
   let run mix rates arrivals ops keys shards batch depth theta scan_max seed
       domains fuse jobs json =
-    if jobs < 1 then fail "specpmt_run: --jobs must be at least 1@.";
     let mix =
       match Svc.Scenario.mix_of_string mix with
       | Ok m -> m
@@ -735,26 +739,10 @@ let ycsb_cmd =
             "specpmt_run: --fuse-batches audits read/write mixes only \
              (A-D), not %s@."
             (Svc.Scenario.mix_to_string mix);
-        if domains < 1 then fail "specpmt_run: --domains must be at least 1@.";
-        if domains > shards then
-          fail "specpmt_run: --domains must be at most --shards@.";
-        let pm =
-          Pmem.create ~seed
-            { Pmem_config.default with mem_size = 64 * 1024 * 1024 }
-        in
-        let heap = Heap.create pm in
-        let cfg =
-          {
-            Svc.Dataplane.shards;
-            domains;
-            batch_max = batch;
-            depth;
-            keys;
-            log_region_bytes = Svc.Dataplane.default_log_region_bytes;
-          }
-        in
+        let cfg = dataplane_config ~shards ~domains ~batch ~depth ~keys in
         let r =
-          Svc.Openloop.recovery_under_load heap cfg stream ~fuse_batches
+          Svc.Openloop.recovery_under_load (svc_heap ~seed) cfg stream
+            ~fuse_batches
         in
         Fmt.pr "%a" Svc.Openloop.pp_recovery r;
         Option.iter
@@ -777,13 +765,8 @@ let ycsb_cmd =
         let run_one rate =
           Obs.Phase.reset ();
           Obs.Metrics.reset_all ();
-          let pm =
-            Pmem.create ~seed
-              { Pmem_config.default with mem_size = 64 * 1024 * 1024 }
-          in
-          let heap = Heap.create pm in
           let svc =
-            Svc.Service.create heap
+            Svc.Service.create (svc_heap ~seed)
               { Svc.Service.shards; batch_max = batch; depth; keys }
           in
           Svc.Openloop.run svc { Svc.Openloop.rate; arrivals; seed } stream
@@ -829,9 +812,11 @@ let ycsb_cmd =
           (scheduled arrivals, coordinated-omission-safe latency), or \
           crash it mid-traffic with --fuse-batches")
     Term.(
-      const run $ mix_arg $ rate_arg $ arrivals_arg $ ops_arg $ keys_arg
-      $ shards_arg $ batch_arg $ depth_arg $ theta_arg $ scan_max_arg
-      $ seed_arg $ domains_arg $ fuse_arg $ jobs_arg $ json_arg)
+      const run $ mix_arg $ rate_arg $ arrivals_arg
+      $ int_arg ~default:6_000 "ops" "Operations to offer."
+      $ keys_arg ~default:1024 $ shards_arg $ batch_arg
+      $ depth_arg ~default:32 $ theta_arg $ scan_max_arg $ seed_arg
+      $ domains_arg $ fuse_arg $ jobs_arg $ json_arg)
 
 let () =
   let info = Cmd.info "specpmt_run" ~doc:"SpecPMT workload runner" in

@@ -181,7 +181,7 @@ module Run = struct
       be diffed.  See EXPERIMENTS.md, "JSON bench reports". *)
 
   (** Bumped on any incompatible change to the report layout. *)
-  let schema_version = 1
+  let schema_version = 2
 
   let measurement_to_json (m : measurement) =
     Json.Obj

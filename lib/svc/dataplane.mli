@@ -2,7 +2,7 @@
     sharded service.
 
     A router domain consumes a deterministic op stream
-    ({!Loadgen.op_stream}), forms per-shard batches positionally (flush
+    ({!Scenario.op_stream}), forms per-shard batches positionally (flush
     at [batch_max], partials at stream end) and hands them over
     {!Spsc} rings to [domains] resident worker domains; shard [s] runs
     on domain [s mod domains], which owns the shard's

@@ -3,17 +3,20 @@ module Hist = Specpmt_obs.Hist
 module Metrics = Specpmt_obs.Metrics
 module Json = Specpmt_obs.Json
 
-(* Open-loop load: ops arrive on a precomputed schedule whether or not
-   the service has kept up, which is what exposes queueing collapse —
-   a closed-loop generator slows its own offered load down the moment
-   the service saturates and so reports a flattering latency.
+(* The one load driver.  Every op of a stream is released at some
+   virtual time and measured from that release to its ack; only the
+   arrival process picking the release times differs.  Open loop
+   (Poisson, Burst): ops arrive on a precomputed schedule whether or not
+   the service has kept up, which is what exposes queueing collapse — a
+   closed loop slows its own offered load down the moment the service
+   saturates.  Closed loop: each ack releases the next op of the stream.
 
-   Determinism: the arrival schedule is a seeded pure function, and the
-   "clock" the driver runs on is the DEVICE's simulated ns plus an
-   idle-jump offset.  Serving ops advances device time; waiting for the
-   next arrival advances only the offset.  Nothing reads the host
-   clock, so a run's report is a pure function of (stream, config,
-   service config) — byte-identical across --jobs and host load.
+   Determinism: the schedule is a seeded pure function (closed: of the
+   acks), and the "clock" the driver runs on is the DEVICE's simulated
+   ns plus an idle-jump offset.  Serving ops advances device time;
+   waiting for the next arrival advances only the offset.  Nothing reads
+   the host clock, so a run's report is a pure function of (stream,
+   config, service config) — byte-identical across --jobs and host load.
 
    Coordinated omission: latency is measured from each op's SCHEDULED
    arrival to its ack.  An op that sits in the backlog because
@@ -22,7 +25,10 @@ module Json = Specpmt_obs.Json
    that suffered it, instead of silently re-timing them from their
    eventually-successful submit. *)
 
-type arrivals = Poisson | Burst of { on_ns : float; off_ns : float }
+type arrivals =
+  | Poisson
+  | Burst of { on_ns : float; off_ns : float }
+  | Closed of { clients : int }
 
 type config = {
   rate : float;
@@ -34,6 +40,7 @@ let arrivals_to_string = function
   | Poisson -> "poisson"
   | Burst { on_ns; off_ns } ->
       Printf.sprintf "burst:%g:%g" (on_ns /. 1e6) (off_ns /. 1e6)
+  | Closed { clients } -> Printf.sprintf "closed:%d" clients
 
 let arrivals_of_string s =
   let s = String.lowercase_ascii (String.trim s) in
@@ -54,14 +61,20 @@ let arrivals_of_string s =
 
 let schedule cfg ~n =
   if n < 0 then invalid_arg "Openloop.schedule: n < 0";
+  let burst =
+    match cfg.arrivals with
+    | Poisson -> None
+    | Burst { on_ns; off_ns } -> Some (on_ns, off_ns)
+    | Closed _ -> invalid_arg "Openloop.schedule: closed arrivals are acks"
+  in
   (* rate <= 0: the saturation probe — everything is due at t = 0 *)
   let out = Array.make (max n 1) 0.0 in
   if cfg.rate > 0.0 then begin
     let st = Random.State.make [| 0x09E7; cfg.seed |] in
     let mean_gap, shift =
-      match cfg.arrivals with
-      | Poisson -> (1e9 /. cfg.rate, fun t -> t)
-      | Burst { on_ns; off_ns } ->
+      match burst with
+      | None -> (1e9 /. cfg.rate, fun t -> t)
+      | Some (on_ns, off_ns) ->
           let cycle = on_ns +. off_ns in
           (* arrivals land only inside ON windows, intensified so the
              long-run mean offered rate stays [rate] *)
@@ -81,15 +94,6 @@ let schedule cfg ~n =
   end;
   Array.sub out 0 n
 
-type shard_summary = {
-  os_shard : int;
-  os_ops : int;
-  os_rejected : int;
-  os_batches : int;
-  os_sealed : int;
-  os_max_inflight : int;
-}
-
 type report = {
   o_config : config;
   svc_config : Service.config;
@@ -98,6 +102,7 @@ type report = {
   writes : int;
   rmws : int;
   scans : int;
+  reads_sum : int;
   attempts : int;
   rejects : int;
   max_backlog : int;
@@ -108,7 +113,7 @@ type report = {
   fences : int;
   fences_per_op : float;
   latency : Hist.snapshot;
-  o_shards : shard_summary list;
+  shards : Service.shard_stats list;
 }
 
 let run svc cfg stream =
@@ -116,7 +121,18 @@ let run svc cfg stream =
   if n = 0 then invalid_arg "Openloop.run: empty stream";
   let scfg = Service.config svc in
   let pm = Service.pm svc in
-  let sched = schedule cfg ~n in
+  (* [sched.(i)]: op i's release time.  A closed loop releases its
+     first [clients] ops at t = 0 and the k-th ack releases op
+     [clients + k - 1] (infinity until then); an open loop is the closed
+     loop with a client per op, so the release in [on_ack] never fires *)
+  let clients, sched =
+    match cfg.arrivals with
+    | Closed { clients } ->
+        if clients < 1 then invalid_arg "Openloop.run: clients < 1";
+        (clients, Array.init n (fun i -> if i < clients then 0.0 else infinity))
+    | Poisson | Burst _ -> (n, schedule cfg ~n)
+  in
+  let released = ref clients in
   let dev () = (Pmem.stats pm).Stats.ns in
   (* virtual clock = device ns + idle-jump offset: jumping to the next
      arrival when nothing is runnable costs no device time, and the
@@ -129,22 +145,30 @@ let run svc cfg stream =
   let next = ref 0 in
   let completed = ref 0 in
   let reads = ref 0 and writes = ref 0 and rmws = ref 0 and scans = ref 0 in
+  let reads_sum = ref 0 in
   let attempts = ref 0 and rejects = ref 0 in
   let lat = Hist.create () in
   let before = Stats.copy (Pmem.stats pm) in
   let on_ack (c : Service.completion) =
     incr completed;
+    (* the read-dependent values (reads, rmw results, scan checksums)
+       fold into the same order-free sum the data plane reports *)
+    let sum () = reads_sum := (!reads_sum + c.Service.value) land max_int in
     (match c.Service.c_op with
-    | Service.Read -> incr reads
+    | Service.Read -> incr reads; sum ()
     | Service.Write _ -> incr writes
-    | Service.Rmw _ -> incr rmws
-    | Service.Scan _ -> incr scans);
+    | Service.Rmw _ -> incr rmws; sum ()
+    | Service.Scan _ -> incr scans; sum ());
     (* [c_client] carries the stream index; latency runs from the op's
        scheduled arrival, not from when admission finally took it *)
     let l = c.Service.ack_ns +. !voff -. sched.(c.Service.c_client) in
     let l = int_of_float l in
     Hist.observe lat l;
-    Hist.observe (Metrics.histogram "svc.openloop.latency_ns") l
+    Hist.observe (Metrics.histogram "svc.openloop.latency_ns") l;
+    if !released < n then begin
+      sched.(!released) <- c.Service.ack_ns +. !voff;
+      incr released
+    end
   in
   (* Each round: (a) if nothing is backlogged and the next arrival is in
      the future, jump to it; (b) pull every due arrival into its shard's
@@ -204,18 +228,6 @@ let run svc cfg stream =
     (Metrics.gauge "svc.openloop.max_backlog")
     (float_of_int !max_backlog);
   Metrics.set_gauge (Metrics.gauge "svc.openloop.goodput_per_sec") goodput;
-  let o_shards =
-    List.init scfg.Service.shards (fun i ->
-        let s = Service.shard_stats svc i in
-        {
-          os_shard = s.Service.s_id;
-          os_ops = s.Service.s_ops;
-          os_rejected = s.Service.s_rejected;
-          os_batches = s.Service.s_batches;
-          os_sealed = s.Service.s_sealed;
-          os_max_inflight = s.Service.s_max_inflight;
-        })
-  in
   {
     o_config = cfg;
     svc_config = scfg;
@@ -224,6 +236,7 @@ let run svc cfg stream =
     writes = !writes;
     rmws = !rmws;
     scans = !scans;
+    reads_sum = !reads_sum;
     attempts = !attempts;
     rejects = !rejects;
     max_backlog = !max_backlog;
@@ -234,18 +247,18 @@ let run svc cfg stream =
     fences = d.Stats.fences;
     fences_per_op = float_of_int d.Stats.fences /. float_of_int n;
     latency = Hist.snapshot lat;
-    o_shards;
+    shards = List.init scfg.Service.shards (Service.shard_stats svc);
   }
 
-let shard_to_json s =
+let shard_to_json (s : Service.shard_stats) =
   Json.Obj
     [
-      ("shard", Json.Int s.os_shard);
-      ("ops", Json.Int s.os_ops);
-      ("rejected", Json.Int s.os_rejected);
-      ("batches", Json.Int s.os_batches);
-      ("sealed_records", Json.Int s.os_sealed);
-      ("max_inflight", Json.Int s.os_max_inflight);
+      ("shard", Json.Int s.s_id);
+      ("ops", Json.Int s.s_ops);
+      ("rejected", Json.Int s.s_rejected);
+      ("batches", Json.Int s.s_batches);
+      ("sealed_records", Json.Int s.s_sealed);
+      ("max_inflight", Json.Int s.s_max_inflight);
     ]
 
 let report_to_json r =
@@ -263,6 +276,7 @@ let report_to_json r =
       ("writes", Json.Int r.writes);
       ("rmws", Json.Int r.rmws);
       ("scans", Json.Int r.scans);
+      ("reads_sum", Json.Int r.reads_sum);
       ("attempts", Json.Int r.attempts);
       ("rejects", Json.Int r.rejects);
       ("max_backlog", Json.Int r.max_backlog);
@@ -273,23 +287,34 @@ let report_to_json r =
       ("fences", Json.Int r.fences);
       ("fences_per_op", Json.Float r.fences_per_op);
       ("latency_ns", Hist.to_json r.latency);
-      ("per_shard", Json.List (List.map shard_to_json r.o_shards));
+      ("per_shard", Json.List (List.map shard_to_json r.shards));
     ]
 
 let pp ppf r =
   let q p = Hist.quantile r.latency p in
-  Fmt.pf ppf
-    "openloop: %s arrivals, rate %.0f/s offered %.0f/s -> goodput %.0f/s@\n"
+  let c = r.svc_config in
+  Fmt.pf ppf "svc: %d shards, batch_max %d, depth %d, %d keys; %s arrivals%s@\n"
+    c.Service.shards c.Service.batch_max c.Service.depth c.Service.keys
     (arrivals_to_string r.o_config.arrivals)
-    r.o_config.rate r.offered_ops_per_sec r.goodput_ops_per_sec;
+    (match r.o_config.arrivals with
+    | Closed _ -> ""
+    | Poisson | Burst _ -> Printf.sprintf " at %.0f/s" r.o_config.rate);
   Fmt.pf ppf
-    "  %d ops (%d reads / %d writes / %d rmws / %d scans) on %d shards@\n"
-    r.ops r.reads r.writes r.rmws r.scans r.svc_config.Service.shards;
+    "  %d ops (%d reads / %d writes / %d rmws / %d scans), offered %.0f/s \
+     -> goodput %.0f/s@\n"
+    r.ops r.reads r.writes r.rmws r.scans r.offered_ops_per_sec
+    r.goodput_ops_per_sec;
+  Fmt.pf ppf "  %d submit attempts, %d rejects, max backlog %d@\n" r.attempts
+    r.rejects r.max_backlog;
+  let sum f = List.fold_left (fun n s -> n + f s) 0 r.shards in
+  (* every write and rmw seals a record; reads and scans never fence *)
   Fmt.pf ppf
-    "  %d submit attempts, %d rejects, max backlog %d, %.3f fences/op@\n"
-    r.attempts r.rejects r.max_backlog r.fences_per_op;
-  Fmt.pf ppf
-    "  sched->ack latency ns p50=%d p90=%d p99=%d (span %.0f ns)@\n"
+    "  %d batches, %d sealed records, %d fences (%.3f/op, %.3f/write)@\n"
+    (sum (fun s -> s.Service.s_batches))
+    (sum (fun s -> s.Service.s_sealed))
+    r.fences r.fences_per_op
+    (float_of_int r.fences /. float_of_int (max 1 (r.writes + r.rmws)));
+  Fmt.pf ppf "  release->ack latency ns p50=%d p90=%d p99=%d (span %.0f ns)@\n"
     (q 0.5) (q 0.9) (q 0.99) r.span_ns
 
 (* ---- recovery under load ---- *)

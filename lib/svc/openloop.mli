@@ -1,22 +1,26 @@
-(** Deterministic open-loop load: scheduled arrivals, coordinated-
-    omission-safe latency, goodput vs offered load, and recovery under
-    load.
+(** The service layer's one load driver: scheduled arrivals,
+    coordinated-omission-safe latency, goodput vs offered load, and
+    recovery under load.
 
-    {b Why open-loop.}  A closed-loop generator ({!Loadgen}) slows its
-    own offered load down the moment the service saturates — each
-    client waits for its ack before issuing again — so it structurally
-    cannot show queueing collapse.  Here ops {e arrive} on a
-    precomputed schedule whether or not the service has kept up;
-    arrivals the service cannot admit pile into a per-shard backlog,
-    and the gap between offered load and {e goodput} (acks per second
-    of virtual time) is the overload signal.
+    {b One driver, three arrival processes.}  {!run} releases every op
+    of a {!Scenario} stream at some virtual time, backlogs released ops
+    per shard until admission takes them, and measures each op from its
+    release to its ack.  {!Poisson} and {!Burst} are {e open-loop}: ops
+    arrive on a precomputed schedule whether or not the service has
+    kept up, so the gap between offered load and {e goodput} (acks per
+    second of virtual time) shows overload — a closed loop slows its own
+    offered load down the moment the service saturates.  {!Closed} is
+    the classic closed loop of the batch-size sweeps: the first
+    [clients] ops are released at t = 0 and the k-th ack releases op
+    [clients + k - 1] at that ack's virtual time, so released ops queue
+    in FIFO order and no client starves.
 
-    {b Determinism.}  The schedule is a seeded pure function, and the
-    driver's clock is the device model's simulated ns plus an idle-jump
-    offset (waiting for the next arrival costs no device time).
-    Nothing reads the host clock, so a report is a pure function of
-    (stream, config, service config): byte-identical across [--jobs],
-    domain placement and host load.
+    {b Determinism.}  The schedule is a seeded pure function (closed:
+    a function of the acks), and the driver's clock is the device
+    model's simulated ns plus an idle-jump offset (waiting for the next
+    arrival costs no device time).  Nothing reads the host clock, so a
+    report is a pure function of (stream, config, service config):
+    byte-identical across [--jobs], domain placement and host load.
 
     {b Coordinated omission.}  Latency is measured from each op's
     {e scheduled arrival} to its ack.  Ops held in the backlog after an
@@ -29,6 +33,9 @@ type arrivals =
       (** on/off (bursty) arrivals: Poisson inside [on_ns] windows —
           intensified so the long-run mean stays [rate] — and silent
           for [off_ns] between them *)
+  | Closed of { clients : int }
+      (** closed loop: each ack releases the next op ([rate] and [seed]
+          unused); [clients >= ops] is the saturation probe *)
 
 type config = {
   rate : float;
@@ -39,24 +46,16 @@ type config = {
 }
 
 val arrivals_to_string : arrivals -> string
-(** ["poisson"] or ["burst:ON_MS:OFF_MS"]. *)
+(** ["poisson"], ["burst:ON_MS:OFF_MS"] or ["closed:CLIENTS"]. *)
 
 val arrivals_of_string : string -> (arrivals, string) result
-(** Parses ["poisson"], ["burst"] (default 0.2 ms / 0.2 ms windows) or
-    ["burst:ON_MS:OFF_MS"] (window lengths in milliseconds). *)
+(** Parses the open-loop processes: ["poisson"], ["burst"] (default
+    0.2 ms / 0.2 ms windows) or ["burst:ON_MS:OFF_MS"] (in ms). *)
 
 val schedule : config -> n:int -> float array
 (** The first [n] arrival times (simulated ns, non-decreasing) of this
-    config — a seeded pure function.  All zeros when [rate <= 0]. *)
-
-type shard_summary = {
-  os_shard : int;
-  os_ops : int;  (** acknowledged ops *)
-  os_rejected : int;  (** admission sheds *)
-  os_batches : int;
-  os_sealed : int;
-  os_max_inflight : int;
-}
+    config — a seeded pure function.  All zeros when [rate <= 0].
+    Raises [Invalid_argument] on {!Closed}, whose arrivals are acks. *)
 
 type report = {
   o_config : config;
@@ -66,10 +65,11 @@ type report = {
   writes : int;
   rmws : int;
   scans : int;
+  reads_sum : int;  (** read/rmw/scan value sum, as {!Dataplane.report}'s *)
   attempts : int;  (** submit attempts, including re-offers after sheds *)
   rejects : int;  (** admission sheds suffered by backlog heads *)
   max_backlog : int;  (** high-water mark of arrived-but-unadmitted ops *)
-  last_arrival_ns : float;  (** when the schedule's final op arrived *)
+  last_arrival_ns : float;  (** when the final op was released *)
   span_ns : float;  (** virtual time from start to the last ack *)
   offered_ops_per_sec : float;
       (** [ops / last_arrival]; for the saturation probe (all arrivals
@@ -78,28 +78,28 @@ type report = {
   fences : int;
   fences_per_op : float;
   latency : Specpmt_obs.Hist.snapshot;
-      (** scheduled-arrival -> ack, simulated ns (CO-safe) *)
-  o_shards : shard_summary list;
+      (** release -> ack, simulated ns (CO-safe) *)
+  shards : Service.shard_stats list;  (** one per shard, in shard order *)
 }
 
 val run : Service.t -> config -> (int * Service.op) array -> report
-(** Drive the whole stream through the service open-loop and return
-    when every op has been acknowledged.  Stream indices ride the
-    completion's [c_client] field, so streams must be consumed by a
-    fresh {!Service.t} per run.  Bumps [svc.openloop.arrivals] /
-    [svc.openloop.rejects] counters, the [svc.openloop.max_backlog] /
-    [svc.openloop.goodput_per_sec] gauges and the
-    [svc.openloop.latency_ns] registry histogram.  Raises
-    [Invalid_argument] on an empty stream. *)
+(** Drive the whole stream through the service under the config's
+    arrival process and return when every op has been acknowledged.
+    Stream indices ride the completion's [c_client] field, so streams
+    must be consumed by a fresh {!Service.t} per run.  Bumps
+    [svc.openloop.arrivals] / [svc.openloop.rejects] counters, the
+    [svc.openloop.max_backlog] / [svc.openloop.goodput_per_sec] gauges
+    and the [svc.openloop.latency_ns] registry histogram.  Raises
+    [Invalid_argument] on an empty stream or [clients < 1]. *)
 
 val report_to_json : report -> Specpmt_obs.Json.t
 (** One flat object — every field deterministic (no wall clock):
-    config echo, op-kind counts, attempts/rejects/max_backlog,
-    span/offered/goodput, fences and the CO-safe latency histogram,
-    plus a [per_shard] list. *)
+    config echo, op-kind counts, [reads_sum], attempts/rejects/
+    max_backlog, span/offered/goodput, fences and the CO-safe latency
+    histogram, plus a [per_shard] list. *)
 
 val pp : Format.formatter -> report -> unit
-(** Human-readable summary (the [ycsb] CLI output). *)
+(** Human-readable summary (the [ycsb] and [svc-bench] CLI output). *)
 
 (** {1 Recovery under load}
 

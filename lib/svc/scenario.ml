@@ -5,9 +5,9 @@ module Json = Specpmt_obs.Json
    Each mix is a fixed fraction vector over {read, update, insert, rmw,
    scan} plus a key distribution.  Streams are generated up front from a
    seeded RNG with one coin + one key draw per op (inserts draw the coin
-   only), so the stream is a pure function of (spec, ops, keys, seed) —
-   the same determinism contract Loadgen.op_stream gives the data
-   plane. *)
+   only), so the stream is a pure function of (spec, ops, keys, seed).
+   This is the one seeded drawer: the open- and closed-loop drivers and
+   the data plane's router all consume these arrays. *)
 
 type mix = A | B | C | D | E | F
 
@@ -68,6 +68,28 @@ let mix_of_string s =
   | "F" -> Ok F
   | s -> Error (Printf.sprintf "unknown YCSB mix %S (want A..F)" s)
 
+(* Inverse-CDF Zipf over [0, n): cumulative weights 1/(k+1)^theta are
+   precomputed once, each draw is one float and a binary search. *)
+let zipf_sampler ~n ~theta st =
+  if theta <= 0.0 then fun () -> Random.State.int st n
+  else begin
+    let cum = Array.make n 0.0 in
+    let acc = ref 0.0 in
+    for k = 0 to n - 1 do
+      acc := !acc +. (1.0 /. (float_of_int (k + 1) ** theta));
+      cum.(k) <- !acc
+    done;
+    let total = !acc in
+    fun () ->
+      let u = Random.State.float st total in
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if cum.(mid) > u then hi := mid else lo := mid + 1
+      done;
+      !lo
+  end
+
 let dist_to_string = function
   | Uniform -> "uniform"
   | Zipf t -> Printf.sprintf "zipf:%g" t
@@ -80,7 +102,7 @@ let op_stream sp ~ops ~keys ~seed =
   let theta =
     match sp.dist with Uniform -> 0.0 | Zipf t | Latest t -> t
   in
-  let zdraw = Loadgen.zipf_sampler ~n:keys ~theta st in
+  let zdraw = zipf_sampler ~n:keys ~theta st in
   (* D's insert frontier: the table is fully pre-adopted, so "insert"
      means first client write to a fresh key.  The frontier starts at
      half the keyspace (so latest/read draws have a populated window)

@@ -21,9 +21,11 @@
     coin and one key draw per op from a seeded RNG, updates/inserts
     carrying unique values ([1_000_000 + i]) so crash audits can
     attribute cell states, inserts writing a fresh key from a growing
-    frontier.  The arrays have the same type {!Loadgen.op_stream}
-    produces, so they feed {!Openloop.run} and {!Dataplane.run}
-    unchanged. *)
+    frontier.  This is the service layer's one seeded drawer: the
+    arrays feed {!Openloop.run} under every arrival process (open- and
+    closed-loop) and {!Dataplane.run}'s router unchanged.  A plain
+    read/write mix with read fraction [r] is
+    [{ (spec ~theta A) with read = r; update = 1. -. r }]. *)
 
 type mix = A | B | C | D | E | F
 
@@ -59,6 +61,10 @@ val mix_to_string : mix -> string
 
 val mix_of_string : string -> (mix, string) result
 (** Case-insensitive ["a".."f"]. *)
+
+val zipf_sampler : n:int -> theta:float -> Random.State.t -> unit -> int
+(** Inverse-CDF Zipf over [0, n) (uniform when [theta <= 0]); the
+    cumulative table is built once, each draw is O(log n). *)
 
 val dist_to_string : dist -> string
 (** ["uniform"], ["zipf:<theta>"] or ["latest:<theta>"]. *)

@@ -286,6 +286,3 @@ let owned_keys t i =
   Array.copy t.owned.(i)
 
 let oindex t = t.oidx
-
-let rejected t =
-  Array.fold_left (fun n s -> n + Admission.rejected s.adm) 0 t.shard_tbl

@@ -15,7 +15,9 @@
     has retired.  An acknowledged op is therefore durable across any
     later crash; an unacknowledged op is invisible to recovery unless
     the crash hit the narrow seal window of its batch ({!sealing}), in
-    which case a prefix of that batch may be durable. *)
+    which case a prefix of that batch may be durable.  In the library
+    and its CLIs, {!Openloop.run} is the one caller of {!submit} and
+    {!drain}, under open- and closed-loop arrival processes alike. *)
 
 open Specpmt_pmalloc
 open Specpmt_backends
@@ -122,9 +124,6 @@ type shard_stats = {
 }
 
 val shard_stats : t -> int -> shard_stats
-
-val rejected : t -> int
-(** Total sheds across shards. *)
 
 val owned_keys : t -> int -> int array
 (** The keys shard [i] owns, in ascending order — the rows adoption

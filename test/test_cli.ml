@@ -1,7 +1,8 @@
-(* Operator-input errors at the two CLIs: a bad scheme name or an
-   unwritable --json path must fail up front with one line on stderr and
-   the CLI's usage-error exit code (specpmt_run: 2, bench: 1), before any
-   experiment runs (nothing on stdout). *)
+(* Operator-input errors at the two CLIs: a bad scheme name, an
+   unwritable --json path or an out-of-range numeric flag must fail up
+   front with one line on stderr and the CLI's usage-error exit code
+   (specpmt_run: 2, bench: 1), before any experiment runs (nothing on
+   stdout). *)
 
 let exe rel = Filename.concat (Filename.dirname Sys.executable_name) rel
 let specpmt_run = exe "../bin/specpmt_run.exe"
@@ -90,6 +91,30 @@ let test_bench_unwritable_json () =
   run bench [ "--quick"; "table2"; "--json"; path ]
   |> check_usage_error ~code:1 ~mentions:path
 
+(* the service commands' numeric flags are range-checked as the command
+   line is read, never left to an Invalid_argument deep inside a run *)
+let test_service_numeric_flags () =
+  List.iter
+    (fun (args, mentions) ->
+      run specpmt_run args |> check_usage_error ~code:2 ~mentions)
+    [
+      ([ "ycsb"; "--ops"; "0" ], "--ops");
+      ([ "ycsb"; "--shards"; "0" ], "--shards");
+      ([ "ycsb"; "--shards"; "70" ], "--shards");
+      ([ "ycsb"; "--batch"; "0" ], "--batch");
+      ([ "ycsb"; "--depth"; "0" ], "--depth");
+      ([ "ycsb"; "--keys"; "0" ], "--keys");
+      ([ "ycsb"; "--workload"; "E"; "--scan-max"; "0" ], "--scan-max");
+      ([ "ycsb"; "--workload"; "B"; "--fuse-batches"; "0" ], "--fuse-batches");
+      ([ "svc-bench"; "--clients"; "0" ], "--clients");
+      ([ "svc-bench"; "--shards"; "0" ], "--shards");
+      ([ "svc-bench"; "--depth"; "0" ], "--depth");
+      ([ "svc-bench"; "--keys"; "0" ], "--keys");
+      ([ "svc-bench"; "--domains"; "2"; "--depth"; "4"; "--batch"; "8" ], "--depth");
+      ([ "svc-bench"; "--mix"; "1.5" ], "--mix");
+      ([ "svc-bench"; "--ops"; "0" ], "--ops");
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -103,5 +128,7 @@ let () =
             test_run_reclaim_bytes;
           Alcotest.test_case "bench: unwritable --json" `Quick
             test_bench_unwritable_json;
+          Alcotest.test_case "svc-bench/ycsb: bad numeric flags" `Quick
+            test_service_numeric_flags;
         ] );
     ]

@@ -12,6 +12,15 @@ let mk_svc ?(seed = 5) ?shadow cfg =
   let heap = Heap.create pm in
   (pm, Service.create ?shadow heap cfg)
 
+(* a read/write stream: YCSB-A's key draw with read fraction [read] *)
+let rw_stream ~read ~theta ~ops ~keys ~seed =
+  Scenario.op_stream
+    { (Scenario.spec ~theta Scenario.A) with read; update = 1.0 -. read }
+    ~ops ~keys ~seed
+
+let closed clients =
+  { Openloop.rate = 0.0; arrivals = Openloop.Closed { clients }; seed = 0 }
+
 (* router hash: the directed regression for the precedence bug.  The
    old code computed [k * (2654435761 land 0xFFFFFFFF lsr 13)] — [lsr]
    binds tighter than [*] — i.e. [k * 324027].  324027 = 27 * 11 * 1091,
@@ -62,7 +71,7 @@ let test_route_balance () =
   let sequential = List.init 4096 Fun.id in
   let zipf_distinct =
     let rng = Random.State.make [| 0xBA1; 7 |] in
-    let draw = Loadgen.zipf_sampler ~n:4096 ~theta:0.9 rng in
+    let draw = Scenario.zipf_sampler ~n:4096 ~theta:0.9 rng in
     let seen = Hashtbl.create 1024 in
     for _ = 1 to 20_000 do
       Hashtbl.replace seen (draw ()) ()
@@ -127,7 +136,8 @@ let test_router_and_admission () =
   Alcotest.(check int) "the rest are shed" (List.length on_shard0 - 2)
     (List.length shed);
   Alcotest.(check int) "sheds counted" (List.length shed)
-    (Service.rejected svc);
+    (List.init 3 (fun i -> (Service.shard_stats svc i).Service.s_rejected)
+    |> List.fold_left ( + ) 0);
   (* a drain frees the slots: the shed keys go through on retry *)
   let done1 = Service.drain svc in
   Alcotest.(check int) "accepted ops complete" 2 (List.length done1);
@@ -151,12 +161,11 @@ let test_fences_per_write_monotone () =
         { Service.shards = 2; batch_max; depth = 32; keys = 256 }
     in
     let r =
-      Loadgen.run svc
-        { Loadgen.clients = 16; ops = 400; read_frac = 0.0; skew = 0.0;
-          seed = 11 }
+      Openloop.run svc (closed 16)
+        (rw_stream ~read:0.0 ~theta:0.0 ~ops:400 ~keys:256 ~seed:11)
     in
-    Alcotest.(check int) "all ops completed" 400 r.Loadgen.total_ops;
-    r.Loadgen.fences_per_write
+    Alcotest.(check int) "all ops completed" 400 r.Openloop.ops;
+    float_of_int r.Openloop.fences /. float_of_int r.Openloop.writes
   in
   let f1 = fences_at 1 and f4 = fences_at 4 and f8 = fences_at 8 in
   Alcotest.(check bool)
@@ -261,7 +270,7 @@ let test_mid_batch_kill shards () =
     fuse := !fuse + stride
   done
 
-(* odd shard counts get real load: a Zipf loadgen run at shards = 3
+(* odd shard counts get real load: a Zipf closed-loop run at shards = 3
    must complete every op and give every shard a non-trivial share —
    with the broken hash shards 1 and 2 sat idle. *)
 
@@ -270,24 +279,22 @@ let test_odd_shard_coverage () =
     mk_svc ~seed:9 { Service.shards = 3; batch_max = 4; depth = 48; keys = 96 }
   in
   let r =
-    Loadgen.run svc
-      { Loadgen.clients = 24; ops = 600; read_frac = 0.3; skew = 0.9;
-        seed = 13 }
+    Openloop.run svc (closed 24)
+      (rw_stream ~read:0.3 ~theta:0.9 ~ops:600 ~keys:96 ~seed:13)
   in
-  Alcotest.(check int) "all ops completed" 600 r.Loadgen.total_ops;
-  Alcotest.(check int) "three shard reports" 3 (List.length r.Loadgen.shards);
+  Alcotest.(check int) "all ops completed" 600 r.Openloop.ops;
+  Alcotest.(check int) "three shard reports" 3 (List.length r.Openloop.shards);
   List.iter
-    (fun s ->
+    (fun (s : Service.shard_stats) ->
       Alcotest.(check bool)
-        (Printf.sprintf "shard %d serves ops (%d)" s.Loadgen.sh_id
-           s.Loadgen.sh_ops)
+        (Printf.sprintf "shard %d serves ops (%d)" s.s_id s.s_ops)
         true
-        (s.Loadgen.sh_ops >= 600 / 10);
+        (s.s_ops >= 600 / 10);
       Alcotest.(check bool)
-        (Printf.sprintf "shard %d seals batches" s.Loadgen.sh_id)
+        (Printf.sprintf "shard %d seals batches" s.s_id)
         true
-        (s.Loadgen.sh_batches > 0))
-    r.Loadgen.shards
+        (s.s_batches > 0))
+    r.Openloop.shards
 
 (* ---------- SPSC handoff ring ---------- *)
 
@@ -448,9 +455,7 @@ let mk_plane ?(shards = 4) ?(keys = 128) ~domains () =
   (cfg, Dataplane.create heap cfg)
 
 let dp_stream ?(read_frac = 0.3) ?(ops = 800) cfg =
-  Loadgen.op_stream
-    { Loadgen.clients = 16; ops; read_frac; skew = 0.9; seed = 17 }
-    ~keys:cfg.Dataplane.keys
+  rw_stream ~read:read_frac ~theta:0.9 ~ops ~keys:cfg.Dataplane.keys ~seed:17
 
 (* the invariant half of a report must not depend on the domain count;
    4 shards on 3 domains is the deliberately lopsided placement *)
