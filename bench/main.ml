@@ -796,7 +796,8 @@ let mode_name = function
    device crashes, and recovery runs in [mode].  Live cells sit one per
    cache line (the scattered-heap-object layout real applications
    recover, not a packed array), so the apply phase pays one line drain
-   per live cell. *)
+   per live cell.  The lines are adjacent, so coalesced recovery's
+   line-ordered write-back drains them as one sequential stream. *)
 let recovery_case ~cells ~rounds ~mode =
   let pm = Pmem.create ~seed:7 Pmem_config.default in
   let heap = Heap.create pm in
@@ -853,8 +854,9 @@ let recovery_sweep () =
     "Extension: coalescing recovery — O(live set), not O(log)      (DESIGN.md, \"Recovery & reclamation performance model\")";
   (* 1: stale-overwrite sweep, fixed live set.  The log grows 10x; the
      live set does not.  Replay recovery pays per log entry; coalesced
-     recovery pays once per live cell, so its time must stay flat within
-     noise (the shape criterion printed at the end). *)
+     recovery writes each live cell once, so its data writes stay at the
+     live set and only its scan grows with the log (the shape criterion
+     printed at the end). *)
   let cells = 256 in
   Printf.printf
     "\nstale-overwrite sweep (%d live cells; reclamation off):\n" cells;
@@ -881,7 +883,7 @@ let recovery_sweep () =
   Printf.printf
     "shape: 10x more stale log -> replay writes %dx more cells (%d -> %d), \
      coalesced stays at %d;\n       recovery time: replay %.2fx, coalesced \
-     %.2fx (flat: only the streaming scan grows)\n"
+     %.2fx (data writes fixed at the live set; only the log scan grows)\n"
     (rw10 / max 1 rw1) rw1 rw10 cw10 (ns10 /. ns1) (cns10 /. cns1);
   (* 2: live-set sweep, fixed overwrite factor — coalesced recovery cost
      should scale with the live set, its only remaining driver *)

@@ -57,7 +57,8 @@ let tsc t = t.tsc
    oracle.  [Coalesce] skips the sort entirely: feeding all logs through
    one last-writer-wins index IS the timestamp merge (a cell's binding
    survives iff no log holds a fresher entry for it), and the index is
-   then applied with one data write per live cell. *)
+   then applied with one data write per live cell, line by line.  Each
+   log is walked once: its scan's tail is where its thread reattaches. *)
 let recover t =
   let open Specpmt_obs in
   Phase.run Phase.Recover @@ fun () ->
@@ -69,63 +70,67 @@ let recover t =
   | None -> ());
   let bb = t.params.Spec_soft.block_bytes in
   let max_ts = ref 0 in
-  (match t.params.Spec_soft.recovery with
-  | Spec_soft.Coalesce ->
-      let index = Hashtbl.create 256 in
-      let records = ref 0 and entries = ref 0 in
-      Array.iteri
-        (fun i _ ->
-          let ts, r, e =
-            Log_arena.recover_collect t.pm ~head_slot:(head_slot i)
-              ~block_bytes:bb ~index
-          in
-          if ts > !max_ts then max_ts := ts;
-          records := !records + r;
-          entries := !entries + e)
-        t.runtimes;
-      (* stores first, flushes after — interleaving would drain a line
-         shared by several cells once per cell instead of once per line *)
-      Hashtbl.iter (fun a (v, _) -> Pmem.store_int t.pm a v) index;
-      Hashtbl.iter (fun a _ -> Pmem.clwb t.pm a) index;
-      Pmem.sfence t.pm;
-      Metrics.add (Metrics.counter "recover.records_scanned") !records;
-      Metrics.add (Metrics.counter "recover.entries_scanned") !entries;
-      Metrics.add (Metrics.counter "recover.data_writes")
-        (Hashtbl.length index);
-      Metrics.add (Metrics.counter "recover.cells_restored")
-        (Hashtbl.length index)
-  | Spec_soft.Replay ->
-      let records = ref [] in
-      let entries = ref 0 in
-      Array.iteri
-        (fun i _ ->
-          ignore
-            (Log_arena.recover_scan t.pm ~head_slot:(head_slot i)
-               ~block_bytes:bb
-               ~f:(fun ~ts es ->
-                 if ts > !max_ts then max_ts := ts;
-                 entries := !entries + Array.length es;
-                 records := (ts, es) :: !records)))
-        t.runtimes;
-      let ordered = List.sort (fun (a, _) (b, _) -> compare a b) !records in
-      let touched = Hashtbl.create 256 in
-      List.iter
-        (fun (_, es) ->
-          Array.iter
-            (fun (a, v) ->
-              Pmem.store_int t.pm a v;
-              Hashtbl.replace touched a ())
-            es)
-        ordered;
-      Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
-      Pmem.sfence t.pm;
-      Metrics.add (Metrics.counter "recover.records_scanned")
-        (List.length ordered);
-      Metrics.add (Metrics.counter "recover.entries_scanned") !entries;
-      Metrics.add (Metrics.counter "recover.data_writes") !entries;
-      Metrics.add (Metrics.counter "recover.cells_restored")
-        (Hashtbl.length touched));
+  let tails =
+    match t.params.Spec_soft.recovery with
+    | Spec_soft.Coalesce ->
+        let index = Hashtbl.create 256 in
+        let records = ref 0 and entries = ref 0 in
+        let tails =
+          Array.mapi
+            (fun i _ ->
+              let ts, r, e, tail =
+                Log_arena.recover_collect t.pm ~head_slot:(head_slot i)
+                  ~block_bytes:bb ~index
+              in
+              if ts > !max_ts then max_ts := ts;
+              records := !records + r;
+              entries := !entries + e;
+              tail)
+            t.runtimes
+        in
+        Log_arena.apply_collected t.pm index;
+        Metrics.add (Metrics.counter "recover.records_scanned") !records;
+        Metrics.add (Metrics.counter "recover.entries_scanned") !entries;
+        Metrics.add (Metrics.counter "recover.data_writes")
+          (Hashtbl.length index);
+        Metrics.add (Metrics.counter "recover.cells_restored")
+          (Hashtbl.length index);
+        tails
+    | Spec_soft.Replay ->
+        let records = ref [] in
+        let entries = ref 0 in
+        let tails =
+          Array.mapi
+            (fun i _ ->
+              snd
+                (Log_arena.recover_scan t.pm ~head_slot:(head_slot i)
+                   ~block_bytes:bb
+                   ~f:(fun ~ts es ->
+                     if ts > !max_ts then max_ts := ts;
+                     entries := !entries + Array.length es;
+                     records := (ts, es) :: !records)))
+            t.runtimes
+        in
+        let ordered = List.sort (fun (a, _) (b, _) -> compare a b) !records in
+        let touched = Hashtbl.create 256 in
+        List.iter
+          (fun (_, es) ->
+            Array.iter
+              (fun (a, v) ->
+                Pmem.store_int t.pm a v;
+                Hashtbl.replace touched a ())
+              es)
+          ordered;
+        Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
+        Pmem.sfence t.pm;
+        Metrics.add (Metrics.counter "recover.records_scanned")
+          (List.length ordered);
+        Metrics.add (Metrics.counter "recover.entries_scanned") !entries;
+        Metrics.add (Metrics.counter "recover.data_writes") !entries;
+        Metrics.add (Metrics.counter "recover.cells_restored")
+          (Hashtbl.length touched);
+        tails
+  in
   Metrics.incr (Metrics.counter "recover.cycles");
   Tsc.restart_above t.tsc !max_ts;
-  (* reattach every thread's arena after the data replay *)
-  Array.iter Spec_soft.reattach t.runtimes
+  Array.iteri (fun i rt -> Spec_soft.reattach rt ~tail:tails.(i)) t.runtimes

@@ -228,38 +228,31 @@ let batch_end t =
    [Replay] is the paper's replay-every-record loop, oldest first: every
    entry is stored, stale ones are overwritten by fresher ones — O(log)
    data writes.  [Coalesce] folds the same scan into a last-writer-wins
-   index and then writes each live cell exactly once — O(live) data
-   writes.  Replay is kept as the differential-testing oracle for the
-   coalescing path. *)
-let replay_internal ?(head_slot = Slots.spec_head) ?(mode = Coalesce) pm
-    ~block_bytes =
+   index and then writes each live cell exactly once, line by line —
+   O(live) data writes.  Replay is kept as the differential-testing
+   oracle for the coalescing path.  Either way the scan is the log's
+   only walk: it returns the tail the arena reattaches at.  Returns
+   (cells restored, max timestamp, tail). *)
+let restore t =
   let open Specpmt_obs in
-  match mode with
+  let pm = t.pm and head_slot = t.head_slot in
+  let block_bytes = t.params.block_bytes in
+  match t.params.recovery with
   | Coalesce ->
       let index = Hashtbl.create 256 in
-      let max_ts, records, entries =
+      let max_ts, records, entries, tail =
         Log_arena.recover_collect pm ~head_slot ~block_bytes ~index
       in
-      let restored = Hashtbl.create (max 16 (Hashtbl.length index)) in
-      (* all stores first, then the flushes: interleaving would re-dirty
-         a line shared by several cells after its flush and drain it once
-         per cell instead of once per line *)
-      Hashtbl.iter
-        (fun a (v, _) ->
-          Pmem.store_int pm a v;
-          Hashtbl.replace restored a v)
-        index;
-      Hashtbl.iter (fun a _ -> Pmem.clwb pm a) restored;
-      Pmem.sfence pm;
+      Log_arena.apply_collected pm index;
       Metrics.add (Metrics.counter "recover.records_scanned") records;
       Metrics.add (Metrics.counter "recover.entries_scanned") entries;
       Metrics.add (Metrics.counter "recover.data_writes")
         (Hashtbl.length index);
-      (restored, max_ts)
+      (Hashtbl.length index, max_ts, tail)
   | Replay ->
-      let restored = Hashtbl.create 256 in
+      let touched = Hashtbl.create 256 in
       let records = ref 0 and entries = ref 0 in
-      let max_ts =
+      let max_ts, tail =
         Log_arena.recover_scan pm ~head_slot ~block_bytes
           ~f:(fun ~ts:_ es ->
             incr records;
@@ -267,55 +260,37 @@ let replay_internal ?(head_slot = Slots.spec_head) ?(mode = Coalesce) pm
             Array.iter
               (fun (a, v) ->
                 Pmem.store_int pm a v;
-                Hashtbl.replace restored a v)
+                Hashtbl.replace touched a ())
               es)
       in
-      Hashtbl.iter (fun a _ -> Pmem.clwb pm a) restored;
+      Hashtbl.iter (fun a () -> Pmem.clwb pm a) touched;
       Pmem.sfence pm;
       Metrics.add (Metrics.counter "recover.records_scanned") !records;
       Metrics.add (Metrics.counter "recover.entries_scanned") !entries;
       Metrics.add (Metrics.counter "recover.data_writes") !entries;
-      (restored, max_ts)
+      (Hashtbl.length touched, max_ts, tail)
 
-let recover_standalone ?(mode = Coalesce) pm ~block_bytes =
-  let restored, _ = replay_internal ~mode pm ~block_bytes in
-  restored
-
-let recover t =
-  let open Specpmt_obs in
-  Phase.run Phase.Recover @@ fun () ->
-  (* replay first: the heap walk must see the restored image *)
-  let restored, max_ts =
-    replay_internal ~head_slot:t.head_slot ~mode:t.params.recovery t.pm
-      ~block_bytes:t.params.block_bytes
-  in
-  Heap.recover t.heap;
-  Tsc.restart_above t.tsc max_ts;
-  t.arena <-
-    Log_arena.attach t.heap ~head_slot:t.head_slot
-      ~block_bytes:t.params.block_bytes;
+(* Reattach the arena at the tail its recovery scan found, and drop the
+   volatile state of any transaction or batch the crash interrupted. *)
+let reattach t ~tail =
+  t.arena <- Log_arena.attach t.heap ~tail;
   t.frees <- [] (* deferred frees of a crashed transaction are dead *);
   t.allocs <- [] (* likewise its allocations: Heap.recover owns the walk *);
   Write_set.clear t.ws;
   t.in_tx <- false;
-  t.in_batch <- false (* an unsealed batch died with the crash *);
-  Metrics.incr (Metrics.counter "recover.cycles");
-  Metrics.add (Metrics.counter "recover.cells_restored")
-    (Hashtbl.length restored);
-  Trace.emit "spec.recover" ~a:(Hashtbl.length restored) ~b:max_ts
+  t.in_batch <- false (* an unsealed batch died with the crash *)
 
-(* Reattach the arena after an external replay — the multi-threaded
-   runtime replays all threads' logs in global timestamp order before
-   reattaching each thread (Section 5.2.2). *)
-let reattach t =
-  t.arena <-
-    Log_arena.attach t.heap ~head_slot:t.head_slot
-      ~block_bytes:t.params.block_bytes;
-  t.frees <- [];
-  t.allocs <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false;
-  t.in_batch <- false
+let recover t =
+  let open Specpmt_obs in
+  Phase.run Phase.Recover @@ fun () ->
+  (* restore first: the heap walk must see the restored image *)
+  let restored, max_ts, tail = restore t in
+  Heap.recover t.heap;
+  Tsc.restart_above t.tsc max_ts;
+  reattach t ~tail;
+  Metrics.incr (Metrics.counter "recover.cycles");
+  Metrics.add (Metrics.counter "recover.cells_restored") restored;
+  Trace.emit "spec.recover" ~a:restored ~b:max_ts
 
 let snapshot_region t addr len =
   assert (Addr.is_word_aligned addr && len mod 8 = 0);

@@ -13,9 +13,11 @@
     Recovery (Section 3.1) discards the torn record of an interrupted
     transaction via the checksum commit marker and restores the committed
     image.  The default {!Coalesce} mode folds one scan of the log into a
-    last-writer-wins index and writes each live cell exactly once —
-    O(live set) data writes; the paper's oldest-first replay loop remains
-    available as {!Replay}, the differential-testing oracle.
+    last-writer-wins index and writes each live cell exactly once, in
+    ascending line order with one flush per line — O(live set) data
+    writes; the paper's oldest-first replay loop remains available as
+    {!Replay}, the differential-testing oracle.  Either way that scan is
+    the log's only walk: the arena reattaches at the tail it found.
 
     Background reclamation (Section 4.2) compacts the log off the
     critical path ({!Specpmt_txn.Log_arena.compact}: one scan, copy the
@@ -130,14 +132,9 @@ val reclaim_now : t -> Log_arena.compact_stats
 val reclaim_count : t -> int
 (** Number of reclamation cycles run so far. *)
 
-val reattach : t -> unit
-(** Reattach the runtime to its log after an external replay (used by the
-    multi-threaded recovery, which replays all threads' logs in global
-    timestamp order first). *)
-
-val recover_standalone :
-  ?mode:recovery_mode -> Pmem.t -> block_bytes:int -> (Addr.t, int) Hashtbl.t
-(** Pure recovery routine: restore the valid log prefix on a crashed
-    device and return the map of restored cells.  [mode] defaults to
-    {!Coalesce}.  Exposed for recovery tests — the crash explorer runs it
-    in both modes as a differential oracle. *)
+val reattach : t -> tail:Log_arena.tail -> unit
+(** Reattach the runtime to its log at the [tail] its recovery scan
+    found ({!Specpmt_txn.Log_arena.attach}) and drop the state of any
+    transaction or batch the crash interrupted.  The multi-threaded
+    runtime calls it per thread after restoring all threads' logs merged
+    by timestamp. *)

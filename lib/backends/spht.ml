@@ -143,7 +143,7 @@ let run_tx t f =
 let recover t =
   Heap.recover t.heap;
   let touched = Hashtbl.create 256 in
-  let max_ts =
+  let max_ts, tail =
     Log_arena.recover_scan t.pm ~head_slot:Slots.spht_head ~block_bytes:4096
       ~f:(fun ~ts:_ entries ->
         Array.iter
@@ -155,7 +155,7 @@ let recover t =
   Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
   Pmem.sfence t.pm;
   Tsc.restart_above t.tsc max_ts;
-  t.arena <- Log_arena.attach t.heap ~head_slot:Slots.spht_head ~block_bytes:4096;
+  t.arena <- Log_arena.attach t.heap ~tail;
   t.pending <- [];
   t.pending_entries <- 0;
   t.frees <- [] (* deferred frees of a crashed transaction are dead *);

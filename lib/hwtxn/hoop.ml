@@ -206,7 +206,7 @@ let run_tx t f =
 let recover t =
   Heap.recover t.heap;
   let touched = Hashtbl.create 256 in
-  let max_ts =
+  let max_ts, tail =
     Log_arena.recover_scan t.pm ~head_slot:Hw_slots.hoop_head
       ~block_bytes ~f:(fun ~ts:_ entries ->
         Array.iter
@@ -218,10 +218,14 @@ let recover t =
   Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
   Pmem.sfence t.pm;
   Tsc.restart_above t.tsc max_ts;
-  t.arena <-
-    Log_arena.attach t.heap ~head_slot:Hw_slots.hoop_head ~block_bytes;
-  t.map_arena <-
-    Log_arena.attach t.heap ~head_slot:Hw_slots.hoop_map_head ~block_bytes;
+  t.arena <- Log_arena.attach t.heap ~tail;
+  (* the mapping log is never replayed: it is scanned only to find where
+     its appends resume *)
+  let _, map_tail =
+    Log_arena.recover_scan t.pm ~head_slot:Hw_slots.hoop_map_head
+      ~block_bytes ~f:(fun ~ts:_ _ -> ())
+  in
+  t.map_arena <- Log_arena.attach t.heap ~tail:map_tail;
   t.pending <- [];
   t.pending_entries <- 0;
   t.tx_entries <- [];

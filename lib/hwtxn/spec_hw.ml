@@ -376,17 +376,18 @@ let recover t =
   let touched = Hashtbl.create 1024 in
   let pages = Hashtbl.create 64 in
   let max_ts = ref 0 in
-  ignore
-    (Log_arena.recover_scan t.pm ~head_slot:t.head_slot
-       ~block_bytes:t.params.hw.Hwconfig.spec_block_bytes
-       ~f:(fun ~ts entries ->
-         if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
-         Array.iter
-           (fun (a, v) ->
-             Pmem.store_int t.pm a v;
-             Hashtbl.replace touched a ();
-             Hashtbl.replace pages (Addr.page_index a) ())
-           entries));
+  let _, tail =
+    Log_arena.recover_scan t.pm ~head_slot:t.head_slot
+      ~block_bytes:t.params.hw.Hwconfig.spec_block_bytes
+      ~f:(fun ~ts entries ->
+        if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
+        Array.iter
+          (fun (a, v) ->
+            Pmem.store_int t.pm a v;
+            Hashtbl.replace touched a ();
+            Hashtbl.replace pages (Addr.page_index a) ())
+          entries)
+  in
   Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
   Pmem.sfence t.pm;
   let undo =
@@ -412,9 +413,7 @@ let recover t =
   Tsc.restart_above t.tsc !max_ts;
   (* rebuild volatile hotness state: every page with live records is hot
      and owned by the (single) fresh epoch *)
-  t.arena <-
-    Log_arena.attach t.heap ~head_slot:t.head_slot
-      ~block_bytes:t.params.hw.Hwconfig.spec_block_bytes;
+  t.arena <- Log_arena.attach t.heap ~tail;
   Tlb.flush t.tlb;
   (* forget this thread's hotness claims; shared-pool recovery (Mt) resets
      the whole table before recovering each thread *)
@@ -562,15 +561,17 @@ module Mt = struct
     let touched = Hashtbl.create 1024 in
     let pages_per_thread = Array.make (threads p) [] in
     let max_ts = ref 0 in
-    Array.iteri
-      (fun i rt ->
-        ignore
-          (Log_arena.recover_scan p.mt_pm ~head_slot:rt.head_slot
-             ~block_bytes:rt.params.hw.Hwconfig.spec_block_bytes
-             ~f:(fun ~ts entries ->
-               if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
-               records := (ts, i, entries) :: !records)))
-      p.runtimes;
+    let tails =
+      Array.mapi
+        (fun i rt ->
+          snd
+            (Log_arena.recover_scan p.mt_pm ~head_slot:rt.head_slot
+               ~block_bytes:rt.params.hw.Hwconfig.spec_block_bytes
+               ~f:(fun ~ts entries ->
+                 if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
+                 records := (ts, i, entries) :: !records)))
+        p.runtimes
+    in
     let ordered =
       List.sort (fun (a, _, _) (b, _, _) -> compare a b) !records
     in
@@ -609,9 +610,7 @@ module Mt = struct
     Hashtbl.reset p.mt_spec_pages;
     Array.iteri
       (fun i rt ->
-        rt.arena <-
-          Log_arena.attach p.mt_heap ~head_slot:rt.head_slot
-            ~block_bytes:rt.params.hw.Hwconfig.spec_block_bytes;
+        rt.arena <- Log_arena.attach p.mt_heap ~tail:tails.(i);
         Tlb.flush rt.tlb;
         rt.closed_epochs <- [];
         let head =

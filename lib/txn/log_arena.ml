@@ -457,13 +457,31 @@ let scan_records pm ~block_bytes ~head ~f =
   done;
   (!max_ts, !pos, !cur_block)
 
+(* Where a scan found the end of a log's valid prefix.  [scan_head] is 0
+   when the head slot held no log. *)
+type tail = {
+  scan_slot : int;
+  scan_block_bytes : int;
+  scan_head : Addr.t;
+  end_block : Addr.t;
+  end_pos : Addr.t;
+}
+
 let recover_scan pm ~head_slot ~block_bytes ~f =
-  let slot = Layout.root_slot head_slot in
-  let head = Pmem.load_int pm slot in
-  if head <= 0 then 0
+  let head = Pmem.load_int pm (Layout.root_slot head_slot) in
+  let tail =
+    {
+      scan_slot = head_slot;
+      scan_block_bytes = block_bytes;
+      scan_head = 0;
+      end_block = 0;
+      end_pos = 0;
+    }
+  in
+  if head <= 0 then (0, tail)
   else
-    let max_ts, _, _ = scan_records pm ~block_bytes ~head ~f in
-    max_ts
+    let max_ts, pos, block = scan_records pm ~block_bytes ~head ~f in
+    (max_ts, { tail with scan_head = head; end_block = block; end_pos = pos })
 
 (* Coalescing scan: one walk over the valid prefix folds every entry into
    a last-writer-wins index instead of materialising the records.  Within
@@ -473,37 +491,95 @@ let recover_scan pm ~head_slot ~block_bytes ~f =
    global timestamp (timestamps are globally unique across threads, and a
    compacted log keeps one entry per datum per timestamp). *)
 let recover_collect pm ~head_slot ~block_bytes ~index =
-  let slot = Layout.root_slot head_slot in
-  let head = Pmem.load_int pm slot in
-  if head <= 0 then (0, 0, 0)
-  else begin
-    let records = ref 0 and scanned = ref 0 in
-    let max_ts, _, _ =
-      scan_records pm ~block_bytes ~head ~f:(fun ~ts entries ->
-          incr records;
-          scanned := !scanned + Array.length entries;
-          Array.iter
-            (fun (tgt, v) ->
-              match Hashtbl.find_opt index tgt with
-              | Some (_, ts') when ts' > ts -> ()
-              | _ -> Hashtbl.replace index tgt (v, ts))
-            entries)
-    in
-    (max_ts, !records, !scanned)
-  end
+  let records = ref 0 and scanned = ref 0 in
+  let max_ts, tail =
+    recover_scan pm ~head_slot ~block_bytes ~f:(fun ~ts entries ->
+        incr records;
+        scanned := !scanned + Array.length entries;
+        Array.iter
+          (fun (tgt, v) ->
+            match Hashtbl.find_opt index tgt with
+            | Some (_, ts') when ts' > ts -> ()
+            | _ -> Hashtbl.replace index tgt (v, ts))
+          entries)
+  in
+  (max_ts, !records, !scanned, tail)
 
-let attach heap ~head_slot ~block_bytes =
-  let pm = Heap.pmem heap in
-  let slot = Layout.root_slot head_slot in
-  let head = Pmem.load_int pm slot in
-  if head <= 0 then create heap ~head_slot ~block_bytes
+(* One stable counting pass over the [mask]-wide digit at [shift] of each
+   cell's line offset from [lo]: the (address, value) pairs move from
+   [src_a]/[src_v] to [dst_a]/[dst_v]. *)
+let line_digit_pass ~lo ~shift ~mask src_a src_v dst_a dst_v =
+  let digit a = ((Addr.line_index a - lo) lsr shift) land mask in
+  let start = Array.make (mask + 2) 0 in
+  Array.iter
+    (fun a ->
+      let k = digit a + 1 in
+      start.(k) <- start.(k) + 1)
+    src_a;
+  for k = 1 to mask + 1 do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  Array.iteri
+    (fun j a ->
+      let k = digit a in
+      dst_a.(start.(k)) <- a;
+      dst_v.(start.(k)) <- src_v.(j);
+      start.(k) <- start.(k) + 1)
+    src_a
+
+(* Write-back of a coalesced index in ascending line order.  Hashtbl
+   order scatters a line's cells over the whole pass, so storing every
+   cell and then flushing every cell issues one clwb per cell, writes
+   the lines in random order (the random-write rate, not the sequential
+   one), and writes a line once more whenever the cache evicts it
+   between two of its stores.  Sorted by line index, the pass is one
+   ascending stream: a line's cells are stored, then the line is
+   flushed once.  The sort is a two-pass LSD radix on the offset from
+   the lowest live line, each digit half the offset's bit width: linear
+   in the live set, no comparisons. *)
+let apply_collected pm index =
+  let n = Hashtbl.length index in
+  let addr = Array.make n 0 and value = Array.make n 0 in
+  let lo = ref max_int and hi = ref 0 and i = ref 0 in
+  Hashtbl.iter
+    (fun a (v, _) ->
+      addr.(!i) <- a;
+      value.(!i) <- v;
+      incr i;
+      let l = Addr.line_index a in
+      if l < !lo then lo := l;
+      if l > !hi then hi := l)
+    index;
+  if n > 1 then begin
+    let bits = ref 1 in
+    while (!hi - !lo) lsr !bits > 0 do
+      incr bits
+    done;
+    let half = (!bits + 1) / 2 in
+    let mask = (1 lsl half) - 1 in
+    let addr' = Array.make n 0 and value' = Array.make n 0 in
+    line_digit_pass ~lo:!lo ~shift:0 ~mask addr value addr' value';
+    line_digit_pass ~lo:!lo ~shift:half ~mask addr' value' addr value
+  end;
+  for j = 0 to n - 1 do
+    Pmem.store_int pm addr.(j) value.(j);
+    if j = n - 1 || Addr.line_index addr.(j + 1) <> Addr.line_index addr.(j)
+    then Pmem.clwb pm addr.(j)
+  done;
+  Pmem.sfence pm
+
+let attach heap ~tail =
+  let head_slot = tail.scan_slot and block_bytes = tail.scan_block_bytes in
+  if tail.scan_head <= 0 then create heap ~head_slot ~block_bytes
   else begin
-    (* the scan finds the append point *)
-    let _, pos, cur_block =
-      scan_records pm ~block_bytes ~head ~f:(fun ~ts:_ _ -> ())
-    in
-    (* rebuild the block list by walking the chain; a hashed visited set
-       keeps the cycle check O(1) per block on long chains *)
+    let pm = Heap.pmem heap in
+    let head = tail.scan_head and pos = tail.end_pos in
+    (* The recovery scan's tail is still exact here: recovery stores
+       only to cells that log entries target, and no such cell lies in a
+       log block (log blocks come from the heap's log zone, data from its
+       data zone).  Rebuild the block list by walking the chain,
+       one load per block; a hashed visited set keeps the cycle check
+       O(1) per block on long chains. *)
     let blocks = ref [] in
     let visited : (Addr.t, unit) Hashtbl.t = Hashtbl.create 64 in
     let b = ref head in
@@ -520,7 +596,7 @@ let attach heap ~head_slot ~block_bytes =
     let t = mk heap ~head_slot ~block_bytes head in
     t.blocks <- !blocks;
     t.n_blocks <- List.length !blocks;
-    t.cur_block <- cur_block;
+    t.cur_block <- tail.end_block;
     t.pos <- pos;
     (* Make sure torn garbage right at the append point cannot be mistaken
        for a record before the next commit.  The sentinel must itself be

@@ -33,9 +33,24 @@ type entry_pos = int
 val create : Heap.t -> head_slot:int -> block_bytes:int -> t
 (** Fresh empty log; persists the head pointer in root slot [head_slot]. *)
 
-val attach : Heap.t -> head_slot:int -> block_bytes:int -> t
-(** Reattach after a crash: scans the valid prefix and resumes appending
-    after it.  Call only after {!recover_scan}-based data recovery. *)
+type tail
+(** Where a log's valid prefix ends, as found by {!recover_scan} or
+    {!recover_collect}: the log's head slot and block size, its chain
+    head, and the block and position where appends resume. *)
+
+val attach : Heap.t -> tail:tail -> t
+(** Reattach after a crash at the [tail] that the recovery scan of this
+    log returned: resume appending at the end of the valid prefix,
+    without walking the log again.  The block list is rebuilt by
+    following the chain pointers (one load per block), and an
+    end-of-log sentinel is persisted at the append point.  A [tail]
+    from a slot that held no log creates a fresh one.
+
+    The tail stays exact as long as nothing has stored into the log's
+    blocks since the scan.  Recovery satisfies this: it stores only to
+    cells that log entries target, and no such cell lies in a log block
+    (log blocks come from the zone of
+    {!Specpmt_pmalloc.Heap.alloc_log}). *)
 
 (** {1 Appending} *)
 
@@ -108,29 +123,40 @@ val recover_scan :
   head_slot:int ->
   block_bytes:int ->
   f:(ts:int -> (Addr.t * int) array -> unit) ->
-  int
+  int * tail
 (** Walk the valid record prefix from the head pointer, oldest first,
     calling [f] per record; returns the largest timestamp seen (0 if
-    none).  Stops at the first checksum mismatch — later records are by
-    construction uncommitted — and at the first record whose timestamp
-    does not exceed every earlier one (a stale record in a recycled
-    block; see the module preamble). *)
+    none) and the {!tail} where the prefix ends, for {!attach}.  Stops
+    at the first checksum mismatch — later records are by construction
+    uncommitted — and at the first record whose timestamp does not
+    exceed every earlier one (a stale record in a recycled block; see
+    the module preamble).  A log that is scanned only to be reattached
+    passes an [f] that ignores its records. *)
 
 val recover_collect :
   Pmem.t ->
   head_slot:int ->
   block_bytes:int ->
   index:(Addr.t, int * int) Hashtbl.t ->
-  int * int * int
+  int * int * int * tail
 (** Coalescing scan: one walk over the valid record prefix folds every
     entry into [index], a last-writer-wins map from cell address to
     [(value, commit timestamp)].  An entry replaces an
     existing binding iff its timestamp is at least as new, so feeding
     several per-thread logs through the same [index] merges them by
     global timestamp (timestamps are globally unique across logs sharing
-    a counter).  Returns [(max_ts, records_scanned, entries_scanned)].
-    Unlike {!recover_scan} + replay, applying [index] writes each live
-    cell exactly once — recovery work becomes O(live set), not O(log). *)
+    a counter).  Returns [(max_ts, records_scanned, entries_scanned,
+    tail)], the {!tail} being this log's, for {!attach}.  Unlike
+    {!recover_scan} + replay, {!apply_collected} writes each live cell
+    exactly once — recovery work becomes O(live set), not O(log). *)
+
+val apply_collected : Pmem.t -> (Addr.t, int * int) Hashtbl.t -> unit
+(** Write an index built by {!recover_collect} back in place, in
+    ascending cache-line order: each line's live cells are stored, then
+    the line is flushed once, and one fence ends the pass.  The order
+    comes from a linear-time radix sort on the line index, so adjacent
+    restored lines drain as one sequential stream.  Persists nothing
+    else; a crash part-way is repaired by recovering again. *)
 
 (** {1 Reclamation} *)
 

@@ -700,7 +700,13 @@ let spec_image () =
           ctx.Ctx.write (base + ((((round * 3) + i) mod 16) * 8)) (round + i)
         done)
   done;
-  (pm, heap, t)
+  (pm, heap, backend, t)
+
+(* the tail a recovery scan of [spec_image]'s log ends at *)
+let spec_tail pm =
+  snd
+    (Log_arena.recover_scan pm ~head_slot:Slots.spec_head ~block_bytes:256
+       ~f:(fun ~ts:_ _ -> ()))
 
 let events_of pm f =
   let before = Pmem.events pm in
@@ -708,25 +714,156 @@ let events_of pm f =
   Pmem.events pm - before
 
 let test_reattach_is_one_attach () =
-  let pm1, _, t = spec_image () in
-  let pm2, heap2, _ = spec_image () in
+  let pm1, _, _, t = spec_image () in
+  let pm2, heap2, _, _ = spec_image () in
   Pmem.crash pm1;
   Pmem.crash pm2;
-  let arena =
-    events_of pm2 (fun () ->
-        Log_arena.attach heap2 ~head_slot:Slots.spec_head ~block_bytes:256)
+  let tail1 = spec_tail pm1 and tail2 = spec_tail pm2 in
+  let arena = ref None in
+  let attach =
+    events_of pm2 (fun () -> arena := Some (Log_arena.attach heap2 ~tail:tail2))
   in
-  Alcotest.(check bool) "the log spans several blocks" true (arena > 100);
-  Alcotest.(check int) "reattach = one Log_arena.attach" arena
-    (events_of pm1 (fun () -> Spec_soft.reattach t))
+  Alcotest.(check bool) "the log spans several blocks" true
+    (Log_arena.block_count (Option.get !arena) > 1);
+  Alcotest.(check int) "reattach = one Log_arena.attach" attach
+    (events_of pm1 (fun () -> Spec_soft.reattach t ~tail:tail1))
 
 let test_reclaim_is_one_compact () =
-  let pm1, _, t = spec_image () in
-  let pm2, heap2, _ = spec_image () in
-  let a = Log_arena.attach heap2 ~head_slot:Slots.spec_head ~block_bytes:256 in
+  let pm1, _, _, t = spec_image () in
+  let pm2, heap2, _, _ = spec_image () in
+  let a = Log_arena.attach heap2 ~tail:(spec_tail pm2) in
   let compact = events_of pm2 (fun () -> Log_arena.compact a) in
   Alcotest.(check int) "reclaim_now = one Log_arena.compact" compact
     (events_of pm1 (fun () -> Spec_soft.reclaim_now t))
+
+(* Recovery budget: recovery walks each log once (its scan), and then
+   only the chain pointers; it drains each restored line once, in
+   ascending line order. *)
+let stats_of pm f =
+  let before = Stats.copy (Pmem.stats pm) in
+  f ();
+  Stats.diff before (Pmem.stats pm)
+
+let line_count addrs =
+  List.length (List.sort_uniq compare (List.map Addr.line_index addrs))
+
+let test_recovery_walks_each_log_once () =
+  let pm1, _, backend, _ = spec_image () in
+  let pm2, heap2, _, _ = spec_image () in
+  Pmem.crash pm1;
+  Pmem.crash pm2;
+  let index = Hashtbl.create 16 in
+  let tail = ref None in
+  let collect =
+    stats_of pm2 (fun () ->
+        let _, _, _, t =
+          Log_arena.recover_collect pm2 ~head_slot:Slots.spec_head
+            ~block_bytes:256 ~index
+        in
+        tail := Some t)
+  in
+  let blocks =
+    Log_arena.block_count (Log_arena.attach heap2 ~tail:(Option.get !tail))
+  in
+  let recovery = stats_of pm1 backend.Ctx.recover in
+  Alcotest.(check int) "loads = one collect walk + one per chained block"
+    (collect.Stats.loads + blocks) recovery.Stats.loads;
+  (* the one clwb beyond the restored lines is attach's sentinel *)
+  let lines = line_count (Hashtbl.fold (fun a _ acc -> a :: acc) index []) in
+  Alcotest.(check bool) "the live cells span several lines" true (lines > 1);
+  Alcotest.(check int) "one clwb per restored line" (lines + 1)
+    recovery.Stats.clwbs
+
+let test_recovery_drains_lines_in_order () =
+  let pm = Pmem.create ~seed:29 Config.small in
+  let heap = Heap.create pm in
+  let backend, _ =
+    Spec_soft.create heap
+      { Spec_soft.default_params with reclaim_bytes = max_int }
+  in
+  let cells = 512 in
+  let base = Heap.alloc heap (cells * 8) in
+  (* 389 is coprime to 512: every cell is written once, in an order that
+     neither the log nor a hash table lines up *)
+  for r = 0 to 63 do
+    backend.Ctx.run_tx (fun ctx ->
+        for i = 0 to 7 do
+          let c = ((r * 8) + i) * 389 mod cells in
+          ctx.Ctx.write (base + (c * 8)) ((r * 8) + i + 1)
+        done)
+  done;
+  Pmem.crash pm;
+  let d = stats_of pm backend.Ctx.recover in
+  let lines = line_count (List.init cells (fun c -> base + (c * 8))) in
+  Alcotest.(check int) "each restored line written once (+ attach's sentinel)"
+    (lines + 1) d.Stats.pm_write_lines;
+  (* neither the first table line nor the sentinel's log line continues
+     a stream *)
+  Alcotest.(check int) "every restored line after the first is sequential"
+    (lines - 1) d.Stats.pm_write_lines_seq;
+  let expected = Array.make cells 0 in
+  for k = 0 to cells - 1 do
+    expected.(k * 389 mod cells) <- k + 1
+  done;
+  Alcotest.(check (array int)) "the table is restored" expected
+    (Testlib.read_cells pm base cells)
+
+(* A crash at every event of recovery, then a second recovery: the cells
+   must hold the committed image whatever part of the first recovery
+   persisted.  256-byte blocks and no reclamation, so the 96-cell
+   adoption and the 60 six-write transactions chain many blocks. *)
+let recovery_crash_image ~threads =
+  let pm =
+    Pmem.create ~seed:31 { Config.small with crash_word_persist_prob = 0.5 }
+  in
+  let heap = Heap.create pm in
+  let params =
+    { Spec_soft.default_params with block_bytes = 256; reclaim_bytes = max_int }
+  in
+  let backends, recover =
+    if threads = 1 then
+      let b, _ = Spec_soft.create heap params in
+      ([| b |], b.Ctx.recover)
+    else
+      let mt = Spec_mt.create ~params heap ~threads in
+      (Array.init threads (Spec_mt.thread mt), fun () -> Spec_mt.recover mt)
+  in
+  let cells = 96 in
+  let base = Heap.alloc heap (cells * 8) in
+  backends.(0).Ctx.run_tx (fun ctx ->
+      for i = 0 to cells - 1 do
+        ctx.Ctx.write (base + (i * 8)) 0
+      done);
+  let model = Array.make cells 0 in
+  let rand = Random.State.make [| 31; threads |] in
+  for tx = 0 to 59 do
+    let writes =
+      List.init 6 (fun _ ->
+          (Random.State.int rand cells, 1 + Random.State.int rand 1_000_000))
+    in
+    backends.(tx mod threads).Ctx.run_tx (fun ctx ->
+        List.iter (fun (c, v) -> ctx.Ctx.write (base + (c * 8)) v) writes);
+    List.iter (fun (c, v) -> model.(c) <- v) writes
+  done;
+  Pmem.crash pm;
+  (pm, base, model, recover)
+
+let test_crash_at_every_recovery_event ~threads () =
+  let pm, _, _, recover = recovery_crash_image ~threads in
+  let events = events_of pm recover in
+  for fuse = 1 to events do
+    let pm, base, model, recover = recovery_crash_image ~threads in
+    Pmem.set_fuse pm (Some fuse);
+    (match recover () with
+    | () -> Alcotest.failf "fuse %d of %d never fired" fuse events
+    | exception Pmem.Crash -> ());
+    Pmem.set_fuse pm None;
+    Pmem.crash pm;
+    recover ();
+    if Testlib.read_cells pm base (Array.length model) <> model then
+      Alcotest.failf "crash at recovery event %d of %d: cells differ from \
+                      the committed image" fuse events
+  done
 
 let durability_cases =
   List.concat_map
@@ -1063,9 +1200,21 @@ let () =
             test_reattach_is_one_attach;
           Alcotest.test_case "reclaim is one compact" `Quick
             test_reclaim_is_one_compact;
+          Alcotest.test_case "crash at every recovery event (SpecSPMT)"
+            `Quick (test_crash_at_every_recovery_event ~threads:1);
+          Alcotest.test_case
+            "crash at every recovery event (SpecSPMT-MT, 3 threads)" `Quick
+            (test_crash_at_every_recovery_event ~threads:3);
           Alcotest.test_case "batch API guards" `Quick test_batch_api_guards;
           Alcotest.test_case "batch seals under one fence" `Quick
             test_batch_single_fence;
+        ] );
+      ( "recovery budget",
+        [
+          Alcotest.test_case "each log walked once" `Quick
+            test_recovery_walks_each_log_once;
+          Alcotest.test_case "each restored line drained once, ascending"
+            `Quick test_recovery_drains_lines_in_order;
         ] );
       ( "regressions",
         [

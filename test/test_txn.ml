@@ -298,6 +298,10 @@ let scan_all pm =
   in
   List.rev !recs
 
+(* the tail a recovery scan of the test log ends at, for [attach] *)
+let tail_of pm =
+  snd (Log_arena.recover_scan pm ~head_slot ~block_bytes:bb ~f:(fun ~ts:_ _ -> ()))
+
 let test_arena_commit_and_scan () =
   let pm, _, a = mk_arena () in
   Log_arena.begin_record a;
@@ -426,7 +430,7 @@ let test_arena_attach_resumes () =
   let pm, heap, a = mk_arena () in
   fill_arena a 3;
   (* simulated restart without crash: reattach and keep appending *)
-  let a2 = Log_arena.attach heap ~head_slot ~block_bytes:bb in
+  let a2 = Log_arena.attach heap ~tail:(tail_of pm) in
   Log_arena.begin_record a2;
   ignore (Log_arena.add_entry a2 ~target:8192 ~value:1);
   Log_arena.commit_record a2 ~timestamp:50;
@@ -513,7 +517,7 @@ let test_recover_collect_last_writer_wins () =
   ignore (Log_arena.add_entry a ~target:16 ~value:666);
   Pmem.crash pm;
   let index = Hashtbl.create 8 in
-  let max_ts, records, entries =
+  let max_ts, records, entries, _ =
     Log_arena.recover_collect pm ~head_slot ~block_bytes:bb ~index
   in
   Alcotest.(check int) "max ts" 2 max_ts;
@@ -568,7 +572,7 @@ let test_scan_stops_at_stale_recycled_record () =
   Alcotest.(check (list (pair int (list (pair int int)))))
     "recover_scan stops before the stale records" expect (scan_all pm);
   let index = Hashtbl.create 16 in
-  let max_ts, records, _ =
+  let max_ts, records, _, tail =
     Log_arena.recover_collect pm ~head_slot ~block_bytes:bb ~index
   in
   Alcotest.(check (pair int int)) "recover_collect stops too" (21, 12)
@@ -576,7 +580,7 @@ let test_scan_stops_at_stale_recycled_record () =
   Alcotest.(check (pair int int)) "cell 8 keeps its newest value" (10, 10)
     (Hashtbl.find index 8);
   (* attach resumes right after ts 21, not after the stale records *)
-  let a = Log_arena.attach heap ~head_slot ~block_bytes:bb in
+  let a = Log_arena.attach heap ~tail in
   Log_arena.begin_record a;
   ignore (Log_arena.add_entry a ~target:8 ~value:22);
   Log_arena.commit_record a ~timestamp:22;
@@ -601,7 +605,7 @@ let test_scan_cyclic_chain_terminates () =
   Alcotest.(check (list int)) "each record once, in order"
     (List.init 24 (fun r -> r + 1))
     (List.map fst (scan_all pm));
-  let a = Log_arena.attach heap ~head_slot ~block_bytes:bb in
+  let a = Log_arena.attach heap ~tail:(tail_of pm) in
   Alcotest.(check int) "attach walks both blocks once" (2 * bb)
     (Log_arena.footprint a);
   (* two sealed empty blocks pointing at each other *)
@@ -614,8 +618,9 @@ let test_scan_cyclic_chain_terminates () =
   persist_word pm y x;
   let n = ref 0 in
   Alcotest.(check int) "no record in a skip-marker cycle" 0
-    (Log_arena.recover_scan pm ~head_slot:skip_slot ~block_bytes:bb
-       ~f:(fun ~ts:_ _ -> incr n));
+    (fst
+       (Log_arena.recover_scan pm ~head_slot:skip_slot ~block_bytes:bb
+          ~f:(fun ~ts:_ _ -> incr n)));
   Alcotest.(check int) "nothing replayed" 0 !n
 
 (* a torn [reset] must never leave a scannable record prefix: the caller
@@ -787,11 +792,11 @@ let test_attach_sentinel_second_crash () =
   let entries = List.init 6 (fun i -> (2048 + (8 * i), 3000 + i)) in
   let scan_ts pm =
     let seen = ref [] in
-    let _ =
+    let _, tail =
       Log_arena.recover_scan pm ~head_slot ~block_bytes:bb ~f:(fun ~ts _ ->
           seen := ts :: !seen)
     in
-    List.rev !seen
+    (List.rev !seen, tail)
   in
   let resurrections = ref 0 and torn_cases = ref 0 in
   let run_one ~seed ~fuse =
@@ -822,7 +827,7 @@ let test_attach_sentinel_second_crash () =
     if not crashed then `Commit_completed
     else begin
       Pmem.crash pm;
-      let s1 = scan_ts pm in
+      let s1, tail = scan_ts pm in
       if List.mem target_ts s1 then
         (* the whole record leaked at the first crash: it is durable, not
            torn — nothing to resurrect *)
@@ -831,13 +836,13 @@ let test_attach_sentinel_second_crash () =
         incr torn_cases;
         (* recovery: reattach, then re-execute the same transaction; the
            second crash hits before its commit *)
-        let a2 = Log_arena.attach heap ~head_slot ~block_bytes:bb in
+        let a2 = Log_arena.attach heap ~tail in
         Log_arena.begin_record a2;
         List.iter
           (fun (t, v) -> ignore (Log_arena.add_entry a2 ~target:t ~value:v))
           entries;
         Pmem.crash pm;
-        let s2 = scan_ts pm in
+        let s2, _ = scan_ts pm in
         if List.mem target_ts s2 then incr resurrections;
         (* recovery #2 must replay a subset of what recovery #1 saw *)
         if not (List.for_all (fun ts -> List.mem ts s1) s2) then
