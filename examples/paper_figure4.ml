@@ -17,10 +17,12 @@ let dump_log pm tag =
   let n = ref 0 in
   ignore
     (Log_arena.recover_scan pm ~head_slot:Slots.spec_head ~block_bytes:4096
-       ~f:(fun ~ts entries ->
+       ~f:(fun ~ts addrs vals k ->
          incr n;
          Printf.printf " [tx commit ts=%d:" ts;
-         Array.iter (fun (a, v) -> Printf.printf " (&%#x,%d)" a v) entries;
+         for i = 0 to k - 1 do
+           Printf.printf " (&%#x,%d)" addrs.(i) vals.(i)
+         done;
          Printf.printf "]"));
   if !n = 0 then Printf.printf " (empty)";
   Printf.printf "\n"

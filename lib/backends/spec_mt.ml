@@ -73,7 +73,7 @@ let recover t =
   let tails =
     match t.params.Spec_soft.recovery with
     | Spec_soft.Coalesce ->
-        let index = Hashtbl.create 256 in
+        let index = Log_arena.Lww.create () in
         let records = ref 0 and entries = ref 0 in
         let tails =
           Array.mapi
@@ -88,13 +88,12 @@ let recover t =
               tail)
             t.runtimes
         in
+        let live = Log_arena.Lww.length index in
         Log_arena.apply_collected t.pm index;
         Metrics.add (Metrics.counter "recover.records_scanned") !records;
         Metrics.add (Metrics.counter "recover.entries_scanned") !entries;
-        Metrics.add (Metrics.counter "recover.data_writes")
-          (Hashtbl.length index);
-        Metrics.add (Metrics.counter "recover.cells_restored")
-          (Hashtbl.length index);
+        Metrics.add (Metrics.counter "recover.data_writes") live;
+        Metrics.add (Metrics.counter "recover.cells_restored") live;
         tails
     | Spec_soft.Replay ->
         let records = ref [] in
@@ -105,21 +104,27 @@ let recover t =
               snd
                 (Log_arena.recover_scan t.pm ~head_slot:(head_slot i)
                    ~block_bytes:bb
-                   ~f:(fun ~ts es ->
+                   ~f:(fun ~ts addrs vals n ->
                      if ts > !max_ts then max_ts := ts;
-                     entries := !entries + Array.length es;
-                     records := (ts, es) :: !records)))
+                     entries := !entries + n;
+                     (* sorted globally below: copy out of the scan
+                        buffer *)
+                     records :=
+                       (ts, Array.sub addrs 0 n, Array.sub vals 0 n)
+                       :: !records)))
             t.runtimes
         in
-        let ordered = List.sort (fun (a, _) (b, _) -> compare a b) !records in
+        let ordered =
+          List.sort (fun (a, _, _) (b, _, _) -> compare a b) !records
+        in
         let touched = Hashtbl.create 256 in
         List.iter
-          (fun (_, es) ->
-            Array.iter
-              (fun (a, v) ->
-                Pmem.store_int t.pm a v;
+          (fun (_, addrs, vals) ->
+            Array.iteri
+              (fun i a ->
+                Pmem.store_int t.pm a vals.(i);
                 Hashtbl.replace touched a ())
-              es)
+              addrs)
           ordered;
         Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
         Pmem.sfence t.pm;

@@ -239,29 +239,28 @@ let restore t =
   let block_bytes = t.params.block_bytes in
   match t.params.recovery with
   | Coalesce ->
-      let index = Hashtbl.create 256 in
+      let index = Log_arena.Lww.create () in
       let max_ts, records, entries, tail =
         Log_arena.recover_collect pm ~head_slot ~block_bytes ~index
       in
+      let live = Log_arena.Lww.length index in
       Log_arena.apply_collected pm index;
       Metrics.add (Metrics.counter "recover.records_scanned") records;
       Metrics.add (Metrics.counter "recover.entries_scanned") entries;
-      Metrics.add (Metrics.counter "recover.data_writes")
-        (Hashtbl.length index);
-      (Hashtbl.length index, max_ts, tail)
+      Metrics.add (Metrics.counter "recover.data_writes") live;
+      (live, max_ts, tail)
   | Replay ->
       let touched = Hashtbl.create 256 in
       let records = ref 0 and entries = ref 0 in
       let max_ts, tail =
         Log_arena.recover_scan pm ~head_slot ~block_bytes
-          ~f:(fun ~ts:_ es ->
+          ~f:(fun ~ts:_ addrs vals n ->
             incr records;
-            entries := !entries + Array.length es;
-            Array.iter
-              (fun (a, v) ->
-                Pmem.store_int pm a v;
-                Hashtbl.replace touched a ())
-              es)
+            entries := !entries + n;
+            for i = 0 to n - 1 do
+              Pmem.store_int pm addrs.(i) vals.(i);
+              Hashtbl.replace touched addrs.(i) ()
+            done)
       in
       Hashtbl.iter (fun a () -> Pmem.clwb pm a) touched;
       Pmem.sfence pm;
@@ -318,8 +317,10 @@ let switch_out t =
   let touched = Hashtbl.create 256 in
   ignore
     (Log_arena.recover_scan t.pm ~head_slot:t.head_slot
-       ~block_bytes:t.params.block_bytes ~f:(fun ~ts:_ entries ->
-         Array.iter (fun (a, _) -> Hashtbl.replace touched a ()) entries));
+       ~block_bytes:t.params.block_bytes ~f:(fun ~ts:_ addrs _ n ->
+         for i = 0 to n - 1 do
+           Hashtbl.replace touched addrs.(i) ()
+         done));
   Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
   Pmem.sfence t.pm;
   (* 2: the log is now dead weight and must be durably invalidated — not

@@ -145,12 +145,11 @@ let recover t =
   let touched = Hashtbl.create 256 in
   let max_ts, tail =
     Log_arena.recover_scan t.pm ~head_slot:Slots.spht_head ~block_bytes:4096
-      ~f:(fun ~ts:_ entries ->
-        Array.iter
-          (fun (a, v) ->
-            Pmem.store_int t.pm a v;
-            Hashtbl.replace touched a ())
-          entries)
+      ~f:(fun ~ts:_ addrs vals n ->
+        for i = 0 to n - 1 do
+          Pmem.store_int t.pm addrs.(i) vals.(i);
+          Hashtbl.replace touched addrs.(i) ()
+        done)
   in
   Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
   Pmem.sfence t.pm;

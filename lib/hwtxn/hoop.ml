@@ -208,12 +208,11 @@ let recover t =
   let touched = Hashtbl.create 256 in
   let max_ts, tail =
     Log_arena.recover_scan t.pm ~head_slot:Hw_slots.hoop_head
-      ~block_bytes ~f:(fun ~ts:_ entries ->
-        Array.iter
-          (fun (a, v) ->
-            Pmem.store_int t.pm a v;
-            Hashtbl.replace touched a ())
-          entries)
+      ~block_bytes ~f:(fun ~ts:_ addrs vals n ->
+        for i = 0 to n - 1 do
+          Pmem.store_int t.pm addrs.(i) vals.(i);
+          Hashtbl.replace touched addrs.(i) ()
+        done)
   in
   Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
   Pmem.sfence t.pm;
@@ -223,7 +222,7 @@ let recover t =
      its appends resume *)
   let _, map_tail =
     Log_arena.recover_scan t.pm ~head_slot:Hw_slots.hoop_map_head
-      ~block_bytes ~f:(fun ~ts:_ _ -> ())
+      ~block_bytes ~f:(fun ~ts:_ _ _ _ -> ())
   in
   t.map_arena <- Log_arena.attach t.heap ~tail:map_tail;
   t.pending <- [];

@@ -379,14 +379,14 @@ let recover t =
   let _, tail =
     Log_arena.recover_scan t.pm ~head_slot:t.head_slot
       ~block_bytes:t.params.hw.Hwconfig.spec_block_bytes
-      ~f:(fun ~ts entries ->
+      ~f:(fun ~ts addrs vals n ->
         if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
-        Array.iter
-          (fun (a, v) ->
-            Pmem.store_int t.pm a v;
-            Hashtbl.replace touched a ();
-            Hashtbl.replace pages (Addr.page_index a) ())
-          entries)
+        for i = 0 to n - 1 do
+          let a = addrs.(i) in
+          Pmem.store_int t.pm a vals.(i);
+          Hashtbl.replace touched a ();
+          Hashtbl.replace pages (Addr.page_index a) ()
+        done)
   in
   Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
   Pmem.sfence t.pm;
@@ -567,23 +567,26 @@ module Mt = struct
           snd
             (Log_arena.recover_scan p.mt_pm ~head_slot:rt.head_slot
                ~block_bytes:rt.params.hw.Hwconfig.spec_block_bytes
-               ~f:(fun ~ts entries ->
+               ~f:(fun ~ts addrs vals n ->
                  if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
-                 records := (ts, i, entries) :: !records)))
+                 (* sorted globally below: copy out of the scan buffer *)
+                 records :=
+                   (ts, i, Array.sub addrs 0 n, Array.sub vals 0 n)
+                   :: !records)))
         p.runtimes
     in
     let ordered =
-      List.sort (fun (a, _, _) (b, _, _) -> compare a b) !records
+      List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !records
     in
     List.iter
-      (fun (_, i, entries) ->
-        Array.iter
-          (fun (a, v) ->
-            Pmem.store_int p.mt_pm a v;
+      (fun (_, i, addrs, vals) ->
+        Array.iteri
+          (fun k a ->
+            Pmem.store_int p.mt_pm a vals.(k);
             Hashtbl.replace touched a ();
             pages_per_thread.(i) <-
               Addr.page_index a :: pages_per_thread.(i))
-          entries)
+          addrs)
       ordered;
     Hashtbl.iter (fun a () -> Pmem.clwb p.mt_pm a) touched;
     Pmem.sfence p.mt_pm;

@@ -141,6 +141,10 @@ let set_trace t n =
     t.trace_pos <- 0
   end
 
+(* Callers test [tracing] before building the op, so an untraced device
+   allocates no [op] block per access. *)
+let tracing t = match t.trace with None -> false | Some _ -> true
+
 let record_op t op =
   match t.trace with
   | None -> ()
@@ -368,7 +372,7 @@ let load_int t addr =
   assert (Addr.is_word_aligned addr);
   check_bounds t addr 8;
   burn_fuse t;
-  record_op t (Load addr);
+  if tracing t then record_op t (Load addr);
   count (fun s -> s.Stats.loads <- s.Stats.loads + 1) t;
   let s = get_slot t (Addr.line_index addr) ~for_load:true in
   Int64.to_int
@@ -379,7 +383,7 @@ let store_int t addr v =
   assert (Addr.is_word_aligned addr);
   check_bounds t addr 8;
   burn_fuse t;
-  record_op t (Store (addr, v));
+  if tracing t then record_op t (Store (addr, v));
   count (fun s -> s.Stats.stores <- s.Stats.stores + 1) t;
   let s = get_slot t (Addr.line_index addr) ~for_load:false in
   Bytes.set_int64_le t.slot_data
@@ -390,7 +394,7 @@ let store_int t addr v =
 let load_bytes t addr len =
   check_bounds t addr len;
   burn_fuse t;
-  record_op t (Load_bytes (addr, len));
+  if tracing t then record_op t (Load_bytes (addr, len));
   count (fun s -> s.Stats.loads <- s.Stats.loads + 1) t;
   let out = Bytes.create len in
   let pos = ref 0 in
@@ -410,7 +414,7 @@ let store_bytes t addr b =
   if len > 0 then begin
     check_bounds t addr len;
     burn_fuse t;
-    record_op t (Store_bytes (addr, len));
+    if tracing t then record_op t (Store_bytes (addr, len));
     count (fun s -> s.Stats.stores <- s.Stats.stores + 1) t;
     let pos = ref 0 in
     while !pos < len do
@@ -428,7 +432,7 @@ let store_bytes t addr b =
 let clwb t addr =
   check_bounds t addr 1;
   burn_fuse t;
-  record_op t (Clwb addr);
+  if tracing t then record_op t (Clwb addr);
   count (fun s -> s.Stats.clwbs <- s.Stats.clwbs + 1) t;
   if t.metered then Specpmt_obs.Phase.on_clwb ();
   charge t t.cfg.Config.clwb_issue_ns;
@@ -454,7 +458,7 @@ let clflushopt t addr =
 
 let sfence t =
   burn_fuse t;
-  record_op t Sfence;
+  if tracing t then record_op t Sfence;
   count (fun s -> s.Stats.fences <- s.Stats.fences + 1) t;
   if t.metered then Specpmt_obs.Phase.on_fence ();
   let latest =
@@ -477,7 +481,7 @@ let nt_store_bytes t addr b =
     if len > 0 then begin
       check_bounds t addr len;
       burn_fuse t;
-      record_op t (Nt_store (addr, len));
+      if tracing t then record_op t (Nt_store (addr, len));
       count (fun s -> s.Stats.nt_stores <- s.Stats.nt_stores + 1) t;
       if t.metered then Specpmt_obs.Phase.on_nt_store ();
       let pos = ref 0 in

@@ -12,8 +12,8 @@ val crc32c_word : int -> int -> int
 (** [crc32c_word crc w] folds one 63-bit integer (as 8 LE bytes, the
     encoding of {!words}) into a finalized checksum: folding a word
     list with it from 0 equals [words] of that list.  This is the commit
-    hot path — no buffer, no list, no boxing; {!words} stays as the
-    differential-test oracle. *)
+    and log-scan hot path — one slicing-by-8 step, no buffer, no list,
+    no boxing; {!words} stays as the differential-test oracle. *)
 
 val words : int list -> int
 (** Checksum of a list of 63-bit integers, each taken as 8 LE bytes.

@@ -32,6 +32,31 @@ let skip_tag = -1
 
 type entry_pos = int
 
+(* Cursor of one record's entry walk, reused from record to record:
+   [crc] is the running checksum fold, [next_pos]/[next_block] where the
+   entry stream ended, and [addrs]/[vals]/[n] the record's data entries
+   when the walk copies them — the flat scan buffer, which grows by
+   doubling and never shrinks, so a scan stops allocating once it has
+   met its largest record. *)
+type walk = {
+  mutable crc : int;
+  mutable next_pos : Addr.t;
+  mutable next_block : Addr.t;
+  mutable addrs : Addr.t array;
+  mutable vals : int array;
+  mutable n : int;
+}
+
+let new_walk cap =
+  {
+    crc = 0;
+    next_pos = 0;
+    next_block = 0;
+    addrs = Array.make cap 0;
+    vals = Array.make cap 0;
+    n = 0;
+  }
+
 type t = {
   heap : Heap.t;
   pm : Pmem.t;
@@ -73,6 +98,7 @@ type t = {
   mutable tseg_a : Addr.t array;
   mutable tseg_b : Addr.t array;
   mutable n_tseg : int;
+  commit_walk : walk; (* the commit path's checksum fold; copies nothing *)
 }
 
 type compact_stats = {
@@ -82,6 +108,108 @@ type compact_stats = {
   blocks_freed : int;
   blocks_allocated : int;
 }
+
+(* Last-writer-wins table, the [Write_set] idiom with values: the live
+   cells sit in first-insert order in the dense [addr]/[value]/[ts]
+   arrays, and an open-addressing probe table of positions (-1 = empty)
+   at twice the dense capacity finds a cell's position.  Nothing is ever
+   deleted, so linear probing needs no tombstones. *)
+module Lww = struct
+  type t = {
+    mutable addr : Addr.t array;
+    mutable value : int array;
+    mutable ts : int array;
+    mutable n : int;
+    mutable slots : int array;
+    mutable mask : int; (* slots length - 1, a power of two *)
+  }
+
+  let initial_cells = 64
+
+  let create () =
+    {
+      addr = Array.make initial_cells 0;
+      value = Array.make initial_cells 0;
+      ts = Array.make initial_cells 0;
+      n = 0;
+      slots = Array.make (2 * initial_cells) (-1);
+      mask = (2 * initial_cells) - 1;
+    }
+
+  let length t = t.n
+
+  (* Fibonacci hashing on the cell index, taking the product's bits 32
+     and up.  The low bits of [(a lsr 3) * odd] depend only on the low
+     bits of [a], so a log's power-of-two strides and long ascending runs
+     pile up in a few probe clusters; the high bits mix every key bit. *)
+  let[@inline] home t a = (((a lsr 3) * 0x1E3779B97F4A7C15) lsr 32) land t.mask
+
+  let probe t a =
+    let h = ref (home t a) in
+    while
+      let p = t.slots.(!h) in
+      p >= 0 && t.addr.(p) <> a
+    do
+      h := (!h + 1) land t.mask
+    done;
+    !h
+
+  let grow t =
+    let cap = 2 * Array.length t.addr in
+    let widen arr =
+      let bigger = Array.make cap 0 in
+      Array.blit arr 0 bigger 0 t.n;
+      bigger
+    in
+    t.addr <- widen t.addr;
+    t.value <- widen t.value;
+    t.ts <- widen t.ts;
+    t.slots <- Array.make (2 * cap) (-1);
+    t.mask <- (2 * cap) - 1;
+    for p = 0 to t.n - 1 do
+      t.slots.(probe t t.addr.(p)) <- p
+    done
+
+  (* An entry replaces the cell's binding iff it is at least as new. *)
+  let add t a ~value ~ts =
+    let h = probe t a in
+    let p = t.slots.(h) in
+    if p >= 0 then begin
+      if ts >= t.ts.(p) then begin
+        t.value.(p) <- value;
+        t.ts.(p) <- ts
+      end
+    end
+    else begin
+      let h =
+        if t.n < Array.length t.addr then h
+        else begin
+          grow t;
+          probe t a
+        end
+      in
+      let p = t.n in
+      t.addr.(p) <- a;
+      t.value.(p) <- value;
+      t.ts.(p) <- ts;
+      t.slots.(h) <- p;
+      t.n <- p + 1
+    end
+
+  let find t a =
+    let p = t.slots.(probe t a) in
+    if p >= 0 then Some (t.value.(p), t.ts.(p)) else None
+
+  let iter t f =
+    for p = 0 to t.n - 1 do
+      f t.addr.(p) ~value:t.value.(p) ~ts:t.ts.(p)
+    done
+
+  (* Forget every binding; the capacity stays. *)
+  let clear t =
+    t.n <- 0;
+    Array.fill t.slots 0 (Array.length t.slots) (-1)
+end
 
 let pm t = t.pm
 let block_end t b = b + t.block_bytes
@@ -172,6 +300,7 @@ let mk heap ~head_slot ~block_bytes b =
     tseg_a = Array.make 8 0;
     tseg_b = Array.make 8 0;
     n_tseg = 0;
+    commit_walk = new_walk 1;
   }
 
 let publish_head t b =
@@ -253,11 +382,26 @@ let abandon_record t =
   t.n_segs <- 0;
   t.seg_start <- -1
 
+let[@inline] fold w a b =
+  w.crc <- Checksum.crc32c_word (Checksum.crc32c_word w.crc a) b
+
+let push w a v =
+  if w.n = Array.length w.addrs then begin
+    w.addrs <- grown w.addrs w.n;
+    w.vals <- grown w.vals w.n
+  end;
+  w.addrs.(w.n) <- a;
+  w.vals.(w.n) <- v;
+  w.n <- w.n + 1
+
 (* Walk the entry stream of a record, following markers.  [block] is the
-   block containing [meta].  Calls [f target value] for every entry and
-   marker; returns [Some (next_pos, next_block)] one past the stream, or
-   [None] if the stream is malformed (torn size or dangling marker). *)
-let walk_entries pm ~block_bytes ~block ~meta ~size f =
+   block containing [meta].  Folds every entry and marker word into
+   [w.crc] (which the caller seeds with the metadata words) and, with
+   [~copy:true], appends every data entry to [w]'s scan buffer.  Returns
+   [true] with [w.next_pos]/[w.next_block] one past the stream, or
+   [false] if the stream is malformed (torn size or dangling marker).
+   Allocates nothing but buffer growth. *)
+let walk_entries pm ~block_bytes ~block ~meta ~size ~copy w =
   let pos = ref (meta + meta_bytes) in
   let cur_block = ref block in
   let consumed = ref 0 in
@@ -271,7 +415,7 @@ let walk_entries pm ~block_bytes ~block ~meta ~size f =
       if target = marker_target then
         if value <= 0 || value + block_bytes > mem then ok := false
         else begin
-          f target value;
+          fold w target value;
           consumed := !consumed + entry_bytes;
           cur_block := value;
           pos := payload value
@@ -284,34 +428,32 @@ let walk_entries pm ~block_bytes ~block ~meta ~size f =
           || !pos + page_entry_bytes > !cur_block + block_bytes
         then ok := false
         else begin
-          f target value;
-          for w = 0 to (Addr.page_size / 8) - 1 do
-            f (value + (w * 8)) (Pmem.load_int pm (!pos + entry_bytes + (w * 8)))
+          fold w target value;
+          for k = 0 to (Addr.page_size / 8) - 1 do
+            let a = value + (k * 8) in
+            let v = Pmem.load_int pm (!pos + entry_bytes + (k * 8)) in
+            fold w a v;
+            if copy then push w a v
           done;
           consumed := !consumed + page_entry_bytes;
           pos := !pos + page_entry_bytes
         end
       else if target < 0 then ok := false
       else begin
-        f target value;
+        fold w target value;
+        if copy then push w target value;
         consumed := !consumed + entry_bytes;
         pos := !pos + entry_bytes
       end
     end
   done;
-  if !ok then Some (!pos, !cur_block) else None
+  w.next_pos <- !pos;
+  w.next_block <- !cur_block;
+  !ok
 
-let record_checksum pm ~block_bytes ~block ~meta ~size ~ts =
-  (* incremental fold over the stream [size; ts; tgt0; v0; ...] — the
-     commit hot path builds no list and no byte buffer ([Checksum.words]
-     remains the differential-test oracle for this fold) *)
-  let crc = ref (Checksum.crc32c_word (Checksum.crc32c_word 0 size) ts) in
-  match
-    walk_entries pm ~block_bytes ~block ~meta ~size (fun tgt v ->
-        crc := Checksum.crc32c_word (Checksum.crc32c_word !crc tgt) v)
-  with
-  | None -> None
-  | Some next -> Some (!crc, next)
+(* The checksum fold of [size; ts] — the words every record's stream
+   starts with. *)
+let meta_crc ~size ~ts = Checksum.crc32c_word (Checksum.crc32c_word 0 size) ts
 
 let commit_record ?(fence = true) ?(flush = true) ?(tentative = false) t
     ~timestamp =
@@ -324,26 +466,31 @@ let commit_record ?(fence = true) ?(flush = true) ?(tentative = false) t
   (* sentinel for the record that will follow *)
   Pmem.store_int t.pm t.pos 0;
   push_seg t t.seg_start (t.pos + 8);
-  (match
-     record_checksum t.pm ~block_bytes:t.block_bytes ~block:t.rec_block
-       ~meta ~size:t.rec_size ~ts:timestamp
-   with
-  | None -> assert false
-  | Some (crc, _) ->
-      Pmem.store_int t.pm meta t.rec_size;
-      Pmem.store_int t.pm (meta + 8) timestamp;
-      if tentative then begin
-        (* group commit: the poisoned checksum keeps the record invisible
-           to every scan — whatever subset of its lines a crash persists,
-           the prefix walk stops here.  [seal_tentative] writes the true
-           checksum and persists the whole batch under one fence. *)
-        Pmem.store_int t.pm (meta + 16) (crc lxor 1);
-        push_tent t meta crc;
-        for i = 0 to t.n_segs - 1 do
-          push_tseg t t.seg_a.(i) t.seg_b.(i)
-        done
-      end
-      else Pmem.store_int t.pm (meta + 16) crc);
+  (* incremental fold over the stream [size; ts; tgt0; v0; ...] — the
+     commit hot path builds no list and no byte buffer ([Checksum.words]
+     remains the differential-test oracle for this fold) *)
+  let w = t.commit_walk in
+  w.crc <- meta_crc ~size:t.rec_size ~ts:timestamp;
+  let well_formed =
+    walk_entries t.pm ~block_bytes:t.block_bytes ~block:t.rec_block ~meta
+      ~size:t.rec_size ~copy:false w
+  in
+  assert well_formed;
+  let crc = w.crc in
+  Pmem.store_int t.pm meta t.rec_size;
+  Pmem.store_int t.pm (meta + 8) timestamp;
+  if tentative then begin
+    (* group commit: the poisoned checksum keeps the record invisible to
+       every scan — whatever subset of its lines a crash persists, the
+       prefix walk stops here.  [seal_tentative] writes the true checksum
+       and persists the whole batch under one fence. *)
+    Pmem.store_int t.pm (meta + 16) (crc lxor 1);
+    push_tent t meta crc;
+    for i = 0 to t.n_segs - 1 do
+      push_tseg t t.seg_a.(i) t.seg_b.(i)
+    done
+  end
+  else Pmem.store_int t.pm (meta + 16) crc;
   (* one flush run over the record's spans, then a single fence: the
      speculative-logging commit of Figure 2 (right).  Tentative records
      defer both to the seal.  Pending chain pointers go first, then the
@@ -393,10 +540,12 @@ let seal_tentative t =
   end
 
 (* Shared valid-prefix walk, one pass per record: the checksum words and
-   the entry list are accumulated by the same [walk_entries] traversal, so
-   every log line is loaded once (the scan is the sequential stream the
-   device's read fast path models).  Calls [f ~ts entries] per valid
-   record, oldest first; returns (max_ts, end_pos, end_block).
+   the record's entries are gathered by the same [walk_entries]
+   traversal, so every log line is loaded once (the scan is the
+   sequential stream the device's read fast path models).  Calls
+   [f ~ts addrs vals n] per valid record, oldest first, with the record's
+   [n] entries in the scan buffer — reused by the next record, so valid
+   only during the call; returns (max_ts, end_pos, end_block).
 
    A record is valid only if its checksum matches {e and} its timestamp
    exceeds every earlier one.  Every writer stamps a log from a monotonic
@@ -411,6 +560,7 @@ let seal_tentative t =
    no chain holds more blocks than the device does. *)
 let scan_records pm ~block_bytes ~head ~f =
   let mem = Pmem.mem_size pm in
+  let w = new_walk 64 in
   let max_ts = ref 0 in
   let continue = ref true in
   let cur_block = ref head in
@@ -438,20 +588,19 @@ let scan_records pm ~block_bytes ~head ~f =
       else begin
         let ts = Pmem.load_int pm (!pos + 8) in
         let crc = Pmem.load_int pm (!pos + 16) in
-        let fold = ref (Checksum.crc32c_word (Checksum.crc32c_word 0 size) ts) in
-        let entries = ref [] in
-        match
+        w.crc <- meta_crc ~size ~ts;
+        w.n <- 0;
+        if
           walk_entries pm ~block_bytes ~block:!cur_block ~meta:!pos ~size
-            (fun tgt v ->
-              fold := Checksum.crc32c_word (Checksum.crc32c_word !fold tgt) v;
-              if tgt >= 0 then entries := (tgt, v) :: !entries)
-        with
-        | Some (next_pos, next_block) when !fold = crc && ts > !max_ts ->
-            f ~ts (Array.of_list (List.rev !entries));
-            max_ts := ts;
-            pos := next_pos;
-            cur_block := next_block
-        | Some _ | None -> continue := false
+            ~copy:true w
+          && w.crc = crc && ts > !max_ts
+        then begin
+          f ~ts w.addrs w.vals w.n;
+          max_ts := ts;
+          pos := w.next_pos;
+          cur_block := w.next_block
+        end
+        else continue := false
       end
     end
   done;
@@ -484,7 +633,7 @@ let recover_scan pm ~head_slot ~block_bytes ~f =
     (max_ts, { tail with scan_head = head; end_block = block; end_pos = pos })
 
 (* Coalescing scan: one walk over the valid prefix folds every entry into
-   a last-writer-wins index instead of materialising the records.  Within
+   a last-writer-wins table instead of materialising the records.  Within
    one log, scan order is timestamp order, so a plain [>=] replacement
    resolves both intra-record duplicates and cross-record staleness; when
    several logs share a timestamp counter the same rule merges them by
@@ -493,41 +642,37 @@ let recover_scan pm ~head_slot ~block_bytes ~f =
 let recover_collect pm ~head_slot ~block_bytes ~index =
   let records = ref 0 and scanned = ref 0 in
   let max_ts, tail =
-    recover_scan pm ~head_slot ~block_bytes ~f:(fun ~ts entries ->
+    recover_scan pm ~head_slot ~block_bytes ~f:(fun ~ts addrs vals n ->
         incr records;
-        scanned := !scanned + Array.length entries;
-        Array.iter
-          (fun (tgt, v) ->
-            match Hashtbl.find_opt index tgt with
-            | Some (_, ts') when ts' > ts -> ()
-            | _ -> Hashtbl.replace index tgt (v, ts))
-          entries)
+        scanned := !scanned + n;
+        for i = 0 to n - 1 do
+          Lww.add index addrs.(i) ~value:vals.(i) ~ts
+        done)
   in
   (max_ts, !records, !scanned, tail)
 
-(* One stable counting pass over the [mask]-wide digit at [shift] of each
-   cell's line offset from [lo]: the (address, value) pairs move from
-   [src_a]/[src_v] to [dst_a]/[dst_v]. *)
-let line_digit_pass ~lo ~shift ~mask src_a src_v dst_a dst_v =
+(* One stable counting pass over the [mask]-wide digit at [shift] of the
+   line offset from [lo] of the first [n] cells: the (address, value)
+   pairs move from [src_a]/[src_v] to [dst_a]/[dst_v]. *)
+let line_digit_pass ~n ~lo ~shift ~mask src_a src_v dst_a dst_v =
   let digit a = ((Addr.line_index a - lo) lsr shift) land mask in
   let start = Array.make (mask + 2) 0 in
-  Array.iter
-    (fun a ->
-      let k = digit a + 1 in
-      start.(k) <- start.(k) + 1)
-    src_a;
+  for j = 0 to n - 1 do
+    let k = digit src_a.(j) + 1 in
+    start.(k) <- start.(k) + 1
+  done;
   for k = 1 to mask + 1 do
     start.(k) <- start.(k) + start.(k - 1)
   done;
-  Array.iteri
-    (fun j a ->
-      let k = digit a in
-      dst_a.(start.(k)) <- a;
-      dst_v.(start.(k)) <- src_v.(j);
-      start.(k) <- start.(k) + 1)
-    src_a
+  for j = 0 to n - 1 do
+    let a = src_a.(j) in
+    let k = digit a in
+    dst_a.(start.(k)) <- a;
+    dst_v.(start.(k)) <- src_v.(j);
+    start.(k) <- start.(k) + 1
+  done
 
-(* Write-back of a coalesced index in ascending line order.  Hashtbl
+(* Write-back of a coalesced table in ascending line order.  Insertion
    order scatters a line's cells over the whole pass, so storing every
    cell and then flushing every cell issues one clwb per cell, writes
    the lines in random order (the random-write rate, not the sequential
@@ -536,20 +681,17 @@ let line_digit_pass ~lo ~shift ~mask src_a src_v dst_a dst_v =
    ascending stream: a line's cells are stored, then the line is
    flushed once.  The sort is a two-pass LSD radix on the offset from
    the lowest live line, each digit half the offset's bit width: linear
-   in the live set, no comparisons. *)
-let apply_collected pm index =
-  let n = Hashtbl.length index in
-  let addr = Array.make n 0 and value = Array.make n 0 in
-  let lo = ref max_int and hi = ref 0 and i = ref 0 in
-  Hashtbl.iter
-    (fun a (v, _) ->
-      addr.(!i) <- a;
-      value.(!i) <- v;
-      incr i;
-      let l = Addr.line_index a in
-      if l < !lo then lo := l;
-      if l > !hi then hi := l)
-    index;
+   in the live set, no comparisons.  It runs on the table's own dense
+   arrays, through one pair of temporary arrays, which leaves the probe
+   table stale — hence the table is cleared afterwards. *)
+let apply_collected pm (index : Lww.t) =
+  let n = index.n and addr = index.addr and value = index.value in
+  let lo = ref max_int and hi = ref 0 in
+  for j = 0 to n - 1 do
+    let l = Addr.line_index addr.(j) in
+    if l < !lo then lo := l;
+    if l > !hi then hi := l
+  done;
   if n > 1 then begin
     let bits = ref 1 in
     while (!hi - !lo) lsr !bits > 0 do
@@ -558,15 +700,16 @@ let apply_collected pm index =
     let half = (!bits + 1) / 2 in
     let mask = (1 lsl half) - 1 in
     let addr' = Array.make n 0 and value' = Array.make n 0 in
-    line_digit_pass ~lo:!lo ~shift:0 ~mask addr value addr' value';
-    line_digit_pass ~lo:!lo ~shift:half ~mask addr' value' addr value
+    line_digit_pass ~n ~lo:!lo ~shift:0 ~mask addr value addr' value';
+    line_digit_pass ~n ~lo:!lo ~shift:half ~mask addr' value' addr value
   end;
   for j = 0 to n - 1 do
     Pmem.store_int pm addr.(j) value.(j);
     if j = n - 1 || Addr.line_index addr.(j + 1) <> Addr.line_index addr.(j)
     then Pmem.clwb pm addr.(j)
   done;
-  Pmem.sfence pm
+  Pmem.sfence pm;
+  Lww.clear index
 
 let attach heap ~tail =
   let head_slot = tail.scan_slot and block_bytes = tail.scan_block_bytes in
@@ -642,13 +785,11 @@ let append_page_record ?(fence = false) t ~timestamp ~page_base =
   t.pos <- meta + meta_bytes + size;
   Pmem.store_int t.pm t.pos 0;
   (* folded in stream order [size; ts; tag; base; a0; v0; ...] — the
-     same word sequence [record_checksum] sees when scanning *)
+     same word sequence [walk_entries] folds when scanning *)
   let crc =
     ref
       (Checksum.crc32c_word
-         (Checksum.crc32c_word
-            (Checksum.crc32c_word (Checksum.crc32c_word 0 size) timestamp)
-            page_tag)
+         (Checksum.crc32c_word (meta_crc ~size ~ts:timestamp) page_tag)
          page_base)
   in
   for w = 0 to (Addr.page_size / 8) - 1 do
@@ -738,19 +879,18 @@ let compact t =
   assert (not (has_open_record t));
   assert (t.n_tent = 0);
   (* freshest surviving (value, commit timestamp) per datum *)
-  let freshest : (Addr.t, int * int) Hashtbl.t = Hashtbl.create 256 in
+  let freshest = Lww.create () in
   let records = ref 0 and scanned = ref 0 in
   let _, _, _ =
     scan_records t.pm ~block_bytes:t.block_bytes ~head:t.head_block
-      ~f:(fun ~ts entries ->
+      ~f:(fun ~ts addrs vals n ->
         incr records;
-        Array.iter
-          (fun (tgt, v) ->
-            incr scanned;
-            Hashtbl.replace freshest tgt (v, ts))
-          entries)
+        scanned := !scanned + n;
+        for i = 0 to n - 1 do
+          Lww.add freshest addrs.(i) ~value:vals.(i) ~ts
+        done)
   in
-  let live = Hashtbl.length freshest in
+  let live = Lww.length freshest in
   let old_blocks = t.blocks in
   (* Build the replacement chain.  Each entry must keep the timestamp of
      the record it came from: collapsing everything into one record
@@ -760,30 +900,32 @@ let compact t =
      thread B's fresher x@ts2.  So the compacted output is one record per
      contributing timestamp, committed in ascending timestamp order (the
      scan order of the new chain then agrees with the timestamp order,
-     as required of any single log). *)
-  let by_ts : (int, (Addr.t * int) list ref) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun tgt (v, ts) ->
-      match Hashtbl.find_opt by_ts ts with
-      | Some l -> l := (tgt, v) :: !l
-      | None -> Hashtbl.add by_ts ts (ref [ (tgt, v) ]))
-    freshest;
-  let timestamps =
-    List.sort compare (Hashtbl.fold (fun ts _ acc -> ts :: acc) by_ts [])
-  in
+     as required of any single log), its entries in ascending address
+     order — so the compacted bytes depend on the log alone, not on the
+     table's layout. *)
+  let { Lww.addr; value; ts; _ } = freshest in
+  let order = Array.init live Fun.id in
+  Array.sort
+    (fun i j ->
+      let c = Int.compare ts.(i) ts.(j) in
+      if c <> 0 then c else Int.compare addr.(i) addr.(j))
+    order;
   let b0 = alloc_block t in
   let t2 = mk t.heap ~head_slot:t.head_slot ~block_bytes:t.block_bytes b0 in
   if live > 0 then begin
-    List.iter
-      (fun ts ->
-        begin_record t2;
-        List.iter
-          (fun (tgt, v) -> ignore (add_entry t2 ~target:tgt ~value:v))
-          !(Hashtbl.find by_ts ts);
-        (* flushes are persistent on WPQ acceptance; one fence after the
-           last record covers the whole new chain *)
-        commit_record t2 ~timestamp:ts ~fence:false)
-      timestamps;
+    let k = ref 0 in
+    while !k < live do
+      let stamp = ts.(order.(!k)) in
+      begin_record t2;
+      while !k < live && ts.(order.(!k)) = stamp do
+        let p = order.(!k) in
+        ignore (add_entry t2 ~target:addr.(p) ~value:value.(p));
+        incr k
+      done;
+      (* flushes are persistent on WPQ acceptance; one fence after the
+         last record covers the whole new chain *)
+      commit_record t2 ~timestamp:stamp ~fence:false
+    done;
     Pmem.sfence t.pm (* fence #1 *)
   end
   else begin

@@ -122,41 +122,77 @@ val recover_scan :
   Pmem.t ->
   head_slot:int ->
   block_bytes:int ->
-  f:(ts:int -> (Addr.t * int) array -> unit) ->
+  f:(ts:int -> Addr.t array -> int array -> int -> unit) ->
   int * tail
 (** Walk the valid record prefix from the head pointer, oldest first,
-    calling [f] per record; returns the largest timestamp seen (0 if
+    calling [f ~ts addrs vals n] per record: entry [i < n] of the record
+    with timestamp [ts] stores [vals.(i)] to [addrs.(i)], in log order.
+    The two arrays are the scan's reusable buffer — the next record
+    overwrites them and they may hold stale cells past [n] — so they are
+    valid only during the call; a caller that keeps a record copies it
+    ([Array.sub addrs 0 n]).  Returns the largest timestamp seen (0 if
     none) and the {!tail} where the prefix ends, for {!attach}.  Stops
     at the first checksum mismatch — later records are by construction
     uncommitted — and at the first record whose timestamp does not
     exceed every earlier one (a stale record in a recycled block; see
     the module preamble).  A log that is scanned only to be reattached
-    passes an [f] that ignores its records. *)
+    passes an [f] that ignores its records.  The walk allocates only
+    the buffer, which grows by doubling to the largest record. *)
+
+(** Last-writer-wins table: a map from cell address to the newest
+    [(value, timestamp)] fed to it, the volatile index with which
+    recovery coalesces a log and reclamation finds its fresh records
+    (Sections 4.1 and 4.2).  Flat: three dense int arrays in first-insert
+    order plus an open-addressing probe table, so neither a lookup nor a
+    replacement allocates; memory is O(live cells), not O(entries). *)
+module Lww : sig
+  type t
+
+  val create : unit -> t
+  (** An empty table. *)
+
+  val add : t -> Addr.t -> value:int -> ts:int -> unit
+  (** Bind [value] at timestamp [ts] to a cell, replacing the existing
+      binding iff [ts] is at least as new ([>=]): among entries with
+      equal timestamps the last one added wins. *)
+
+  val length : t -> int
+  (** Number of cells bound. *)
+
+  val find : t -> Addr.t -> (int * int) option
+  (** The cell's [(value, timestamp)], if bound. *)
+
+  val iter : t -> (Addr.t -> value:int -> ts:int -> unit) -> unit
+  (** Every binding, in the order the cells were first added. *)
+end
 
 val recover_collect :
   Pmem.t ->
   head_slot:int ->
   block_bytes:int ->
-  index:(Addr.t, int * int) Hashtbl.t ->
+  index:Lww.t ->
   int * int * int * tail
-(** Coalescing scan: one walk over the valid record prefix folds every
-    entry into [index], a last-writer-wins map from cell address to
-    [(value, commit timestamp)].  An entry replaces an
-    existing binding iff its timestamp is at least as new, so feeding
-    several per-thread logs through the same [index] merges them by
-    global timestamp (timestamps are globally unique across logs sharing
-    a counter).  Returns [(max_ts, records_scanned, entries_scanned,
-    tail)], the {!tail} being this log's, for {!attach}.  Unlike
-    {!recover_scan} + replay, {!apply_collected} writes each live cell
-    exactly once — recovery work becomes O(live set), not O(log). *)
+(** Coalescing scan: one walk over the valid record prefix (the walk of
+    {!recover_scan}) folds every entry into [index] with {!Lww.add}, so
+    an entry replaces an existing binding iff its timestamp is at least
+    as new.  Feeding several per-thread logs through the same [index]
+    merges them by global timestamp (timestamps are globally unique
+    across logs sharing a counter).  Returns [(max_ts, records_scanned,
+    entries_scanned, tail)], the {!tail} being this log's, for
+    {!attach}.  The scan still reads the whole valid prefix — O(log)
+    loads — but {!apply_collected} then writes each live cell exactly
+    once: the data writes are O(live set), where {!recover_scan} plus
+    replay writes every entry. *)
 
-val apply_collected : Pmem.t -> (Addr.t, int * int) Hashtbl.t -> unit
-(** Write an index built by {!recover_collect} back in place, in
+val apply_collected : Pmem.t -> Lww.t -> unit
+(** Write a table built by {!recover_collect} back in place, in
     ascending cache-line order: each line's live cells are stored, then
     the line is flushed once, and one fence ends the pass.  The order
-    comes from a linear-time radix sort on the line index, so adjacent
-    restored lines drain as one sequential stream.  Persists nothing
-    else; a crash part-way is repaired by recovering again. *)
+    comes from a linear-time radix sort on the line index of the
+    table's own arrays, so adjacent restored lines drain as one
+    sequential stream.  Consumes the table: it is empty afterwards
+    (read {!Lww.length} first).  Persists nothing else; a crash part-way
+    is repaired by recovering again. *)
 
 (** {1 Reclamation} *)
 
@@ -169,13 +205,17 @@ type compact_stats = {
 }
 
 val compact : t -> compact_stats
-(** Reclaim stale records: copy the freshest entry of every datum into new
-    blocks, atomically switch the head pointer, free old blocks.  Each
-    surviving entry keeps the timestamp of the record it came from — the
-    compacted output is one record per contributing timestamp, in
-    ascending order — so replaying this log interleaved with others in
-    global timestamp order (Section 5.2.2) remains correct.  Must not be
-    called while a record is open. *)
+(** Reclaim stale records: one walk of the log (the walk of
+    {!recover_scan}) folds it into a {!Lww} table, then the freshest
+    entry of every datum is copied into new blocks, the head pointer is
+    switched atomically, and the old blocks are freed.  Each surviving
+    entry keeps the timestamp of the record it came from — the compacted
+    output is one record per contributing timestamp, in ascending order
+    — so replaying this log interleaved with others in global timestamp
+    order (Section 5.2.2) remains correct.  Within a record the entries
+    are in ascending address order, so the compacted bytes are a
+    function of the log's content alone.  Must not be called while a
+    record is open. *)
 
 val reset : t -> unit
 (** Durably empty the log: persist an end-of-log sentinel at the head

@@ -706,7 +706,7 @@ let spec_image () =
 let spec_tail pm =
   snd
     (Log_arena.recover_scan pm ~head_slot:Slots.spec_head ~block_bytes:256
-       ~f:(fun ~ts:_ _ -> ()))
+       ~f:(fun ~ts:_ _ _ _ -> ()))
 
 let events_of pm f =
   let before = Pmem.events pm in
@@ -752,7 +752,7 @@ let test_recovery_walks_each_log_once () =
   let pm2, heap2, _, _ = spec_image () in
   Pmem.crash pm1;
   Pmem.crash pm2;
-  let index = Hashtbl.create 16 in
+  let index = Log_arena.Lww.create () in
   let tail = ref None in
   let collect =
     stats_of pm2 (fun () ->
@@ -769,7 +769,9 @@ let test_recovery_walks_each_log_once () =
   Alcotest.(check int) "loads = one collect walk + one per chained block"
     (collect.Stats.loads + blocks) recovery.Stats.loads;
   (* the one clwb beyond the restored lines is attach's sentinel *)
-  let lines = line_count (Hashtbl.fold (fun a _ acc -> a :: acc) index []) in
+  let live = ref [] in
+  Log_arena.Lww.iter index (fun a ~value:_ ~ts:_ -> live := a :: !live);
+  let lines = line_count !live in
   Alcotest.(check bool) "the live cells span several lines" true (lines > 1);
   Alcotest.(check int) "one clwb per restored line" (lines + 1)
     recovery.Stats.clwbs

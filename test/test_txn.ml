@@ -290,17 +290,22 @@ let test_reset_history_independent () =
 
 (* log arena *)
 
+(* a scanned record's entries, copied out of the scan buffer *)
+let entries addrs vals n = List.init n (fun i -> (addrs.(i), vals.(i)))
+
 let scan_all pm =
   let recs = ref [] in
   let _ =
-    Log_arena.recover_scan pm ~head_slot ~block_bytes:bb ~f:(fun ~ts e ->
-        recs := (ts, Array.to_list e) :: !recs)
+    Log_arena.recover_scan pm ~head_slot ~block_bytes:bb
+      ~f:(fun ~ts addrs vals n -> recs := (ts, entries addrs vals n) :: !recs)
   in
   List.rev !recs
 
 (* the tail a recovery scan of the test log ends at, for [attach] *)
 let tail_of pm =
-  snd (Log_arena.recover_scan pm ~head_slot ~block_bytes:bb ~f:(fun ~ts:_ _ -> ()))
+  snd
+    (Log_arena.recover_scan pm ~head_slot ~block_bytes:bb
+       ~f:(fun ~ts:_ _ _ _ -> ()))
 
 let test_arena_commit_and_scan () =
   let pm, _, a = mk_arena () in
@@ -484,22 +489,25 @@ let test_compact_is_crash_atomic () =
    global timestamp order (Section 5.2.2) *)
 let test_compact_preserves_timestamps () =
   let pm, _, a = mk_arena () in
+  (* ts 1 holds several cells, written out of address order; within a
+     compacted record the survivors come out in ascending address order,
+     whatever the order they were written or hashed in *)
   Log_arena.begin_record a;
-  ignore (Log_arena.add_entry a ~target:8 ~value:1);
-  ignore (Log_arena.add_entry a ~target:16 ~value:10);
+  List.iter
+    (fun c -> ignore (Log_arena.add_entry a ~target:c ~value:(c + 1)))
+    [ 40; 16; 48; 8; 32; 24 ];
   Log_arena.commit_record a ~timestamp:1;
   Log_arena.begin_record a;
   ignore (Log_arena.add_entry a ~target:8 ~value:2);
   Log_arena.commit_record a ~timestamp:2;
   ignore (Log_arena.compact a);
-  let recs = ref [] in
-  ignore
-    (Log_arena.recover_scan pm ~head_slot ~block_bytes:bb ~f:(fun ~ts e ->
-         recs := (ts, Array.to_list e) :: !recs));
   Alcotest.(check (list (pair int (list (pair int int)))))
-    "one record per surviving timestamp, ascending"
-    [ (1, [ (16, 10) ]); (2, [ (8, 2) ]) ]
-    (List.rev !recs)
+    "one record per surviving timestamp, ascending, cells ascending"
+    [
+      (1, [ (16, 17); (24, 25); (32, 33); (40, 41); (48, 49) ]);
+      (2, [ (8, 2) ]);
+    ]
+    (scan_all pm)
 
 (* coalescing scan *)
 
@@ -516,18 +524,208 @@ let test_recover_collect_last_writer_wins () =
   Log_arena.begin_record a;
   ignore (Log_arena.add_entry a ~target:16 ~value:666);
   Pmem.crash pm;
-  let index = Hashtbl.create 8 in
+  let index = Log_arena.Lww.create () in
   let max_ts, records, entries, _ =
     Log_arena.recover_collect pm ~head_slot ~block_bytes:bb ~index
   in
   Alcotest.(check int) "max ts" 2 max_ts;
   Alcotest.(check int) "records scanned" 2 records;
   Alcotest.(check int) "entries scanned" 3 entries;
-  Alcotest.(check int) "index holds live set" 2 (Hashtbl.length index);
-  Alcotest.(check (pair int int))
-    "freshest write wins" (2, 2) (Hashtbl.find index 8);
-  Alcotest.(check (pair int int))
-    "old but live survives" (10, 1) (Hashtbl.find index 16)
+  Alcotest.(check int) "index holds live set" 2 (Log_arena.Lww.length index);
+  Alcotest.(check (option (pair int int)))
+    "freshest write wins" (Some (2, 2)) (Log_arena.Lww.find index 8);
+  Alcotest.(check (option (pair int int)))
+    "old but live survives" (Some (10, 1)) (Log_arena.Lww.find index 16)
+
+(* last-writer-wins table *)
+
+module Int_map = Map.Make (Int)
+
+(* An add stream in the shapes a log feeds the table: long ascending runs
+   of cells, power-of-two strides, one cell repeated at one timestamp,
+   and scattered cells; timestamps come from a small range, so equal
+   timestamps are common.  Streams run to thousands of cells, doubling
+   the table many times over. *)
+let lww_stream_arb =
+  let open QCheck.Gen in
+  let ts = int_bound 20 in
+  let run =
+    map3
+      (fun base len ts -> List.init len (fun i -> (8 * (base + i), ts)))
+      (int_bound 100_000) (int_range 1 600) ts
+  and stride =
+    map3
+      (fun (base, k) len ts ->
+        List.init len (fun i -> (8 * (base + (i lsl k)), ts)))
+      (pair (int_bound 100_000) (int_range 1 12))
+      (int_range 1 200) ts
+  and dup =
+    map3 (fun c n ts -> List.init n (fun _ -> (8 * c, ts))) (int_bound 5_000)
+      (int_range 2 6) ts
+  and scatter = list_size (int_range 1 100) (pair (map (( * ) 8) (int_bound 5_000)) ts) in
+  let stream =
+    map
+      (fun segs -> List.mapi (fun v (a, ts) -> (a, v, ts)) (List.concat segs))
+      (list_size (int_range 1 12) (oneof [ run; stride; dup; scatter ]))
+  in
+  QCheck.make ~print:(fun l -> Printf.sprintf "<%d adds>" (List.length l)) stream
+
+let lww_bindings t =
+  let l = ref [] in
+  Log_arena.Lww.iter t (fun a ~value ~ts -> l := (a, (value, ts)) :: !l);
+  List.rev !l
+
+let prop_lww_model =
+  QCheck.Test.make ~name:"Lww table = Map model" ~count:60 lww_stream_arb
+    (fun adds ->
+      let t = Log_arena.Lww.create () in
+      (* model: cell -> (value, ts) under the [>=] rule; [order] holds
+         the cells newest-first-inserted first *)
+      let model, order =
+        List.fold_left
+          (fun (m, order) (a, v, ts) ->
+            Log_arena.Lww.add t a ~value:v ~ts;
+            match Int_map.find_opt a m with
+            | Some (_, ts') when ts < ts' -> (m, order)
+            | Some _ -> (Int_map.add a (v, ts) m, order)
+            | None -> (Int_map.add a (v, ts) m, a :: order))
+          (Int_map.empty, []) adds
+      in
+      let expect = List.rev_map (fun a -> (a, Int_map.find a model)) order in
+      Log_arena.Lww.length t = Int_map.cardinal model
+      && lww_bindings t = expect
+      && List.for_all
+           (fun (a, b) -> Log_arena.Lww.find t a = Some b)
+           expect
+      && Log_arena.Lww.find t (-8) = None
+      && Log_arena.Lww.find t (8 * 200_000) = None)
+
+(* two logs sharing one timestamp counter, collected into one table, read
+   back as the newest write of every cell in global timestamp order —
+   whichever log is fed first *)
+let prop_collect_merges_logs =
+  QCheck.Test.make ~name:"recover_collect merges two logs by timestamp"
+    ~count:60
+    QCheck.(
+      list_of_size Gen.(1 -- 30)
+        (pair bool
+           (list_of_size Gen.(1 -- 8) (pair (int_bound 60) (int_bound 100000)))))
+    (fun txs ->
+      let pm, heap = mk () in
+      let arena = Array.init 2 (fun i ->
+          Log_arena.create heap ~head_slot:(head_slot + i) ~block_bytes:bb)
+      in
+      List.iteri
+        (fun i (second, entries) ->
+          let a = arena.(Bool.to_int second) in
+          Log_arena.begin_record a;
+          List.iter
+            (fun (c, v) ->
+              ignore (Log_arena.add_entry a ~target:(8 * (c + 1)) ~value:v))
+            entries;
+          Log_arena.commit_record a ~timestamp:(i + 1))
+        txs;
+      Pmem.crash pm;
+      let index = Log_arena.Lww.create () in
+      let collect i =
+        let max_ts, records, scanned, _ =
+          Log_arena.recover_collect pm ~head_slot:(head_slot + i)
+            ~block_bytes:bb ~index
+        in
+        (max_ts, records, scanned)
+      in
+      let ts1, r1, e1 = collect 1 and ts0, r0, e0 = collect 0 in
+      let model =
+        List.fold_left
+          (fun (m, i) (_, entries) ->
+            ( List.fold_left
+                (fun m (c, v) -> Int_map.add (8 * (c + 1)) (v, i) m)
+                m entries,
+              i + 1 ))
+          (Int_map.empty, 1) txs
+        |> fst
+      in
+      max ts0 ts1 = List.length txs
+      && r0 + r1 = List.length txs
+      && e0 + e1 = List.fold_left (fun n (_, es) -> n + List.length es) 0 txs
+      && List.sort compare (lww_bindings index) = Int_map.bindings model)
+
+(* Walk budget: minor words the shared log walk allocates, on a fixed log
+   of 2,000 eight-entry records over 4,096 cells.  The walk copies
+   entries into a reused flat buffer and folds them into a flat table,
+   so what remains is the device's own charge per load, table growth and
+   the compacted chain's appends. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let budget_log () =
+  let pm = Pmem.create { Config.small with mem_size = 4 * 1024 * 1024 } in
+  let heap = Heap.create pm in
+  let a = Log_arena.create heap ~head_slot ~block_bytes:4096 in
+  let cells = 4096 in
+  let base = Heap.alloc heap (cells * 8) in
+  for r = 0 to 1999 do
+    Log_arena.begin_record a;
+    for i = 0 to 7 do
+      (* 389 is coprime to 4,096: every cell is hit, in scattered order *)
+      let c = ((r * 8) + i) * 389 mod cells in
+      ignore (Log_arena.add_entry a ~target:(base + (c * 8)) ~value:r)
+    done;
+    Log_arena.commit_record a ~timestamp:(r + 1)
+  done;
+  (pm, a)
+
+let budget_entries = 2000 * 8
+
+let test_walk_budget_collect () =
+  let pm, _ = budget_log () in
+  Pmem.crash pm;
+  let index = Log_arena.Lww.create () in
+  let scanned = ref 0 in
+  let words =
+    minor_words_of (fun () ->
+        let _, _, e, _ =
+          Log_arena.recover_collect pm ~head_slot ~block_bytes:4096 ~index
+        in
+        scanned := e)
+  in
+  Alcotest.(check int) "every entry scanned" budget_entries !scanned;
+  Alcotest.(check int) "every cell live" 4096 (Log_arena.Lww.length index);
+  let per_entry = words /. float_of_int budget_entries in
+  if per_entry > 10.0 then
+    Alcotest.failf "recover_collect: %.1f minor words per entry (budget 10)"
+      per_entry
+
+let test_walk_budget_compact () =
+  let _, a = budget_log () in
+  let st = ref None in
+  let words = minor_words_of (fun () -> st := Some (Log_arena.compact a)) in
+  let st = Option.get !st in
+  Alcotest.(check int) "every entry scanned" budget_entries
+    st.Log_arena.entries_scanned;
+  Alcotest.(check int) "every cell live" 4096 st.Log_arena.entries_live;
+  let per_entry = words /. float_of_int budget_entries in
+  if per_entry > 24.0 then
+    Alcotest.failf "compact: %.1f minor words per scanned entry (budget 24)"
+      per_entry
+
+let test_walk_budget_load () =
+  let pm, _ = budget_log () in
+  let n = 100_000 in
+  let loads () =
+    for i = 0 to n - 1 do
+      ignore (Pmem.load_int pm (8 * (i land 4095)))
+    done
+  in
+  loads ();
+  (* the measurement's own boxed floats, counted once and taken off *)
+  let overhead = minor_words_of (fun () -> ()) in
+  let per_load = (minor_words_of loads -. overhead) /. float_of_int n in
+  if per_load > 2.0 then
+    Alcotest.failf "Pmem.load_int: %.2f minor words per call (budget 2)"
+      per_load
 
 (* Append one-entry records (24 B meta + one 16 B entry) stamped [ts0],
    [ts0 + 1], ... until the next record would have to start a new block.
@@ -571,14 +769,14 @@ let test_scan_stops_at_stale_recycled_record () =
   let expect = List.init 12 (fun r -> (10 + r, [ (8 * (r + 1), 10 + r) ])) in
   Alcotest.(check (list (pair int (list (pair int int)))))
     "recover_scan stops before the stale records" expect (scan_all pm);
-  let index = Hashtbl.create 16 in
+  let index = Log_arena.Lww.create () in
   let max_ts, records, _, tail =
     Log_arena.recover_collect pm ~head_slot ~block_bytes:bb ~index
   in
   Alcotest.(check (pair int int)) "recover_collect stops too" (21, 12)
     (max_ts, records);
-  Alcotest.(check (pair int int)) "cell 8 keeps its newest value" (10, 10)
-    (Hashtbl.find index 8);
+  Alcotest.(check (option (pair int int))) "cell 8 keeps its newest value"
+    (Some (10, 10)) (Log_arena.Lww.find index 8);
   (* attach resumes right after ts 21, not after the stale records *)
   let a = Log_arena.attach heap ~tail in
   Log_arena.begin_record a;
@@ -620,7 +818,7 @@ let test_scan_cyclic_chain_terminates () =
   Alcotest.(check int) "no record in a skip-marker cycle" 0
     (fst
        (Log_arena.recover_scan pm ~head_slot:skip_slot ~block_bytes:bb
-          ~f:(fun ~ts:_ _ -> incr n)));
+          ~f:(fun ~ts:_ _ _ _ -> incr n)));
   Alcotest.(check int) "nothing replayed" 0 !n
 
 (* a torn [reset] must never leave a scannable record prefix: the caller
@@ -660,8 +858,9 @@ let test_reset_crash_atomic () =
     let scan_all () =
       let recs = ref [] in
       ignore
-        (Log_arena.recover_scan pm ~head_slot ~block_bytes:bb ~f:(fun ~ts e ->
-             recs := (ts, Array.to_list e) :: !recs));
+        (Log_arena.recover_scan pm ~head_slot ~block_bytes:bb
+           ~f:(fun ~ts addrs vals n ->
+             recs := (ts, entries addrs vals n) :: !recs));
       List.rev !recs
     in
     let full = freshest (scan_all ()) in
@@ -721,18 +920,18 @@ let test_page_record_roundtrip () =
   Pmem.crash pm;
   let records = ref [] in
   let _ =
-    Log_arena.recover_scan pm ~head_slot ~block_bytes:8192 ~f:(fun ~ts e ->
-        records := (ts, e) :: !records)
+    Log_arena.recover_scan pm ~head_slot ~block_bytes:8192
+      ~f:(fun ~ts addrs vals n -> records := (ts, entries addrs vals n) :: !records)
   in
   match List.rev !records with
   | [ (4, page_entries); (6, tail) ] ->
-      Alcotest.(check int) "512 words" 512 (Array.length page_entries);
-      Array.iteri
+      Alcotest.(check int) "512 words" 512 (List.length page_entries);
+      List.iteri
         (fun w (tgt, v) ->
           assert (tgt = page + (w * 8));
           assert (v = w * 3))
         page_entries;
-      Alcotest.(check (pair int int)) "tail record" (64, 5) tail.(0)
+      Alcotest.(check (list (pair int int))) "tail record" [ (64, 5) ] tail
   | l -> Alcotest.failf "expected 2 records, got %d" (List.length l)
 
 let test_page_record_chains_when_full () =
@@ -752,7 +951,7 @@ let test_page_record_chains_when_full () =
   Pmem.crash pm;
   let n = ref 0 in
   let _ = Log_arena.recover_scan pm ~head_slot ~block_bytes:8192
-      ~f:(fun ~ts:_ _ -> incr n) in
+      ~f:(fun ~ts:_ _ _ _ -> incr n) in
   Alcotest.(check int) "all three records scan across the chain" 3 !n
 
 (* seal + drop_prefix (epoch reclamation machinery) *)
@@ -769,7 +968,7 @@ let test_seal_and_drop_prefix () =
   Pmem.crash pm;
   let seen = ref [] in
   let _ = Log_arena.recover_scan pm ~head_slot ~block_bytes:bb
-      ~f:(fun ~ts _ -> seen := ts :: !seen) in
+      ~f:(fun ~ts _ _ _ -> seen := ts :: !seen) in
   (* the second fill stamped 1..3 again; only those survive the drop *)
   Alcotest.(check (list int)) "only the records after the boundary"
     [ 3; 2; 1 ] !seen
@@ -793,8 +992,8 @@ let test_attach_sentinel_second_crash () =
   let scan_ts pm =
     let seen = ref [] in
     let _, tail =
-      Log_arena.recover_scan pm ~head_slot ~block_bytes:bb ~f:(fun ~ts _ ->
-          seen := ts :: !seen)
+      Log_arena.recover_scan pm ~head_slot ~block_bytes:bb
+        ~f:(fun ~ts _ _ _ -> seen := ts :: !seen)
     in
     (List.rev !seen, tail)
   in
@@ -997,7 +1196,7 @@ let prop_crash_prefix =
       let seen = ref [] in
       let _ =
         Log_arena.recover_scan pm ~head_slot ~block_bytes:bb
-          ~f:(fun ~ts _ -> seen := ts :: !seen)
+          ~f:(fun ~ts _ _ _ -> seen := ts :: !seen)
       in
       let seen = List.rev !seen in
       (* must be exactly 1..k for some k in {committed, committed+1} *)
@@ -1127,5 +1326,19 @@ let () =
             test_attach_sentinel_second_crash;
           QCheck_alcotest.to_alcotest prop_arena_roundtrip;
           QCheck_alcotest.to_alcotest prop_crash_prefix;
+        ] );
+      ( "lww table",
+        [
+          QCheck_alcotest.to_alcotest prop_lww_model;
+          QCheck_alcotest.to_alcotest prop_collect_merges_logs;
+        ] );
+      ( "walk budget",
+        [
+          Alcotest.test_case "recover_collect <= 10 words/entry" `Quick
+            test_walk_budget_collect;
+          Alcotest.test_case "compact <= 24 words/scanned entry" `Quick
+            test_walk_budget_compact;
+          Alcotest.test_case "Pmem.load_int <= 2 words/call" `Quick
+            test_walk_budget_load;
         ] );
     ]
