@@ -60,40 +60,26 @@ let record ((_, _, cs) as k) m =
     recorded := (cs, m) :: !recorded
   end
 
-(* Rows of the recovery sweep (`recovery-sweep`); they are
-   not workload measurements, so they ride in their own additive
-   top-level key rather than in [results]. *)
-let sweep_rows : Json.t list ref = ref []
+(* Additive top-level sections beside [results], in report order, each
+   filled by one experiment: recovery-sweep, svc, svc-scale (one
+   Dataplane report per domain count), ycsb and scan.  A section is the
+   list of its rows, except [ycsb]: its rows are the named invariant /
+   modelled / measured parts of one object — the invariant part must be
+   byte-identical across --jobs and domain counts (CI diffs it). *)
+let sections = [ "recovery_sweep"; "svc"; "svc_scale"; "ycsb"; "scan" ]
+let section_rows : (string * Json.t) list ref = ref []
 
-let record_sweep row =
-  if !json_path <> None then sweep_rows := row :: !sweep_rows
+let record_in key row =
+  if !json_path <> None then section_rows := (key, row) :: !section_rows
 
-(* Rows of the service-layer experiment (`svc`) — like the recovery
-   sweep, an additive top-level key, no schema bump. *)
-let svc_rows : Json.t list ref = ref []
-
-let record_svc row = if !json_path <> None then svc_rows := row :: !svc_rows
-
-(* Rows of the data-plane domain sweep (`svc-scale`) — one Dataplane
-   report per domain count, additive `svc_scale` top-level key. *)
-let svc_scale_rows : Json.t list ref = ref []
-
-let record_svc_scale row =
-  if !json_path <> None then svc_scale_rows := row :: !svc_scale_rows
-
-(* Sections of the open-loop YCSB experiment (`ycsb`) — additive `ycsb`
-   top-level key split invariant / modelled / measured: the invariant
-   half must be byte-identical across --jobs and domain counts (CI diffs
-   it); modelled is simulated-time performance; measured is wall clock. *)
-let ycsb_sections : (string * Json.t) list ref = ref []
-
-let record_ycsb k v =
-  if !json_path <> None then ycsb_sections := (k, v) :: !ycsb_sections
-
-(* Rows of the ordered-index scan experiment (`scan`) — additive `scan`
-   top-level key, no schema bump. *)
-let scan_rows : Json.t list ref = ref []
-let record_scan row = if !json_path <> None then scan_rows := row :: !scan_rows
+let section key =
+  let mine (k, row) = if k = key then Some row else None in
+  match List.filter_map mine (List.rev !section_rows) with
+  | [] -> []
+  | parts when key = "ycsb" ->
+      let fields = function Json.Obj kv -> kv | _ -> [] in
+      [ (key, Json.Obj (List.concat_map fields parts)) ]
+  | rows -> [ (key, Json.List rows) ]
 
 let write_json_report ~wall_s path =
   let seen = Hashtbl.create 64 in
@@ -120,16 +106,7 @@ let write_json_report ~wall_s path =
           ("scale", Json.Str (scale_name ()));
           ("results", Json.List results);
         ]
-       @ (if !sweep_rows = [] then []
-          else [ ("recovery_sweep", Json.List (List.rev !sweep_rows)) ])
-       @ (if !svc_rows = [] then []
-          else [ ("svc", Json.List (List.rev !svc_rows)) ])
-       @ (if !svc_scale_rows = [] then []
-          else [ ("svc_scale", Json.List (List.rev !svc_scale_rows)) ])
-       @ (if !ycsb_sections = [] then []
-          else [ ("ycsb", Json.Obj (List.rev !ycsb_sections)) ])
-       @ (if !scan_rows = [] then []
-          else [ ("scan", Json.List (List.rev !scan_rows)) ])
+       @ List.concat_map section sections
        (* additive harness-timing key: wall-clock of the selected
           experiments, the denominator of the --jobs speedup *)
        @ [ ("wall_s", Json.Float wall_s) ]));
@@ -836,7 +813,7 @@ let recovery_case ~cells ~rounds ~mode =
 
 let sweep_row ~experiment ~mode ~cells ~rounds
     (log_kib, ns, writes, scanned) =
-  record_sweep
+  record_in "recovery_sweep"
     (Json.Obj
        [
          ("experiment", Json.Str experiment);
@@ -948,7 +925,7 @@ let svc () =
   let reports = Par.map_list ~jobs:(max 1 !jobs) run_one [ 1; 2; 4; 8; 16 ] in
   List.iter2
     (fun batch_max r ->
-      record_svc (Svc.Openloop.report_to_json r);
+      record_in "svc" (Svc.Openloop.report_to_json r);
       let q p = Obs.Hist.quantile r.latency p in
       Printf.printf "%-6d %14.3f %10d %10d %10d %10.1f %10d\n" batch_max
         (fences_per_write r) (q 0.5) (q 0.9) (q 0.99)
@@ -1028,7 +1005,7 @@ let svc_scale () =
         in
         let plane = Svc.Dataplane.create heap cfg in
         let r = Svc.Dataplane.run plane stream in
-        record_svc_scale (Svc.Dataplane.report_to_json cfg r);
+        record_in "svc_scale" (Svc.Dataplane.report_to_json cfg r);
         (domains, r))
       domain_counts
   in
@@ -1089,6 +1066,7 @@ let ycsb () =
   let stream_of mix =
     Svc.Scenario.op_stream (Svc.Scenario.spec mix) ~ops ~keys ~seed
   in
+  let record_part name j = record_in "ycsb" (Json.Obj [ (name, j) ]) in
   let run_open ~rate stream =
     Obs.Metrics.reset_all ();
     let pm = Pmem.create ~seed Pmem_config.default in
@@ -1258,7 +1236,7 @@ let ycsb () =
     (per e_off.span_ns e_off) (per wall_off e_off) l_off;
   Printf.printf "  on:  %8.1f sim ns/op  %8.0f host ns/op  %9d loads\n"
     (per e_on.span_ns e_on) (per wall_on e_on) l_on;
-  record_ycsb "invariant"
+  record_part "invariant"
     (Json.Obj
        [
          ( "config",
@@ -1304,7 +1282,7 @@ let ycsb () =
                ("fences", Json.Int e_off.fences);
              ] );
        ]);
-  record_ycsb "modelled"
+  record_part "modelled"
     (Json.Obj
        [
          ("capacity_ops_per_sec", Json.Float cap);
@@ -1343,7 +1321,7 @@ let ycsb () =
                ("loads_on", Json.Int l_on);
              ] );
        ]);
-  record_ycsb "measured"
+  record_part "measured"
     (Json.Obj
        [
          ( "recovery",
@@ -1401,7 +1379,7 @@ let scan () =
   Printf.printf
     "tree: %d keys, order %d, height %d, %d internal + %d leaf nodes\n" n
     (Pstruct.Pbtree.order tree) height inodes leaves;
-  record_scan
+  record_in "scan"
     (Json.Obj
        [
          ("keys", Json.Int n);
@@ -1501,7 +1479,7 @@ let scan () =
       and ope = ons /. float_of_int (max 1 oe) in
       Printf.printf "%-6d %9d %14.1f %15.1f %7.2f %15.1f %7.2f\n" len te tpe
         ppe (tpe /. ppe) ope (tpe /. ope);
-      record_scan
+      record_in "scan"
         (Json.Obj
            [
              ("len", Json.Int len);
@@ -1523,7 +1501,7 @@ let scan () =
   Printf.printf "shadow: %d hits, %d misses, rebuild %.3f ms\n" sh_hits
     sh_misses
     (float_of_int sh_rebuild_ns /. 1e6);
-  record_scan
+  record_in "scan"
     (Json.Obj
        [
          ("find_loads_per_lookup_off", Json.Float off_loads);

@@ -349,6 +349,16 @@ let svc_heap ~seed =
   Heap.create
     (Pmem.create ~seed { Pmem_config.default with mem_size = 64 * 1024 * 1024 })
 
+(* A service that does not fit that device is an operator-input error,
+   raised as [Svc.Shards.Too_large] while the service is built — on a
+   sweep's worker domain too, whose failure the pool re-raises here —
+   and reported once, before any report. *)
+let fitting ~keys ~shards f =
+  try f ()
+  with Svc.Shards.Too_large ->
+    fail "specpmt_run: --keys %d on %d shards does not fit the 64 MiB device@."
+      keys shards
+
 let dataplane_config ~shards ~domains ~batch ~depth ~keys =
   if depth < batch then
     fail "specpmt_run: the data plane needs --depth >= --batch, not %d < %d@."
@@ -542,6 +552,7 @@ let svc_bench_cmd =
         update = 1.0 -. mix;
       }
     in
+    fitting ~keys ~shards @@ fun () ->
     if domains > 0 then begin
       (* shard-per-domain data plane: one worker domain per shard group,
          measured wall clock alongside the modelled device time *)
@@ -730,11 +741,12 @@ let ycsb_cmd =
     in
     let sp = Svc.Scenario.spec ~theta ~scan_max mix in
     let stream = Svc.Scenario.op_stream sp ~ops ~keys ~seed in
+    fitting ~keys ~shards @@ fun () ->
     match fuse with
     | Some fuse_batches ->
         (* recovery drill: the fuse is the one-line reproducible crash *)
         let t = Svc.Scenario.tally stream in
-        if t.Svc.Scenario.t_rmws > 0 || t.Svc.Scenario.t_scans > 0 then
+        if t.Svc.Shards.rmws > 0 || t.Svc.Shards.scans > 0 then
           fail
             "specpmt_run: --fuse-batches audits read/write mixes only \
              (A-D), not %s@."

@@ -22,11 +22,12 @@
     - {!Schemes}: software schemes (PMDK, Kamino-Tx, SPHT, SpecSPMT...),
     - {!Hw_schemes}: simulated-hardware schemes (EDE, HOOP, SpecHPMT...),
     - {!Pstruct}: the persistent data structures (ordered Pbtree index,
-      treap, hash table, vector...),
+      treap, hash table, queue, array...),
     - {!Workload}: the STAMP port,
     - {!Run}: the measurement harness behind all figures,
     - {!Crashmc}: the deterministic crash-state exploration engine,
-    - {!Svc}: the sharded KV service layer (group commit, admission,
+    - {!Svc}: the sharded KV service layer (one per-shard core under a
+      serial and a shard-per-domain executor, group commit, admission,
       load generation),
     - {!Par}: the domain pool behind the harness's [--jobs] flags
       (deterministic index-ordered reduction),

@@ -53,7 +53,7 @@ let default_log_region_bytes = 1 lsl 21
    Stop ends the worker, detaching its view's cache only on clean
    shutdown *)
 type msg =
-  | Batch of { b_shard : int; b_reqs : (int * Service.op * int) array }
+  | Batch of { b_shard : int; b_reqs : (int * Shards.op * int) array }
   | Stop of { detach : bool }
 
 (* worker -> router: executed batch — stream indices and values in
@@ -62,34 +62,23 @@ type comp = { cp_shard : int; cp_idx : int array; cp_vals : int array }
 
 type t = {
   cfg : config;
-  params : Spec_soft.params;
   pm : Pmem.t;  (* parent view: recovery and post-join audits only *)
-  heap : Heap.t;
   views : Pmem.t array;  (* one per worker domain *)
-  pool : Spec_mt.t;
-  gcs : Group_commit.t array;  (* one per shard, driven by its domain *)
-  adm : (int * Service.op * int) Admission.t array;  (* router-side *)
-  addr_of_key : Addr.t array;
-  owner : int array;  (* key -> shard *)
-  owned_keys : int array array;  (* shard -> its keys, ascending *)
-  shadow : bool;  (* DRAM mirrors on the ordered index *)
-  mutable oidx : Oindex.t;  (* per-shard ordered index; rebuilt on recover *)
+  core : Shards.t;  (* shard [s] runs on domain [s mod domains] *)
+  adm : (int * Shards.op * int) Admission.t array;  (* router-side *)
   req_rings : msg Spsc.t array;  (* router -> domain *)
   ack_rings : comp Spsc.t array;  (* domain -> router *)
 }
 
-let shard_of_key t k = t.owner.(k)
 let domain_of_shard t s = s mod t.cfg.domains
 
 let create ?(params = Spec_soft.default_params) ?(shadow = true) t_heap cfg =
-  if cfg.shards < 1 || cfg.shards > Spec_mt.max_threads then
-    Fmt.invalid_arg "Dataplane.create: 1-%d shards" Spec_mt.max_threads;
+  let rows = Shards.rows ~shards:cfg.shards ~keys:cfg.keys in
   if cfg.domains < 1 || cfg.domains > cfg.shards then
     invalid_arg "Dataplane.create: 1..shards domains";
   if cfg.batch_max < 1 then invalid_arg "Dataplane.create: batch_max < 1";
   if cfg.depth < cfg.batch_max then
     invalid_arg "Dataplane.create: depth < batch_max";
-  if cfg.keys < 1 then invalid_arg "Dataplane.create: keys < 1";
   if cfg.log_region_bytes < 1 lsl 16 then
     invalid_arg "Dataplane.create: log_region_bytes < 64 KiB";
   (* compaction must fire well inside the carved region: the splice
@@ -103,28 +92,20 @@ let create ?(params = Spec_soft.default_params) ?(shadow = true) t_heap cfg =
     }
   in
   let pm = Heap.pmem t_heap in
-  let owner = Array.init cfg.keys (Service.route ~shards:cfg.shards) in
-  (* per-shard ownership tables, built once: ascending owned-key rows
-     (formatting + adoption iterate them) *)
-  let owned_rev = Array.make cfg.shards [] in
-  for k = cfg.keys - 1 downto 0 do
-    owned_rev.(owner.(k)) <- k :: owned_rev.(owner.(k))
-  done;
-  let owned_keys = Array.map Array.of_list owned_rev in
+  Shards.building @@ fun () ->
   (* Parent-side formatting: per-shard line-aligned key regions (packed
      cells, so a shard's keys share lines only with each other) and
      per-shard carved log regions. *)
-  let addr_of_key = Array.make cfg.keys 0 in
+  let cells = Array.make cfg.keys 0 in
   Array.iter
     (fun row ->
-      match row with
-      | [||] -> ()
-      | row ->
-          let n = Array.length row in
-          let raw = Heap.alloc t_heap ((n * 8) + Addr.line_size) in
-          let base = Addr.align_up raw Addr.line_size in
-          Array.iteri (fun i k -> addr_of_key.(k) <- base + (i * 8)) row)
-    owned_keys;
+      let n = Array.length row in
+      if n > 0 then begin
+        let raw = Heap.alloc t_heap ((n * 8) + Addr.line_size) in
+        let base = Addr.align_up raw Addr.line_size in
+        Array.iteri (fun i k -> cells.(k) <- base + (i * 8)) row
+      end)
+    rows;
   let regions =
     Array.init cfg.shards (fun _ ->
         Heap.carve_region t_heap ~bytes:cfg.log_region_bytes)
@@ -143,51 +124,23 @@ let create ?(params = Spec_soft.default_params) ?(shadow = true) t_heap cfg =
     Spec_mt.create ~params ~runtime_heaps:sub_heaps t_heap
       ~threads:cfg.shards
   in
-  let gcs =
-    Array.init cfg.shards (fun s ->
-        Group_commit.create ~backend:(Spec_mt.thread pool s)
-          ~rt:(Spec_mt.runtime pool s))
-  in
-  (* Adoption (Section 4.3.2), exactly as the serial service: one
-     committed transaction per shard writes 0 to every owned key, so a
-     cell is always logged before its first client write.  Runs on the
-     router through each shard's view — before any worker spawns, so
-     the spawn provides the happens-before edge. *)
-  Array.iteri
-    (fun s row ->
-      match row with
-      | [||] -> ()
-      | row ->
-          (Spec_mt.thread pool s).Specpmt_txn.Ctx.run_tx (fun ctx ->
-              Array.iter
-                (fun k -> ctx.Specpmt_txn.Ctx.write addr_of_key.(k) 0)
-                row))
-    owned_keys;
-  (* The ordered index: per-shard trees allocate from the carved
-     sub-heaps through the shards' views (line-disjoint like the key
-     cells), the directory and root slot go through the parent — whose
-     cache must be detached again before any worker forks, since the
-     directory write and its heap allocation dirtied parent lines. *)
-  let oidx =
-    Oindex.create ~shadow t_heap ~pool ~shards:cfg.shards ~keys:cfg.keys
-  in
+  (* Adoption and the ordered index, as in the serial service, run on
+     the router through each shard's view — before any worker spawns,
+     so the spawn provides the happens-before edge.  Tree nodes come
+     from the carved sub-heaps (line-disjoint like the key cells); the
+     directory and root slot go through the parent, whose cache must be
+     detached again before any worker forks, since the directory write
+     and its heap allocation dirtied parent lines. *)
+  let core = Shards.create ~shadow t_heap ~pool ~rows ~cells in
   Pmem.detach_cache pm;
   let spd = (cfg.shards + cfg.domains - 1) / cfg.domains in
   let ring_cap = (spd * cfg.depth) + 8 in
   {
     cfg;
-    params;
     pm;
-    heap = t_heap;
     views;
-    pool;
-    gcs;
+    core;
     adm = Array.init cfg.shards (fun _ -> Admission.create ~depth:cfg.depth);
-    addr_of_key;
-    owner;
-    owned_keys;
-    shadow;
-    oidx;
     req_rings =
       Array.init cfg.domains (fun _ ->
           Spsc.create ~dummy:(Stop { detach = false }) ~capacity:ring_cap);
@@ -198,13 +151,11 @@ let create ?(params = Spec_soft.default_params) ?(shadow = true) t_heap cfg =
             ~capacity:ring_cap);
   }
 
-let config t = t.cfg
-
 (* Unmetered post-join/post-recovery read: the parent cache is empty
    (detached) outside a run, so this observes the merged media image. *)
 let peek t k =
   if k < 0 || k >= t.cfg.keys then invalid_arg "Dataplane.peek: bad key";
-  Pmem.peek_volatile_int t.pm t.addr_of_key.(k)
+  Pmem.peek_volatile_int t.pm (Shards.cell t.core k)
 
 let table_crc t =
   let crc = ref 0 in
@@ -261,62 +212,28 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
     (fun (k, op) ->
       if k < 0 || k >= cfg.keys then invalid_arg "Dataplane.run: bad key";
       match op with
-      | Service.Scan len when len < 1 ->
+      | Shards.Scan len when len < 1 ->
           invalid_arg "Dataplane.run: scan length < 1"
       | _ -> ())
     stream;
   let before = Array.map (fun v -> Stats.copy (Pmem.stats v)) t.views in
   let worker d () =
-    (* one transaction closure per worker, reused for every op: the
-       per-op state flows through the captured cells, so the batch loop
-       allocates only the two completion arrays the router needs anyway *)
-    let cur_key = ref 0
-    and cur_shard = ref 0
-    and cur_op = ref Service.Read
-    and cur_res = ref 0 in
-    let job ctx =
-      match !cur_op with
-      | Service.Write v ->
-          let a = t.addr_of_key.(!cur_key) in
-          (* first client write indexes the key in the shard's tree —
-             same transaction, and the tree nodes live in the shard's
-             carved sub-heap, so the worker stays on its own lines *)
-          Oindex.ensure ctx t.oidx ~shard:!cur_shard ~key:!cur_key ~addr:a;
-          ctx.Specpmt_txn.Ctx.write a v;
-          cur_res := v
-      | Service.Read ->
-          cur_res := ctx.Specpmt_txn.Ctx.read t.addr_of_key.(!cur_key)
-      | Service.Rmw d ->
-          (* one transaction: read + dependent write under one record *)
-          let a = t.addr_of_key.(!cur_key) in
-          Oindex.ensure ctx t.oidx ~shard:!cur_shard ~key:!cur_key ~addr:a;
-          let v = ctx.Specpmt_txn.Ctx.read a + d in
-          ctx.Specpmt_txn.Ctx.write a v;
-          cur_res := v
-      | Service.Scan len ->
-          (* ordered scan over this shard's Pbtree (same semantics as
-             the serial service): only this shard's lines are touched *)
-          cur_res :=
-            Oindex.scan ctx t.oidx ~shard:!cur_shard ~anchor:!cur_key ~len
-    in
     let running = ref true in
     while !running do
       match Spsc.try_pop t.req_rings.(d) with
       | Some (Batch { b_shard; b_reqs }) ->
-          let gc = t.gcs.(b_shard) in
+          (* every op runs through its shard's reusable transaction
+             closure, so the batch loop allocates only the two
+             completion arrays the router needs anyway *)
           let m = Array.length b_reqs in
           let cp_idx = Array.make m 0 and cp_vals = Array.make m 0 in
-          Group_commit.batch_begin gc;
+          Shards.batch_begin t.core b_shard;
           for i = 0 to m - 1 do
             let key, op, idx = b_reqs.(i) in
-            cur_key := key;
-            cur_shard := b_shard;
-            cur_op := op;
-            Group_commit.exec gc job;
             cp_idx.(i) <- idx;
-            cp_vals.(i) <- !cur_res
+            cp_vals.(i) <- Shards.exec t.core b_shard ~key op
           done;
-          Group_commit.batch_end gc ~n:m;
+          Shards.batch_end t.core b_shard ~n:m;
           let comp = { cp_shard = b_shard; cp_idx; cp_vals } in
           (* sized so this never blocks while the router is halted: the
              admission depth bounds outstanding completions per shard *)
@@ -330,7 +247,7 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
                normal export/absorb merge at join *)
             for s = 0 to cfg.shards - 1 do
               if domain_of_shard t s = d then
-                Oindex.publish_shadow t.oidx ~shard:s
+                Oindex.publish_shadow (Shards.index t.core) ~shard:s
             done;
             Pmem.detach_cache t.views.(d)
           end;
@@ -344,8 +261,7 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
   let enq_wall = Array.make (max 1 n_ops) 0.0 in
   let lat = Hist.create () in
   let acked = Array.make cfg.shards 0 in
-  let reads = ref 0 and writes = ref 0 and reads_sum = ref 0 in
-  let rmws = ref 0 and scans = ref 0 in
+  let tally = Shards.tally () in
   let stalls = ref 0 in
   let batches_sent = ref 0 in
   let drain_acks () =
@@ -362,18 +278,7 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
             let now = Unix.gettimeofday () in
             for i = 0 to m - 1 do
               let idx = comp.cp_idx.(i) and value = comp.cp_vals.(i) in
-              (match snd stream.(idx) with
-              | Service.Read ->
-                  incr reads;
-                  reads_sum := (!reads_sum + value) land max_int
-              | Service.Write _ -> incr writes
-              | Service.Rmw _ ->
-                  (* the new value is read-dependent: checksum it too *)
-                  incr rmws;
-                  reads_sum := (!reads_sum + value) land max_int
-              | Service.Scan _ ->
-                  incr scans;
-                  reads_sum := (!reads_sum + value) land max_int);
+              Shards.count tally (snd stream.(idx)) value;
               on_ack ~idx ~value;
               Hist.observe lat (int_of_float ((now -. enq_wall.(idx)) *. 1e9))
             done)
@@ -394,11 +299,19 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
     | [] -> ()
     | reqs -> send s reqs
   in
+  let stop detach =
+    Array.iter
+      (fun ring ->
+        while not (Spsc.try_push ring (Stop { detach })) do
+          Domain.cpu_relax ()
+        done)
+      t.req_rings
+  in
   let halted =
     match
       Array.iteri
         (fun idx (key, op) ->
-          let s = t.owner.(key) in
+          let s = Shards.route ~shards:cfg.shards key in
           (* closed-loop backpressure: wait for shard capacity *)
           let stalled = ref false in
           while Admission.inflight t.adm.(s) >= cfg.depth do
@@ -426,23 +339,13 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
         while inflight () > 0 do
           if not (drain_acks ()) then Domain.cpu_relax ()
         done;
-        Array.iter
-          (fun ring ->
-            while not (Spsc.try_push ring (Stop { detach = true })) do
-              Domain.cpu_relax ()
-            done)
-          t.req_rings;
+        stop true;
         false
     | exception Halted ->
         (* crash drill: stop immediately — no partial flush, no ack
            drain; workers exit without detaching, leaving their unflushed
            in-place updates to die with the caches *)
-        Array.iter
-          (fun ring ->
-            while not (Spsc.try_push ring (Stop { detach = false })) do
-              Domain.cpu_relax ()
-            done)
-          t.req_rings;
+        stop false;
         true
   in
   ignore (Par.join_all workers);
@@ -453,12 +356,13 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
   let total_ops = Array.fold_left ( + ) 0 acked in
   let per_shard =
     List.init cfg.shards (fun s ->
+        let gc = Shards.batcher t.core s in
         {
           d_shard = s;
           d_domain = domain_of_shard t s;
           d_ops = acked.(s);
-          d_batches = Group_commit.batches t.gcs.(s);
-          d_sealed = Group_commit.sealed_records t.gcs.(s);
+          d_batches = Group_commit.batches gc;
+          d_sealed = Group_commit.sealed_records gc;
         })
   in
   let fsum f = Array.fold_left (fun a d -> a +. f d) 0.0 diffs in
@@ -467,11 +371,11 @@ let run ?(halt_after_batches = max_int) ?(on_ack = fun ~idx:_ ~value:_ -> ())
     domains = cfg.domains;
     halted;
     total_ops;
-    reads = !reads;
-    writes = !writes;
-    rmws = !rmws;
-    scans = !scans;
-    reads_sum = !reads_sum;
+    reads = tally.reads;
+    writes = tally.writes;
+    rmws = tally.rmws;
+    scans = tally.scans;
+    reads_sum = tally.reads_sum;
     table_crc = (if halted then 0 else table_crc t);
     fences = isum (fun d -> d.Stats.fences);
     batches = List.fold_left (fun n s -> n + s.d_batches) 0 per_shard;
@@ -500,22 +404,16 @@ let crash t =
 let recover t =
   (* the pool recovers through the parent view over the merged media:
      root heap, per-shard sub-heaps, log scan + coalesced replay,
-     reattach of every runtime through its own (now empty) view *)
-  Spec_mt.recover t.pool;
+     reattach of every runtime through its own (now empty) view; the
+     index is rediscovered through the shards' own views (unmetered
+     peeks, so the parent cache stays clean) *)
+  Shards.recover t.core;
   Array.iter Admission.clear t.adm;
-  Array.iter Group_commit.reset t.gcs;
   (* a halted run leaves undrained completions (and, in principle,
      unconsumed stops) in the rings; they died with the crash *)
   let drain ring = while Spsc.try_pop ring <> None do () done in
   Array.iter drain t.ack_rings;
-  Array.iter (fun r -> while Spsc.try_pop r <> None do () done) t.req_rings;
-  (* rediscover the ordered index from root slot + directory over the
-     replayed media: fresh tree handles, fresh populated bitmap, fresh
-     mirrors through the shards' own views (all reads are unmetered
-     peeks, so the parent cache stays clean) *)
-  t.oidx <-
-    Oindex.recover ~shadow:t.shadow ~pool:t.pool t.heap ~shards:t.cfg.shards
-      ~keys:t.cfg.keys;
+  Array.iter drain t.req_rings;
   (* the replayed cells sit clean in the parent cache: hand them back
      to the views before the next run dirties those lines *)
   Pmem.detach_cache t.pm

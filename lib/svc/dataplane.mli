@@ -12,7 +12,8 @@
     access is partitioned by cache line (key regions, log regions and
     log-head root slots are all line-disjoint per shard), admission and
     ack accounting stay on the router, and the only cross-domain mutable
-    state is the atomic {!Specpmt_txn.Tsc}.
+    state is the atomic {!Specpmt_txn.Tsc}.  Workers run the per-shard
+    core ({!Shards}) the serial {!Service} runs inline.
 
     Because batch composition is positional, the [invariant] section of
     the report — ops, batches, sealed records, fences, read checksum,
@@ -46,15 +47,15 @@ val create : ?params:Spec_soft.params -> ?shadow:bool -> Heap.t -> config -> t
 (** Build the plane on a freshly formatted root heap: allocates
     line-aligned per-shard key regions, carves per-shard log regions,
     detaches the parent cache, forks one view per domain, builds the
-    partitioned {!Specpmt_backends.Spec_mt} pool, runs the per-shard
-    adoption transactions and creates the per-shard ordered index
-    ({!Oindex.create} — tree nodes in the carved sub-heaps, directory
-    under root slot {!Specpmt_backends.Slots.svc_index}).  [shadow]
-    (default [true]) mirrors each shard's tree in DRAM, built through
-    the shard's own view; workers publish the [shadow.*] counter
-    deltas on clean stop, before detaching their caches.  The
-    [reclaim_bytes] trigger is clamped to a quarter of the log region so
-    compaction keeps each shard's chain inside its carved region. *)
+    partitioned {!Specpmt_backends.Spec_mt} pool and the core
+    ({!Shards.create}: adoption, then the ordered index with its tree
+    nodes in the carved sub-heaps), and detaches the parent cache
+    again.  [shadow] (default [true]) mirrors each shard's tree in
+    DRAM, built through the shard's own view; workers publish the
+    [shadow.*] counter deltas on clean stop, before detaching their
+    caches.  The [reclaim_bytes] trigger is clamped to a quarter of the
+    log region so compaction keeps each shard's chain inside its carved
+    region.  Raises {!Shards.Too_large} when the device is too small. *)
 
 type shard_report = {
   d_shard : int;
@@ -94,17 +95,17 @@ val run :
   ?halt_after_batches:int ->
   ?on_ack:(idx:int -> value:int -> unit) ->
   t ->
-  (int * Service.op) array ->
+  (int * Shards.op) array ->
   report
 (** Spawn the workers, route the stream, join.  A clean run waits out
     every inflight op and detaches each worker's cache, so the parent
     afterwards observes the merged image ({!peek}, [table_crc]).
     Raises [Invalid_argument] on an out-of-range key or a
-    {!Service.op.Scan} of length < 1.
+    {!Shards.op.Scan} of length < 1.
 
-    All four op kinds run as single transactions on the owning shard's
-    domain; {!Service.op.Scan} walks the shard's persistent ordered
-    index ({!Oindex.scan}), whose tree nodes live in the shard's carved
+    All four op kinds run as single transactions ({!Shards.exec}) on
+    the owning shard's domain; {!Shards.op.Scan} walks the shard's
+    persistent ordered index ({!Oindex.scan}), whose tree nodes live in the shard's carved
     sub-heap — scans and index maintenance only ever touch lines the
     owning domain already holds, so the per-line ownership discipline
     is untouched.
@@ -127,19 +128,14 @@ val crash : t -> unit
     survives. *)
 
 val recover : t -> unit
-(** {!Specpmt_backends.Spec_mt.recover} through the parent view over
-    the shared image (root heap, per-shard sub-heaps, coalesced log
-    merge, per-runtime reattach), then reset admission and batchers,
-    rediscover the ordered index from its root slot ({!Oindex.recover})
-    and hand the replayed lines back to the views.  The plane serves
-    again afterwards: call {!run} with a fresh stream. *)
+(** {!Shards.recover} through the parent view over the shared image,
+    then reset admission, empty the rings and hand the replayed lines
+    back to the views.  The plane serves again afterwards: call {!run}
+    with a fresh stream. *)
 
 val peek : t -> int -> int
 (** Unmetered key read through the parent — valid between runs (after a
     clean join or {!recover}), when no worker cache is live. *)
-
-val shard_of_key : t -> int -> int
-val config : t -> config
 
 val report_to_json : config -> report -> Specpmt_obs.Json.t
 (** Three sections: [invariant] (must be byte-identical across domain

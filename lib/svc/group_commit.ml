@@ -34,10 +34,10 @@ let create ~backend ~rt =
     sealed = 0;
   }
 
-(* The three-call form is the worker hot path: the caller opens the
-   batch, runs each transaction through [exec] with whatever reusable
-   closure it owns, and closes with the executed count — no job list,
-   no per-batch closures. *)
+(* The three-call form: the caller opens the batch, runs each
+   transaction through [exec] with whatever reusable closure it owns,
+   and closes with the executed count — no job list, no per-batch
+   closures. *)
 let batch_begin t = if t.batching then Spec_soft.batch_begin t.rt
 
 let exec t f = t.backend.Ctx.run_tx f
@@ -57,14 +57,6 @@ let batch_end t ~n =
     Specpmt_obs.Hist.observe (Metrics.histogram "svc.batch_size") n;
     Metrics.incr (Metrics.counter "svc.batches")
   end
-
-let run t jobs =
-  match jobs with
-  | [] -> ()
-  | jobs ->
-      batch_begin t;
-      List.iter (fun f -> exec t f) jobs;
-      batch_end t ~n:(List.length jobs)
 
 let sealing t = t.sealing
 let batches t = t.batches

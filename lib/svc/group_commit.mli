@@ -23,18 +23,12 @@ type t
 val create : backend:Ctx.backend -> rt:Spec_soft.t -> t
 (** Batcher over one shard's backend/runtime pair. *)
 
-val run : t -> (Ctx.ctx -> unit) list -> unit
-(** Execute the jobs as one batch and seal it ([[]] is a no-op).
-    Observes the batch size into the [svc.batch_size] histogram and
-    bumps the [svc.batches] counter.  Convenience wrapper over the
-    three-call form below. *)
-
 (** {1 Allocation-free batch protocol}
 
-    The worker hot path: open the batch, run each transaction through
-    {!exec} (the caller keeps one reusable closure and feeds it per-op
-    state through its captured cells), close with the executed count.
-    No job list, no per-batch closures. *)
+    Open the batch, run each transaction through {!exec} (the caller
+    keeps one reusable closure and feeds it per-op state through its
+    captured cells — {!Shards.exec} does), close with the executed
+    count.  No job list, no per-batch closures. *)
 
 val batch_begin : t -> unit
 (** Open a batch (no-op for data-persist runtimes). *)
@@ -44,8 +38,9 @@ val exec : t -> (Ctx.ctx -> unit) -> unit
 
 val batch_end : t -> n:int -> unit
 (** Seal the open batch.  [n] is the number of transactions executed
-    since {!batch_begin}; metrics are recorded only when [n > 0], but
-    the seal itself always closes an opened batch. *)
+    since {!batch_begin}.  When [n > 0], observes [n] into the
+    [svc.batch_size] histogram and bumps the [svc.batches] counter; the
+    seal itself always closes an opened batch. *)
 
 val sealing : t -> bool
 (** True exactly while the seal of a batch is running — a crash observed

@@ -58,7 +58,7 @@ let create ?(order = 8) ?(shadow = true) heap ~pool ~shards ~keys =
   if shadow then attach_mirrors ~pool trees;
   { trees; populated = Bytes.make keys '\000'; shards; keys }
 
-let recover ?(shadow = true) ?pool heap ~shards ~keys =
+let recover ?(shadow = true) ~pool heap ~shards ~keys =
   let pm = Heap.pmem heap in
   let ctx = Ctx.peek_ctx pm in
   let dir = ctx.Ctx.read (Heap.root_slot heap Slots.svc_index) in
@@ -78,15 +78,8 @@ let recover ?(shadow = true) ?pool heap ~shards ~keys =
       Pbtree.iter ctx tree (fun k _addr -> Bytes.set populated k '\001'))
     trees;
   (* a pre-crash mirror is never trusted: rebuild each shard's mirror
-     from the replayed image — through the shard's runtime view when
-     the pool is known, else through the parent view (equivalent after
-     recovery, when no view holds dirty tree lines) *)
-  if shadow then begin
-    match pool with
-    | Some pool -> attach_mirrors ~pool trees
-    | None ->
-        Array.iter (fun tree -> Pbtree.attach_shadow ctx tree) trees
-  end;
+     from the replayed image, through the shard's runtime view *)
+  if shadow then attach_mirrors ~pool trees;
   { trees; populated; shards; keys }
 
 let ensure ctx t ~shard ~key ~addr =

@@ -46,7 +46,7 @@ val create :
     Data-plane callers must detach the parent cache afterwards, before
     workers fork. *)
 
-val recover : ?shadow:bool -> ?pool:Spec_mt.t -> Heap.t -> shards:int -> keys:int -> t
+val recover : ?shadow:bool -> pool:Spec_mt.t -> Heap.t -> shards:int -> keys:int -> t
 (** Rebuild from the root slot after {!Specpmt_backends.Spec_mt.recover}
     has replayed the logs: re-read the directory, re-handle every tree
     ({!Specpmt_pstruct.Pbtree.of_header}) and rebuild the populated
@@ -54,9 +54,8 @@ val recover : ?shadow:bool -> ?pool:Spec_mt.t -> Heap.t -> shards:int -> keys:in
     (default [true]) rebuilds each tree's mirror from the replayed
     image — a pre-crash mirror is never reused, because a crash inside
     the commit protocol can leave a transaction durable that the
-    mirror's outcome hook reported as failed.  Pass [pool] to peek
-    through each shard's runtime view (the data plane does; equivalent
-    to the parent view once recovery has drained every cache).  Raises
+    mirror's outcome hook reported as failed.  Mirrors are built
+    through each shard's runtime view of [pool].  Raises
     [Invalid_argument] when the directory disagrees with the expected
     geometry (wrong pool). *)
 

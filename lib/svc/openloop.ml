@@ -144,21 +144,13 @@ let run svc cfg stream =
   let backlog_len = ref 0 and max_backlog = ref 0 in
   let next = ref 0 in
   let completed = ref 0 in
-  let reads = ref 0 and writes = ref 0 and rmws = ref 0 and scans = ref 0 in
-  let reads_sum = ref 0 in
+  let tally = Shards.tally () in
   let attempts = ref 0 and rejects = ref 0 in
   let lat = Hist.create () in
   let before = Stats.copy (Pmem.stats pm) in
   let on_ack (c : Service.completion) =
     incr completed;
-    (* the read-dependent values (reads, rmw results, scan checksums)
-       fold into the same order-free sum the data plane reports *)
-    let sum () = reads_sum := (!reads_sum + c.Service.value) land max_int in
-    (match c.Service.c_op with
-    | Service.Read -> incr reads; sum ()
-    | Service.Write _ -> incr writes
-    | Service.Rmw _ -> incr rmws; sum ()
-    | Service.Scan _ -> incr scans; sum ());
+    Shards.count tally c.Service.c_op c.Service.value;
     (* [c_client] carries the stream index; latency runs from the op's
        scheduled arrival, not from when admission finally took it *)
     let l = c.Service.ack_ns +. !voff -. sched.(c.Service.c_client) in
@@ -232,11 +224,11 @@ let run svc cfg stream =
     o_config = cfg;
     svc_config = scfg;
     ops = n;
-    reads = !reads;
-    writes = !writes;
-    rmws = !rmws;
-    scans = !scans;
-    reads_sum = !reads_sum;
+    reads = tally.reads;
+    writes = tally.writes;
+    rmws = tally.rmws;
+    scans = tally.scans;
+    reads_sum = tally.reads_sum;
     attempts = !attempts;
     rejects = !rejects;
     max_backlog = !max_backlog;

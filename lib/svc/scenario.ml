@@ -149,18 +149,10 @@ let op_stream sp ~ops ~keys ~seed =
   done;
   out
 
-type tally = { t_reads : int; t_writes : int; t_rmws : int; t_scans : int }
-
 let tally stream =
-  Array.fold_left
-    (fun t (_, op) ->
-      match op with
-      | Service.Read -> { t with t_reads = t.t_reads + 1 }
-      | Service.Write _ -> { t with t_writes = t.t_writes + 1 }
-      | Service.Rmw _ -> { t with t_rmws = t.t_rmws + 1 }
-      | Service.Scan _ -> { t with t_scans = t.t_scans + 1 })
-    { t_reads = 0; t_writes = 0; t_rmws = 0; t_scans = 0 }
-    stream
+  let t = Shards.tally () in
+  Array.iter (fun (_, op) -> Shards.count t op 0) stream;
+  t
 
 let spec_to_json sp =
   Json.Obj

@@ -76,11 +76,10 @@ val op_stream :
     populated from the first op) and wraps onto the oldest keys once
     the keyspace is exhausted; every key is always in [0, keys). *)
 
-type tally = { t_reads : int; t_writes : int; t_rmws : int; t_scans : int }
-
-val tally : (int * Service.op) array -> tally
+val tally : (int * Service.op) array -> Shards.tally
 (** Op-kind counts of a stream (updates and inserts both count as
-    writes — they are indistinguishable in the stream). *)
+    writes — they are indistinguishable in the stream); [reads_sum]
+    stays 0. *)
 
 val spec_to_json : spec -> Specpmt_obs.Json.t
 (** Mix name, fraction vector, distribution and scan_max — the

@@ -6,7 +6,8 @@
     {!Group_commit} batcher.  The store is a flat table of [keys] 8-byte
     cells in the persistent heap, partitioned by the shard hash so
     shards never contend on a cell and the per-thread logs stay
-    disjoint.
+    disjoint.  It runs the per-shard core ({!Shards}) inline, on the
+    calling domain.
 
     Durability contract: {!submit} admits (or sheds) a request;
     {!drain} executes admitted requests shard-by-shard in batches of up
@@ -22,24 +23,8 @@
 open Specpmt_pmalloc
 open Specpmt_backends
 
-type op =
-  | Read  (** point read of the key's cell *)
-  | Write of int  (** blind write (YCSB update/insert) *)
-  | Rmw of int
-      (** read-modify-write as a {e single} transaction: read the cell,
-          add the delta, write it back under the same speculative record
-          (YCSB-F's workhorse); the completion value is the new cell
-          value *)
-  | Scan of int
-      (** ordered scan of up to [len >= 1] {e populated} keys (keys
-          some client write has touched), served by the shard's
-          persistent {!Specpmt_pstruct.Pbtree} via {!Oindex.scan}:
-          walks the tree from the smallest populated key [>= anchor]
-          in ascending key order, never crossing a shard, so cell
-          ownership and the data plane's line-disjointness hold; the
-          completion value is the order-sensitive checksum
-          [acc = (acc*31 + key + value) land max_int] over the window
-          (0 when no populated key follows the anchor in its shard) *)
+type op = Shards.op = Read | Write of int | Rmw of int | Scan of int
+(** {!Shards.op}, re-exported. *)
 
 type request = { client : int; key : int; op : op; enq_ns : float }
 
@@ -63,16 +48,13 @@ type config = {
 type t
 
 val create : ?params:Spec_soft.params -> ?shadow:bool -> Heap.t -> config -> t
-(** Build the service on a formatted pool: allocates the key table,
-    runs one {e adoption} transaction per shard (writing 0 to every
-    owned key) so that every cell is logged before its first client
-    write — Section 4.3.2's precondition for revoking uncommitted
-    in-place updates — and creates the per-shard ordered index
-    ({!Oindex.create}), persisting its directory under root slot
-    {!Specpmt_backends.Slots.svc_index}.  Adoption does not populate
-    the index: only client writes do.  [shadow] (default [true])
-    mirrors each shard's tree in DRAM (see {!Oindex.create}); pass
-    [false] to measure the unmirrored baseline. *)
+(** Build the service on a formatted pool: the
+    {!Specpmt_backends.Spec_mt} pool, the key table (key [k] at
+    [base + 8k]), then the core ({!Shards.create}: adoption, then the
+    ordered index under root slot {!Specpmt_backends.Slots.svc_index}).
+    [shadow] (default [true]) mirrors each shard's tree in DRAM (see
+    {!Oindex.create}); pass [false] to measure the unmirrored baseline.
+    Raises {!Shards.Too_large} when the heap is too small. *)
 
 val submit :
   t -> client:int -> key:int -> op -> Admission.verdict
@@ -87,16 +69,12 @@ val drain : ?on_ack:(completion -> unit) -> t -> completion list
     stream); the returned list is in acknowledgement order. *)
 
 val recover : t -> unit
-(** Post-crash: multi-threaded log recovery over all shards, then drop
-    queued/executing requests (they died unacknowledged), clear the
-    seal flags, and rediscover the ordered index from its root slot
-    ({!Oindex.recover}). *)
+(** Post-crash: {!Shards.recover} (log recovery over all shards, seal
+    flags cleared, the ordered index rediscovered from its root slot),
+    then drop queued/executing requests: they died unacknowledged. *)
 
 val route : shards:int -> int -> int
-(** The pure router hash: 32-bit Fibonacci (Knuth multiplicative)
-    hashing of the key, reduced mod [shards].  Shared by the serial
-    service and the shard-per-domain data plane so both agree on key
-    ownership. *)
+(** {!Shards.route}, the router hash both executors share. *)
 
 val shard_of_key : t -> int -> int
 (** [route ~shards:(config t).shards]. *)

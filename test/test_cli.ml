@@ -113,6 +113,15 @@ let test_service_numeric_flags () =
       ([ "svc-bench"; "--domains"; "2"; "--depth"; "4"; "--batch"; "8" ], "--depth");
       ([ "svc-bench"; "--mix"; "1.5" ], "--mix");
       ([ "svc-bench"; "--ops"; "0" ], "--ops");
+      (* a service the 64 MiB device cannot hold: the flat table, an
+         adoption write set overflowing a carved log region, and the
+         recovery drill's data plane *)
+      ([ "ycsb"; "--keys"; "8000000"; "--ops"; "10" ], "--keys");
+      ( [ "svc-bench"; "--domains"; "4"; "--keys"; "1000000"; "--ops"; "10" ],
+        "--keys" );
+      ( [ "ycsb"; "--workload"; "B"; "--keys"; "1000000"; "--ops"; "100";
+          "--fuse-batches"; "2"; "--domains"; "4" ],
+        "--keys" );
     ]
 
 let () =

@@ -181,12 +181,12 @@ let test_scenario_mixes () =
           true
           (Float.abs (got -. want) <= 0.03)
       in
-      close "reads" (frac t.Scenario.t_reads) sp.Scenario.read;
+      close "reads" (frac t.Shards.reads) sp.Scenario.read;
       close "writes"
-        (frac t.Scenario.t_writes)
+        (frac t.Shards.writes)
         (sp.Scenario.update +. sp.Scenario.insert);
-      close "rmws" (frac t.Scenario.t_rmws) sp.Scenario.rmw;
-      close "scans" (frac t.Scenario.t_scans) sp.Scenario.scan;
+      close "rmws" (frac t.Shards.rmws) sp.Scenario.rmw;
+      close "scans" (frac t.Shards.scans) sp.Scenario.scan;
       Array.iter
         (fun (k, op) ->
           Alcotest.(check bool) "key in range" true (k >= 0 && k < keys);
@@ -476,6 +476,7 @@ let dp_fingerprint (r : Dataplane.report) =
 let test_dataplane_scenario_invariant () =
   List.iter
     (fun mix ->
+      let name = Scenario.mix_to_string mix in
       let sp = Scenario.spec ~scan_max:8 mix in
       let run domains =
         let cfg, plane = mk_plane ~domains () in
@@ -491,26 +492,33 @@ let test_dataplane_scenario_invariant () =
             Alcotest.(check bool) "E exercises scan" true
               (r.Dataplane.scans > 0)
         | _ -> ());
-        dp_fingerprint r
+        (dp_fingerprint r, plane)
       in
-      let fp1 = run 1 in
+      let fp1, plane = run 1 in
       Alcotest.(check bool)
-        (Scenario.mix_to_string mix ^ ": invariant identical 1 vs 3 domains")
-        true (fp1 = run 3);
+        (name ^ ": invariant identical 1 vs 3 domains")
+        true
+        (fp1 = fst (run 3));
       (* each shard runs its ops in stream order on both executors, so
-         the serial driver reads the same values as the data plane *)
+         the serial driver reads the same values and leaves the same
+         table as the data plane *)
       let _, _, reads_sum, _, _, _, _, _ = fp1 in
+      let keys = 128 in
       let _, svc =
-        mk_svc { Service.shards = 4; batch_max = 4; depth = 16; keys = 128 }
+        mk_svc { Service.shards = 4; batch_max = 4; depth = 16; keys }
       in
       let r =
         Openloop.run svc (closed 500)
-          (Scenario.op_stream sp ~ops:500 ~keys:128 ~seed:13)
+          (Scenario.op_stream sp ~ops:500 ~keys ~seed:13)
       in
       Alcotest.(check int)
-        (Scenario.mix_to_string mix ^ ": serial reads_sum = data plane's")
-        reads_sum r.Openloop.reads_sum)
-    [ Scenario.E; Scenario.F ]
+        (name ^ ": serial reads_sum = data plane's")
+        reads_sum r.Openloop.reads_sum;
+      Alcotest.(check (array int))
+        (name ^ ": serial table = data plane's")
+        (Array.init keys (Dataplane.peek plane))
+        (Array.init keys (Service.peek svc)))
+    Scenario.all_mixes
 
 (* ---------- recovery under load ---------- *)
 

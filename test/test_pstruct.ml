@@ -127,72 +127,6 @@ let prop_ptreap_matches_map =
       List.rev !got = IntMap.bindings !r
       && Ptreap.length ctx t = IntMap.cardinal !r)
 
-(* pvector vs dynamic-array reference *)
-
-let prop_pvector_matches_dynarray =
-  QCheck.Test.make ~name:"pvector behaves like a growable array" ~count:100
-    QCheck.(list_of_size Gen.(1 -- 120) (pair (int_bound 1000) (int_bound 4)))
-    (fun ops ->
-      let _, _, ctx = mk () in
-      let t = Pvector.create ctx ~capacity:2 () in
-      let r = ref [] (* newest first *) in
-      List.iter
-        (fun (v, action) ->
-          match action with
-          | 0 | 1 | 2 ->
-              Pvector.push ctx t v;
-              r := v :: !r
-          | 3 -> (
-              let expect = match !r with [] -> None | x :: tl -> r := tl; Some x in
-              match (Pvector.pop ctx t, expect) with
-              | Some a, Some b -> assert (a = b)
-              | None, None -> ()
-              | _ -> assert false)
-          | _ ->
-              if !r <> [] then begin
-                let i = v mod List.length !r in
-                Pvector.set ctx t i v;
-                r := List.rev (List.mapi (fun j x -> if j = i then v else x)
-                                 (List.rev !r)) |> List.rev;
-                (* keep reference in newest-first order *)
-                r := List.rev !r
-              end)
-        ops;
-      Pvector.to_list ctx t = List.rev !r
-      && Pvector.length ctx t = List.length !r)
-
-let prop_plist_matches_stack =
-  QCheck.Test.make ~name:"plist behaves like a stack with removal" ~count:100
-    QCheck.(list_of_size Gen.(1 -- 100) (pair (int_bound 50) (int_bound 5)))
-    (fun ops ->
-      let _, _, ctx = mk () in
-      let t = Plist.create ctx in
-      let r = ref [] in
-      List.iter
-        (fun (v, action) ->
-          match action with
-          | 0 | 1 | 2 ->
-              Plist.push ctx t v;
-              r := v :: !r
-          | 3 -> (
-              match (Plist.pop ctx t, !r) with
-              | Some a, x :: tl ->
-                  assert (a = x);
-                  r := tl
-              | None, [] -> ()
-              | _ -> assert false)
-          | _ ->
-              let removed = Plist.remove ctx t v in
-              assert (removed = List.mem v !r);
-              if removed then begin
-                let found = ref false in
-                r := List.filter (fun x ->
-                    if (not !found) && x = v then begin found := true; false end
-                    else true) !r
-              end)
-        ops;
-      Plist.to_list ctx t = !r && Plist.length ctx t = List.length !r)
-
 (* pbtree: directed structural coverage at order 4 *)
 
 let test_pbtree_structure () =
@@ -523,8 +457,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_phashtbl_matches_hashtbl;
           QCheck_alcotest.to_alcotest prop_pqueue_matches_queue;
           QCheck_alcotest.to_alcotest prop_ptreap_matches_map;
-          QCheck_alcotest.to_alcotest prop_pvector_matches_dynarray;
-          QCheck_alcotest.to_alcotest prop_plist_matches_stack;
           QCheck_alcotest.to_alcotest prop_pbtree_matches_map;
         ] );
       ( "pbtree",

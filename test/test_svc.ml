@@ -559,6 +559,248 @@ let test_dataplane_modelled_speedup () =
     true
     (ns1 >= 2.0 *. ns4)
 
+(* ---------- the per-shard core ---------- *)
+
+(* [Shards] driven directly, without an executor around it: its rows,
+   the transaction body against a DRAM model, the op tally, and the
+   recovery sequence.  Both executors run exactly this code. *)
+
+let test_shards_rows () =
+  let keys = 1000 in
+  List.iter
+    (fun shards ->
+      let rows = Shards.rows ~shards ~keys in
+      Alcotest.(check int) "one row per shard" shards (Array.length rows);
+      let seen = Array.make keys 0 in
+      Array.iteri
+        (fun s row ->
+          Array.iteri
+            (fun i k ->
+              seen.(k) <- seen.(k) + 1;
+              if Shards.route ~shards k <> s then
+                Alcotest.failf "shards=%d: key %d in row %d routes to %d"
+                  shards k s (Shards.route ~shards k);
+              if i > 0 && row.(i - 1) >= k then
+                Alcotest.failf "shards=%d: row %d not ascending at %d" shards
+                  s i)
+            row)
+        rows;
+      Array.iteri
+        (fun k n ->
+          if n <> 1 then
+            Alcotest.failf "shards=%d: key %d in %d rows" shards k n)
+        seen)
+    [ 1; 2; 3; 7; Specpmt_backends.Spec_mt.max_threads ];
+  let rejects name f =
+    match f () with
+    | (_ : int array array) -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "0 shards" (fun () -> Shards.rows ~shards:0 ~keys:8);
+  rejects "too many shards" (fun () ->
+      Shards.rows ~shards:(Specpmt_backends.Spec_mt.max_threads + 1) ~keys:8);
+  rejects "0 keys" (fun () -> Shards.rows ~shards:2 ~keys:0)
+
+let core_shards = 3
+let core_keys = 48
+
+(* the layout [Service.create] uses: one pool on the shared heap, then
+   one flat table *)
+let mk_core () =
+  let pm = Pmem.create ~seed:3 Config.small in
+  let heap = Heap.create pm in
+  let pool = Specpmt_backends.Spec_mt.create heap ~threads:core_shards in
+  let base = Heap.alloc heap (core_keys * 8) in
+  let cells = Array.init core_keys (fun k -> base + (k * 8)) in
+  let rows = Shards.rows ~shards:core_shards ~keys:core_keys in
+  (pm, Shards.create ~shadow:true heap ~pool ~rows ~cells)
+
+(* the model: cell values and which keys a client write populated *)
+type model = { vals : int array; written : bool array }
+
+let model_exec m ~key op =
+  match (op : Shards.op) with
+  | Shards.Read -> m.vals.(key)
+  | Shards.Write v ->
+      m.vals.(key) <- v;
+      m.written.(key) <- true;
+      v
+  | Shards.Rmw d ->
+      m.vals.(key) <- m.vals.(key) + d;
+      m.written.(key) <- true;
+      m.vals.(key)
+  | Shards.Scan len ->
+      let s = Shards.route ~shards:core_shards key in
+      let acc = ref 0 and n = ref 0 in
+      for k = key to core_keys - 1 do
+        if m.written.(k) && !n < len && Shards.route ~shards:core_shards k = s
+        then (
+          acc := ((!acc * 31) + k + m.vals.(k)) land max_int;
+          incr n)
+      done;
+      !acc
+
+let core_ops =
+  let rng = Random.State.make [| 0x5A4D; 17 |] in
+  List.init 400 (fun i ->
+      let key = Random.State.int rng core_keys in
+      let op =
+        match Random.State.int rng 4 with
+        | 0 -> Shards.Read
+        | 1 -> Shards.Write (i + 1)
+        | 2 -> Shards.Rmw (Random.State.int rng 9 + 1)
+        | _ -> Shards.Scan (Random.State.int rng 6 + 1)
+      in
+      (key, op))
+
+(* one op through the core on shard [s], checked against the model run
+   right after it, so both see the same order *)
+let core_exec core m s (key, op) =
+  let got = Shards.exec core s ~key op in
+  let want = model_exec m ~key op in
+  if got <> want then
+    Alcotest.failf "shard %d key %d: got %d, model %d" s key got want;
+  got
+
+(* Each shard serves its own ops in stream order, in sealed batches of
+   up to 4.  Returns every op with its result. *)
+let run_core_ops core m ops =
+  let per_shard = Array.make core_shards [] in
+  List.iter
+    (fun ((key, _) as r) ->
+      let s = Shards.route ~shards:core_shards key in
+      per_shard.(s) <- r :: per_shard.(s))
+    (List.rev ops);
+  let results = ref [] in
+  Array.iteri
+    (fun s ops ->
+      let rec batches = function
+        | [] -> ()
+        | ops ->
+            let n = min 4 (List.length ops) in
+            Shards.batch_begin core s;
+            List.iter
+              (fun ((_, op) as r) ->
+                results := (op, core_exec core m s r) :: !results)
+              (List.filteri (fun i _ -> i < n) ops);
+            Shards.batch_end core s ~n;
+            batches (List.filteri (fun i _ -> i >= n) ops)
+      in
+      batches ops)
+    per_shard;
+  List.rev !results
+
+let fresh_model () =
+  { vals = Array.make core_keys 0; written = Array.make core_keys false }
+
+(* adoption leaves every cell 0 and the index empty; then every op's
+   result matches the model, and the tally counts each kind once and
+   sums the same [reads_sum] whatever order the acks arrive in *)
+let test_shards_exec_and_tally () =
+  let pm, core = mk_core () in
+  Alcotest.(check int) "adoption populates no key" 0
+    (Oindex.populated_count (Shards.index core));
+  for k = 0 to core_keys - 1 do
+    Alcotest.(check int) "adopted cell" 0
+      (Pmem.peek_volatile_int pm (Shards.cell core k))
+  done;
+  let m = fresh_model () in
+  let results = run_core_ops core m core_ops in
+  Alcotest.(check int) "every op served" (List.length core_ops)
+    (List.length results);
+  let tally_of rs =
+    let t = Shards.tally () in
+    List.iter (fun (op, v) -> Shards.count t op v) rs;
+    t
+  in
+  let t = tally_of results in
+  let kind p = List.length (List.filter (fun (_, op) -> p op) core_ops) in
+  Alcotest.(check int) "reads" (kind (( = ) Shards.Read)) t.Shards.reads;
+  Alcotest.(check int) "writes"
+    (kind (function Shards.Write _ -> true | _ -> false))
+    t.Shards.writes;
+  Alcotest.(check int) "rmws"
+    (kind (function Shards.Rmw _ -> true | _ -> false))
+    t.Shards.rmws;
+  Alcotest.(check int) "scans"
+    (kind (function Shards.Scan _ -> true | _ -> false))
+    t.Shards.scans;
+  let sum =
+    List.fold_left
+      (fun acc (op, v) ->
+        match op with
+        | Shards.Write _ -> acc
+        | Shards.Read | Shards.Rmw _ | Shards.Scan _ -> (acc + v) land max_int)
+      0 results
+  in
+  Alcotest.(check int) "reads_sum" sum t.Shards.reads_sum;
+  Alcotest.(check bool) "some scan saw a window" true
+    (List.exists
+       (function Shards.Scan _, v -> v <> 0 | _ -> false)
+       results);
+  Alcotest.(check bool) "tally is order-free" true
+    (tally_of (List.rev results) = t)
+
+(* recover: committed cells survive a crash that drops the whole cache,
+   the index is rebuilt (a new one, with every written key), and the
+   transaction body reads the new index: scans and writes after
+   recovery still match the model *)
+let test_shards_recover () =
+  let pm, core = mk_core () in
+  let m = fresh_model () in
+  ignore (run_core_ops core m core_ops);
+  let before = Shards.index core in
+  Pmem.crash_with pm ~persist:(fun _ -> false);
+  Shards.recover core;
+  Alcotest.(check bool) "recover replaces the index" true
+    (Shards.index core != before);
+  Alcotest.(check int) "written keys indexed"
+    (Array.fold_left (fun n w -> if w then n + 1 else n) 0 m.written)
+    (Oindex.populated_count (Shards.index core));
+  for k = 0 to core_keys - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "key %d durable" k)
+      m.vals.(k)
+      (Pmem.peek_volatile_int pm (Shards.cell core k))
+  done;
+  for s = 0 to core_shards - 1 do
+    let row = Shards.row core s in
+    let first = row.(0) and last = row.(Array.length row - 1) in
+    Shards.batch_begin core s;
+    List.iter
+      (fun r -> ignore (core_exec core m s r))
+      [
+        (first, Shards.Scan core_keys);
+        (last, Shards.Write 4242);
+        (last, Shards.Read);
+        (first, Shards.Scan core_keys);
+      ];
+    Shards.batch_end core s ~n:4
+  done;
+  Alcotest.(check bool) "post-recovery scans see keys" true
+    (Oindex.populated_count (Shards.index core) > 0)
+
+(* a service the device cannot hold fails at construction with
+   [Too_large], under both executors *)
+let test_shards_too_large () =
+  let keys = 200_000 (* a 1.6 MB table on the 1 MiB test device *) in
+  let heap () = Heap.create (Pmem.create ~seed:1 Config.small) in
+  Alcotest.check_raises "service" Shards.Too_large (fun () ->
+      ignore
+        (Service.create (heap ())
+           { Service.shards = 2; batch_max = 4; depth = 8; keys }));
+  Alcotest.check_raises "data plane" Shards.Too_large (fun () ->
+      ignore
+        (Dataplane.create (heap ())
+           {
+             Dataplane.shards = 2;
+             domains = 1;
+             batch_max = 4;
+             depth = 8;
+             keys;
+             log_region_bytes = 1 lsl 16;
+           }))
+
 let () =
   Alcotest.run "svc"
     [
@@ -600,6 +842,17 @@ let () =
             test_descent_read_budget;
           Alcotest.test_case "device loads per point lookup" `Quick
             test_point_lookup_budget;
+        ] );
+      ( "shards",
+        [
+          Alcotest.test_case "rows partition the keys by route, ascending"
+            `Quick test_shards_rows;
+          Alcotest.test_case "exec matches the model; tally is order-free"
+            `Quick test_shards_exec_and_tally;
+          Alcotest.test_case "recover: durable cells, rebuilt index" `Quick
+            test_shards_recover;
+          Alcotest.test_case "oversized service raises Too_large" `Quick
+            test_shards_too_large;
         ] );
       ( "dataplane",
         [
