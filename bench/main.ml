@@ -686,13 +686,6 @@ let eadr () =
      the benefit on ADR hardware)\n";
   Printf.printf "%-14s %14s %14s\n" "" "ADR overhead" "eADR overhead";
   let w = workload "vacation-high" in
-  let run ~eadr scheme =
-    Run.run_custom
-      ~make:(fun heap -> create_scheme heap scheme)
-      ~name:scheme w !scale
-    |> fun m -> ignore eadr; m
-  in
-  ignore run;
   let measure_with ~eadr scheme =
     let pm =
       Pmem.create ~seed:1 { Pmem_config.default with Pmem_config.eadr }
@@ -720,7 +713,8 @@ let eadr () =
 
 let recovery () =
   header
-    "Extension: recovery latency vs speculative-log size (not in the      paper; motivates timely reclamation)";
+    "Extension: recovery latency vs speculative-log size (not in the \
+     paper; motivates timely reclamation)";
   Printf.printf "%-10s %-14s %12s %12s %14s\n" "txs" "reclamation"
     "log KiB" "recovery ms" "full run ms";
   List.iter
@@ -828,7 +822,8 @@ let sweep_row ~experiment ~mode ~cells ~rounds
 
 let recovery_sweep () =
   header
-    "Extension: coalescing recovery — O(live set), not O(log)      (DESIGN.md, \"Recovery & reclamation performance model\")";
+    "Extension: coalescing recovery — O(live set), not O(log) \
+     (DESIGN.md, \"Recovery & reclamation performance model\")";
   (* 1: stale-overwrite sweep, fixed live set.  The log grows 10x; the
      live set does not.  Replay recovery pays per log entry; coalesced
      recovery writes each live cell once, so its data writes stay at the
@@ -1573,10 +1568,6 @@ let bechamel () =
   List.iter
     (fun t ->
       let results = benchmark t in
-      Hashtbl.iter
-        (fun _name result ->
-          ignore result)
-        results;
       (* print mean run time per test *)
       Hashtbl.iter
         (fun name r ->

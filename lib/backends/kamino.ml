@@ -21,11 +21,7 @@ type t = {
   pm : Pmem.t;
   log : Intent_log.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
-  mutable in_tx : bool;
+  shell : Ctx.Shell.t;
 }
 
 let tx_write t a v =
@@ -36,46 +32,16 @@ let tx_write t a v =
 
 (* Commit: clear the intent list with one barrier.  No data flushes — the
    backup copy (omitted) would absorb them off the critical path. *)
-let commit t =
+let commit t frees =
   Intent_log.truncate_durable t.log;
-  List.iter (fun a -> Heap.free t.heap a) (List.rev t.frees);
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
+  List.iter (fun a -> Heap.free t.heap a) frees;
+  Write_set.clear t.ws
 
 let rollback t =
   Write_set.iter_newest_first t.ws (fun a slot ->
       Pmem.store_int t.pm a slot.Write_set.old_value);
   Intent_log.truncate_durable t.log;
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Kamino: nested transaction";
-  t.in_tx <- true;
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
-      write = (fun a v -> tx_write t a v);
-      alloc = (fun n -> Heap.alloc t.heap n);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      Ctx.Hooks.fire hooks false;
-      raise e
+  Write_set.clear t.ws
 
 let create heap =
   let t =
@@ -87,13 +53,15 @@ let create heap =
           ~capacity_slot:Slots.kamino_capacity ~words_per_entry:1
           ~capacity:1024;
       ws = Write_set.create ();
-      frees = [];
-      in_tx = false;
+      shell = Ctx.Shell.create "Kamino";
     }
   in
+  let ctx = Ctx.Shell.ctx t.shell ~heap ~write:(tx_write t) in
+  let commit = commit t and rollback () = rollback t in
   {
     Ctx.name = "Kamino-Tx";
-    run_tx = (fun f -> run_tx t f);
+    run_tx =
+      (fun f -> Ctx.Shell.run t.shell ctx ~start:ignore ~commit ~rollback f);
     recover =
       (fun () ->
         invalid_arg

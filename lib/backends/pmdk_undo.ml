@@ -18,11 +18,7 @@ type t = {
   pm : Pmem.t;
   log : Intent_log.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
-  mutable in_tx : bool;
+  shell : Ctx.Shell.t;
 }
 
 let tx_write t a v =
@@ -31,14 +27,12 @@ let tx_write t a v =
   if first then Intent_log.append_durable t.log [ a; old_value ];
   Pmem.store_int t.pm a v
 
-let commit t =
+let commit t frees =
   Write_set.iter_in_order t.ws (fun a _ -> Pmem.clwb t.pm a);
   Pmem.sfence t.pm;
   Intent_log.truncate_durable t.log;
-  List.iter (fun a -> Heap.free t.heap a) (List.rev t.frees);
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
+  List.iter (fun a -> Heap.free t.heap a) frees;
+  Write_set.clear t.ws
 
 let rollback t =
   Write_set.iter_newest_first t.ws (fun a slot ->
@@ -46,35 +40,7 @@ let rollback t =
       Pmem.clwb t.pm a);
   Pmem.sfence t.pm;
   Intent_log.truncate_durable t.log;
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Pmdk_undo: nested transaction";
-  t.in_tx <- true;
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
-      write = (fun a v -> tx_write t a v);
-      alloc = (fun n -> Heap.alloc t.heap n);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      Ctx.Hooks.fire hooks false;
-      raise e
+  Write_set.clear t.ws
 
 let recover t =
   Heap.recover t.heap;
@@ -92,9 +58,8 @@ let recover t =
   done;
   Pmem.sfence t.pm;
   Intent_log.truncate_durable log;
-  t.frees <- [] (* deferred frees of a crashed transaction are dead *);
   Write_set.clear t.ws;
-  t.in_tx <- false
+  Ctx.Shell.reset t.shell
 
 let create heap =
   let t =
@@ -106,13 +71,15 @@ let create heap =
           ~capacity_slot:Slots.pmdk_capacity ~words_per_entry:2
           ~capacity:1024;
       ws = Write_set.create ();
-      frees = [];
-      in_tx = false;
+      shell = Ctx.Shell.create "Pmdk_undo";
     }
   in
+  let ctx = Ctx.Shell.ctx t.shell ~heap ~write:(tx_write t) in
+  let commit = commit t and rollback () = rollback t in
   {
     Ctx.name = "PMDK";
-    run_tx = (fun f -> run_tx t f);
+    run_tx =
+      (fun f -> Ctx.Shell.run t.shell ctx ~start:ignore ~commit ~rollback f);
     recover = (fun () -> recover t);
     drain = (fun () -> ());
     log_footprint = (fun () -> Intent_log.footprint t.log);

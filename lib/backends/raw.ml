@@ -3,23 +3,10 @@
     without persistent memory transactions" that Figure 1 measures
     overhead against. *)
 
-open Specpmt_pmem
-open Specpmt_pmalloc
 open Specpmt_txn
 
 let create heap =
-  let pm = Heap.pmem heap in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int pm a);
-      write = (fun a v -> Pmem.store_int pm a v);
-      alloc = (fun n -> Heap.alloc heap n);
-      free = (fun a -> Heap.free heap a);
-      (* non-transactional: effects are final when made, so an outcome
-         hook can only ever observe a commit — fire it immediately *)
-      on_end = (fun f -> f true);
-    }
-  in
+  let ctx = Ctx.raw_ctx heap in
   {
     Ctx.name = "raw";
     run_tx = (fun f -> f ctx);

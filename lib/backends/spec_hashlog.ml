@@ -22,13 +22,9 @@ type t = {
   pm : Pmem.t;
   tsc : Tsc.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
+  shell : Ctx.Shell.t;
   mutable table : Addr.t;
   mutable buckets : int;
-  mutable in_tx : bool;
   mutable touched : Addr.t list; (* bucket lines dirtied by the open tx *)
 }
 
@@ -87,7 +83,7 @@ let tx_write t a v =
 
 let committed_ts_addr t = Heap.root_slot t.heap Slots.hashlog_committed_ts
 
-let commit t =
+let commit t frees =
   let ts = Tsc.peek t.tsc in
   ignore (Tsc.next t.tsc);
   (* random-pattern flushes: the lines of every touched bucket *)
@@ -96,46 +92,15 @@ let commit t =
   Pmem.store_int t.pm (committed_ts_addr t) ts;
   Pmem.clwb t.pm (committed_ts_addr t);
   Pmem.sfence t.pm;
-  List.iter (fun a -> Heap.free t.heap a) (List.rev t.frees);
-  t.frees <- [];
+  List.iter (fun a -> Heap.free t.heap a) frees;
   t.touched <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
+  Write_set.clear t.ws
 
 let rollback t =
   Write_set.iter_newest_first t.ws (fun a slot ->
       Pmem.store_int t.pm a slot.Write_set.old_value;
       write_version t a slot.Write_set.old_value (Tsc.peek t.tsc));
-  t.frees <- [];
-  commit t
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Spec_hashlog: nested transaction";
-  t.in_tx <- true;
-  (* outcome hooks fire from these dispatch arms, never from
-     [commit]/[rollback] — [rollback] itself ends in [commit] *)
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
-      write = (fun a v -> tx_write t a v);
-      alloc = (fun n -> Heap.alloc t.heap n);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      Ctx.Hooks.fire hooks false;
-      raise e
+  commit t []
 
 let recover t =
   Heap.recover t.heap;
@@ -171,9 +136,8 @@ let recover t =
   Pmem.sfence t.pm;
   Tsc.restart_above t.tsc committed;
   t.touched <- [];
-  t.frees <- [] (* deferred frees of a crashed transaction are dead *);
   Write_set.clear t.ws;
-  t.in_tx <- false
+  Ctx.Shell.reset t.shell
 
 let create ?buckets heap =
   let pm = Heap.pmem heap in
@@ -201,16 +165,18 @@ let create ?buckets heap =
       pm;
       tsc = Tsc.create ();
       ws = Write_set.create ();
-      frees = [];
+      shell = Ctx.Shell.create "Spec_hashlog";
       table;
       buckets;
-      in_tx = false;
       touched = [];
     }
   in
+  let ctx = Ctx.Shell.ctx t.shell ~heap ~write:(tx_write t) in
+  let commit = commit t and rollback () = rollback t in
   {
     Ctx.name = "Spec-hashlog";
-    run_tx = (fun f -> run_tx t f);
+    run_tx =
+      (fun f -> Ctx.Shell.run t.shell ctx ~start:ignore ~commit ~rollback f);
     recover = (fun () -> recover t);
     drain = (fun () -> ());
     log_footprint = (fun () -> t.buckets * bucket_bytes);

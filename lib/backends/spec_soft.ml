@@ -28,16 +28,12 @@ type t = {
   head_slot : int;
   tsc : Tsc.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
+  shell : Ctx.Shell.t;
   mutable allocs : Addr.t list;
       (* allocations made by the open transaction: released again on
          rollback, otherwise an aborted transaction leaks them forever
          (frees are deferred; allocs must be compensated) *)
   mutable arena : Log_arena.t;
-  mutable in_tx : bool;
   mutable in_batch : bool;
       (* group commit open: transactions commit tentative (poisoned
          checksum, no fence) records until [batch_end] seals the whole
@@ -107,7 +103,7 @@ let tx_write t a v =
   else Log_arena.set_entry_value t.arena slot.Write_set.entry_pos v;
   Pmem.store_int t.pm a v
 
-let commit t =
+let commit t frees =
   (* a read-only transaction has nothing to persist and must not emit a
      zero-entry record (it would read as the end-of-log sentinel) *)
   if Log_arena.entry_words t.arena = 0 then Log_arena.abandon_record t.arena
@@ -121,11 +117,9 @@ let commit t =
     Write_set.iter_in_order t.ws (fun a _ -> Pmem.clwb t.pm a);
     Pmem.sfence t.pm
   end;
-  List.iter (fun a -> Heap.free t.heap a) (List.rev t.frees);
-  t.frees <- [];
+  List.iter (fun a -> Heap.free t.heap a) frees;
   t.allocs <- [];
   Write_set.clear t.ws;
-  t.in_tx <- false;
   (* reclamation would rewrite the chain out from under the unsealed
      records; during a batch it is deferred to [batch_end] *)
   if not t.in_batch then maybe_reclaim t
@@ -148,45 +142,7 @@ let rollback t =
      are simply dropped, but blocks it allocated would otherwise leak *)
   List.iter (fun a -> Heap.free t.heap a) t.allocs;
   t.allocs <- [];
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Spec_soft: nested transaction";
-  t.in_tx <- true;
-  Log_arena.begin_record t.arena;
-  (* outcome hooks live for exactly this transaction; fired from the
-     dispatch arms below, never from [commit]/[rollback] themselves *)
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
-      write = (fun a v -> tx_write t a v);
-      alloc =
-        (fun n ->
-          let a = Heap.alloc t.heap n in
-          t.allocs <- a :: t.allocs;
-          a);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      (* a device crash (or any other error) escapes without commit or
-         rollback; the hooks still learn the transaction did not commit,
-         so volatile caches drop their staged deltas *)
-      Ctx.Hooks.fire hooks false;
-      raise e
+  Write_set.clear t.ws
 
 (* ---------- Group commit ---------- *)
 
@@ -202,7 +158,8 @@ let run_tx t f =
 let in_batch t = t.in_batch
 
 let batch_begin t =
-  if t.in_tx then invalid_arg "Spec_soft.batch_begin: open transaction";
+  if Ctx.Shell.is_open t.shell then
+    invalid_arg "Spec_soft.batch_begin: open transaction";
   if t.in_batch then invalid_arg "Spec_soft.batch_begin: batch already open";
   if t.params.data_persist then
     invalid_arg
@@ -211,7 +168,8 @@ let batch_begin t =
 
 let batch_end t =
   if not t.in_batch then invalid_arg "Spec_soft.batch_end: no open batch";
-  if t.in_tx then invalid_arg "Spec_soft.batch_end: open transaction";
+  if Ctx.Shell.is_open t.shell then
+    invalid_arg "Spec_soft.batch_end: open transaction";
   t.in_batch <- false;
   let sealed = Log_arena.seal_tentative t.arena in
   (* reclamation was deferred while records were unsealed *)
@@ -273,10 +231,9 @@ let restore t =
    volatile state of any transaction or batch the crash interrupted. *)
 let reattach t ~tail =
   t.arena <- Log_arena.attach t.heap ~tail;
-  t.frees <- [] (* deferred frees of a crashed transaction are dead *);
-  t.allocs <- [] (* likewise its allocations: Heap.recover owns the walk *);
+  t.allocs <- [] (* Heap.recover owns a crashed transaction's allocations *);
   Write_set.clear t.ws;
-  t.in_tx <- false;
+  Ctx.Shell.reset t.shell;
   t.in_batch <- false (* an unsealed batch died with the crash *)
 
 let recover t =
@@ -293,15 +250,14 @@ let recover t =
 
 let snapshot_region t addr len =
   assert (Addr.is_word_aligned addr && len mod 8 = 0);
-  let backend_ctx_write = tx_write t in
-  if t.in_tx then invalid_arg "Spec_soft.snapshot_region: open transaction";
-  t.in_tx <- true;
+  if Ctx.Shell.is_open t.shell then
+    invalid_arg "Spec_soft.snapshot_region: open transaction";
   Log_arena.begin_record t.arena;
   for i = 0 to (len / 8) - 1 do
     let a = addr + (i * 8) in
-    backend_ctx_write a (Pmem.load_int t.pm a)
+    tx_write t a (Pmem.load_int t.pm a)
   done;
-  commit t
+  commit t []
 
 (* Switching crash-consistency mechanisms (Section 4.3.1): because
    SpecPMT uses in-place updates, leaving speculative logging only
@@ -311,7 +267,8 @@ let snapshot_region t addr len =
    needed and is emptied, and any other mechanism (undo, redo...) may run
    on the same pool from then on. *)
 let switch_out t =
-  if t.in_tx then invalid_arg "Spec_soft.switch_out: open transaction";
+  if Ctx.Shell.is_open t.shell then
+    invalid_arg "Spec_soft.switch_out: open transaction";
   if t.in_batch then invalid_arg "Spec_soft.switch_out: open batch";
   (* 1: persist every datum with a live record *)
   let touched = Hashtbl.create 256 in
@@ -342,21 +299,32 @@ let create ?(head_slot = Slots.spec_head) ?tsc heap params =
       head_slot;
       tsc = (match tsc with Some c -> c | None -> Tsc.create ());
       ws = Write_set.create ();
-      frees = [];
+      shell = Ctx.Shell.create "Spec_soft";
       allocs = [];
       arena =
         Log_arena.create heap ~head_slot
           ~block_bytes:params.block_bytes;
-      in_tx = false;
       in_batch = false;
       reclaims = 0;
       last_compact_footprint = params.block_bytes;
     }
   in
+  let ctx =
+    {
+      (Ctx.Shell.ctx t.shell ~heap ~write:(tx_write t)) with
+      alloc =
+        (fun n ->
+          let a = Heap.alloc heap n in
+          t.allocs <- a :: t.allocs;
+          a);
+    }
+  in
+  let start () = Log_arena.begin_record t.arena in
+  let commit = commit t and rollback () = rollback t in
   let backend =
     {
       Ctx.name = (if params.data_persist then "SpecSPMT-DP" else "SpecSPMT");
-      run_tx = (fun f -> run_tx t f);
+      run_tx = (fun f -> Ctx.Shell.run t.shell ctx ~start ~commit ~rollback f);
       recover = (fun () -> recover t);
       drain = (fun () -> ());
       log_footprint = (fun () -> Log_arena.footprint t.arena);

@@ -24,12 +24,8 @@ type t = {
       (* SPHT works on a volatile snapshot: uncommitted writes must not
          reach the persistent home locations — a crash could leak them
          past the pruned log with nothing to revoke them *)
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
   mutable arena : Log_arena.t;
-  mutable in_tx : bool;
+  shell : Ctx.Shell.t;
   mutable pending : (Addr.t * int) list list; (* committed, not yet replayed *)
   mutable pending_entries : int;
   replay_batch : int;
@@ -80,7 +76,7 @@ let tx_write t a v =
   ignore (Write_set.record t.ws a ~old_value);
   Hashtbl.replace t.tx_buffer a v
 
-let commit t =
+let commit t frees =
   (* apply the snapshot to the home locations (volatile stores; the
      background replayer persists them) *)
   Hashtbl.iter (fun a v -> Pmem.store_int t.pm a v) t.tx_buffer;
@@ -102,43 +98,13 @@ let commit t =
     t.pending <- !entries :: t.pending;
     t.pending_entries <- t.pending_entries + List.length !entries
   end;
-  List.iter (fun a -> Heap.free t.heap a) (List.rev t.frees);
-  t.frees <- [];
+  List.iter (fun a -> Heap.free t.heap a) frees;
   Write_set.clear t.ws;
-  t.in_tx <- false;
   if t.pending_entries >= t.replay_batch then replay t
 
 let rollback t =
   Hashtbl.reset t.tx_buffer;
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Spht: nested transaction";
-  t.in_tx <- true;
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> tx_read t a);
-      write = (fun a v -> tx_write t a v);
-      alloc = (fun n -> Heap.alloc t.heap n);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      Ctx.Hooks.fire hooks false;
-      raise e
+  Write_set.clear t.ws
 
 let recover t =
   Heap.recover t.heap;
@@ -157,9 +123,8 @@ let recover t =
   t.arena <- Log_arena.attach t.heap ~tail;
   t.pending <- [];
   t.pending_entries <- 0;
-  t.frees <- [] (* deferred frees of a crashed transaction are dead *);
   Write_set.clear t.ws;
-  t.in_tx <- false
+  Ctx.Shell.reset t.shell
 
 let create heap =
   let t =
@@ -169,18 +134,22 @@ let create heap =
       tsc = Tsc.create ();
       ws = Write_set.create ();
       tx_buffer = Hashtbl.create 64;
-      frees = [];
       arena = Log_arena.create heap ~head_slot:Slots.spht_head ~block_bytes:4096;
-      in_tx = false;
+      shell = Ctx.Shell.create "Spht";
       pending = [];
       pending_entries = 0;
       replay_batch = 4096;
       buffer_probes = Specpmt_obs.Metrics.counter "tx.buffer_probes";
     }
   in
+  let ctx =
+    { (Ctx.Shell.ctx t.shell ~heap ~write:(tx_write t)) with read = tx_read t }
+  in
+  let commit = commit t and rollback () = rollback t in
   {
     Ctx.name = "SPHT";
-    run_tx = (fun f -> run_tx t f);
+    run_tx =
+      (fun f -> Ctx.Shell.run t.shell ctx ~start:ignore ~commit ~rollback f);
     recover = (fun () -> recover t);
     drain = (fun () -> replay t);
     log_footprint = (fun () -> Log_arena.footprint t.arena);

@@ -364,9 +364,10 @@ let btree_target =
         let pm = Heap.pmem heap in
         (* mirror the live handle so every explored crash point also
            exercises the shadow's transactional staging: deltas commit
-           on the outcome hook, and a Pmem.Crash escaping run_tx drops
-           them.  The mirror is never trusted after the crash — the
-           recovery audit below rebuilds a fresh one from media. *)
+           on the outcome hook, and a Pmem.Crash escaping the body drops
+           them (one inside commit fires no hook).  The mirror is never
+           trusted after the crash — the recovery audit below rebuilds
+           a fresh one from media. *)
         Pbtree.attach_shadow (Ctx.peek_ctx pm) tree;
         {
           run_tx = (fun _ f -> b.Ctx.run_tx f);

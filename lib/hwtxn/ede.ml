@@ -18,12 +18,8 @@ type t = {
   pm : Pmem.t;
   mutable log : Nt_log.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
   logged_lines : (Addr.t, unit) Hashtbl.t; (* per-tx line coalescing *)
-  mutable in_tx : bool;
+  shell : Ctx.Shell.t;
 }
 
 let tx_write t a v =
@@ -37,15 +33,13 @@ let tx_write t a v =
   end;
   Pmem.store_int t.pm a v
 
-let commit t =
+let commit t frees =
   Write_set.iter_in_order t.ws (fun a _ -> Pmem.clwb t.pm a);
   Pmem.sfence t.pm;
   Nt_log.truncate t.log;
-  List.iter (fun a -> Heap.free t.heap a) (List.rev t.frees);
-  t.frees <- [];
+  List.iter (fun a -> Heap.free t.heap a) frees;
   Write_set.clear t.ws;
-  Hashtbl.reset t.logged_lines;
-  t.in_tx <- false
+  Hashtbl.reset t.logged_lines
 
 let rollback t =
   Write_set.iter_newest_first t.ws (fun a slot ->
@@ -53,36 +47,8 @@ let rollback t =
       Pmem.clwb t.pm a);
   Pmem.sfence t.pm;
   Nt_log.truncate t.log;
-  t.frees <- [];
   Write_set.clear t.ws;
-  Hashtbl.reset t.logged_lines;
-  t.in_tx <- false
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Ede: nested transaction";
-  t.in_tx <- true;
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
-      write = (fun a v -> tx_write t a v);
-      alloc = (fun n -> Heap.alloc t.heap n);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      Ctx.Hooks.fire hooks false;
-      raise e
+  Hashtbl.reset t.logged_lines
 
 let recover t =
   Heap.recover t.heap;
@@ -100,10 +66,9 @@ let recover t =
   Nt_log.truncate log;
   (* adopt the reattached log (fresh cached generation and region) *)
   t.log <- log;
-  t.frees <- [];
   Write_set.clear t.ws;
   Hashtbl.reset t.logged_lines;
-  t.in_tx <- false
+  Ctx.Shell.reset t.shell
 
 let create heap =
   let t =
@@ -114,14 +79,16 @@ let create heap =
         Nt_log.create heap ~region_slot:Hw_slots.ede_region
           ~capacity_slot:Hw_slots.ede_capacity ~capacity:1024;
       ws = Write_set.create ();
-      frees = [];
       logged_lines = Hashtbl.create 64;
-      in_tx = false;
+      shell = Ctx.Shell.create "Ede";
     }
   in
+  let ctx = Ctx.Shell.ctx t.shell ~heap ~write:(tx_write t) in
+  let commit = commit t and rollback () = rollback t in
   {
     Ctx.name = "EDE";
-    run_tx = (fun f -> run_tx t f);
+    run_tx =
+      (fun f -> Ctx.Shell.run t.shell ctx ~start:ignore ~commit ~rollback f);
     recover = (fun () -> recover t);
     drain = (fun () -> ());
     log_footprint = (fun () -> Nt_log.footprint t.log);

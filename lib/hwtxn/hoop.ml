@@ -24,16 +24,12 @@ type t = {
   pm : Pmem.t;
   tsc : Tsc.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
+  shell : Ctx.Shell.t;
   mutable arena : Log_arena.t;
   mutable map_arena : Log_arena.t;
       (* address-mapping records (one per cache miss): they cost log
          traffic like the paper says, but they are translation metadata —
          recovery must never replay them as data writes *)
-  mutable in_tx : bool;
   mutable tx_entries : (Addr.t * int) list; (* this tx, newest first *)
   tx_buffer : (Addr.t, int) Hashtbl.t;
       (* HOOP is out-of-place: uncommitted writes live in the on-chip
@@ -131,7 +127,7 @@ let tx_write t a v =
   Hashtbl.replace t.tx_buffer a v;
   Pmem.charge_ns t.pm t.stream_ns_per_update
 
-let commit t =
+let commit t frees =
   (* the write intents become visible in the home locations only now *)
   Hashtbl.iter (fun a v -> Pmem.store_int t.pm a v) t.tx_buffer;
   Hashtbl.reset t.tx_buffer;
@@ -159,49 +155,14 @@ let commit t =
     t.pending_entries <- t.pending_entries + List.length t.tx_entries
   end;
   t.tx_entries <- [];
-  List.iter (fun a -> Heap.free t.heap a) (List.rev t.frees);
-  t.frees <- [];
+  List.iter (fun a -> Heap.free t.heap a) frees;
   Write_set.clear t.ws;
-  t.in_tx <- false;
   if t.pending_entries >= t.gc_batch_entries then gc t
 
 let rollback t =
   Hashtbl.reset t.tx_buffer;
   t.tx_entries <- [];
-  t.frees <- [];
-  Write_set.clear t.ws;
-  t.in_tx <- false
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Hoop: nested transaction";
-  t.in_tx <- true;
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read =
-        (fun a ->
-          Hashtbl.replace t.tx_read_lines (Addr.line_of a) ();
-          tx_read t a);
-      write = (fun a v -> tx_write t a v);
-      alloc = (fun n -> Heap.alloc t.heap n);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      (* a crash (or any other exception) escapes without committing:
-         volatile hooks observe an aborted outcome *)
-      Ctx.Hooks.fire hooks false;
-      raise e
+  Write_set.clear t.ws
 
 let recover t =
   Heap.recover t.heap;
@@ -228,9 +189,8 @@ let recover t =
   t.pending <- [];
   t.pending_entries <- 0;
   t.tx_entries <- [];
-  t.frees <- [] (* deferred frees of a crashed transaction are dead *);
   Write_set.clear t.ws;
-  t.in_tx <- false
+  Ctx.Shell.reset t.shell
 
 let create ?(gc_batch_entries = 8192) ?(gc_contention = 0.4)
     ?(stream_ns_per_update = 5.0) heap =
@@ -240,12 +200,11 @@ let create ?(gc_batch_entries = 8192) ?(gc_contention = 0.4)
       pm = Heap.pmem heap;
       tsc = Tsc.create ();
       ws = Write_set.create ();
-      frees = [];
+      shell = Ctx.Shell.create "Hoop";
       arena =
         Log_arena.create heap ~head_slot:Hw_slots.hoop_head ~block_bytes;
       map_arena =
         Log_arena.create heap ~head_slot:Hw_slots.hoop_map_head ~block_bytes;
-      in_tx = false;
       tx_entries = [];
       tx_buffer = Hashtbl.create 64;
       tx_read_lines = Hashtbl.create 64;
@@ -257,9 +216,20 @@ let create ?(gc_batch_entries = 8192) ?(gc_contention = 0.4)
       buffer_probes = Specpmt_obs.Metrics.counter "tx.buffer_probes";
     }
   in
+  let ctx =
+    {
+      (Ctx.Shell.ctx t.shell ~heap ~write:(tx_write t)) with
+      read =
+        (fun a ->
+          Hashtbl.replace t.tx_read_lines (Addr.line_of a) ();
+          tx_read t a);
+    }
+  in
+  let commit = commit t and rollback () = rollback t in
   {
     Ctx.name = "HOOP";
-    run_tx = (fun f -> run_tx t f);
+    run_tx =
+      (fun f -> Ctx.Shell.run t.shell ctx ~start:ignore ~commit ~rollback f);
     recover = (fun () -> recover t);
     drain = (fun () -> gc t);
     log_footprint =

@@ -7,45 +7,23 @@ open Specpmt_pmem
 open Specpmt_pmalloc
 open Specpmt_txn
 
-type t = { heap : Heap.t; pm : Pmem.t; ws : Write_set.t; mutable in_tx : bool }
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Nolog: nested transaction";
-  t.in_tx <- true;
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
-      write =
-        (fun a v ->
-          ignore (Write_set.record t.ws a ~old_value:0);
-          Pmem.store_int t.pm a v);
-      alloc = (fun n -> Heap.alloc t.heap n);
-      free = (fun a -> Heap.free t.heap a);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      Write_set.iter_in_order t.ws (fun a _ -> Pmem.clwb t.pm a);
-      Pmem.sfence t.pm;
-      Write_set.clear t.ws;
-      t.in_tx <- false;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception e ->
-      Write_set.clear t.ws;
-      t.in_tx <- false;
-      Ctx.Hooks.fire hooks false;
-      raise e
-
 let create heap =
-  let t =
-    { heap; pm = Heap.pmem heap; ws = Write_set.create (); in_tx = false }
+  let pm = Heap.pmem heap and ws = Write_set.create () in
+  let shell = Ctx.Shell.create "Nolog" in
+  let write a v =
+    ignore (Write_set.record ws a ~old_value:0);
+    Pmem.store_int pm a v
   in
+  let ctx = { (Ctx.Shell.ctx shell ~heap ~write) with free = Heap.free heap } in
+  let commit _ =
+    Write_set.iter_in_order ws (fun a _ -> Pmem.clwb pm a);
+    Pmem.sfence pm;
+    Write_set.clear ws
+  and rollback () = Write_set.clear ws in
   {
     Ctx.name = "no-log";
-    run_tx = (fun f -> run_tx t f);
+    run_tx =
+      (fun f -> Ctx.Shell.run shell ctx ~start:ignore ~commit ~rollback f);
     recover = (fun () -> invalid_arg "no-log provides no crash consistency");
     drain = (fun () -> ());
     log_footprint = (fun () -> 0);

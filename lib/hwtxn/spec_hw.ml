@@ -48,10 +48,7 @@ type t = {
   mutable undo : Nt_log.t;
   tsc : Tsc.t;
   ws : Write_set.t;
-  mutable frees : Addr.t list;
-      (* transactional frees deferred to commit: an uncommitted free must
-         never become durable, or recovery could revive a pointer into a
-         reallocated block *)
+  shell : Ctx.Shell.t;
   mutable arena : Log_arena.t;
   (* the single source of truth for logging decisions: a page is hot iff
      it has live speculative records.  The value is the page's hotness
@@ -62,7 +59,6 @@ type t = {
   spec_pages : (int, (int * int) list) Hashtbl.t;
   mutable closed_epochs : epoch list; (* oldest first *)
   mutable cur : epoch;
-  mutable in_tx : bool;
   (* statistics *)
   soft_counters : (int, int) Hashtbl.t; (* Software_sampled mode *)
   mutable soft_ops : int;
@@ -272,7 +268,7 @@ let gen_cell t = Nt_log.gen_cell t.undo
    corrupt the allocator. *)
 let log_cell t a = tx_write t a (Pmem.load_int t.pm a)
 
-let commit t =
+let commit t frees =
   (* (0) clear the deferred frees' headers through the logged-store path:
      the clears become durable exactly with the commit record (or are
      revoked with it), never before — a free that outlived a revoked
@@ -282,7 +278,7 @@ let commit t =
     (fun a ->
       let size = Heap.usable_size t.heap a in
       tx_write t (a - 8) (size lsl 1))
-    (List.rev t.frees);
+    frees;
   (* (1) cold data first: flushes are persistent on acceptance, so a
      checksum-valid commit record always implies durable cold data *)
   let hot = ref [] in
@@ -310,19 +306,15 @@ let commit t =
   (* (4) fence-free undo truncation *)
   Nt_log.truncate t.undo;
   (* (5) the transaction is durable: release the freed blocks *)
-  List.iter (fun a -> Heap.register_free t.heap a) (List.rev t.frees);
-  t.frees <- [];
+  List.iter (fun a -> Heap.register_free t.heap a) frees;
   (* commit-time L1 scan: LogBits clear, PBits stay (Section 5.1) *)
   L1tags.end_tx t.l1;
   (* epoch bookkeeping *)
-  let entries = Hashtbl.length hot_pages in
   t.cur.bytes <- t.cur.bytes + ((List.length !hot + 1) * 16) + 24;
   Hashtbl.iter
     (fun p () -> if claim t p then t.cur.pages <- p :: t.cur.pages)
     hot_pages;
-  ignore entries;
   Write_set.clear t.ws;
-  t.in_tx <- false;
   note_footprint t;
   maybe_epoch_work t
 
@@ -331,41 +323,7 @@ let rollback t =
      record so the log matches the restored state *)
   Write_set.iter_newest_first t.ws (fun a slot ->
       Pmem.store_int t.pm a slot.Write_set.old_value);
-  t.frees <- [];
-  commit t
-
-let run_tx t f =
-  if t.in_tx then invalid_arg "Spec_hw: nested transaction";
-  t.in_tx <- true;
-  (* outcome hooks fire from these dispatch arms, never from
-     [commit]/[rollback] — [rollback] itself ends in [commit] *)
-  let hooks = Ctx.Hooks.create () in
-  let ctx =
-    {
-      Ctx.read = (fun a -> Pmem.load_int t.pm a);
-      write = (fun a v -> tx_write t a v);
-      alloc =
-        (fun n ->
-          let a = Heap.alloc t.heap n in
-          (* the header store is a durable store like any other *)
-          log_cell t (a - 8);
-          a);
-      free = (fun a -> t.frees <- a :: t.frees);
-      on_end = Ctx.Hooks.register hooks;
-    }
-  in
-  match f ctx with
-  | v ->
-      commit t;
-      Ctx.Hooks.fire hooks true;
-      v
-  | exception Ctx.Abort ->
-      rollback t;
-      Ctx.Hooks.fire hooks false;
-      raise Ctx.Abort
-  | exception e ->
-      Ctx.Hooks.fire hooks false;
-      raise e
+  commit t []
 
 (* Recovery (Section 5.1.1): replay the valid (committed) records in
    chronological order — this also replays each record's generation bump,
@@ -434,9 +392,8 @@ let recover t =
       ignore (claim t p);
       t.cur.pages <- p :: t.cur.pages)
     pages;
-  t.frees <- [] (* deferred frees of a crashed transaction are dead *);
   Write_set.clear t.ws;
-  t.in_tx <- false
+  Ctx.Shell.reset t.shell
 
 let create ?(thread = 0) ?tsc ?coord ?spec_pages
     ?(head_slot = Hw_slots.spec_head)
@@ -475,7 +432,7 @@ let create ?(thread = 0) ?tsc ?coord ?spec_pages
           ~capacity_slot:undo_capacity_slot ~capacity:1024;
       tsc = (match tsc with Some c -> c | None -> Tsc.create ());
       ws = Write_set.create ();
-      frees = [];
+      shell = Ctx.Shell.create "Spec_hw";
       arena;
       spec_pages =
         (match spec_pages with Some h -> h | None -> Hashtbl.create 256);
@@ -489,7 +446,6 @@ let create ?(thread = 0) ?tsc ?coord ?spec_pages
           pages = [];
           bytes = 0;
         };
-      in_tx = false;
       n_transitions = 0;
       n_hot_writes = 0;
       n_cold_writes = 0;
@@ -498,10 +454,23 @@ let create ?(thread = 0) ?tsc ?coord ?spec_pages
       peak_log = 0;
     }
   in
+  let ctx =
+    {
+      (Ctx.Shell.ctx t.shell ~heap ~write:(tx_write t)) with
+      alloc =
+        (fun n ->
+          let a = Heap.alloc heap n in
+          (* the header store is a durable store like any other *)
+          log_cell t (a - 8);
+          a);
+    }
+  in
+  let commit = commit t and rollback () = rollback t in
   let backend =
     {
       Ctx.name = (if params.data_persist then "SpecHPMT-DP" else "SpecHPMT");
-      run_tx = (fun f -> run_tx t f);
+      run_tx =
+        (fun f -> Ctx.Shell.run t.shell ctx ~start:ignore ~commit ~rollback f);
       recover = (fun () -> recover t);
       drain = (fun () -> ());
       log_footprint = (fun () -> Log_arena.footprint t.arena);
@@ -627,8 +596,7 @@ module Mt = struct
             ignore (claim rt pg);
             rt.cur.pages <- pg :: rt.cur.pages)
           (List.sort_uniq compare pages_per_thread.(i));
-        rt.frees <- [];
         Write_set.clear rt.ws;
-        rt.in_tx <- false)
+        Ctx.Shell.reset rt.shell)
       p.runtimes
 end

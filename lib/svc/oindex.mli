@@ -53,8 +53,8 @@ val recover : ?shadow:bool -> pool:Spec_mt.t -> Heap.t -> shards:int -> keys:int
     bitmap by walking them.  All reads are unmetered peeks.  [shadow]
     (default [true]) rebuilds each tree's mirror from the replayed
     image — a pre-crash mirror is never reused, because a crash inside
-    the commit protocol can leave a transaction durable that the
-    mirror's outcome hook reported as failed.  Mirrors are built
+    the commit protocol fires no outcome hook yet can leave the
+    transaction durable.  Mirrors are built
     through each shard's runtime view of [pool].  Raises
     [Invalid_argument] when the directory disagrees with the expected
     geometry (wrong pool). *)

@@ -19,40 +19,25 @@ type ctx = {
   alloc : int -> Addr.t;  (** persistent allocation (not rolled back) *)
   free : Addr.t -> unit;
   on_end : (bool -> unit) -> unit;
-      (** Register a volatile outcome hook on the open transaction: the
-          callback fires exactly once when the transaction ends —
-          [true] after a successful commit, [false] after a rollback or
-          when any exception (including a device crash) escapes the
-          transaction body without committing.  Hooks are volatile
-          bookkeeping only (DRAM caches staging their deltas, e.g. the
-          {!Specpmt_pstruct} shadow mirror): they must not touch the
-          device, and they do not survive recovery — post-crash state
-          is rebuilt from media, never from hook effects.
-          Non-transactional contexts ({!raw_ctx}) invoke the callback
+      (** Register a volatile outcome hook on the open transaction.  It
+          fires at most once, after the transaction has closed, in
+          registration order with the other hooks: [true] after a
+          successful commit, [false] after a rollback or when an
+          exception (a device crash included) escapes the transaction
+          body.  It does not fire at all when the device crashes inside
+          the commit or rollback itself — the transaction may then be
+          durable on media — so a hook must not be the only record of an
+          outcome.  Hooks are volatile bookkeeping only (DRAM caches
+          staging their deltas, e.g. the {!Specpmt_pstruct} shadow
+          mirror): they must not touch the device, and they do not
+          survive recovery — post-crash state is rebuilt from media,
+          never from hook effects.  After a commit or rollback a hook
+          may open the next transaction.  Registering on a backend's
+          ctx outside its transaction raises [Invalid_argument];
+          non-transactional contexts ({!raw_ctx}) invoke the callback
           immediately with [true]; read-only contexts ({!peek_ctx})
           raise [Invalid_argument]. *)
 }
-
-(** Per-transaction hook registry for backends: collect {!ctx.on_end}
-    callbacks while the transaction runs, then {!Hooks.fire} them with
-    the outcome from the [run_tx] dispatch arms (never from inside
-    commit/rollback helpers — some backends' rollback path calls their
-    commit helper). *)
-module Hooks = struct
-  type t = { mutable fns : (bool -> unit) list }
-
-  let create () = { fns = [] }
-  let register t f = t.fns <- f :: t.fns
-
-  (* fire in registration order; clear first so a hook that itself opens
-     a transaction cannot re-enter a stale list *)
-  let fire t ok =
-    match t.fns with
-    | [] -> ()
-    | fns ->
-        t.fns <- [];
-        List.iter (fun f -> f ok) (List.rev fns)
-end
 
 exception Abort
 (** Raised by user code to abort the open transaction; the backend rolls
@@ -107,3 +92,110 @@ let peek_ctx (pm : Pmem.t) =
     free = (fun _ -> invalid_arg "Ctx.peek_ctx: read-only");
     on_end = (fun _ -> invalid_arg "Ctx.peek_ctx: read-only");
   }
+
+(** The transaction shell every logging backend runs [run_tx] through.
+    It owns what the schemes share: the nested-transaction guard, the
+    {!ctx.on_end} hooks, the frees deferred to commit, and the one
+    dispatch on how the body ended.  A backend keeps only its reads,
+    writes, [commit] and [rollback], and builds its ctx once. *)
+module Shell : sig
+  type t
+
+  val create : string -> t
+  (** A closed shell; the name prefixes its [Invalid_argument]s. *)
+
+  val ctx :
+    t -> heap:Specpmt_pmalloc.Heap.t -> write:(Addr.t -> int -> unit) -> ctx
+  (** The backend's ctx: [write], device reads, heap allocations,
+      [free] deferred to the commit, and [on_end] on the open
+      transaction.  A backend that reads, allocates or frees differently
+      overrides that field with [{ ... with }]. *)
+
+  val run :
+    t ->
+    ctx ->
+    start:(unit -> unit) ->
+    commit:(Addr.t list -> unit) ->
+    rollback:(unit -> unit) ->
+    (ctx -> 'a) ->
+    'a
+  (** [run t ctx ~start ~commit ~rollback f] opens the shell (a nested
+      call raises [Invalid_argument]), calls [start], then runs [f ctx]:
+      - it returns: [commit] gets the deferred frees, oldest first, the
+        shell closes and the hooks fire with [true];
+      - it raises {!Abort}: [rollback] runs, the deferred frees are
+        dropped, the shell closes, the hooks fire with [false] and
+        {!Abort} is re-raised;
+      - it raises anything else (a device crash): the hooks fire with
+        [false] and the shell stays open until {!reset}.
+
+      A crash inside [commit] or [rollback] fires no hook. *)
+
+  val is_open : t -> bool
+
+  val reset : t -> unit
+  (** Close the shell and drop its hooks and deferred frees: the state a
+      crashed transaction left behind.  Every [recover] calls it. *)
+end = struct
+  type t = {
+    name : string;
+    mutable opened : bool;
+    mutable hooks : (bool -> unit) list; (* newest first *)
+    mutable frees : Addr.t list;
+        (* newest first.  An uncommitted free must never become durable,
+           or recovery could revive a pointer into a reallocated block *)
+  }
+
+  let create name = { name; opened = false; hooks = []; frees = [] }
+  let is_open t = t.opened
+
+  let reset t =
+    t.opened <- false;
+    t.hooks <- [];
+    t.frees <- []
+
+  let ctx t ~heap ~write =
+    let pm = Specpmt_pmalloc.Heap.pmem heap in
+    {
+      read = (fun a -> Pmem.load_int pm a);
+      write;
+      alloc = (fun n -> Specpmt_pmalloc.Heap.alloc heap n);
+      free = (fun a -> t.frees <- a :: t.frees);
+      on_end =
+        (fun f ->
+          if not t.opened then
+            invalid_arg (t.name ^ ": on_end outside a transaction");
+          t.hooks <- f :: t.hooks);
+    }
+
+  (* clear the hooks before firing them, so a hook that opens the next
+     transaction registers into a fresh list *)
+  let fire t ok =
+    match t.hooks with
+    | [] -> ()
+    | fns ->
+        t.hooks <- [];
+        List.iter (fun f -> f ok) (List.rev fns)
+
+  let close t ok =
+    t.opened <- false;
+    t.frees <- [];
+    fire t ok
+
+  let run t ctx ~start ~commit ~rollback f =
+    if t.opened then invalid_arg (t.name ^ ": nested transaction");
+    t.opened <- true;
+    start ();
+    match f ctx with
+    | v ->
+        commit (List.rev t.frees);
+        close t true;
+        v
+    | exception Abort ->
+        rollback ();
+        close t false;
+        raise Abort
+    | exception e ->
+        fire t false;
+        raise e
+end

@@ -51,36 +51,6 @@ let test_uncommitted_revoked kind () =
     Alcotest.(check int) (Printf.sprintf "cell %d restored" i) (100 + i) cells.(i)
   done
 
-let test_abort_rolls_back kind () =
-  let pm, heap, b = mk_backend kind in
-  let base = Heap.alloc heap 64 in
-  b.Ctx.run_tx (fun ctx -> ctx.Ctx.write base 5);
-  (try
-     b.Ctx.run_tx (fun ctx ->
-         ctx.Ctx.write base 42;
-         raise Ctx.Abort)
-   with Ctx.Abort -> ());
-  Alcotest.(check int) "rolled back" 5 (Pmem.peek_volatile_int pm base);
-  (* and the rollback itself must be crash consistent *)
-  if b.Ctx.supports_recovery then begin
-    Pmem.crash pm;
-    b.Ctx.recover ();
-    Alcotest.(check int) "rolled back durably" 5
-      (Pmem.peek_volatile_int pm base)
-  end
-
-let test_read_own_writes kind () =
-  let _, heap, b = mk_backend kind in
-  let base = Heap.alloc heap 64 in
-  b.Ctx.run_tx (fun ctx ->
-      ctx.Ctx.write base 1;
-      ctx.Ctx.write (base + 8) (ctx.Ctx.read base + 1);
-      ctx.Ctx.write base 7);
-  let v =
-    b.Ctx.run_tx (fun ctx -> (ctx.Ctx.read base, ctx.Ctx.read (base + 8)))
-  in
-  Alcotest.(check (pair int int)) "read own writes" (7, 2) v
-
 (* the headline property: atomic durability under random programs and
    random crash points, with random media leakage *)
 let prop_atomic_durability kind =
@@ -871,15 +841,16 @@ let durability_cases =
   List.concat_map
     (fun kind ->
       let n = Registry.name kind in
+      let create heap = Registry.create heap kind in
       [
         Alcotest.test_case (n ^ ": committed durable") `Quick
           (test_committed_durable kind);
         Alcotest.test_case (n ^ ": uncommitted revoked") `Quick
           (test_uncommitted_revoked kind);
         Alcotest.test_case (n ^ ": abort rolls back") `Quick
-          (test_abort_rolls_back kind);
+          (Testlib.test_abort_rolls_back create);
         Alcotest.test_case (n ^ ": read own writes") `Quick
-          (test_read_own_writes kind);
+          (Testlib.test_read_own_writes create);
         Alcotest.test_case (n ^ ": double crash") `Quick
           (test_double_crash kind);
         Alcotest.test_case (n ^ ": empty tx between commits") `Quick

@@ -14,15 +14,15 @@ let small_spec ?(data_persist = false) heap =
   Spec_hw.create heap
     { Spec_hw.hw = Hwconfig.small; data_persist; hotness = Spec_hw.Tlb_counters }
 
+let create kind heap =
+  match kind with
+  | Hw_registry.Spec_hw -> fst (small_spec heap)
+  | Hw_registry.Spec_hw_dp -> fst (small_spec ~data_persist:true heap)
+  | k -> Hw_registry.create heap k
+
 let mk_kind ?seed ?crash_prob kind =
   let pm, heap = mk_pool ?seed ?crash_prob () in
-  let b =
-    match kind with
-    | Hw_registry.Spec_hw -> fst (small_spec heap)
-    | Hw_registry.Spec_hw_dp -> fst (small_spec ~data_persist:true heap)
-    | k -> Hw_registry.create heap k
-  in
-  (pm, heap, b)
+  (pm, heap, create kind heap)
 
 let recoverable =
   [ Hw_registry.Ede; Hw_registry.Hoop; Hw_registry.Spec_hw_dp; Hw_registry.Spec_hw ]
@@ -78,12 +78,7 @@ let prop_atomic_durability kind =
           ~crash_prob:(float_of_int (seed mod 11) /. 10.0)
           ()
       in
-      let b =
-        match kind with
-        | Hw_registry.Spec_hw -> fst (small_spec heap)
-        | Hw_registry.Spec_hw_dp -> fst (small_spec ~data_persist:true heap)
-        | k -> Hw_registry.create heap k
-      in
+      let b = create kind heap in
       let fuse = 1 + ((fuse_seed * 41) + salt) mod 4000 in
       let base, outcome =
         Testlib.run_with_crash pm heap b ~cells ~fuse:(Some fuse) program
@@ -738,6 +733,10 @@ let durability_cases =
           (test_committed_durable kind);
         Alcotest.test_case (n ^ ": uncommitted revoked") `Quick
           (test_uncommitted_revoked kind);
+        Alcotest.test_case (n ^ ": abort rolls back") `Quick
+          (Testlib.test_abort_rolls_back (create kind));
+        Alcotest.test_case (n ^ ": read own writes") `Quick
+          (Testlib.test_read_own_writes (create kind));
         Alcotest.test_case (n ^ ": empty tx between commits") `Quick
           (test_empty_tx_between_commits kind);
       ])

@@ -392,9 +392,9 @@ let prop_shadow_differential =
         Pmem.crash pm;
         b.Ctx.recover ();
         (* the pre-crash mirror is never reused — a crash inside the
-           commit protocol can leave a tx durable that the outcome hook
-           reported as failed — so rebuild from the replayed media and
-           keep churning with the live mirror on *)
+           commit protocol fires no outcome hook, yet can leave the tx
+           durable — so rebuild from the replayed media and keep
+           churning with the live mirror on *)
         Pbtree.detach_shadow t;
         Pbtree.attach_shadow (Ctx.peek_ctx pm) t;
         List.iter (fun op -> b.Ctx.run_tx (fun ctx -> apply ctx op)) ops

@@ -1249,6 +1249,141 @@ let test_tsc_restart_above () =
   Tsc.restart_above tsc 3;
   Alcotest.(check int) "restart below is a no-op" 101 (Tsc.peek tsc)
 
+(* ---------- outcome hooks: the Ctx.Shell contract, every scheme ---------- *)
+
+let schemes =
+  List.map
+    (fun k ->
+      ( Specpmt_backends.Registry.name k,
+        fun heap -> Specpmt_backends.Registry.create heap k ))
+    Specpmt_backends.Registry.all
+  @ List.map
+      (fun k ->
+        ( Specpmt_hwtxn.Hw_registry.name k,
+          fun heap -> Specpmt_hwtxn.Hw_registry.create heap k ))
+      Specpmt_hwtxn.Hw_registry.all
+
+(* a fresh backend per check: a nested call or a crash leaves the shell
+   open, and not every scheme can recover *)
+let fresh create =
+  let pm, heap = Testlib.mk_pool () in
+  let b = create heap in
+  (pm, b, Heap.alloc heap 64)
+
+let outcomes = Alcotest.(list (pair int bool))
+
+let test_hook_contract create () =
+  let log = ref [] in
+  let hook i ok = log := (i, ok) :: !log in
+  let fired what want =
+    Alcotest.check outcomes what want (List.rev !log);
+    log := []
+  in
+  (* commit: each hook once with [true], in registration order, after
+     the shell closed — the second hook opens the next transaction *)
+  let _, b, base = fresh create in
+  let kept = ref None in
+  b.Ctx.run_tx (fun ctx ->
+      kept := Some ctx;
+      ctx.Ctx.write base 1;
+      ctx.Ctx.on_end (hook 1);
+      ctx.Ctx.on_end (fun ok ->
+          hook 2 ok;
+          b.Ctx.run_tx (fun ctx -> ctx.Ctx.write (base + 8) 2));
+      ctx.Ctx.on_end (hook 3));
+  fired "commit" [ (1, true); (2, true); (3, true) ];
+  Alcotest.(check int) "the hook's transaction committed" 2
+    (b.Ctx.run_tx (fun ctx -> ctx.Ctx.read (base + 8)));
+  (match (Option.get !kept).Ctx.on_end (hook 9) with
+  | () -> Alcotest.fail "on_end on a ctx kept past its transaction"
+  | exception Invalid_argument _ -> ());
+  (* Abort: [false] once, re-raised *)
+  (match
+     b.Ctx.run_tx (fun ctx ->
+         ctx.Ctx.on_end (hook 1);
+         ctx.Ctx.write base 5;
+         raise Ctx.Abort)
+   with
+  | () -> Alcotest.fail "Abort swallowed"
+  | exception Ctx.Abort -> ());
+  fired "abort" [ (1, false) ];
+  (* a device crash in the body *)
+  let pm, b, base = fresh create in
+  (match
+     b.Ctx.run_tx (fun ctx ->
+         ctx.Ctx.on_end (hook 1);
+         Pmem.set_fuse pm (Some 1);
+         ctx.Ctx.write base 7)
+   with
+  | () -> Alcotest.fail "the fuse never blew"
+  | exception Pmem.Crash -> ());
+  fired "crash in the body" [ (1, false) ];
+  (* a nested transaction *)
+  let _, b, _ = fresh create in
+  (match
+     b.Ctx.run_tx (fun ctx ->
+         ctx.Ctx.on_end (hook 1);
+         b.Ctx.run_tx ignore)
+   with
+  | () -> Alcotest.fail "nested run_tx accepted"
+  | exception Invalid_argument _ -> ());
+  fired "nested" [ (1, false) ]
+
+(* a device crash inside commit or rollback fires no hook: sweep the
+   fuse over every event after an 8-write body until the transaction
+   completes, which then fires its hook exactly once *)
+let test_crash_in_commit_fires_no_hook create () =
+  let crashes = ref 0 in
+  List.iter
+    (fun abort ->
+      let rec sweep fuse =
+        let pm, b, base = fresh create in
+        let fired = ref 0 in
+        match
+          b.Ctx.run_tx (fun ctx ->
+              for i = 0 to 7 do
+                ctx.Ctx.write (base + (8 * i)) (i + 1)
+              done;
+              ctx.Ctx.on_end (fun _ -> incr fired);
+              Pmem.set_fuse pm (Some fuse);
+              if abort then raise Ctx.Abort)
+        with
+        | () | (exception Ctx.Abort) ->
+            Alcotest.(check int) "completed: fired once" 1 !fired
+        | exception Pmem.Crash ->
+            Alcotest.(check int) "crashed: never fired" 0 !fired;
+            incr crashes;
+            sweep (fuse + 1)
+      in
+      sweep 1)
+    [ false; true ];
+  Alcotest.(check bool) "the sweep crashed inside the shell" true (!crashes > 0)
+
+let test_raw_hooks_fire_at_once () =
+  let _, b, _ = fresh (fun heap -> Specpmt_backends.Registry.create heap Raw) in
+  let fired = ref [] in
+  b.Ctx.run_tx (fun ctx ->
+      ctx.Ctx.on_end (fun ok -> fired := ok :: !fired);
+      Alcotest.(check (list bool)) "fired on registration" [ true ] !fired);
+  Alcotest.(check (list bool)) "fired once" [ true ] !fired
+
+let hook_cases =
+  List.concat_map
+    (fun (n, create) ->
+      if n = "raw" then
+        [
+          Alcotest.test_case "raw: fires at once" `Quick
+            test_raw_hooks_fire_at_once;
+        ]
+      else
+        [
+          Alcotest.test_case (n ^ ": contract") `Quick
+            (test_hook_contract create);
+          Alcotest.test_case (n ^ ": crash in commit or rollback") `Quick
+            (test_crash_in_commit_fires_no_hook create);
+        ])
+    schemes
+
 let () =
   Alcotest.run "txn"
     [
@@ -1341,4 +1476,5 @@ let () =
           Alcotest.test_case "Pmem.load_int <= 2 words/call" `Quick
             test_walk_budget_load;
         ] );
+      ("outcome hooks", hook_cases);
     ]

@@ -85,3 +85,38 @@ let check_recovered ~states ~outcome recovered =
 
 let pp_cells ppf a =
   Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any ";") int) a
+
+(** Per-scheme cases shared by the software and hardware suites, run
+    against a fresh backend from [create] on a seed-11 pool. *)
+
+let test_abort_rolls_back (create : Heap.t -> Ctx.backend) () =
+  let pm, heap = mk_pool ~seed:11 () in
+  let b = create heap in
+  let base = Heap.alloc heap 64 in
+  b.Ctx.run_tx (fun ctx -> ctx.Ctx.write base 5);
+  (try
+     b.Ctx.run_tx (fun ctx ->
+         ctx.Ctx.write base 42;
+         raise Ctx.Abort)
+   with Ctx.Abort -> ());
+  Alcotest.(check int) "rolled back" 5 (Pmem.peek_volatile_int pm base);
+  (* and the rollback itself must be crash consistent *)
+  if b.Ctx.supports_recovery then begin
+    Pmem.crash pm;
+    b.Ctx.recover ();
+    Alcotest.(check int) "rolled back durably" 5
+      (Pmem.peek_volatile_int pm base)
+  end
+
+let test_read_own_writes (create : Heap.t -> Ctx.backend) () =
+  let _, heap = mk_pool ~seed:11 () in
+  let b = create heap in
+  let base = Heap.alloc heap 64 in
+  b.Ctx.run_tx (fun ctx ->
+      ctx.Ctx.write base 1;
+      ctx.Ctx.write (base + 8) (ctx.Ctx.read base + 1);
+      ctx.Ctx.write base 7);
+  let v =
+    b.Ctx.run_tx (fun ctx -> (ctx.Ctx.read base, ctx.Ctx.read (base + 8)))
+  in
+  Alcotest.(check (pair int int)) "read own writes" (7, 2) v
