@@ -6,10 +6,13 @@
     {!Specpmt_backends.Spec_soft} runtime; they share the pool and a
     logical timestamp counter — the stand-in for [rdtscp].  Recovery scans
     {e every} thread's log and merges the records by global timestamp,
-    exactly as Section 5.2.2 prescribes: in {!Spec_soft.Replay} mode by
-    sorting and replaying oldest first, in the default
-    {!Spec_soft.Coalesce} mode by folding all logs into one
-    last-writer-wins index and writing each live cell exactly once.
+    exactly as Section 5.2.2 prescribes: it is
+    {!Spec_soft.recover_threads} over all the pool's runtimes, the
+    standalone runtime's own recovery sequence.  In {!Spec_soft.Replay}
+    mode {!Specpmt_txn.Log_arena.replay} stores every record of every
+    log oldest first; in the default {!Spec_soft.Coalesce} mode all logs
+    fold into one last-writer-wins index and each live cell is written
+    exactly once.
 
     Threads here are deterministic interleavings (the test harness runs
     one transaction at a time); concurrency control is the application's
@@ -39,11 +42,9 @@ val create :
     cache lines.  The pool heap remains the recovery-side attachment
     point either way. *)
 
-val tsc : t -> Specpmt_txn.Tsc.t
-(** The shared (atomic) commit-timestamp counter of the pool. *)
-
 val thread : t -> int -> Ctx.backend
-(** The transactional interface of one thread. *)
+(** The transactional interface of one thread.  Its [recover] is the
+    pool's {!recover}: every thread's log, not only this one's. *)
 
 val runtime : t -> int -> Spec_soft.t
 (** The underlying per-thread runtime — for reclamation triggers
@@ -54,5 +55,6 @@ val threads : t -> int
 
 val recover : t -> unit
 (** Post-crash recovery across all thread logs, merged by timestamp
-    (per the pool's {!Spec_soft.recovery_mode}), then reattaches every
-    thread's arena. *)
+    (per the pool's {!Spec_soft.recovery_mode}), through the pool
+    heap's device view: rebuilds the pool heap and any [runtime_heaps],
+    restores, and reattaches every thread's arena. *)

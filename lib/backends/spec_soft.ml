@@ -178,54 +178,51 @@ let batch_end t =
 
 (* ---------- Recovery ---------- *)
 
-(* Recovery (Section 3.1).  Both modes first establish the valid record
-   prefix (the torn record of an interrupted transaction fails its
-   checksum and ends the scan); they differ in how the surviving entries
-   reach the data cells.
-
-   [Replay] is the paper's replay-every-record loop, oldest first: every
-   entry is stored, stale ones are overwritten by fresher ones — O(log)
-   data writes.  [Coalesce] folds the same scan into a last-writer-wins
-   index and then writes each live cell exactly once, line by line —
-   O(live) data writes.  Replay is kept as the differential-testing
-   oracle for the coalescing path.  Either way the scan is the log's
-   only walk: it returns the tail the arena reattaches at.  Returns
-   (cells restored, max timestamp, tail). *)
-let restore t =
+(* Recovery (Section 3.1) of the runtimes that share one timestamp
+   counter (Section 5.2.2; a standalone runtime is a set of one).  Both
+   modes establish each log's valid record prefix — the torn record of an
+   interrupted transaction fails its checksum and ends the scan — and
+   differ in how the surviving entries reach the data cells.  [Replay] is
+   the paper's loop ([Log_arena.replay]): every entry of every log is
+   stored, oldest first — O(log) data writes; it is kept as the
+   differential-testing oracle.  [Coalesce] folds all scans into one
+   last-writer-wins index, which is the timestamp merge, and writes each
+   live cell once, line by line — O(live) data writes.  Either way each
+   scan is its log's only walk and returns the tail it reattaches at.
+   Returns (cells restored, max timestamp, tails). *)
+let restore pm params head_slots =
   let open Specpmt_obs in
-  let pm = t.pm and head_slot = t.head_slot in
-  let block_bytes = t.params.block_bytes in
-  match t.params.recovery with
-  | Coalesce ->
-      let index = Log_arena.Lww.create () in
-      let max_ts, records, entries, tail =
-        Log_arena.recover_collect pm ~head_slot ~block_bytes ~index
-      in
-      let live = Log_arena.Lww.length index in
-      Log_arena.apply_collected pm index;
-      Metrics.add (Metrics.counter "recover.records_scanned") records;
-      Metrics.add (Metrics.counter "recover.entries_scanned") entries;
-      Metrics.add (Metrics.counter "recover.data_writes") live;
-      (live, max_ts, tail)
-  | Replay ->
-      let touched = Hashtbl.create 256 in
-      let records = ref 0 and entries = ref 0 in
-      let max_ts, tail =
-        Log_arena.recover_scan pm ~head_slot ~block_bytes
-          ~f:(fun ~ts:_ addrs vals n ->
-            incr records;
-            entries := !entries + n;
-            for i = 0 to n - 1 do
-              Pmem.store_int pm addrs.(i) vals.(i);
-              Hashtbl.replace touched addrs.(i) ()
-            done)
-      in
-      Hashtbl.iter (fun a () -> Pmem.clwb pm a) touched;
-      Pmem.sfence pm;
-      Metrics.add (Metrics.counter "recover.records_scanned") !records;
-      Metrics.add (Metrics.counter "recover.entries_scanned") !entries;
-      Metrics.add (Metrics.counter "recover.data_writes") !entries;
-      (Hashtbl.length touched, max_ts, tail)
+  let block_bytes = params.block_bytes in
+  let max_ts, tails, records, entries, writes, cells =
+    match params.recovery with
+    | Coalesce ->
+        let index = Log_arena.Lww.create () in
+        let max_ts = ref 0 and records = ref 0 and entries = ref 0 in
+        let tails =
+          Array.map
+            (fun head_slot ->
+              let ts, r, e, tail =
+                Log_arena.recover_collect pm ~head_slot ~block_bytes ~index
+              in
+              if ts > !max_ts then max_ts := ts;
+              records := !records + r;
+              entries := !entries + e;
+              tail)
+            head_slots
+        in
+        let live = Log_arena.Lww.length index in
+        Log_arena.apply_collected pm index;
+        (!max_ts, tails, !records, !entries, live, live)
+    | Replay ->
+        let max_ts, tails, records, entries, cells =
+          Log_arena.replay pm ~block_bytes head_slots
+        in
+        (max_ts, tails, records, entries, entries, cells)
+  in
+  Metrics.add (Metrics.counter "recover.records_scanned") records;
+  Metrics.add (Metrics.counter "recover.entries_scanned") entries;
+  Metrics.add (Metrics.counter "recover.data_writes") writes;
+  (cells, max_ts, tails)
 
 (* Reattach the arena at the tail its recovery scan found, and drop the
    volatile state of any transaction or batch the crash interrupted. *)
@@ -236,17 +233,27 @@ let reattach t ~tail =
   Ctx.Shell.reset t.shell;
   t.in_batch <- false (* an unsealed batch died with the crash *)
 
-let recover t =
+(* Rebuild the heaps, restore, restart the counter, reattach.  The first
+   two may run in either order: SpecSPMT never logs an allocator header
+   (allocation is not a logged store) and a size-class free list never
+   places a header on a former data cell, so the restore writes no cell
+   the heap walk reads.  (SpecHPMT logs its header stores, so its heap
+   walk must follow its replay.)  [pm] is the pool's parent view: in the
+   data plane each runtime holds its worker domain's view. *)
+let recover_threads pm ~heaps rts =
   let open Specpmt_obs in
   Phase.run Phase.Recover @@ fun () ->
-  (* restore first: the heap walk must see the restored image *)
-  let restored, max_ts, tail = restore t in
-  Heap.recover t.heap;
-  Tsc.restart_above t.tsc max_ts;
-  reattach t ~tail;
+  List.iter Heap.recover heaps;
+  let restored, max_ts, tails =
+    restore pm rts.(0).params (Array.map (fun rt -> rt.head_slot) rts)
+  in
+  Tsc.restart_above rts.(0).tsc max_ts;
+  Array.iteri (fun i rt -> reattach rt ~tail:tails.(i)) rts;
   Metrics.incr (Metrics.counter "recover.cycles");
   Metrics.add (Metrics.counter "recover.cells_restored") restored;
   Trace.emit "spec.recover" ~a:restored ~b:max_ts
+
+let recover t = recover_threads t.pm ~heaps:[ t.heap ] [| t |]
 
 let snapshot_region t addr len =
   assert (Addr.is_word_aligned addr && len mod 8 = 0);

@@ -15,9 +15,12 @@
     image.  The default {!Coalesce} mode folds one scan of the log into a
     last-writer-wins index and writes each live cell exactly once, in
     ascending line order with one flush per line — O(live set) data
-    writes; the paper's oldest-first replay loop remains available as
-    {!Replay}, the differential-testing oracle.  Either way that scan is
-    the log's only walk: the arena reattaches at the tail it found.
+    writes; the paper's oldest-first replay loop
+    ({!Specpmt_txn.Log_arena.replay}) remains available as {!Replay},
+    the differential-testing oracle.  Either way that scan is the log's
+    only walk: the arena reattaches at the tail it found.  One sequence,
+    {!recover_threads}, recovers a standalone runtime and every
+    multi-threaded pool.
 
     Background reclamation (Section 4.2) compacts the log off the
     critical path ({!Specpmt_txn.Log_arena.compact}: one scan, copy the
@@ -48,8 +51,8 @@ type params = {
       (** reclamation trigger: compact the log once its footprint exceeds
           this many bytes and at least doubles its last compacted size
           (default [1 lsl 20]) *)
-  recovery : recovery_mode;  (** how {!recover} restores data (default
-          {!Coalesce}) *)
+  recovery : recovery_mode;
+      (** how {!recover_threads} restores data (default {!Coalesce}) *)
 }
 
 val default_params : params
@@ -135,6 +138,16 @@ val reclaim_count : t -> int
 val reattach : t -> tail:Log_arena.tail -> unit
 (** Reattach the runtime to its log at the [tail] its recovery scan
     found ({!Specpmt_txn.Log_arena.attach}) and drop the state of any
-    transaction or batch the crash interrupted.  The multi-threaded
-    runtime calls it per thread after restoring all threads' logs merged
-    by timestamp. *)
+    transaction or batch the crash interrupted.  {!recover_threads}
+    calls it per runtime after restoring all their logs merged by
+    timestamp. *)
+
+val recover_threads : Pmem.t -> heaps:Heap.t list -> t array -> unit
+(** Post-crash recovery of runtimes that share one timestamp counter
+    (non-empty; the recovery mode is the first runtime's): rebuild
+    [heaps], restore the committed image from every runtime's log
+    merged by timestamp (Section 5.2.2) through the device view [pm],
+    restart the counter above the largest timestamp found, and
+    {!reattach} each runtime at its log's tail.  A standalone runtime's
+    recovery is this sequence over itself; {!Spec_mt} runs it over the
+    pool's parent view, the pool heap and any per-thread sub-heaps. *)

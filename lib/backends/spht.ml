@@ -8,8 +8,9 @@
     the persistent data and prunes the log (forward-linking version with
     one replayer thread, as evaluated in the paper).
 
-    Recovery replays committed redo records oldest-first — shares the
-    chained log arena and its checksum commit marker. *)
+    Recovery replays committed redo records oldest-first with
+    [Log_arena.replay] over its one log — shares the chained log arena
+    and its checksum commit marker. *)
 
 open Specpmt_pmem
 open Specpmt_pmalloc
@@ -108,19 +109,11 @@ let rollback t =
 
 let recover t =
   Heap.recover t.heap;
-  let touched = Hashtbl.create 256 in
-  let max_ts, tail =
-    Log_arena.recover_scan t.pm ~head_slot:Slots.spht_head ~block_bytes:4096
-      ~f:(fun ~ts:_ addrs vals n ->
-        for i = 0 to n - 1 do
-          Pmem.store_int t.pm addrs.(i) vals.(i);
-          Hashtbl.replace touched addrs.(i) ()
-        done)
+  let max_ts, tails, _, _, _ =
+    Log_arena.replay t.pm ~block_bytes:4096 [| Slots.spht_head |]
   in
-  Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
-  Pmem.sfence t.pm;
   Tsc.restart_above t.tsc max_ts;
-  t.arena <- Log_arena.attach t.heap ~tail;
+  t.arena <- Log_arena.attach t.heap ~tail:tails.(0);
   t.pending <- [];
   t.pending_entries <- 0;
   Write_set.clear t.ws;

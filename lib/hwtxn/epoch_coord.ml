@@ -33,8 +33,4 @@ let drop t ~thread ~eid =
       t.spans
 
 let reset t = t.spans <- []
-
-let reset_thread t ~thread =
-  t.spans <-
-    List.filter (fun s -> s.Epoch_protocol.thread <> thread) t.spans
 let spans t = t.spans

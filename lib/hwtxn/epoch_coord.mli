@@ -27,8 +27,5 @@ val drop : t -> thread:int -> eid:int -> unit
 val reset : t -> unit
 (** Post-recovery: all pre-crash epochs are dead. *)
 
-val reset_thread : t -> thread:int -> unit
-(** Forget one thread's epochs (that thread recovered alone). *)
-
 val spans : t -> Epoch_protocol.epoch_span list
 (** Introspection for tests. *)

@@ -166,19 +166,11 @@ let rollback t =
 
 let recover t =
   Heap.recover t.heap;
-  let touched = Hashtbl.create 256 in
-  let max_ts, tail =
-    Log_arena.recover_scan t.pm ~head_slot:Hw_slots.hoop_head
-      ~block_bytes ~f:(fun ~ts:_ addrs vals n ->
-        for i = 0 to n - 1 do
-          Pmem.store_int t.pm addrs.(i) vals.(i);
-          Hashtbl.replace touched addrs.(i) ()
-        done)
+  let max_ts, tails, _, _, _ =
+    Log_arena.replay t.pm ~block_bytes [| Hw_slots.hoop_head |]
   in
-  Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
-  Pmem.sfence t.pm;
   Tsc.restart_above t.tsc max_ts;
-  t.arena <- Log_arena.attach t.heap ~tail;
+  t.arena <- Log_arena.attach t.heap ~tail:tails.(0);
   (* the mapping log is never replayed: it is scanned only to find where
      its appends resume *)
   let _, map_tail =

@@ -122,9 +122,6 @@ let transition t page (e : Tlb.entry) =
   t.cur.pages <- page :: t.cur.pages;
   t.cur.bytes <- t.cur.bytes + Addr.page_size + 40;
   t.n_transitions <- t.n_transitions + 1;
-  (match Sys.getenv_opt "SPEC_HW_DEBUG" with
-  | Some _ -> Printf.eprintf "transition page=%d addr=%#x\n%!" page base
-  | None -> ());
   note_footprint t
 
 let tx_write t a v =
@@ -325,75 +322,93 @@ let rollback t =
       Pmem.store_int t.pm a slot.Write_set.old_value);
   commit t []
 
-(* Recovery (Section 5.1.1): replay the valid (committed) records in
-   chronological order — this also replays each record's generation bump,
-   so after replay the persistent generation cell identifies the one
-   possibly-interrupted transaction; its undo entries are then still valid
-   under that generation and are applied to revoke the interruption. *)
-let recover t =
+(* Recovery (Sections 5.1.1 and 5.2.2) of cores that share a pool —
+   the tsc, the epoch coordinator, the hotness table and the heap of
+   [rts.(0)]; a standalone runtime is a pool of one.  Replay every core's
+   valid records in global timestamp order (page-adoption and commit
+   records alike; one log's scan order already is that order, so it is
+   stored as it is scanned).  This also replays each commit record's
+   generation bump, so the persistent generation cell of each core then
+   identifies its one possibly-interrupted transaction, whose undo
+   entries are still valid under it and are applied to revoke the
+   interruption.  Only then does the heap walk run: SpecHPMT logs its
+   allocator-header stores, so the walk must see the replayed and
+   revoked image.  Last, every page with live records is hot again and
+   owned by its core's single fresh epoch. *)
+let recover_cores rts =
+  let rt0 = rts.(0) in
+  let pm = rt0.pm and heap = rt0.heap in
   let touched = Hashtbl.create 1024 in
-  let pages = Hashtbl.create 64 in
-  let max_ts = ref 0 in
-  let _, tail =
-    Log_arena.recover_scan t.pm ~head_slot:t.head_slot
-      ~block_bytes:t.params.hw.Hwconfig.spec_block_bytes
-      ~f:(fun ~ts addrs vals n ->
-        if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
-        for i = 0 to n - 1 do
-          let a = addrs.(i) in
-          Pmem.store_int t.pm a vals.(i);
-          Hashtbl.replace touched a ();
-          Hashtbl.replace pages (Addr.page_index a) ()
-        done)
+  let pages = Array.map (fun _ -> Hashtbl.create 64) rts in
+  let max_ts = ref 0 and held = ref [] in
+  let store i addrs vals n =
+    for k = 0 to n - 1 do
+      let a = addrs.(k) in
+      Pmem.store_int pm a vals.(k);
+      Hashtbl.replace touched a ();
+      Hashtbl.replace pages.(i) (Addr.page_index a) ()
+    done
   in
-  Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
-  Pmem.sfence t.pm;
-  let undo =
-    Nt_log.attach t.heap ~region_slot:t.undo_region_slot
-      ~capacity_slot:t.undo_capacity_slot
+  let tails =
+    Array.mapi
+      (fun i rt ->
+        snd
+          (Log_arena.recover_scan pm ~head_slot:rt.head_slot
+             ~block_bytes:rt.params.hw.Hwconfig.spec_block_bytes
+             ~f:(fun ~ts addrs vals n ->
+               if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
+               if Array.length rts = 1 then store i addrs vals n
+               else
+                 held :=
+                   (ts, i, Array.sub addrs 0 n, Array.sub vals 0 n) :: !held)))
+      rts
   in
-  let pending = Nt_log.scan undo in
   List.iter
-    (fun (a, old) ->
-      Pmem.store_int t.pm a old;
-      Pmem.clwb t.pm a)
-    (List.rev pending);
-  Pmem.sfence t.pm;
-  Nt_log.truncate undo;
-  (* the runtime must adopt the reattached log: its cached generation now
-     matches the persistent cell; keeping the stale handle would emit undo
-     entries under a dead generation, invisible to the next recovery *)
-  t.undo <- undo;
-  (* the allocator walk must run on the RESTORED image: replay rewrites
-     header cells (they are logged stores like any other), so walking
-     before it would rebuild free lists from a stale mixture *)
-  Heap.recover t.heap;
-  Tsc.restart_above t.tsc !max_ts;
-  (* rebuild volatile hotness state: every page with live records is hot
-     and owned by the (single) fresh epoch *)
-  t.arena <- Log_arena.attach t.heap ~tail;
-  Tlb.flush t.tlb;
-  (* forget this thread's hotness claims; shared-pool recovery (Mt) resets
-     the whole table before recovering each thread *)
-  Hashtbl.iter
-    (fun p claims ->
-      match List.filter (fun (tid, _) -> tid <> t.thread_id) claims with
-      | [] -> Hashtbl.remove t.spec_pages p
-      | rest -> Hashtbl.replace t.spec_pages p rest)
-    (Hashtbl.copy t.spec_pages);
-  t.closed_epochs <- [];
-  let head = Pmem.load_int t.pm (Heap.root_slot t.heap t.head_slot) in
-  t.cur <- { eid = 1; boundary = head; pages = []; bytes = 0 };
-  Epoch_coord.reset_thread t.coord ~thread:t.thread_id;
-  Epoch_coord.register_start t.coord ~thread:t.thread_id ~eid:1
-    ~start_ts:(Tsc.peek t.tsc);
-  Hashtbl.iter
-    (fun p () ->
-      ignore (claim t p);
-      t.cur.pages <- p :: t.cur.pages)
-    pages;
-  Write_set.clear t.ws;
-  Ctx.Shell.reset t.shell
+    (fun (_, i, addrs, vals) -> store i addrs vals (Array.length addrs))
+    (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !held);
+  Hashtbl.iter (fun a () -> Pmem.clwb pm a) touched;
+  Pmem.sfence pm;
+  (* per-core undo: at most one interrupted transaction each *)
+  Array.iter
+    (fun rt ->
+      let undo =
+        Nt_log.attach heap ~region_slot:rt.undo_region_slot
+          ~capacity_slot:rt.undo_capacity_slot
+      in
+      List.iter
+        (fun (a, old) ->
+          Pmem.store_int pm a old;
+          Pmem.clwb pm a)
+        (List.rev (Nt_log.scan undo));
+      Pmem.sfence pm;
+      Nt_log.truncate undo;
+      (* the runtime must adopt the reattached log: its cached generation
+         now matches the persistent cell; keeping the stale handle would
+         emit undo entries under a dead generation, invisible to the next
+         recovery *)
+      rt.undo <- undo)
+    rts;
+  Heap.recover heap;
+  Tsc.restart_above rt0.tsc !max_ts;
+  Epoch_coord.reset rt0.coord;
+  Hashtbl.reset rt0.spec_pages;
+  Array.iteri
+    (fun i rt ->
+      rt.arena <- Log_arena.attach heap ~tail:tails.(i);
+      Tlb.flush rt.tlb;
+      rt.closed_epochs <- [];
+      let head = Pmem.load_int pm (Heap.root_slot heap rt.head_slot) in
+      rt.cur <- { eid = 1; boundary = head; pages = []; bytes = 0 };
+      Epoch_coord.register_start rt.coord ~thread:rt.thread_id ~eid:1
+        ~start_ts:(Tsc.peek rt.tsc);
+      Hashtbl.iter
+        (fun pg () ->
+          ignore (claim rt pg);
+          rt.cur.pages <- pg :: rt.cur.pages)
+        pages.(i);
+      Write_set.clear rt.ws;
+      Ctx.Shell.reset rt.shell)
+    rts
 
 let create ?(thread = 0) ?tsc ?coord ?spec_pages
     ?(head_slot = Hw_slots.spec_head)
@@ -471,7 +486,7 @@ let create ?(thread = 0) ?tsc ?coord ?spec_pages
       Ctx.name = (if params.data_persist then "SpecHPMT-DP" else "SpecHPMT");
       run_tx =
         (fun f -> Ctx.Shell.run t.shell ctx ~start:ignore ~commit ~rollback f);
-      recover = (fun () -> recover t);
+      recover = (fun () -> recover_cores [| t |]);
       drain = (fun () -> ());
       log_footprint = (fun () -> Log_arena.footprint t.arena);
       supports_recovery = true;
@@ -482,15 +497,7 @@ let create ?(thread = 0) ?tsc ?coord ?spec_pages
 (* ------------------------------------------------------------------ *)
 
 module Mt = struct
-  type pool = {
-    mt_heap : Heap.t;
-    mt_pm : Pmem.t;
-    mt_tsc : Tsc.t;
-    mt_coord : Epoch_coord.t;
-    mt_spec_pages : (int, (int * int) list) Hashtbl.t;
-    runtimes : t array;
-    mutable backends : Ctx.backend array;
-  }
+  type pool = { runtimes : t array; backends : Ctx.backend array }
 
   let create ?(params = default_params) heap ~threads =
     if threads < 1 || threads > 4 then invalid_arg "Spec_hw.Mt: 1-4 threads";
@@ -505,98 +512,16 @@ module Mt = struct
             ~undo_capacity_slot:(Hw_slots.mt_undo_capacity i)
             heap params)
     in
-    {
-      mt_heap = heap;
-      mt_pm = Heap.pmem heap;
-      mt_tsc = tsc;
-      mt_coord = coord;
-      mt_spec_pages = spec_pages;
-      runtimes = Array.map snd pairs;
-      backends = Array.map fst pairs;
-    }
+    let runtimes = Array.map snd pairs in
+    (* every core's [recover] is the pool's: the cores share the
+       coordinator and the hotness table, which recovery rebuilds whole *)
+    let recover () = recover_cores runtimes in
+    let backends = Array.map (fun (b, _) -> { b with Ctx.recover }) pairs in
+    { runtimes; backends }
 
   let thread p i = p.backends.(i)
   let runtime p i = p.runtimes.(i)
   let threads p = Array.length p.runtimes
-  let coordinator p = p.mt_coord
-
-  (* Recovery (Sections 5.1.1 and 5.2.2): collect every core's valid
-     records, replay them in global timestamp order (page-adoption and
-     commit records alike), then revoke each core's interrupted
-     transaction from its own undo log — each under its own generation
-     cell, replayed to the right value by its own commit records. *)
-  let recover p =
-    let records = ref [] in
-    let touched = Hashtbl.create 1024 in
-    let pages_per_thread = Array.make (threads p) [] in
-    let max_ts = ref 0 in
-    let tails =
-      Array.mapi
-        (fun i rt ->
-          snd
-            (Log_arena.recover_scan p.mt_pm ~head_slot:rt.head_slot
-               ~block_bytes:rt.params.hw.Hwconfig.spec_block_bytes
-               ~f:(fun ~ts addrs vals n ->
-                 if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
-                 (* sorted globally below: copy out of the scan buffer *)
-                 records :=
-                   (ts, i, Array.sub addrs 0 n, Array.sub vals 0 n)
-                   :: !records)))
-        p.runtimes
-    in
-    let ordered =
-      List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !records
-    in
-    List.iter
-      (fun (_, i, addrs, vals) ->
-        Array.iteri
-          (fun k a ->
-            Pmem.store_int p.mt_pm a vals.(k);
-            Hashtbl.replace touched a ();
-            pages_per_thread.(i) <-
-              Addr.page_index a :: pages_per_thread.(i))
-          addrs)
-      ordered;
-    Hashtbl.iter (fun a () -> Pmem.clwb p.mt_pm a) touched;
-    Pmem.sfence p.mt_pm;
-    (* per-core undo: at most one interrupted transaction each *)
-    Array.iter
-      (fun rt ->
-        let undo =
-          Nt_log.attach p.mt_heap ~region_slot:rt.undo_region_slot
-            ~capacity_slot:rt.undo_capacity_slot
-        in
-        let pending = Nt_log.scan undo in
-        List.iter
-          (fun (a, old) ->
-            Pmem.store_int p.mt_pm a old;
-            Pmem.clwb p.mt_pm a)
-          (List.rev pending);
-        Pmem.sfence p.mt_pm;
-        Nt_log.truncate undo;
-        rt.undo <- undo)
-      p.runtimes;
-    Heap.recover p.mt_heap;
-    Tsc.restart_above p.mt_tsc !max_ts;
-    Epoch_coord.reset p.mt_coord;
-    Hashtbl.reset p.mt_spec_pages;
-    Array.iteri
-      (fun i rt ->
-        rt.arena <- Log_arena.attach p.mt_heap ~tail:tails.(i);
-        Tlb.flush rt.tlb;
-        rt.closed_epochs <- [];
-        let head =
-          Pmem.load_int p.mt_pm (Heap.root_slot p.mt_heap rt.head_slot)
-        in
-        rt.cur <- { eid = 1; boundary = head; pages = []; bytes = 0 };
-        Epoch_coord.register_start p.mt_coord ~thread:i ~eid:1
-          ~start_ts:(Tsc.peek p.mt_tsc);
-        List.iter
-          (fun pg ->
-            ignore (claim rt pg);
-            rt.cur.pages <- pg :: rt.cur.pages)
-          (List.sort_uniq compare pages_per_thread.(i));
-        Write_set.clear rt.ws;
-        Ctx.Shell.reset rt.shell)
-      p.runtimes
+  let coordinator p = p.runtimes.(0).coord
+  let recover p = recover_cores p.runtimes
 end

@@ -96,7 +96,8 @@ val tlb : t -> Tlb.t
     metadata, the timestamp counter and the epoch-reclamation
     coordinator.  Recovery scans {e every} core's log and replays all
     records in global timestamp order, then applies each core's undo
-    log. *)
+    log.  It is the one SpecHPMT recovery: a standalone runtime's
+    [recover] runs it as a pool of one. *)
 module Mt : sig
   type pool
 
@@ -104,10 +105,15 @@ module Mt : sig
   (** Up to 4 cores (bounded by reserved root slots). *)
 
   val thread : pool -> int -> Ctx.backend
+  (** One core's transactional interface.  Its [recover] is the pool's
+      {!recover}: the cores share the hotness table and the epoch
+      coordinator, so no core recovers alone. *)
+
   val runtime : pool -> int -> t
   val threads : pool -> int
   val coordinator : pool -> Epoch_coord.t
 
   val recover : pool -> unit
-  (** Crash recovery across all cores' logs, merged by timestamp. *)
+  (** Crash recovery across all cores' logs, merged by timestamp, then
+      each core's undo revoke, then the heap walk. *)
 end

@@ -651,6 +651,46 @@ let recover_collect pm ~head_slot ~block_bytes ~index =
   in
   (max_ts, !records, !scanned, tail)
 
+(* The paper's replay (Section 3.1) over logs that share a timestamp
+   counter (Section 5.2.2).  Each log's scan is already in timestamp
+   order (the valid-prefix rule), so one log stores its entries as the
+   scan meets them; several logs are copied out of the scan buffer and
+   merged by timestamp first.  Every store is kept — stale values are
+   overwritten by fresher ones — and each restored cell is flushed once,
+   in the iteration order of a 256-bucket flush set, under one fence. *)
+let replay pm ~block_bytes head_slots =
+  let touched = Hashtbl.create 256 in
+  let records = ref 0 and entries = ref 0 and max_ts = ref 0 in
+  let store addrs vals n =
+    for i = 0 to n - 1 do
+      Pmem.store_int pm addrs.(i) vals.(i);
+      Hashtbl.replace touched addrs.(i) ()
+    done
+  in
+  let one = Array.length head_slots = 1 and held = ref [] in
+  let tails =
+    Array.map
+      (fun head_slot ->
+        let ts, tail =
+          recover_scan pm ~head_slot ~block_bytes ~f:(fun ~ts addrs vals n ->
+              incr records;
+              entries := !entries + n;
+              if one then store addrs vals n
+              else
+                held :=
+                  (ts, Array.sub addrs 0 n, Array.sub vals 0 n) :: !held)
+        in
+        if ts > !max_ts then max_ts := ts;
+        tail)
+      head_slots
+  in
+  List.iter
+    (fun (_, addrs, vals) -> store addrs vals (Array.length addrs))
+    (List.sort (fun (a, _, _) (b, _, _) -> compare a b) !held);
+  Hashtbl.iter (fun a () -> Pmem.clwb pm a) touched;
+  Pmem.sfence pm;
+  (!max_ts, tails, !records, !entries, Hashtbl.length touched)
+
 (* One stable counting pass over the [mask]-wide digit at [shift] of the
    line offset from [lo] of the first [n] cells: the (address, value)
    pairs move from [src_a]/[src_v] to [dst_a]/[dst_v]. *)

@@ -109,23 +109,6 @@ let test_empty_tx_between_commits kind () =
   Alcotest.(check int) "commit after read-only tx recovered" 2
     (Pmem.peek_volatile_int pm base)
 
-(* double crash: crash, recover, run more transactions, crash again *)
-let test_double_crash kind () =
-  let pm, heap, b = mk_backend ~seed:23 kind in
-  let base = Heap.alloc heap (4 * 8) in
-  b.Ctx.run_tx (fun ctx ->
-      for i = 0 to 3 do
-        ctx.Ctx.write (base + (i * 8)) i
-      done);
-  Pmem.crash pm;
-  b.Ctx.recover ();
-  b.Ctx.run_tx (fun ctx -> ctx.Ctx.write base 100);
-  Pmem.crash pm;
-  b.Ctx.recover ();
-  let cells = Testlib.read_cells pm base 4 in
-  Alcotest.(check int) "second-generation commit" 100 cells.(0);
-  Alcotest.(check int) "first-generation commit" 3 cells.(3)
-
 (* SpecPMT-specific behaviours *)
 
 let test_spec_fence_economy () =
@@ -331,51 +314,24 @@ let test_mt_crash_revokes_only_open_tx () =
   (Spec_mt.thread mt 1).Ctx.run_tx (fun ctx -> ctx.Ctx.write base 7);
   Alcotest.(check int) "post-recovery commit" 7 (Pmem.peek_volatile_int pm base)
 
-(* recovery is idempotent and tolerates a crash during recovery *)
-let test_recovery_idempotent kind () =
-  let pm, heap, b = mk_backend ~seed:41 kind in
-  let base = Heap.alloc heap (4 * 8) in
-  b.Ctx.run_tx (fun ctx ->
-      for i = 0 to 3 do
-        ctx.Ctx.write (base + (i * 8)) (i + 50)
-      done);
-  Pmem.crash pm;
-  b.Ctx.recover ();
-  let first = Testlib.read_cells pm base 4 in
-  Pmem.crash pm;
-  b.Ctx.recover ();
-  Alcotest.(check bool) "second recovery converges" true
-    (Testlib.read_cells pm base 4 = first)
-
-let test_crash_during_recovery kind () =
-  let pm =
-    Pmem.create ~seed:47 { Config.small with crash_word_persist_prob = 0.5 }
-  in
+(* every thread's [recover] is the pool's: recovering through one thread
+   must merge every thread's log and reattach every thread *)
+let test_mt_member_recover_is_pool_recover () =
+  let pm = Pmem.create ~seed:17 Config.small in
   let heap = Heap.create pm in
-  let b = Registry.create heap kind in
-  let base = Heap.alloc heap (4 * 8) in
-  b.Ctx.run_tx (fun ctx ->
-      for i = 0 to 3 do
-        ctx.Ctx.write (base + (i * 8)) (i + 7)
-      done);
-  (try
-     b.Ctx.run_tx (fun ctx ->
-         ctx.Ctx.write base 100;
-         Pmem.set_fuse pm (Some 1);
-         ctx.Ctx.write (base + 8) 200)
-   with Pmem.Crash -> ());
+  let mt = Spec_mt.create heap ~threads:2 in
+  let x = Heap.alloc heap 64 in
+  (Spec_mt.thread mt 0).Ctx.run_tx (fun ctx -> ctx.Ctx.write x 1);
+  (Spec_mt.thread mt 1).Ctx.run_tx (fun ctx -> ctx.Ctx.write x 2);
   Pmem.crash pm;
-  (* crash again in the middle of the recovery routine, then recover *)
-  Pmem.set_fuse pm (Some 20);
-  (try b.Ctx.recover () with Pmem.Crash -> Pmem.crash pm);
-  Pmem.set_fuse pm None;
-  b.Ctx.recover ();
-  let cells = Testlib.read_cells pm base 4 in
-  for i = 0 to 3 do
-    Alcotest.(check int)
-      (Printf.sprintf "cell %d after double-fault recovery" i)
-      (i + 7) cells.(i)
-  done
+  (Spec_mt.thread mt 0).Ctx.recover ();
+  Alcotest.(check int) "thread 1's later commit survives" 2
+    (Pmem.peek_volatile_int pm x);
+  (Spec_mt.thread mt 1).Ctx.run_tx (fun ctx -> ctx.Ctx.write x 3);
+  Pmem.crash pm;
+  (Spec_mt.thread mt 1).Ctx.recover ();
+  Alcotest.(check int) "thread 1 appends to its reattached log" 3
+    (Pmem.peek_volatile_int pm x)
 
 (* Section 4.3.1: switch from speculative logging to undo logging *)
 let test_mechanism_switch () =
@@ -821,21 +777,13 @@ let recovery_crash_image ~threads =
   (pm, base, model, recover)
 
 let test_crash_at_every_recovery_event ~threads () =
-  let pm, _, _, recover = recovery_crash_image ~threads in
-  let events = events_of pm recover in
-  for fuse = 1 to events do
-    let pm, base, model, recover = recovery_crash_image ~threads in
-    Pmem.set_fuse pm (Some fuse);
-    (match recover () with
-    | () -> Alcotest.failf "fuse %d of %d never fired" fuse events
-    | exception Pmem.Crash -> ());
-    Pmem.set_fuse pm None;
-    Pmem.crash pm;
-    recover ();
-    if Testlib.read_cells pm base (Array.length model) <> model then
-      Alcotest.failf "crash at recovery event %d of %d: cells differ from \
-                      the committed image" fuse events
-  done
+  Testlib.sweep_recovery_crashes (fun () ->
+      let pm, base, model, recover = recovery_crash_image ~threads in
+      ( pm,
+        recover,
+        fun label ->
+          if Testlib.read_cells pm base (Array.length model) <> model then
+            Alcotest.failf "%s: cells differ from the committed image" label ))
 
 let durability_cases =
   List.concat_map
@@ -852,13 +800,13 @@ let durability_cases =
         Alcotest.test_case (n ^ ": read own writes") `Quick
           (Testlib.test_read_own_writes create);
         Alcotest.test_case (n ^ ": double crash") `Quick
-          (test_double_crash kind);
+          (Testlib.test_double_crash create);
         Alcotest.test_case (n ^ ": empty tx between commits") `Quick
           (test_empty_tx_between_commits kind);
         Alcotest.test_case (n ^ ": recovery idempotent") `Quick
-          (test_recovery_idempotent kind);
+          (Testlib.test_recovery_idempotent create);
         Alcotest.test_case (n ^ ": crash during recovery") `Quick
-          (test_crash_during_recovery kind);
+          (Testlib.test_crash_during_recovery create);
       ])
     recoverable
 
@@ -1142,6 +1090,8 @@ let () =
             test_mt_interleaved_recovery;
           Alcotest.test_case "crash revokes only the open tx" `Quick
             test_mt_crash_revokes_only_open_tx;
+          Alcotest.test_case "a thread's recover is the pool's" `Quick
+            test_mt_member_recover_is_pool_recover;
           QCheck_alcotest.to_alcotest prop_mt_atomic_durability;
           Alcotest.test_case "coherence scenario (section 5.1)" `Quick
             test_coherence_scenario_51;

@@ -486,6 +486,46 @@ let test_mt_interleaved_recovery () =
   Alcotest.(check int) "post-recovery commit" 777
     (Pmem.peek_volatile_int pm base)
 
+(* every core's [recover] is the pool's: recovering through one core must
+   replay every core's log and rebuild the shared hotness table and
+   coordinator whole.  Each core makes its own page hot, so its last
+   commits live only in its speculative log (nothing leaks at the
+   crash). *)
+let test_mt_member_recover_is_pool_recover () =
+  let pm, heap = mk_pool ~seed:85 ~crash_prob:0.0 () in
+  let pool = Spec_hw.Mt.create ~params:mt_params heap ~threads:2 in
+  let x = Heap.alloc heap 8 in
+  let y = Heap.alloc heap 8192 + 4096 in
+  let commit th a v =
+    (Spec_hw.Mt.thread pool th).Ctx.run_tx (fun ctx -> ctx.Ctx.write a v)
+  in
+  for r = 1 to 8 do
+    commit 0 x r;
+    commit 1 y (100 + r)
+  done;
+  let hot th a =
+    Spec_hw.is_hot_page (Spec_hw.Mt.runtime pool th) ~page:(Addr.page_index a)
+  in
+  Alcotest.(check (list bool)) "both pages hot" [ true; true ]
+    [ hot 0 x; hot 1 y ];
+  Pmem.crash pm;
+  (Spec_hw.Mt.thread pool 1).Ctx.recover ();
+  Alcotest.(check (pair int int)) "both cores' commits survive" (8, 108)
+    (Pmem.peek_volatile_int pm x, Pmem.peek_volatile_int pm y);
+  Alcotest.(check (list bool)) "both pages hot again" [ true; true ]
+    [ hot 0 x; hot 1 y ];
+  Alcotest.(check (list (pair int int))) "one fresh epoch per core"
+    [ (0, 1); (1, 1) ]
+    (List.sort compare
+       (List.map
+          (fun s -> (s.Epoch_protocol.thread, s.Epoch_protocol.eid))
+          (Epoch_coord.spans (Spec_hw.Mt.coordinator pool))));
+  commit 0 x 9;
+  Pmem.crash pm;
+  (Spec_hw.Mt.thread pool 0).Ctx.recover ();
+  Alcotest.(check (pair int int)) "and again through core 0" (9, 108)
+    (Pmem.peek_volatile_int pm x, Pmem.peek_volatile_int pm y)
+
 (* Figure 11, live: thread 1 holds an epoch that started before thread
    0's epoch ended; thread 0's reclamation must be deferred, so that a
    crash interrupting thread 1's transaction can still be revoked *)
@@ -737,8 +777,14 @@ let durability_cases =
           (Testlib.test_abort_rolls_back (create kind));
         Alcotest.test_case (n ^ ": read own writes") `Quick
           (Testlib.test_read_own_writes (create kind));
+        Alcotest.test_case (n ^ ": double crash") `Quick
+          (Testlib.test_double_crash (create kind));
         Alcotest.test_case (n ^ ": empty tx between commits") `Quick
           (test_empty_tx_between_commits kind);
+        Alcotest.test_case (n ^ ": recovery idempotent") `Quick
+          (Testlib.test_recovery_idempotent (create kind));
+        Alcotest.test_case (n ^ ": crash during recovery") `Quick
+          (Testlib.test_crash_during_recovery (create kind));
       ])
     recoverable
 
@@ -802,6 +848,8 @@ let () =
         [
           Alcotest.test_case "interleaved recovery by timestamp" `Quick
             test_mt_interleaved_recovery;
+          Alcotest.test_case "a core's recover is the pool's" `Quick
+            test_mt_member_recover_is_pool_recover;
           Alcotest.test_case "figure 11 live: deferred reclamation" `Quick
             test_mt_figure11_deferred_reclaim;
           QCheck_alcotest.to_alcotest prop_mt_hw_atomic_durability;

@@ -120,3 +120,92 @@ let test_read_own_writes (create : Heap.t -> Ctx.backend) () =
     b.Ctx.run_tx (fun ctx -> (ctx.Ctx.read base, ctx.Ctx.read (base + 8)))
   in
   Alcotest.(check (pair int int)) "read own writes" (7, 2) v
+
+(* double crash: crash, recover, run more transactions, crash again *)
+let test_double_crash (create : Heap.t -> Ctx.backend) () =
+  let pm, heap = mk_pool ~seed:23 () in
+  let b = create heap in
+  let base = Heap.alloc heap (4 * 8) in
+  b.Ctx.run_tx (fun ctx ->
+      for i = 0 to 3 do
+        ctx.Ctx.write (base + (i * 8)) i
+      done);
+  Pmem.crash pm;
+  b.Ctx.recover ();
+  b.Ctx.run_tx (fun ctx -> ctx.Ctx.write base 100);
+  Pmem.crash pm;
+  b.Ctx.recover ();
+  let cells = read_cells pm base 4 in
+  Alcotest.(check int) "second-generation commit" 100 cells.(0);
+  Alcotest.(check int) "first-generation commit" 3 cells.(3)
+
+(* recovery is idempotent and tolerates a crash during recovery *)
+let test_recovery_idempotent (create : Heap.t -> Ctx.backend) () =
+  let pm, heap = mk_pool ~seed:41 () in
+  let b = create heap in
+  let base = Heap.alloc heap (4 * 8) in
+  b.Ctx.run_tx (fun ctx ->
+      for i = 0 to 3 do
+        ctx.Ctx.write (base + (i * 8)) (i + 50)
+      done);
+  Pmem.crash pm;
+  b.Ctx.recover ();
+  let first = read_cells pm base 4 in
+  Pmem.crash pm;
+  b.Ctx.recover ();
+  Alcotest.(check bool) "second recovery converges" true
+    (read_cells pm base 4 = first)
+
+(* one committed transaction, then a crash in the middle of a second *)
+let interrupted_image (create : Heap.t -> Ctx.backend) =
+  let pm, heap =
+    mk_pool ~seed:47 ~cfg:{ Config.small with crash_word_persist_prob = 0.5 } ()
+  in
+  let b = create heap in
+  let base = Heap.alloc heap (4 * 8) in
+  b.Ctx.run_tx (fun ctx ->
+      for i = 0 to 3 do
+        ctx.Ctx.write (base + (i * 8)) (i + 7)
+      done);
+  (try
+     b.Ctx.run_tx (fun ctx ->
+         ctx.Ctx.write base 100;
+         Pmem.set_fuse pm (Some 1);
+         ctx.Ctx.write (base + 8) 200)
+   with Pmem.Crash -> ());
+  Pmem.set_fuse pm None;
+  Pmem.crash pm;
+  (pm, base, b)
+
+(** A crash at every event of a recovery, then a second recovery:
+    [image ()] rebuilds the same crashed image and returns its device,
+    its recovery and a check of the recovered cells (given a label).
+    Each fuse must fire, and a recovery must issue at least one event. *)
+let sweep_recovery_crashes image =
+  let pm, recover, _ = image () in
+  let before = Pmem.events pm in
+  recover ();
+  let events = Pmem.events pm - before in
+  if events = 0 then Alcotest.fail "recovery issued no device event";
+  for fuse = 1 to events do
+    let pm, recover, check = image () in
+    Pmem.set_fuse pm (Some fuse);
+    (match recover () with
+    | () -> Alcotest.failf "fuse %d of %d never fired" fuse events
+    | exception Pmem.Crash -> ());
+    Pmem.set_fuse pm None;
+    Pmem.crash pm;
+    recover ();
+    check (Printf.sprintf "crash at recovery event %d of %d" fuse events)
+  done
+
+(* the committed transaction survives, the interrupted one is revoked,
+   whatever part of the first recovery persisted *)
+let test_crash_during_recovery (create : Heap.t -> Ctx.backend) () =
+  sweep_recovery_crashes (fun () ->
+      let pm, base, b = interrupted_image create in
+      ( pm,
+        b.Ctx.recover,
+        fun label ->
+          Alcotest.(check (array int)) label [| 7; 8; 9; 10 |]
+            (read_cells pm base 4) ))
