@@ -10,10 +10,10 @@ test:
 
 # every paper table/figure + the extension experiments (Small inputs)
 bench:
-	dune exec bench/main.exe
+	dune exec bin/specpmt_run.exe -- bench
 
 bench-quick:
-	dune exec bench/main.exe -- --quick all
+	dune exec bin/specpmt_run.exe -- bench --scale quick all
 
 examples:
 	dune exec examples/quickstart.exe

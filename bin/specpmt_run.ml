@@ -1,67 +1,33 @@
-(* specpmt_run — run any workload under any crash-consistency scheme.
+(* specpmt_run — the one command-line front end of the repository: run
+   any workload under any crash-consistency scheme, audit recovery, drive
+   the sharded service, and regenerate the paper's evaluation.
 
-     dune exec bin/specpmt_run.exe -- run --workload genome --scheme SpecSPMT
      dune exec bin/specpmt_run.exe -- list
+     dune exec bin/specpmt_run.exe -- run --workload genome --scheme SpecSPMT
      dune exec bin/specpmt_run.exe -- crash --workload intruder --scheme SpecSPMT
      dune exec bin/specpmt_run.exe -- explore --scheme SpecSPMT --budget 2000
+     dune exec bin/specpmt_run.exe -- bench --scale quick all
 
-   `run` measures one workload x scheme pair and prints the measurement;
-   `crash` injects a crash mid-run, recovers, and audits the final state
-   against an uninterrupted run; `explore` walks the crash-state space of
-   a small transactional workload deterministically (see Specpmt.Crashmc);
-   `list` enumerates schemes and workloads. *)
+   `list` enumerates schemes and workloads; `run` measures one workload x
+   scheme pair and `compare` one workload under every scheme; `crash`
+   injects a crash mid-run, recovers, and audits the final state against
+   an uninterrupted run; `fuzz` is randomized crash-recovery torture;
+   `explore` walks the crash-state space of a small transactional
+   workload deterministically (see Specpmt.Crashmc); `svc-bench` and
+   `ycsb` drive the sharded KV service; `bench` regenerates the paper's
+   tables and figures (bench.ml).  The flags the commands share, and the
+   usage-error convention (one stderr line, exit 2, before any work),
+   live in cli.ml. *)
 
 open Cmdliner
 open Specpmt
-
-(* Operator-input errors: one line on stderr and exit 2, raised before
-   the command does any work. *)
-let fail fmt = Fmt.kpf (fun _ -> exit 2) Fmt.stderr fmt
-
-(* --scheme, checked against the names the command can run (the
-   registries match names case-insensitively) *)
-let scheme_term known =
-  let doc = "Crash-consistency scheme (see `list`)." in
-  let check s =
-    let lc = String.lowercase_ascii in
-    if List.exists (fun k -> lc k = lc s) known then s
-    else
-      fail "specpmt_run: unknown scheme %S (known: %s)@." s
-        (String.concat ", " known)
-  in
-  Term.(
-    const check
-    $ Arg.(value & opt string "SpecSPMT" & info [ "s"; "scheme" ] ~doc))
+open Cli
 
 let scheme_arg = scheme_term scheme_names
 
 let workload_arg =
   let doc = "STAMP workload name (see `list`)." in
   Arg.(value & opt string "genome" & info [ "w"; "workload" ] ~doc)
-
-let scale_arg =
-  let doc = "Input scale: quick, small or full." in
-  Arg.(value & opt string "small" & info [ "scale" ] ~doc)
-
-let seed_arg =
-  let doc = "Deterministic seed for the device." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc)
-
-(* Numeric flags are range-checked as the command line is read, so a bad
-   value is an operator-input error (exit 2) instead of an
-   Invalid_argument escaping from deep inside a run. *)
-let check_int ~flag ?(lo = 1) ?hi v =
-  if v < lo then fail "specpmt_run: --%s must be at least %d, not %d@." flag lo v;
-  Option.iter
-    (fun hi ->
-      if v > hi then
-        fail "specpmt_run: --%s must be at most %d, not %d@." flag hi v)
-    hi;
-  v
-
-let int_arg ?lo ?hi ~default flag doc =
-  let arg = Arg.value (Arg.opt Arg.int default (Arg.info [ flag ] ~doc)) in
-  Term.(const (check_int ~flag ?lo ?hi) $ arg)
 
 (* the numeric flags svc-bench and ycsb share; defaults differ per command *)
 let shards_arg =
@@ -72,12 +38,6 @@ let depth_arg ~default =
   int_arg ~default "depth" "Per-shard admission (inflight) bound."
 
 let keys_arg ~default = int_arg ~default "keys" "KV table size."
-
-let parse_scale = function
-  | "quick" -> Workload.Quick
-  | "small" -> Workload.Small
-  | "full" -> Workload.Full
-  | s -> fail "specpmt_run: unknown scale %S (quick|small|full)@." s
 
 let get_workload name =
   match Workload.find name with
@@ -108,23 +68,6 @@ let print_measurement (m : Run.measurement) =
     m.Run.pm_read_lines;
   Fmt.pr "log          %d KiB resident@." (m.Run.log_bytes / 1024);
   Fmt.pr "checksum     %x@." m.Run.checksum
-
-(* the report path is opened up front, so an unwritable one fails before
-   the run instead of after it *)
-let json_arg =
-  let doc = "Also write the measurement(s) as a JSON report to $(docv)." in
-  let check path =
-    Option.iter
-      (fun p ->
-        match Json.check_writable p with
-        | Ok () -> ()
-        | Error e -> fail "specpmt_run: cannot write --json report: %s@." e)
-      path;
-    path
-  in
-  Term.(
-    const check
-    $ Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc))
 
 let reclaim_arg =
   let doc =
@@ -164,9 +107,8 @@ let spec_params_override ~reclaim ~recovery base =
       Some p
 
 let run_cmd =
-  let run scheme wname scale seed reclaim recovery json =
+  let run scheme wname (scale, sc) seed reclaim recovery json =
     let w = get_workload wname in
-    let sc = parse_scale scale in
     let wants_override = reclaim <> None || recovery <> None in
     let m =
       match spec_params_of_name scheme with
@@ -184,11 +126,7 @@ let run_cmd =
       | _ -> Run.run ~seed ~scheme w sc
     in
     print_measurement m;
-    Option.iter
-      (fun path ->
-        Run.write_report ~scale ~path [ m ];
-        Fmt.pr "wrote JSON report to %s@." path)
-      json
+    write_json json (fun () -> Run.report_to_json ~scale [ m ])
   in
   Cmd.v (Cmd.info "run" ~doc:"Measure one workload under one scheme")
     Term.(
@@ -196,9 +134,8 @@ let run_cmd =
       $ reclaim_arg $ recovery_arg $ json_arg)
 
 let compare_cmd =
-  let run wname scale seed json =
+  let run wname (scale, sc) seed json =
     let w = get_workload wname in
-    let sc = parse_scale scale in
     Fmt.pr "%-14s %12s %10s %10s %12s %10s@." "scheme" "sim ms" "fences"
       "flushes" "PM wlines" "log KiB";
     let ms =
@@ -211,29 +148,22 @@ let compare_cmd =
           m)
         scheme_names
     in
-    Option.iter
-      (fun path ->
-        Run.write_report ~scale ~path ms;
-        Fmt.pr "wrote JSON report to %s@." path)
-      json
+    write_json json (fun () -> Run.report_to_json ~scale ms)
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Run a workload under every scheme")
     Term.(const run $ workload_arg $ scale_arg $ seed_arg $ json_arg)
 
 let crash_cmd =
-  let run scheme wname scale seed =
+  let run scheme wname (_, scale) seed =
     let w = get_workload wname in
-    let scale = parse_scale scale in
     (* uninterrupted reference *)
     let reference = (Run.run ~seed ~scheme w scale).Run.checksum in
     (* crash-injected run: crash roughly mid-way, recover, resume from the
        beginning is impossible (the work closure is consumed), so audit
        atomic durability instead: recovery must succeed and the device be
        consistent enough to run transactions again *)
-    let pm =
-      Pmem.create ~seed { Pmem_config.default with mem_size = 64 * 1024 * 1024 }
-    in
+    let pm = Pmem.create ~seed Pmem_config.default in
     let heap = Heap.create pm in
     let backend = create_scheme heap scheme in
     if not backend.Ctx.supports_recovery then (
@@ -267,9 +197,6 @@ let crash_cmd =
     Term.(const run $ scheme_arg $ workload_arg $ scale_arg $ seed_arg)
 
 let fuzz_cmd =
-  let rounds_arg =
-    Arg.(value & opt int 50 & info [ "rounds" ] ~doc:"Crash rounds.")
-  in
   let run scheme seed rounds =
     (* keep the last few structured events (commits, attaches, recoveries)
        so a failed audit comes with its prelude *)
@@ -283,7 +210,7 @@ let fuzz_cmd =
     if not backend.Ctx.supports_recovery then (
       Fmt.pr "%s cannot recover; nothing to fuzz@." scheme;
       exit 1);
-    let module H = Specpmt_pstruct.Phashtbl in
+    let module H = Pstruct.Phashtbl in
     let store = backend.Ctx.run_tx (fun ctx -> H.create ctx 128) in
     let reference = Hashtbl.create 256 in
     let rand = Random.State.make [| seed; 0xF0 |] in
@@ -332,64 +259,21 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Randomized crash-recovery torture over a durable hash table")
-    Term.(const run $ scheme_arg $ seed_arg $ rounds_arg)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for the exploration/sweep (1 = serial).  Defaults to \
-     the machine's recommended domain count minus one, capped at 8.  The \
-     output is byte-identical for every value."
-  in
-  Term.(
-    const (fun j -> check_int ~flag:"jobs" j)
-    $ Arg.(value & opt int (Par.default_jobs ()) & info [ "j"; "jobs" ] ~doc))
-
-(* a fresh 64 MiB device and heap for one service run *)
-let svc_heap ~seed =
-  Heap.create
-    (Pmem.create ~seed { Pmem_config.default with mem_size = 64 * 1024 * 1024 })
-
-(* A service that does not fit that device is an operator-input error,
-   raised as [Svc.Shards.Too_large] while the service is built — on a
-   sweep's worker domain too, whose failure the pool re-raises here —
-   and reported once, before any report. *)
-let fitting ~keys ~shards f =
-  try f ()
-  with Svc.Shards.Too_large ->
-    fail "specpmt_run: --keys %d on %d shards does not fit the 64 MiB device@."
-      keys shards
-
-let dataplane_config ~shards ~domains ~batch ~depth ~keys =
-  if depth < batch then
-    fail "specpmt_run: the data plane needs --depth >= --batch, not %d < %d@."
-      depth batch;
-  if domains > shards then
-    fail "specpmt_run: --domains must be at most --shards@.";
-  {
-    Svc.Dataplane.shards;
-    domains;
-    batch_max = batch;
-    depth;
-    keys;
-    log_region_bytes = Svc.Dataplane.default_log_region_bytes;
-  }
+    Term.(
+      const run $ scheme_arg $ seed_arg
+      $ int_arg ~default:50 "rounds" "Crash rounds.")
 
 let explore_cmd =
   let budget_arg =
-    Arg.(
-      value & opt int 2000
-      & info [ "budget" ] ~doc:"Maximum crash cases to execute.")
+    int_arg ~default:2000 "budget" "Maximum crash cases to execute."
   in
-  let cells_arg =
-    Arg.(value & opt int 8 & info [ "cells" ] ~doc:"Workload cells.")
-  in
+  let cells_arg = int_arg ~default:8 "cells" "Workload cells." in
   let txs_arg =
-    Arg.(value & opt int 6 & info [ "txs" ] ~doc:"Random transactions.")
+    int_arg ~lo:0 ~default:6 "txs"
+      "Random transactions after the adoption transaction."
   in
   let max_writes_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "max-writes" ] ~doc:"Maximum writes per transaction.")
+    int_arg ~default:4 "max-writes" "Maximum writes per transaction."
   in
   let policies_arg =
     Arg.(
@@ -416,6 +300,18 @@ let explore_cmd =
   in
   let run scheme seed budget cells txs max_writes policies fuse choice jobs
       json =
+    (* The exploration device is 1 MiB: a workload it cannot hold
+       surfaces as the device's Out_of_memory while the workload is set
+       up — on a worker domain too, whose failure the pool re-raises
+       here — before anything is printed. *)
+    let fitting_device f =
+      try f ()
+      with Out_of_memory ->
+        fail
+          "specpmt_run: --cells %d with --txs %d does not fit the 1 MiB \
+           exploration device@."
+          cells txs
+    in
     let policies =
       match Crashmc.policies_of_string policies with
       | Ok p -> p
@@ -429,7 +325,9 @@ let explore_cmd =
           | Error e -> fail "specpmt_run: %s@." e
         in
         match
-          Crashmc.replay ~cells ~txs ~max_writes ~scheme ~seed ~fuse ~choice ()
+          fitting_device (fun () ->
+              Crashmc.replay ~cells ~txs ~max_writes ~scheme ~seed ~fuse
+                ~choice ())
         with
         | Crashmc.Run_completed ->
             Fmt.pr "fuse %d outlived the workload; nothing to audit@." fuse
@@ -447,8 +345,9 @@ let explore_cmd =
     | None, None ->
         let t0 = Unix.gettimeofday () in
         let r =
-          Crashmc.explore ~jobs ~cells ~txs ~max_writes ~budget ~policies
-            ~scheme ~seed ()
+          fitting_device (fun () ->
+              Crashmc.explore ~jobs ~cells ~txs ~max_writes ~budget ~policies
+                ~scheme ~seed ())
         in
         let wall_s = Unix.gettimeofday () -. t0 in
         Fmt.pr
@@ -463,11 +362,7 @@ let explore_cmd =
             Fmt.pr "FAILURE %a@." Crashmc.pp_failure f;
             List.iter (fun l -> Fmt.pr "  trace: %s@." l) f.Crashmc.trace)
           r.Crashmc.failures;
-        Option.iter
-          (fun path ->
-            Json.to_file path (Crashmc.report_to_json ~wall_s r);
-            Fmt.pr "wrote JSON report to %s@." path)
-          json;
+        write_json json (fun () -> Crashmc.report_to_json ~wall_s r);
         if r.Crashmc.failures <> [] then exit 1
     | _ -> fail "specpmt_run: replay needs both --fuse and --choice@."
   in
@@ -552,6 +447,7 @@ let svc_bench_cmd =
         update = 1.0 -. mix;
       }
     in
+    let stream = Svc.Scenario.op_stream sp ~ops ~keys ~seed in
     fitting ~keys ~shards @@ fun () ->
     if domains > 0 then begin
       (* shard-per-domain data plane: one worker domain per shard group,
@@ -565,88 +461,61 @@ let svc_bench_cmd =
       Obs.Phase.reset ();
       Obs.Metrics.reset_all ();
       let dp = Svc.Dataplane.create ~params (svc_heap ~seed) cfg in
-      let report =
-        Svc.Dataplane.run dp (Svc.Scenario.op_stream sp ~ops ~keys ~seed)
-      in
+      let report = Svc.Dataplane.run dp stream in
       Fmt.pr "%a" Svc.Dataplane.pp (cfg, report);
-      Option.iter
-        (fun path ->
-          Json.to_file path
-            (Json.Obj
-               [
-                 ("schema_version", Json.Int Run.schema_version);
-                 ("generator", Json.Str "specpmt-svc-dataplane");
-                 ("scheme", Json.Str scheme);
-                 ("report", Svc.Dataplane.report_to_json cfg report);
-               ]);
-          Fmt.pr "wrote JSON report to %s@." path)
-        json
+      write_json json (fun () ->
+          envelope ~generator:"specpmt-svc-dataplane"
+            [
+              ("scheme", Json.Str scheme);
+              ("report", Svc.Dataplane.report_to_json cfg report);
+            ])
     end
     else begin
-    let stream = Svc.Scenario.op_stream sp ~ops ~keys ~seed in
-    (* One independent service instance per batch size; the sweep points
-       share nothing, so they parallelize trivially and the reports are
-       the same for any --jobs. *)
-    let run_one batch =
-      Obs.Phase.reset ();
-      Obs.Metrics.reset_all ();
-      let svc =
-        Svc.Service.create ~params (svc_heap ~seed)
-          { Svc.Service.shards; batch_max = batch; depth; keys }
+      (* One independent service instance per batch size; the sweep
+         points share nothing, so they parallelize trivially and the
+         reports are the same for any --jobs. *)
+      let reports =
+        Par.map_list ~jobs
+          (fun batch ->
+            serve ~params ~seed
+              { Svc.Service.shards; batch_max = batch; depth; keys }
+              { Svc.Openloop.rate = 0.0; arrivals = Closed { clients }; seed }
+              stream)
+          batches
       in
-      let w0 = Unix.gettimeofday () in
-      let r =
-        Svc.Openloop.run svc
-          { Svc.Openloop.rate = 0.0; arrivals = Closed { clients }; seed }
-          stream
+      let sweep = List.length batches > 1 in
+      List.iter2
+        (fun batch (report, wall_s) ->
+          if sweep then Fmt.pr "--- batch %d ---@." batch;
+          Fmt.pr "%a" Svc.Openloop.pp report;
+          Fmt.pr "  measured: %.3f s wall, %.0f ops/s@." wall_s
+            (if wall_s > 0.0 then
+               float_of_int report.Svc.Openloop.ops /. wall_s
+             else 0.0))
+        batches reports;
+      (* wall keys are additive and timing-dependent: strip them before
+         diffing reports across runs or job counts *)
+      let point (report, wall_s) =
+        [
+          ("report", Svc.Openloop.report_to_json report);
+          ("wall_s", Json.Float wall_s);
+        ]
       in
-      (r, Unix.gettimeofday () -. w0)
-    in
-    let reports = Par.map_list ~jobs run_one batches in
-    let sweep = List.length batches > 1 in
-    List.iter2
-      (fun batch (report, wall_s) ->
-        if sweep then Fmt.pr "--- batch %d ---@." batch;
-        Fmt.pr "%a" Svc.Openloop.pp report;
-        Fmt.pr "  measured: %.3f s wall, %.0f ops/s@." wall_s
-          (if wall_s > 0.0 then float_of_int report.Svc.Openloop.ops /. wall_s
-           else 0.0))
-      batches reports;
-    Option.iter
-      (fun path ->
-        (* wall keys are additive and timing-dependent: strip them before
-           diffing reports across runs or job counts *)
-        let point (report, wall_s) =
-          ( ("report", Svc.Openloop.report_to_json report),
-            ("wall_s", Json.Float wall_s) )
-        in
-        let body =
-          match (batches, reports) with
-          | [ _ ], [ r ] ->
-              let rep, wall = point r in
-              [ rep; wall ]
-          | _ ->
-              [
-                ( "reports",
-                  Json.List
-                    (List.map2
-                       (fun batch r ->
-                         let rep, wall = point r in
-                         Json.Obj
-                           [ ("batch", Json.Int batch); rep; wall ])
-                       batches reports) );
-              ]
-        in
-        Json.to_file path
-          (Json.Obj
-             ([
-                ("schema_version", Json.Int Run.schema_version);
-                ("generator", Json.Str "specpmt-svc");
-                ("scheme", Json.Str scheme);
-              ]
-             @ body));
-        Fmt.pr "wrote JSON report to %s@." path)
-      json
+      write_json json (fun () ->
+          envelope ~generator:"specpmt-svc"
+            (("scheme", Json.Str scheme)
+            ::
+            (match reports with
+            | [ r ] -> point r
+            | _ ->
+                [
+                  ( "reports",
+                    Json.List
+                      (List.map2
+                         (fun batch r ->
+                           Json.Obj (("batch", Json.Int batch) :: point r))
+                         batches reports) );
+                ])))
     end
   in
   Cmd.v
@@ -757,33 +626,24 @@ let ycsb_cmd =
             ~fuse_batches
         in
         Fmt.pr "%a" Svc.Openloop.pp_recovery r;
-        Option.iter
-          (fun path ->
-            Json.to_file path
-              (Json.Obj
-                 [
-                   ("schema_version", Json.Int Run.schema_version);
-                   ("generator", Json.Str "specpmt-ycsb-recovery");
-                   ("workload", Json.Str (Svc.Scenario.mix_to_string mix));
-                   ("report", Svc.Openloop.recovery_to_json r);
-                 ]);
-            Fmt.pr "wrote JSON report to %s@." path)
-          json;
+        write_json json (fun () ->
+            envelope ~generator:"specpmt-ycsb-recovery"
+              [
+                ("workload", Json.Str (Svc.Scenario.mix_to_string mix));
+                ("report", Svc.Openloop.recovery_to_json r);
+              ]);
         if r.Svc.Openloop.rv_audit_failures > 0 then exit 1
     | None ->
         (* One independent service per rate: the sweep points share
            nothing, so they fan out over the domain pool and the reports
            are byte-identical for any --jobs. *)
-        let run_one rate =
-          Obs.Phase.reset ();
-          Obs.Metrics.reset_all ();
-          let svc =
-            Svc.Service.create (svc_heap ~seed)
-              { Svc.Service.shards; batch_max = batch; depth; keys }
-          in
-          Svc.Openloop.run svc { Svc.Openloop.rate; arrivals; seed } stream
+        let cfg = { Svc.Service.shards; batch_max = batch; depth; keys } in
+        let reports =
+          Par.map_list ~jobs
+            (fun rate ->
+              fst (serve ~seed cfg { Svc.Openloop.rate; arrivals; seed } stream))
+            rates
         in
-        let reports = Par.map_list ~jobs run_one rates in
         let sweep = List.length rates > 1 in
         List.iter2
           (fun rate r ->
@@ -793,29 +653,19 @@ let ycsb_cmd =
               (Svc.Scenario.dist_to_string sp.Svc.Scenario.dist);
             Fmt.pr "%a" Svc.Openloop.pp r)
           rates reports;
-        Option.iter
-          (fun path ->
-            let body =
-              match (rates, reports) with
-              | [ _ ], [ r ] -> [ ("report", Svc.Openloop.report_to_json r) ]
+        write_json json (fun () ->
+            envelope ~generator:"specpmt-ycsb"
+              (("workload", Json.Str (Svc.Scenario.mix_to_string mix))
+              :: ("spec", Svc.Scenario.spec_to_json sp)
+              ::
+              (match reports with
+              | [ r ] -> [ ("report", Svc.Openloop.report_to_json r) ]
               | _ ->
                   [
                     ( "reports",
-                      Json.List
-                        (List.map Svc.Openloop.report_to_json reports) );
-                  ]
-            in
-            Json.to_file path
-              (Json.Obj
-                 ([
-                    ("schema_version", Json.Int Run.schema_version);
-                    ("generator", Json.Str "specpmt-ycsb");
-                    ("workload", Json.Str (Svc.Scenario.mix_to_string mix));
-                    ("spec", Svc.Scenario.spec_to_json sp);
-                  ]
-                 @ body));
-            Fmt.pr "wrote JSON report to %s@." path)
-          json
+                      Json.List (List.map Svc.Openloop.report_to_json reports)
+                    );
+                  ])))
   in
   Cmd.v
     (Cmd.info "ycsb"
@@ -844,4 +694,5 @@ let () =
             explore_cmd;
             svc_bench_cmd;
             ycsb_cmd;
+            Bench.cmd;
           ]))

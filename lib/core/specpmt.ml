@@ -206,17 +206,12 @@ module Run = struct
         ("metrics", m.metrics);
       ]
 
-  let report_to_json ?(extra = []) ~scale measurements =
+  let report_to_json ~scale measurements =
     Json.Obj
-      ([
-         ("schema_version", Json.Int schema_version);
-         ("generator", Json.Str "specpmt-bench");
-         ("scale", Json.Str scale);
-       ]
-      @ extra
-      @ [ ("results", Json.List (List.map measurement_to_json measurements)) ]
-      )
-
-  let write_report ?extra ~scale ~path measurements =
-    Json.to_file path (report_to_json ?extra ~scale measurements)
+      [
+        ("schema_version", Json.Int schema_version);
+        ("generator", Json.Str "specpmt-bench");
+        ("scale", Json.Str scale);
+        ("results", Json.List (List.map measurement_to_json measurements));
+      ]
 end

@@ -6,8 +6,8 @@
     update is: persist the undo entry through the write-pending queue (no
     fence), then store the data.  Commit persists the write set
     synchronously (flush every updated line + one drain) and truncates the
-    log.  Log records are coalesced per cache line as much as possible, as
-    the paper's methodology prescribes. *)
+    log.  Each word gets one undo record, on its first write in the
+    transaction; re-writes of a logged word log nothing. *)
 
 open Specpmt_pmem
 open Specpmt_pmalloc
@@ -18,19 +18,13 @@ type t = {
   pm : Pmem.t;
   mutable log : Nt_log.t;
   ws : Write_set.t;
-  logged_lines : (Addr.t, unit) Hashtbl.t; (* per-tx line coalescing *)
   shell : Ctx.Shell.t;
 }
 
 let tx_write t a v =
   let old_value = Pmem.load_int t.pm a in
   let _, first = Write_set.record t.ws a ~old_value in
-  (* coalesce: one undo record per word, but skip the whole path when the
-     line has already been logged and the word re-written *)
-  if first then begin
-    Nt_log.append t.log ~addr:a ~old:old_value;
-    Hashtbl.replace t.logged_lines (Addr.line_of a) ()
-  end;
+  if first then Nt_log.append t.log ~addr:a ~old:old_value;
   Pmem.store_int t.pm a v
 
 let commit t frees =
@@ -38,8 +32,7 @@ let commit t frees =
   Pmem.sfence t.pm;
   Nt_log.truncate t.log;
   List.iter (fun a -> Heap.free t.heap a) frees;
-  Write_set.clear t.ws;
-  Hashtbl.reset t.logged_lines
+  Write_set.clear t.ws
 
 let rollback t =
   Write_set.iter_newest_first t.ws (fun a slot ->
@@ -47,8 +40,7 @@ let rollback t =
       Pmem.clwb t.pm a);
   Pmem.sfence t.pm;
   Nt_log.truncate t.log;
-  Write_set.clear t.ws;
-  Hashtbl.reset t.logged_lines
+  Write_set.clear t.ws
 
 let recover t =
   Heap.recover t.heap;
@@ -67,7 +59,6 @@ let recover t =
   (* adopt the reattached log (fresh cached generation and region) *)
   t.log <- log;
   Write_set.clear t.ws;
-  Hashtbl.reset t.logged_lines;
   Ctx.Shell.reset t.shell
 
 let create heap =
@@ -79,7 +70,6 @@ let create heap =
         Nt_log.create heap ~region_slot:Hw_slots.ede_region
           ~capacity_slot:Hw_slots.ede_capacity ~capacity:1024;
       ws = Write_set.create ();
-      logged_lines = Hashtbl.create 64;
       shell = Ctx.Shell.create "Ede";
     }
   in

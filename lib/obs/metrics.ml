@@ -47,7 +47,6 @@ let gauge name =
     (function G g -> Some g | _ -> None)
 
 let set_gauge g v = g.g <- v
-let gauge_value g = g.g
 
 let histogram name =
   get name

@@ -26,7 +26,6 @@ val counter_value : counter -> int
 
 val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : string -> Hist.t
 (** Get or create a registry-owned histogram (also reset by

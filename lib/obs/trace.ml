@@ -23,7 +23,6 @@ let set_capacity n =
   s.ring <- (if n <= 0 then [||] else Array.make n nil);
   s.pos <- 0
 
-let enabled () = Array.length (st ()).ring > 0
 let clear () = set_capacity (Array.length (st ()).ring)
 
 let emit ?(a = 0) ?(b = 0) label =

@@ -26,8 +26,6 @@ val set_capacity : int -> unit
 (** [set_capacity n] keeps the last [n] events ([n <= 0] disables and
     clears).  Changing the capacity clears the ring. *)
 
-val enabled : unit -> bool
-
 val emit : ?a:int -> ?b:int -> string -> unit
 (** Record an event ([a], [b] default to 0).  No-op when disabled; the
     label should be a literal so no formatting happens on the hot path. *)

@@ -101,8 +101,8 @@ let push_free t size addr =
   t.freed <- t.freed + size
 
 (* Rebuild the volatile allocator state of [t] from its persistent
-   headers and bump cells: the common engine behind {!open_existing},
-   {!recover} and {!of_region_existing}. *)
+   headers and bump cells: the common engine behind {!open_existing}
+   and {!recover}. *)
 let rebuild t =
   Hashtbl.reset t.free_lists;
   Hashtbl.reset t.log_free_lists;
@@ -205,12 +205,6 @@ let of_region pm region =
       Pmem.store_int pm log_bump_cell t.log_bump;
       Pmem.clwb pm bump_cell;
       Pmem.sfence pm);
-  t
-
-let of_region_existing pm region =
-  let lo, hi, bump_cell, log_bump_cell = region_geometry region in
-  let t = mk pm ~lo ~hi ~bump_cell ~log_bump_cell in
-  rebuild t;
   t
 
 (* Allocator metadata is made persistent eagerly: the header and bump

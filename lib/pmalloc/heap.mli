@@ -87,7 +87,3 @@ val of_region : Pmem.t -> region -> t
     [pm] — typically a per-domain view of the parent's media.  No magic
     is written; regions are reached through their parent's structures. *)
 
-val of_region_existing : Pmem.t -> region -> t
-(** Attach to a previously formatted region, rebuilding the volatile
-    free lists from its persistent headers (the {!open_existing} of
-    sub-heaps). *)

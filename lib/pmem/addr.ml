@@ -9,10 +9,6 @@ let page_of a = a land lnot (page_size - 1)
 let page_index a = a lsr 12
 let offset_in_line a = a land (line_size - 1)
 
-let lines_spanned a len =
-  assert (len > 0);
-  line_index (a + len - 1) - line_index a + 1
-
 let is_word_aligned a = a land (word_size - 1) = 0
 
 let align_up a k =

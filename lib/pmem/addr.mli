@@ -30,10 +30,6 @@ val page_index : t -> int
 val offset_in_line : t -> int
 (** Byte offset of [a] within its cache line. *)
 
-val lines_spanned : t -> int -> int
-(** [lines_spanned a len] is the number of distinct cache lines touched by
-    the byte range [\[a, a+len)].  [len] must be positive. *)
-
 val is_word_aligned : t -> bool
 (** Whether [a] is 8-byte aligned. *)
 

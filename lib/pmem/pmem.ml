@@ -61,7 +61,6 @@ type t = {
   mutable fuse : int option;
   mutable events : int; (* monotonic count of fuse-visible memory events *)
   mutable metered : bool;
-  mutable crashed : bool;
   (* optional operation trace: a bounded ring of the most recent memory
      events, for post-mortem debugging of crash-consistency failures *)
   mutable trace : op array option;
@@ -108,7 +107,6 @@ let make_view cfg media seed =
     fuse = None;
     events = 0;
     metered = true;
-    crashed = false;
     trace = None;
     trace_pos = 0;
   }
@@ -126,7 +124,6 @@ let fork_view ?(seed = 43) t = make_view t.cfg t.media seed
 let config t = t.cfg
 let stats t = t.stats
 let mem_size t = t.cfg.Config.mem_size
-let crashed_once t = t.crashed
 let set_fuse t n = t.fuse <- n
 let fuse t = t.fuse
 let events t = t.events
@@ -540,7 +537,6 @@ let dirty_words t =
    Under eADR the caches sit inside the persistence domain, so everything
    drains regardless of the oracle. *)
 let crash_with t ~persist =
-  t.crashed <- true;
   List.iter
     (fun li ->
       let s = t.slot_of.(li) in
@@ -558,7 +554,6 @@ let crash_with t ~persist =
   t.fuse <- None
 
 let crash t =
-  t.crashed <- true;
   (* under eADR the caches are inside the persistence domain: every dirty
      word drains, deterministically *)
   let p =

@@ -136,9 +136,6 @@ val dirty_words : t -> Addr.t list
 (** Word addresses covered by the dirty lines, ascending — the decision
     domain of {!crash_with}. *)
 
-val crashed_once : t -> bool
-(** Whether {!crash} has ever been taken on this device. *)
-
 (** {1 Operation tracing (debugging)} *)
 
 type op =

@@ -57,8 +57,6 @@ let diff a b =
     bg_ns = b.bg_ns -. a.bg_ns;
   }
 
-let pm_write_bytes t = t.pm_write_lines * Addr.line_size
-
 let to_json t =
   let open Specpmt_obs.Json in
   Obj

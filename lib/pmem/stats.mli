@@ -28,7 +28,6 @@ val diff : t -> t -> t
 (** [diff before after], field-wise — measure a region with {!copy} +
     [diff]. *)
 
-val pm_write_bytes : t -> int
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Specpmt_obs.Json.t

@@ -175,11 +175,6 @@ let stage_count t ctx c =
 
 (* ---- audits & metrics ---- *)
 
-let fold_base t f init =
-  if Hashtbl.length t.stage > 0 then
-    invalid_arg "Shadow.fold_base: transaction in flight (non-empty stage)";
-  Hashtbl.fold f t.base init
-
 let totals t = (t.hits, t.misses, t.rebuild_ns)
 
 let publish t =

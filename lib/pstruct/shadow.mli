@@ -92,10 +92,6 @@ val size : t -> int
 val stage_size : t -> int
 (** Staged entries of the open transaction (0 between transactions). *)
 
-val fold_base : t -> (Addr.t -> node -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the committed image — audit use.  Raises
-    [Invalid_argument] while a transaction has staged entries. *)
-
 val hit : t -> unit
 (** Count a mirror-served node fetch. *)
 

@@ -1,12 +1,10 @@
-(* Operator-input errors at the two CLIs: a bad scheme name, an
-   unwritable --json path or an out-of-range numeric flag must fail up
-   front with one line on stderr and the CLI's usage-error exit code
-   (specpmt_run: 2, bench: 1), before any experiment runs (nothing on
-   stdout). *)
+(* Operator-input errors at the CLI: a bad scheme name, an unwritable
+   --json path or an out-of-range numeric flag must fail up front with
+   one line on stderr and exit code 2, before any experiment runs
+   (nothing on stdout). *)
 
 let exe rel = Filename.concat (Filename.dirname Sys.executable_name) rel
 let specpmt_run = exe "../bin/specpmt_run.exe"
-let bench = exe "../bench/main.exe"
 
 let read_lines path =
   In_channel.with_open_text path In_channel.input_all
@@ -49,6 +47,13 @@ let check_usage_error ~code ~mentions (got, out, err) =
         Alcotest.failf "stderr %S does not mention %S" line mentions
   | _ -> Alcotest.failf "want one stderr line, got %d" (List.length err)
 
+(* each (arguments, what stderr must mention) row is a usage error *)
+let usage_errors rows =
+  List.iter
+    (fun (args, mentions) ->
+      run specpmt_run args |> check_usage_error ~code:2 ~mentions)
+    rows
+
 let test_run_unknown_scheme () =
   run specpmt_run [ "run"; "-s"; "Bogus"; "--scale"; "quick" ]
   |> check_usage_error ~code:2 ~mentions:"Bogus"
@@ -86,17 +91,34 @@ let test_run_reclaim_bytes () =
   in
   Alcotest.(check int) "a byte count runs" 0 code
 
-let test_bench_unwritable_json () =
+(* the bench subcommand takes the same terms, and fails the same way *)
+let test_bench_usage () =
   let path = missing_dir_path () in
-  run bench [ "--quick"; "table2"; "--json"; path ]
-  |> check_usage_error ~code:1 ~mentions:path
+  usage_errors
+    [
+      ([ "bench"; "--scale"; "quick"; "fig99" ], "fig99");
+      ([ "bench"; "--scale"; "tiny"; "table2" ], "tiny");
+      ([ "bench"; "--scale"; "quick"; "--jobs"; "0"; "table2" ], "--jobs");
+      ([ "bench"; "--scale"; "quick"; "table2"; "--json"; path ], path);
+    ]
+
+(* counts that would crash the crash explorer or fuzzer, or let them
+   pass having tested nothing, are usage errors too — including a
+   workload the exploration device cannot hold *)
+let test_explore_fuzz_counts () =
+  usage_errors
+    [
+      ([ "explore"; "--cells"; "0" ], "--cells");
+      ([ "explore"; "--max-writes"; "0" ], "--max-writes");
+      ([ "explore"; "--cells"; "32768"; "--txs"; "2"; "--budget"; "5" ], "--cells");
+      ([ "explore"; "--budget"; "0" ], "--budget");
+      ([ "fuzz"; "--rounds"; "0" ], "--rounds");
+    ]
 
 (* the service commands' numeric flags are range-checked as the command
    line is read, never left to an Invalid_argument deep inside a run *)
 let test_service_numeric_flags () =
-  List.iter
-    (fun (args, mentions) ->
-      run specpmt_run args |> check_usage_error ~code:2 ~mentions)
+  usage_errors
     [
       ([ "ycsb"; "--ops"; "0" ], "--ops");
       ([ "ycsb"; "--shards"; "0" ], "--shards");
@@ -135,8 +157,9 @@ let () =
             test_run_unwritable_json;
           Alcotest.test_case "run: --reclaim takes bytes" `Quick
             test_run_reclaim_bytes;
-          Alcotest.test_case "bench: unwritable --json" `Quick
-            test_bench_unwritable_json;
+          Alcotest.test_case "bench: usage errors" `Quick test_bench_usage;
+          Alcotest.test_case "explore/fuzz: bad counts" `Quick
+            test_explore_fuzz_counts;
           Alcotest.test_case "svc-bench/ycsb: bad numeric flags" `Quick
             test_service_numeric_flags;
         ] );
