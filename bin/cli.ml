@@ -11,14 +11,13 @@ let fail fmt = Fmt.kpf (fun _ -> exit 2) Fmt.stderr fmt
 
 (* --scheme, checked against the names the command can run (the
    registries match names case-insensitively) *)
-let scheme_term known =
+let scheme_term ?(what = "unknown scheme") known =
   let doc = "Crash-consistency scheme (see `list`)." in
   let check s =
     let lc = String.lowercase_ascii in
     if List.exists (fun k -> lc k = lc s) known then s
     else
-      fail "specpmt_run: unknown scheme %S (known: %s)@." s
-        (String.concat ", " known)
+      fail "specpmt_run: %s %S (known: %s)@." what s (String.concat ", " known)
   in
   Term.(
     const check
@@ -126,10 +125,9 @@ let dataplane_config ~shards ~domains ~batch ~depth ~keys =
   }
 
 (* One serial-service run of [stream] on a fresh device: the report and
-   the run's wall clock (service construction excluded).  Phases and
-   metrics restart with the run. *)
+   the run's wall clock (service construction excluded).  Metrics
+   restart with the run. *)
 let serve ?params ~seed cfg ocfg stream =
-  Obs.Phase.reset ();
   Obs.Metrics.reset_all ();
   let svc = Svc.Service.create ?params (svc_heap ~seed) cfg in
   let w0 = Unix.gettimeofday () in

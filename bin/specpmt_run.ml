@@ -25,6 +25,10 @@ open Cli
 
 let scheme_arg = scheme_term scheme_names
 
+(* crash, fuzz and explore audit recovery: a scheme that cannot recover
+   is a usage error *)
+let recoverable_term = scheme_term ~what:"unknown or non-recoverable scheme"
+
 let workload_arg =
   let doc = "STAMP workload name (see `list`)." in
   Arg.(value & opt string "genome" & info [ "w"; "workload" ] ~doc)
@@ -68,6 +72,14 @@ let print_measurement (m : Run.measurement) =
     m.Run.pm_read_lines;
   Fmt.pr "log          %d KiB resident@." (m.Run.log_bytes / 1024);
   Fmt.pr "checksum     %x@." m.Run.checksum
+
+(* the report of `run` and `compare`: the bench report's layout *)
+let run_report ~scale ms =
+  envelope ~generator:"specpmt-bench"
+    [
+      ("scale", Json.Str scale);
+      ("results", Json.List (List.map Run.measurement_to_json ms));
+    ]
 
 let reclaim_arg =
   let doc =
@@ -126,7 +138,7 @@ let run_cmd =
       | _ -> Run.run ~seed ~scheme w sc
     in
     print_measurement m;
-    write_json json (fun () -> Run.report_to_json ~scale [ m ])
+    write_json json (fun () -> run_report ~scale [ m ])
   in
   Cmd.v (Cmd.info "run" ~doc:"Measure one workload under one scheme")
     Term.(
@@ -148,7 +160,7 @@ let compare_cmd =
           m)
         scheme_names
     in
-    write_json json (fun () -> Run.report_to_json ~scale ms)
+    write_json json (fun () -> run_report ~scale ms)
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Run a workload under every scheme")
@@ -166,9 +178,6 @@ let crash_cmd =
     let pm = Pmem.create ~seed Pmem_config.default in
     let heap = Heap.create pm in
     let backend = create_scheme heap scheme in
-    if not backend.Ctx.supports_recovery then (
-      Fmt.pr "%s cannot recover; nothing to audit@." scheme;
-      exit 1);
     let prepared = w.Workload.prepare scale heap backend in
     Pmem.set_fuse pm (Some 200_000);
     let crashed =
@@ -194,7 +203,10 @@ let crash_cmd =
   in
   Cmd.v
     (Cmd.info "crash" ~doc:"Crash a workload mid-run and audit recovery")
-    Term.(const run $ scheme_arg $ workload_arg $ scale_arg $ seed_arg)
+    Term.(
+      const run
+      $ recoverable_term (Crashmc.recoverable_names ())
+      $ workload_arg $ scale_arg $ seed_arg)
 
 let fuzz_cmd =
   let run scheme seed rounds =
@@ -207,9 +219,6 @@ let fuzz_cmd =
     in
     let heap = Heap.create pm in
     let backend = create_scheme heap scheme in
-    if not backend.Ctx.supports_recovery then (
-      Fmt.pr "%s cannot recover; nothing to fuzz@." scheme;
-      exit 1);
     let module H = Pstruct.Phashtbl in
     let store = backend.Ctx.run_tx (fun ctx -> H.create ctx 128) in
     let reference = Hashtbl.create 256 in
@@ -260,7 +269,9 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:"Randomized crash-recovery torture over a durable hash table")
     Term.(
-      const run $ scheme_arg $ seed_arg
+      const run
+      $ recoverable_term (Crashmc.recoverable_names ())
+      $ seed_arg
       $ int_arg ~default:50 "rounds" "Crash rounds.")
 
 let explore_cmd =
@@ -373,7 +384,7 @@ let explore_cmd =
           (crashmc)")
     Term.(
       const run
-      $ scheme_term (Crashmc.target_names ())
+      $ recoverable_term (Crashmc.target_names ())
       $ seed_arg $ budget_arg $ cells_arg $ txs_arg
       $ max_writes_arg $ policies_arg $ fuse_arg $ choice_arg $ jobs_arg
       $ json_arg)
@@ -458,7 +469,6 @@ let svc_bench_cmd =
         | _ -> fail "specpmt_run: --domains takes a single --batch value@."
       in
       let cfg = dataplane_config ~shards ~domains ~batch ~depth ~keys in
-      Obs.Phase.reset ();
       Obs.Metrics.reset_all ();
       let dp = Svc.Dataplane.create ~params (svc_heap ~seed) cfg in
       let report = Svc.Dataplane.run dp stream in

@@ -56,7 +56,6 @@ let pmem t = t.pm
    ledger instead. *)
 let reclaim t =
   let open Specpmt_obs in
-  Phase.run Phase.Reclaim @@ fun () ->
   let stats =
     Pmem.with_unmetered t.pm (fun () -> Log_arena.compact t.arena)
   in
@@ -242,7 +241,6 @@ let reattach t ~tail =
    data plane each runtime holds its worker domain's view. *)
 let recover_threads pm ~heaps rts =
   let open Specpmt_obs in
-  Phase.run Phase.Recover @@ fun () ->
   List.iter Heap.recover heaps;
   let restored, max_ts, tails =
     restore pm rts.(0).params (Array.map (fun rt -> rt.head_slot) rts)

@@ -31,7 +31,7 @@
       load generation),
     - {!Par}: the domain pool behind the harness's [--jobs] flags
       (deterministic index-ordered reduction),
-    - {!Obs}: metrics, phase attribution, tracing and the JSON reports. *)
+    - {!Obs}: metrics, tracing and the JSON reports. *)
 
 module Pmem = Specpmt_pmem.Pmem
 module Pmem_config = Specpmt_pmem.Config
@@ -86,6 +86,17 @@ let spec_params_of_name name =
   Option.bind (Schemes.of_name name) Schemes.spec_params
 
 module Run = struct
+  (** The device's counters over the four windows of a run, which
+      partition its whole tally: [other] is construction (pool format,
+      backend creation), [prepare] the workload's setup, [work] its
+      transactions and [drain] the background work drained after them. *)
+  type phases = {
+    other : Stats.t;
+    prepare : Stats.t;
+    work : Stats.t;
+    drain : Stats.t;
+  }
+
   (** One workload x scheme measurement — the raw material of every
       figure in the paper's evaluation. *)
   type measurement = {
@@ -105,9 +116,7 @@ module Run = struct
     tx_latency : Obs.Hist.snapshot;
         (** per-transaction latency over the measured phase, simulated ns *)
     write_set : Obs.Hist.snapshot;  (** per-transaction write-set bytes *)
-    phases : Obs.Phase.snapshot;
-        (** fences/flushes/PM traffic attributed to prepare / work / drain /
-            recover / reclaim spans *)
+    phases : phases;  (** the measured phase is [work] + [drain] *)
     metrics : Json.t;
         (** registry dump (reclamation and log-compaction telemetry) *)
   }
@@ -119,7 +128,6 @@ module Run = struct
       work is drained inside it. *)
   let run_custom ?(seed = 1) ?(mem = default_mem) ~make ~name
       (w : Workload.t) scale =
-    Obs.Phase.reset ();
     Obs.Metrics.reset_all ();
     let pm =
       Pmem.create ~seed { Pmem_config.default with mem_size = mem }
@@ -129,10 +137,8 @@ module Run = struct
     let profiled, counters =
       Profile.wrap ~clock:(fun () -> (Pmem.stats pm).Stats.ns) backend
     in
-    let prepared =
-      Obs.Phase.run Obs.Phase.Prepare (fun () ->
-          w.Workload.prepare scale heap profiled)
-    in
+    let built = Stats.copy (Pmem.stats pm) in
+    let prepared = w.Workload.prepare scale heap profiled in
     let c0 = Profile.fresh () in
     c0.Profile.txs <- counters.Profile.txs;
     c0.Profile.updates <- counters.Profile.updates;
@@ -140,9 +146,11 @@ module Run = struct
     (* the distributions cover only the measured phase *)
     Profile.reset_histograms counters;
     let before = Stats.copy (Pmem.stats pm) in
-    Obs.Phase.run Obs.Phase.Work prepared.Workload.work;
-    Obs.Phase.run Obs.Phase.Drain backend.Ctx.drain;
-    let d = Stats.diff before (Pmem.stats pm) in
+    prepared.Workload.work ();
+    let worked = Stats.copy (Pmem.stats pm) in
+    backend.Ctx.drain ();
+    let after = Stats.copy (Pmem.stats pm) in
+    let d = Stats.diff before after in
     let checksum =
       Pmem.with_unmetered pm (fun () -> prepared.Workload.checksum ())
     in
@@ -166,7 +174,13 @@ module Run = struct
         (if txs = 0 then 0.0 else float_of_int ws_bytes /. float_of_int txs);
       tx_latency = Obs.Hist.snapshot counters.Profile.lat_hist;
       write_set = Obs.Hist.snapshot counters.Profile.ws_hist;
-      phases = Obs.Phase.snapshot ();
+      phases =
+        {
+          other = built;
+          prepare = Stats.diff built before;
+          work = Stats.diff before worked;
+          drain = Stats.diff worked after;
+        };
       metrics = Obs.Metrics.dump ();
     }
 
@@ -184,6 +198,31 @@ module Run = struct
   (** Bumped on any incompatible change to the report layout. *)
   let schema_version = 2
 
+  let phase_to_json (s : Stats.t) =
+    Json.Obj
+      [
+        ("fences", Json.Int s.Stats.fences);
+        ("clwbs", Json.Int s.Stats.clwbs);
+        ("nt_stores", Json.Int s.Stats.nt_stores);
+        ("pm_write_lines", Json.Int s.Stats.pm_write_lines);
+        ("pm_read_lines", Json.Int s.Stats.pm_read_lines);
+      ]
+
+  let phases_to_json p =
+    (* schema-only zero rows: a run never recovers and reclaims unmetered *)
+    let zero = phase_to_json (Stats.create ()) in
+    Json.Obj
+      [
+        ("prepare", phase_to_json p.prepare);
+        ("work", phase_to_json p.work);
+        ("drain", phase_to_json p.drain);
+        ("recover", zero);
+        ("reclaim", zero);
+        ("other", phase_to_json p.other);
+      ]
+
+  (** One object per measurement: the [results] rows of every report that
+      carries measurements. *)
   let measurement_to_json (m : measurement) =
     Json.Obj
       [
@@ -202,16 +241,7 @@ module Run = struct
         ("avg_tx_bytes", Json.Float m.avg_tx_bytes);
         ("tx_latency_ns", Obs.Hist.to_json m.tx_latency);
         ("write_set_bytes", Obs.Hist.to_json m.write_set);
-        ("phases", Obs.Phase.to_json m.phases);
+        ("phases", phases_to_json m.phases);
         ("metrics", m.metrics);
-      ]
-
-  let report_to_json ~scale measurements =
-    Json.Obj
-      [
-        ("schema_version", Json.Int schema_version);
-        ("generator", Json.Str "specpmt-bench");
-        ("scale", Json.Str scale);
-        ("results", Json.List (List.map measurement_to_json measurements));
       ]
 end

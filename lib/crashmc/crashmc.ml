@@ -454,6 +454,10 @@ let targets () =
 
 let target_names () = List.map (fun t -> t.t_name) (targets ())
 
+let recoverable_names () =
+  List.map Registry.name (Lazy.force recoverable_sw)
+  @ List.map Hw.Hw_registry.name (Lazy.force recoverable_hw)
+
 let target_of_name name =
   List.find_opt
     (fun t -> String.lowercase_ascii t.t_name = String.lowercase_ascii name)

@@ -90,7 +90,12 @@ val policies_of_string : string -> (policy list, string) result
 (** {1 Targets} *)
 
 val target_names : unit -> string list
-(** Explorable scheme names, in registry order then the composites. *)
+(** Explorable scheme names: the recoverable software schemes, the
+    composites, then the recoverable hardware schemes. *)
+
+val recoverable_names : unit -> string list
+(** The registered schemes that can recover, software then hardware, in
+    registry order: the schemes a crash audit can run. *)
 
 val btree_coverage :
   ?cells:int ->

@@ -1,6 +1,6 @@
-type event = { seq : int; phase : Phase.phase; label : string; a : int; b : int }
+type event = { seq : int; label : string; a : int; b : int }
 
-let nil = { seq = -1; phase = Phase.Other; label = ""; a = 0; b = 0 }
+let nil = { seq = -1; label = ""; a = 0; b = 0 }
 
 (* One ring per domain.  A child domain inherits the parent's capacity
    (with an empty ring), so enabling tracing before fanning work out to a
@@ -30,7 +30,7 @@ let emit ?(a = 0) ?(b = 0) label =
   let r = s.ring in
   let n = Array.length r in
   if n > 0 then begin
-    r.(s.pos mod n) <- { seq = s.pos; phase = Phase.current (); label; a; b };
+    r.(s.pos mod n) <- { seq = s.pos; label; a; b };
     s.pos <- s.pos + 1
   end
 
@@ -41,23 +41,7 @@ let recent () =
   let count = min n s.pos in
   List.init count (fun i -> r.((s.pos - count + i) mod n))
 
-let pp_event ppf e =
-  Fmt.pf ppf "#%d [%s] %s a=%d b=%d" e.seq (Phase.name e.phase) e.label e.a
-    e.b
+let pp_event ppf e = Fmt.pf ppf "#%d %s a=%d b=%d" e.seq e.label e.a e.b
 
 let dump ppf () =
   List.iter (fun e -> Fmt.pf ppf "%a@." pp_event e) (recent ())
-
-let to_json () =
-  Json.List
-    (List.map
-       (fun e ->
-         Json.Obj
-           [
-             ("seq", Json.Int e.seq);
-             ("phase", Json.Str (Phase.name e.phase));
-             ("label", Json.Str e.label);
-             ("a", Json.Int e.a);
-             ("b", Json.Int e.b);
-           ])
-       (recent ()))

@@ -16,7 +16,6 @@
 
 type event = {
   seq : int;  (** monotonically increasing emission index *)
-  phase : Phase.phase;  (** phase current at emission time *)
   label : string;
   a : int;
   b : int;
@@ -39,5 +38,3 @@ val pp_event : Format.formatter -> event -> unit
 
 val dump : Format.formatter -> unit -> unit
 (** Print every retained event, one per line, oldest first. *)
-
-val to_json : unit -> Json.t

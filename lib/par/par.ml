@@ -66,16 +66,11 @@ let run ?jobs ?(chunk = 1) ?(init = fun () -> ()) ~n f =
           end
         end
       done;
-      (Metrics.export (), Phase.snapshot ())
+      Metrics.export ()
     in
     let domains = Array.init workers (fun _ -> Domain.spawn worker) in
-    (* Join and merge observability in worker order, deterministically. *)
-    let harvested = Array.map Domain.join domains in
-    Array.iter
-      (fun (m, p) ->
-        Metrics.absorb m;
-        Phase.absorb p)
-      harvested;
+    (* Join and merge metrics in worker order, deterministically. *)
+    Array.iter (fun d -> Metrics.absorb (Domain.join d)) domains;
     (match Atomic.get failed with
     | Some e -> Printexc.raise_with_backtrace e.exn e.backtrace
     | None -> ());
@@ -94,7 +89,7 @@ let map_list ?jobs ?chunk ?init f xs =
    into the caller's — so a dataplane worker gets the metrics story of
    a Par.run job for free. *)
 type 'a worker = {
-  dom : ('a outcome * Metrics.export * Phase.snapshot) Domain.t;
+  dom : ('a outcome * Metrics.export) Domain.t;
 }
 
 and 'a outcome =
@@ -110,13 +105,12 @@ let spawn f =
             | v -> Ok_ v
             | exception exn -> Err (exn, Printexc.get_raw_backtrace ())
           in
-          (outcome, Metrics.export (), Phase.snapshot ()));
+          (outcome, Metrics.export ()));
   }
 
 let join w =
-  let outcome, m, p = Domain.join w.dom in
+  let outcome, m = Domain.join w.dom in
   Metrics.absorb m;
-  Phase.absorb p;
   match outcome with
   | Ok_ v -> v
   | Err (exn, bt) -> Printexc.raise_with_backtrace exn bt
@@ -128,9 +122,8 @@ let join_all ws =
   let outcomes =
     Array.map
       (fun w ->
-        let outcome, m, p = Domain.join w.dom in
+        let outcome, m = Domain.join w.dom in
         Metrics.absorb m;
-        Phase.absorb p;
         outcome)
       ws
   in

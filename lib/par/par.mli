@@ -14,10 +14,11 @@
     cost without any queue allocation.
 
     Observability composes: each worker accumulates {!Specpmt_obs}
-    metrics and phase tallies in its own domain-local registry, and the
-    pool merges them into the calling domain's registry at join
-    ({!Specpmt_obs.Metrics.absorb} / {!Specpmt_obs.Phase.absorb}), so
-    counters and histograms aggregate across workers instead of racing.
+    metrics in its own domain-local registry, and the pool merges them
+    into the calling domain's registry at join
+    ({!Specpmt_obs.Metrics.absorb}), so counters and histograms
+    aggregate across workers instead of racing.  Device counters need no
+    merge: each job's simulated device keeps its own [Stats].
     Trace rings stay worker-local — harvest
     {!Specpmt_obs.Trace.recent} inside the job that emitted the events.
 
@@ -77,9 +78,9 @@ val map_list :
     Pipelines — a coordinator exchanging messages with resident domains,
     like the shard-per-domain data plane — need workers that live until
     told to stop.  {!spawn}/{!join} give them the same observability
-    lifecycle as {!run} jobs: each worker accumulates metrics and phase
-    tallies in its own domain-local registry, and the join merges them
-    into the calling domain's. *)
+    lifecycle as {!run} jobs: each worker accumulates metrics in its own
+    domain-local registry, and the join merges them into the calling
+    domain's. *)
 
 type 'a worker
 
@@ -88,11 +89,10 @@ val spawn : (unit -> 'a) -> 'a worker
     is captured with its backtrace and re-raised at {!join}. *)
 
 val join : 'a worker -> 'a
-(** Join one worker, absorbing its metrics/phase tallies into the
-    caller's registry first, then returning its result or re-raising its
-    failure. *)
+(** Join one worker, absorbing its metrics into the caller's registry
+    first, then returning its result or re-raising its failure. *)
 
 val join_all : 'a worker array -> 'a array
 (** Join every worker in array order — all observability is absorbed
     before the lowest-index failure (if any) is re-raised, so no
-    domain is left running and no worker's tallies are lost. *)
+    domain is left running and no worker's metrics are lost. *)

@@ -1,23 +1,5 @@
 exception Crash
 
-type op =
-  | Load of Addr.t
-  | Store of Addr.t * int
-  | Clwb of Addr.t
-  | Sfence
-  | Nt_store of Addr.t * int (* address, bytes *)
-  | Load_bytes of Addr.t * int (* address, bytes *)
-  | Store_bytes of Addr.t * int (* address, bytes *)
-
-let pp_op ppf = function
-  | Load a -> Fmt.pf ppf "load   %#x" a
-  | Store (a, v) -> Fmt.pf ppf "store  %#x <- %d" a v
-  | Clwb a -> Fmt.pf ppf "clwb   %#x" a
-  | Sfence -> Fmt.pf ppf "sfence"
-  | Nt_store (a, n) -> Fmt.pf ppf "ntstore %#x (%d B)" a n
-  | Load_bytes (a, n) -> Fmt.pf ppf "loadb  %#x (%d B)" a n
-  | Store_bytes (a, n) -> Fmt.pf ppf "storeb %#x (%d B)" a n
-
 type media =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -61,10 +43,6 @@ type t = {
   mutable fuse : int option;
   mutable events : int; (* monotonic count of fuse-visible memory events *)
   mutable metered : bool;
-  (* optional operation trace: a bounded ring of the most recent memory
-     events, for post-mortem debugging of crash-consistency failures *)
-  mutable trace : op array option;
-  mutable trace_pos : int;
 }
 
 (* A per-domain view of the same media: shares the [media] image (and
@@ -107,8 +85,6 @@ let make_view cfg media seed =
     fuse = None;
     events = 0;
     metered = true;
-    trace = None;
-    trace_pos = 0;
   }
 
 let create ?(seed = 42) cfg =
@@ -125,37 +101,7 @@ let config t = t.cfg
 let stats t = t.stats
 let mem_size t = t.cfg.Config.mem_size
 let set_fuse t n = t.fuse <- n
-let fuse t = t.fuse
 let events t = t.events
-
-let set_trace t n =
-  if n <= 0 then begin
-    t.trace <- None;
-    t.trace_pos <- 0
-  end
-  else begin
-    t.trace <- Some (Array.make n Sfence);
-    t.trace_pos <- 0
-  end
-
-(* Callers test [tracing] before building the op, so an untraced device
-   allocates no [op] block per access. *)
-let tracing t = match t.trace with None -> false | Some _ -> true
-
-let record_op t op =
-  match t.trace with
-  | None -> ()
-  | Some ring ->
-      ring.(t.trace_pos mod Array.length ring) <- op;
-      t.trace_pos <- t.trace_pos + 1
-
-let recent_ops t =
-  match t.trace with
-  | None -> []
-  | Some ring ->
-      let n = Array.length ring in
-      let count = min n t.trace_pos in
-      List.init count (fun i -> ring.((t.trace_pos - count + i) mod n))
 
 let burn_fuse t =
   t.events <- t.events + 1;
@@ -194,7 +140,6 @@ let media_write_line t li (src : Bytes.t) src_off =
   media_blit_out t src src_off (li * Addr.line_size) Addr.line_size;
   if t.metered then begin
     t.stats.Stats.pm_write_lines <- t.stats.Stats.pm_write_lines + 1;
-    Specpmt_obs.Phase.on_pm_write_line ();
     if li = t.last_persist_line + 1 || li = t.last_persist_line then
       t.stats.Stats.pm_write_lines_seq <- t.stats.Stats.pm_write_lines_seq + 1;
     (* unmetered (background-core) writes must not perturb the foreground
@@ -272,7 +217,6 @@ let get_slot t li ~for_load =
   else begin
     if for_load then begin
       count (fun st -> st.Stats.pm_read_lines <- st.Stats.pm_read_lines + 1) t;
-      if t.metered then Specpmt_obs.Phase.on_pm_read_line ();
       (* a miss continuing the previous miss's stream is bandwidth-bound:
          prefetch hides the media latency (the read-side twin of the
          sequential-write fast path) *)
@@ -369,7 +313,6 @@ let load_int t addr =
   assert (Addr.is_word_aligned addr);
   check_bounds t addr 8;
   burn_fuse t;
-  if tracing t then record_op t (Load addr);
   count (fun s -> s.Stats.loads <- s.Stats.loads + 1) t;
   let s = get_slot t (Addr.line_index addr) ~for_load:true in
   Int64.to_int
@@ -380,7 +323,6 @@ let store_int t addr v =
   assert (Addr.is_word_aligned addr);
   check_bounds t addr 8;
   burn_fuse t;
-  if tracing t then record_op t (Store (addr, v));
   count (fun s -> s.Stats.stores <- s.Stats.stores + 1) t;
   let s = get_slot t (Addr.line_index addr) ~for_load:false in
   Bytes.set_int64_le t.slot_data
@@ -391,7 +333,6 @@ let store_int t addr v =
 let load_bytes t addr len =
   check_bounds t addr len;
   burn_fuse t;
-  if tracing t then record_op t (Load_bytes (addr, len));
   count (fun s -> s.Stats.loads <- s.Stats.loads + 1) t;
   let out = Bytes.create len in
   let pos = ref 0 in
@@ -411,7 +352,6 @@ let store_bytes t addr b =
   if len > 0 then begin
     check_bounds t addr len;
     burn_fuse t;
-    if tracing t then record_op t (Store_bytes (addr, len));
     count (fun s -> s.Stats.stores <- s.Stats.stores + 1) t;
     let pos = ref 0 in
     while !pos < len do
@@ -429,9 +369,7 @@ let store_bytes t addr b =
 let clwb t addr =
   check_bounds t addr 1;
   burn_fuse t;
-  if tracing t then record_op t (Clwb addr);
   count (fun s -> s.Stats.clwbs <- s.Stats.clwbs + 1) t;
-  if t.metered then Specpmt_obs.Phase.on_clwb ();
   charge t t.cfg.Config.clwb_issue_ns;
   if not t.cfg.Config.eadr then begin
     let li = Addr.line_index addr in
@@ -455,9 +393,7 @@ let clflushopt t addr =
 
 let sfence t =
   burn_fuse t;
-  if tracing t then record_op t Sfence;
   count (fun s -> s.Stats.fences <- s.Stats.fences + 1) t;
-  if t.metered then Specpmt_obs.Phase.on_fence ();
   let latest =
     if t.wpq_len = 0 then t.stats.Stats.ns
     else
@@ -478,9 +414,7 @@ let nt_store_bytes t addr b =
     if len > 0 then begin
       check_bounds t addr len;
       burn_fuse t;
-      if tracing t then record_op t (Nt_store (addr, len));
       count (fun s -> s.Stats.nt_stores <- s.Stats.nt_stores + 1) t;
-      if t.metered then Specpmt_obs.Phase.on_nt_store ();
       let pos = ref 0 in
       while !pos < len do
         let a = addr + !pos in

@@ -107,9 +107,6 @@ val set_fuse : t -> int option -> unit
 (** [set_fuse t (Some n)] makes the [n]-th subsequent memory event raise
     {!Crash}.  [None] disarms. *)
 
-val fuse : t -> int option
-(** Remaining events before the fuse burns ([None] = disarmed). *)
-
 val events : t -> int
 (** Monotonic count of fuse-visible memory events since creation — the
     index space {!set_fuse} counts in.  Lets a crash-exploration driver
@@ -135,27 +132,6 @@ val dirty_lines : t -> int list
 val dirty_words : t -> Addr.t list
 (** Word addresses covered by the dirty lines, ascending — the decision
     domain of {!crash_with}. *)
-
-(** {1 Operation tracing (debugging)} *)
-
-type op =
-  | Load of Addr.t
-  | Store of Addr.t * int
-  | Clwb of Addr.t
-  | Sfence
-  | Nt_store of Addr.t * int  (** address, byte count *)
-  | Load_bytes of Addr.t * int  (** ranged load — address, byte count *)
-  | Store_bytes of Addr.t * int  (** ranged store — address, byte count *)
-
-val pp_op : Format.formatter -> op -> unit
-
-val set_trace : t -> int -> unit
-(** Keep a ring of the [n] most recent memory events ([n <= 0]
-    disables).  For post-mortem debugging of crash-consistency failures;
-    zero cost when disabled. *)
-
-val recent_ops : t -> op list
-(** Traced events, oldest first. *)
 
 (** {1 Metering control} *)
 

@@ -56,30 +56,3 @@ let diff a b =
     ns = b.ns -. a.ns;
     bg_ns = b.bg_ns -. a.bg_ns;
   }
-
-let to_json t =
-  let open Specpmt_obs.Json in
-  Obj
-    [
-      ("loads", Int t.loads);
-      ("stores", Int t.stores);
-      ("clwbs", Int t.clwbs);
-      ("fences", Int t.fences);
-      ("nt_stores", Int t.nt_stores);
-      ("pm_read_lines", Int t.pm_read_lines);
-      ("pm_read_lines_seq", Int t.pm_read_lines_seq);
-      ("pm_write_lines", Int t.pm_write_lines);
-      ("pm_write_lines_seq", Int t.pm_write_lines_seq);
-      ("evictions", Int t.evictions);
-      ("ns", Float t.ns);
-      ("bg_ns", Float t.bg_ns);
-    ]
-
-let pp ppf t =
-  Fmt.pf ppf
-    "@[<v>loads %d; stores %d; clwbs %d; fences %d; nt %d@ pm-reads %d \
-     lines (%d seq); pm-writes %d lines (%d seq); evictions %d@ time %.0f \
-     ns (+%.0f ns background)@]"
-    t.loads t.stores t.clwbs t.fences t.nt_stores t.pm_read_lines
-    t.pm_read_lines_seq t.pm_write_lines t.pm_write_lines_seq t.evictions
-    t.ns t.bg_ns

@@ -27,9 +27,3 @@ val copy : t -> t
 val diff : t -> t -> t
 (** [diff before after], field-wise — measure a region with {!copy} +
     [diff]. *)
-
-val pp : Format.formatter -> t -> unit
-
-val to_json : t -> Specpmt_obs.Json.t
-(** Every counter, keyed by its field name — the building block of the
-    machine-readable bench reports. *)

@@ -115,6 +115,18 @@ let test_explore_fuzz_counts () =
       ([ "fuzz"; "--rounds"; "0" ], "--rounds");
     ]
 
+(* crash and fuzz audit recovery: a scheme that cannot recover is
+   refused up front, before crash's uninterrupted reference run *)
+let test_unrecoverable_scheme () =
+  usage_errors
+    [
+      ([ "crash"; "-s"; "raw" ], "raw");
+      ([ "crash"; "-s"; "no-log"; "--scale"; "quick" ], "no-log");
+      ([ "crash"; "-s"; "Kamino-Tx" ], "Kamino-Tx");
+      ([ "fuzz"; "-s"; "raw"; "--rounds"; "1" ], "raw");
+      ([ "fuzz"; "-s"; "no-log"; "--rounds"; "1" ], "no-log");
+    ]
+
 (* the service commands' numeric flags are range-checked as the command
    line is read, never left to an Invalid_argument deep inside a run *)
 let test_service_numeric_flags () =
@@ -160,6 +172,8 @@ let () =
           Alcotest.test_case "bench: usage errors" `Quick test_bench_usage;
           Alcotest.test_case "explore/fuzz: bad counts" `Quick
             test_explore_fuzz_counts;
+          Alcotest.test_case "crash/fuzz: unrecoverable scheme" `Quick
+            test_unrecoverable_scheme;
           Alcotest.test_case "svc-bench/ycsb: bad numeric flags" `Quick
             test_service_numeric_flags;
         ] );

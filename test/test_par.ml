@@ -64,21 +64,6 @@ let test_metrics_merge () =
         (Metrics.counter_value (Metrics.counter "par.test.sum")))
     [ 1; 4 ]
 
-(* the per-phase counters follow the same export/absorb path *)
-let test_phase_merge () =
-  let open Specpmt_obs in
-  Phase.reset ();
-  let n = 40 in
-  let _ : unit array =
-    Par.run ~jobs:4 ~n (fun _ ->
-        Phase.run Phase.Recover (fun () ->
-            Phase.on_fence ();
-            Phase.on_clwb ()))
-  in
-  let counters = List.assoc Phase.Recover (Phase.snapshot ()) in
-  Alcotest.(check int) "recover-phase fences" n counters.Phase.fences;
-  Alcotest.(check int) "recover-phase clwbs" n counters.Phase.clwbs
-
 let test_default_jobs () =
   let j = Par.default_jobs () in
   Alcotest.(check bool) "1 <= default_jobs <= 8" true (j >= 1 && j <= 8)
@@ -99,6 +84,5 @@ let () =
       ( "obs merge",
         [
           Alcotest.test_case "metrics merge at join" `Quick test_metrics_merge;
-          Alcotest.test_case "phase merge at join" `Quick test_phase_merge;
         ] );
     ]

@@ -156,20 +156,6 @@ let test_clflushopt_leaves_no_stale_fifo_entry () =
   Alcotest.(check int) "line 1 was the victim" (r0 + 1)
     (Pmem.stats pm).Stats.pm_read_lines
 
-let test_trace_ranged_ops () =
-  let pm = Pmem.create cfg in
-  Pmem.set_trace pm 4;
-  let b = Pmem.load_bytes pm 0 24 in
-  Pmem.store_bytes pm 128 b;
-  (* ranged accesses appear in the ring as one op each, not as their
-     per-line expansion *)
-  match Pmem.recent_ops pm with
-  | [ Pmem.Load_bytes (0, 24); Pmem.Store_bytes (128, 24) ] -> ()
-  | ops ->
-      Alcotest.failf "unexpected trace: %a"
-        Fmt.(list ~sep:comma Pmem.pp_op)
-        ops
-
 let test_unmetered () =
   let pm = Pmem.create cfg in
   Pmem.with_unmetered pm (fun () ->
@@ -223,26 +209,6 @@ let test_eadr_semantics () =
   Alcotest.(check int) "unflushed store survives" 99
     (Pmem.peek_media_int pm 256)
 
-let test_trace_ring () =
-  let pm = Pmem.create cfg in
-  Alcotest.(check (list reject)) "disabled by default" [] (Pmem.recent_ops pm)
-  |> ignore;
-  Pmem.set_trace pm 3;
-  Pmem.store_int pm 0 1;
-  Pmem.store_int pm 8 2;
-  Pmem.clwb pm 0;
-  Pmem.sfence pm;
-  (* ring keeps only the 3 most recent events, oldest first *)
-  (match Pmem.recent_ops pm with
-  | [ Pmem.Store (8, 2); Pmem.Clwb 0; Pmem.Sfence ] -> ()
-  | ops ->
-      Alcotest.failf "unexpected trace: %a"
-        Fmt.(list ~sep:comma Pmem.pp_op)
-        ops);
-  Pmem.set_trace pm 0;
-  Pmem.store_int pm 16 3;
-  Alcotest.(check int) "disabled again" 0 (List.length (Pmem.recent_ops pm))
-
 let test_out_of_bounds () =
   let pm = Pmem.create cfg in
   Alcotest.check_raises "oob store"
@@ -254,6 +220,113 @@ let test_out_of_bounds () =
 (* Property: with persist probability 0, media content equals exactly the
    model of "flushed or evicted" stores.  We avoid evictions by bounding
    addresses under the capacity. *)
+(* Device budget: minor words one device call allocates.  Each 2 words
+   is one boxed float write — [Stats.ns], [Stats.bg_ns] or the WPQ's last
+   completion time, floats of records that also hold ints — and nothing
+   else on these paths allocates. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* minor words per call over the [calls] calls [f] makes, the
+   measurement's own boxed floats taken off *)
+let words_per_call ~calls f =
+  let overhead = minor_words_of (fun () -> ()) in
+  (minor_words_of f -. overhead) /. float_of_int calls
+
+let within ~budget what words =
+  if words > budget then
+    Alcotest.failf "%s: %.2f minor words per call (budget %.0f)" what words
+      budget
+
+(* twice the cache's lines, cycled: FIFO eviction drops each line before
+   its next use, so every access misses.  The measured loops make whole
+   passes, so a pass never starts on lines the last one left cached. *)
+let miss_lines = 2 * cfg.Config.cache_capacity_lines
+let miss_addr i = 64 * (i mod miss_lines)
+let budget_calls = 200 * miss_lines
+
+let test_budget_load () =
+  let pm = Pmem.create cfg in
+  let hits () =
+    for i = 0 to budget_calls - 1 do
+      ignore (Pmem.load_int pm (8 * (i land 7)))
+    done
+  in
+  hits ();
+  within ~budget:2.0 "load_int, hit" (words_per_call ~calls:budget_calls hits);
+  let misses () =
+    for i = 0 to budget_calls - 1 do
+      ignore (Pmem.load_int pm (miss_addr i))
+    done
+  in
+  misses ();
+  let r0 = (Pmem.stats pm).Stats.pm_read_lines in
+  within ~budget:2.0 "load_int, miss"
+    (words_per_call ~calls:budget_calls misses);
+  Alcotest.(check int) "every load missed" budget_calls
+    ((Pmem.stats pm).Stats.pm_read_lines - r0)
+
+let test_budget_store () =
+  let pm = Pmem.create cfg in
+  let hits () =
+    for i = 0 to budget_calls - 1 do
+      Pmem.store_int pm (8 * (i land 7)) i
+    done
+  in
+  hits ();
+  within ~budget:2.0 "store_int, hit" (words_per_call ~calls:budget_calls hits);
+  (* once the cache is full of dirty lines, every miss writes one back *)
+  let misses () =
+    for i = 0 to budget_calls - 1 do
+      Pmem.store_int pm (miss_addr i) i
+    done
+  in
+  misses ();
+  let e0 = (Pmem.stats pm).Stats.evictions in
+  within ~budget:4.0 "store_int, miss"
+    (words_per_call ~calls:budget_calls misses);
+  Alcotest.(check int) "every store evicted a dirty line" budget_calls
+    ((Pmem.stats pm).Stats.evictions - e0)
+
+let test_budget_clwb () =
+  let pm = Pmem.create cfg in
+  (* as many dirty lines as the WPQ holds, flushed from an empty queue:
+     every flush is accepted without a stall *)
+  let lines = cfg.Config.wpq_lines and rounds = 10_000 in
+  let flush () =
+    for i = 0 to lines - 1 do
+      Pmem.clwb pm (64 * i)
+    done
+  in
+  let words = ref 0.0 in
+  for r = 1 to rounds do
+    for i = 0 to lines - 1 do
+      Pmem.store_int pm (64 * i) r
+    done;
+    Pmem.sfence pm;
+    words := !words +. words_per_call ~calls:lines flush
+  done;
+  within ~budget:6.0 "clwb, dirty line" (!words /. float_of_int rounds);
+  let clean () =
+    for _ = 1 to budget_calls do
+      Pmem.clwb pm 0
+    done
+  in
+  within ~budget:2.0 "clwb, clean line"
+    (words_per_call ~calls:budget_calls clean)
+
+let test_budget_sfence () =
+  let pm = Pmem.create cfg in
+  let fences () =
+    for _ = 1 to budget_calls do
+      Pmem.sfence pm
+    done
+  in
+  within ~budget:2.0 "sfence, empty WPQ"
+    (words_per_call ~calls:budget_calls fences)
+
 let prop_flush_semantics =
   QCheck.Test.make ~name:"media = flushed stores" ~count:200
     QCheck.(
@@ -311,13 +384,10 @@ let () =
             test_eviction_cost_random;
           Alcotest.test_case "clflushopt leaves no stale FIFO entry" `Quick
             test_clflushopt_leaves_no_stale_fifo_entry;
-          Alcotest.test_case "trace records ranged ops" `Quick
-            test_trace_ranged_ops;
           Alcotest.test_case "nt store" `Quick test_nt_store;
           Alcotest.test_case "clflushopt invalidates" `Quick
             test_clflushopt_invalidates;
           Alcotest.test_case "eADR semantics" `Quick test_eadr_semantics;
-          Alcotest.test_case "operation trace ring" `Quick test_trace_ring;
           QCheck_alcotest.to_alcotest prop_flush_semantics;
         ] );
       ( "cost model",
@@ -330,4 +400,15 @@ let () =
         ] );
       ( "crash injection",
         [ Alcotest.test_case "fuse" `Quick test_fuse ] );
+      ( "device budget",
+        [
+          Alcotest.test_case "Pmem.load_int <= 2 words/call" `Quick
+            test_budget_load;
+          Alcotest.test_case "Pmem.store_int <= 2 words/hit, 4 words/miss"
+            `Quick test_budget_store;
+          Alcotest.test_case "Pmem.clwb <= 6 words/dirty line, 2 words/clean"
+            `Quick test_budget_clwb;
+          Alcotest.test_case "Pmem.sfence <= 2 words/call" `Quick
+            test_budget_sfence;
+        ] );
     ]

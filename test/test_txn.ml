@@ -779,22 +779,6 @@ let test_walk_budget_compact () =
     Alcotest.failf "compact: %.1f minor words per scanned entry (budget 24)"
       per_entry
 
-let test_walk_budget_load () =
-  let pm, _ = budget_log () in
-  let n = 100_000 in
-  let loads () =
-    for i = 0 to n - 1 do
-      ignore (Pmem.load_int pm (8 * (i land 4095)))
-    done
-  in
-  loads ();
-  (* the measurement's own boxed floats, counted once and taken off *)
-  let overhead = minor_words_of (fun () -> ()) in
-  let per_load = (minor_words_of loads -. overhead) /. float_of_int n in
-  if per_load > 2.0 then
-    Alcotest.failf "Pmem.load_int: %.2f minor words per call (budget 2)"
-      per_load
-
 (* Append one-entry records (24 B meta + one 16 B entry) stamped [ts0],
    [ts0 + 1], ... until the next record would have to start a new block.
    Twelve of them fill a 512 B block's 504 B payload to within [min_space]
@@ -1544,8 +1528,6 @@ let () =
             test_walk_budget_collect;
           Alcotest.test_case "compact <= 24 words/scanned entry" `Quick
             test_walk_budget_compact;
-          Alcotest.test_case "Pmem.load_int <= 2 words/call" `Quick
-            test_walk_budget_load;
         ] );
       ("outcome hooks", hook_cases);
     ]
