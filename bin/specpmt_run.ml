@@ -210,60 +210,19 @@ let crash_cmd =
 
 let fuzz_cmd =
   let run scheme seed rounds =
-    (* keep the last few structured events (commits, attaches, recoveries)
-       so a failed audit comes with its prelude *)
-    Obs.Trace.set_capacity 256;
-    let pm =
-      Pmem.create ~seed
-        { Pmem_config.default with crash_word_persist_prob = 0.7 }
+    let make heap =
+      let b = create_scheme heap scheme in
+      ([| b |], b.Ctx.recover)
     in
-    let heap = Heap.create pm in
-    let backend = create_scheme heap scheme in
-    let module H = Pstruct.Phashtbl in
-    let store = backend.Ctx.run_tx (fun ctx -> H.create ctx 128) in
-    let reference = Hashtbl.create 256 in
-    let rand = Random.State.make [| seed; 0xF0 |] in
-    let commits = ref 0 and crashes = ref 0 in
-    for round = 1 to rounds do
-      Pmem.set_fuse pm (Some (100 + Random.State.int rand 4000));
-      (try
-         while true do
-           let k = 1 + Random.State.int rand 300 in
-           let v = Random.State.int rand 1_000_000 in
-           let del = Random.State.int rand 8 = 0 in
-           backend.Ctx.run_tx (fun ctx ->
-               if del then ignore (H.remove ctx store k)
-               else ignore (H.replace ctx store k v));
-           if del then Hashtbl.remove reference k
-           else Hashtbl.replace reference k v;
-           incr commits
-         done
-       with Pmem.Crash ->
-         incr crashes;
-         Pmem.crash pm;
-         backend.Ctx.recover ());
-      let ctx = Ctx.raw_ctx heap in
-      let mismatches = ref 0 in
-      Hashtbl.iter
-        (fun k v ->
-          match H.find ctx store k with
-          | Some v' when v' = v -> ()
-          | _ -> incr mismatches)
-        reference;
-      if !mismatches > 1 then (
-        Fmt.pr "round %d: %d mismatches — NOT crash consistent!@." round
-          !mismatches;
-        Fmt.pr "last traced events before the failure:@.";
-        Obs.Trace.dump Fmt.stdout ();
-        exit 1);
-      if !mismatches = 1 then begin
-        (* reconcile the single possibly-in-flight transaction *)
-        Hashtbl.reset reference;
-        H.iter ctx store (fun k v -> Hashtbl.replace reference k v)
-      end
-    done;
-    Fmt.pr "%s: %d crashes over %d committed transactions, all audits clean@."
-      scheme !crashes !commits
+    let r = Crashmc.torture ~make ~seed ~rounds () in
+    match r.Crashmc.failure with
+    | Some msg ->
+        Fmt.pr "%s: NOT crash consistent: %s@." scheme msg;
+        exit 1
+    | None ->
+        Fmt.pr
+          "%s: %d crashes over %d committed transactions, all audits clean@."
+          scheme r.Crashmc.crashes r.Crashmc.commits
   in
   Cmd.v
     (Cmd.info "fuzz"

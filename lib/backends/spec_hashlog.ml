@@ -108,31 +108,37 @@ let recover t =
   t.buckets <-
     Pmem.load_int t.pm (Heap.root_slot t.heap Slots.hashlog_capacity);
   let committed = Pmem.load_int t.pm (committed_ts_addr t) in
-  (* gather valid versions not newer than the last committed timestamp,
-     then apply the freshest per address in timestamp order *)
-  let best = Hashtbl.create 256 in
+  (* write back the freshest valid version per address not newer than
+     the last committed timestamp, in bucket-scan order.  A newer version
+     is a crashed transaction's, which the restarted counter would commit
+     again: retire it under the same fence (timestamp 0, poisoned
+     checksum), keeping its address word so the bucket keeps its owner. *)
+  let best = Log_arena.Lww.create () in
   for i = 0 to t.buckets - 1 do
     let b = bucket_addr t i in
     List.iter
       (fun off ->
-        let a1 = Pmem.load_int t.pm (b + off) in
+        let v = b + off in
+        let a1 = Pmem.load_int t.pm v in
         if a1 > 0 then begin
           let a = a1 - 1 in
-          let value = Pmem.load_int t.pm (b + off + 8) in
-          let ts = Pmem.load_int t.pm (b + off + 16) in
-          let crc = Pmem.load_int t.pm (b + off + 24) in
-          if ts <= committed && crc = slot_crc ~addr:a ~value ~ts then
-            match Hashtbl.find_opt best a with
-            | Some (ts0, _) when ts0 >= ts -> ()
-            | _ -> Hashtbl.replace best a (ts, value)
+          let value = Pmem.load_int t.pm (v + 8) in
+          let ts = Pmem.load_int t.pm (v + 16) in
+          let crc = Pmem.load_int t.pm (v + 24) in
+          if ts > committed then begin
+            Pmem.store_int t.pm (v + 16) 0;
+            Pmem.store_int t.pm (v + 24)
+              (lnot (slot_crc ~addr:a ~value ~ts:0));
+            Pmem.clwb t.pm v
+          end
+          else if crc = slot_crc ~addr:a ~value ~ts then
+            Log_arena.Lww.add best a ~value ~ts
         end)
       [ 0; version_bytes ]
   done;
-  Hashtbl.iter
-    (fun a (_, v) ->
-      Pmem.store_int t.pm a v;
-      Pmem.clwb t.pm a)
-    best;
+  Log_arena.Lww.iter best (fun a ~value ~ts:_ ->
+      Pmem.store_int t.pm a value;
+      Pmem.clwb t.pm a);
   Pmem.sfence t.pm;
   Tsc.restart_above t.tsc committed;
   t.touched <- [];

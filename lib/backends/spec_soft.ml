@@ -275,15 +275,13 @@ let switch_out t =
   if Ctx.Shell.is_open t.shell then
     invalid_arg "Spec_soft.switch_out: open transaction";
   if t.in_batch then invalid_arg "Spec_soft.switch_out: open batch";
-  (* 1: persist every datum with a live record *)
-  let touched = Hashtbl.create 256 in
+  (* 1: persist every datum with a live record, in the order the log
+     first covers it *)
+  let covered = Log_arena.Lww.create () in
   ignore
-    (Log_arena.recover_scan t.pm ~head_slot:t.head_slot
-       ~block_bytes:t.params.block_bytes ~f:(fun ~ts:_ addrs _ n ->
-         for i = 0 to n - 1 do
-           Hashtbl.replace touched addrs.(i) ()
-         done));
-  Hashtbl.iter (fun a () -> Pmem.clwb t.pm a) touched;
+    (Log_arena.recover_collect t.pm ~head_slot:t.head_slot
+       ~block_bytes:t.params.block_bytes ~index:covered);
+  Log_arena.Lww.iter covered (fun a ~value:_ ~ts:_ -> Pmem.clwb t.pm a);
   Pmem.sfence t.pm;
   (* 2: the log is now dead weight and must be durably invalidated — not
      just trimmed.  Records left alive in the tail block are a time bomb:
@@ -292,7 +290,7 @@ let switch_out t =
      values over the new owner's committed data.  [reset] persists an
      end-of-log sentinel before recycling the other blocks. *)
   Log_arena.reset t.arena;
-  Hashtbl.length touched
+  Log_arena.Lww.length covered
 
 let create ?(head_slot = Slots.spec_head) ?tsc heap params =
   let pm = Heap.pmem heap in

@@ -20,14 +20,14 @@ type t = {
   heap : Heap.t;
   pm : Pmem.t;
   tsc : Tsc.t;
-  ws : Write_set.t;
-  tx_buffer : (Addr.t, int) Hashtbl.t;
-      (* SPHT works on a volatile snapshot: uncommitted writes must not
-         reach the persistent home locations — a crash could leak them
-         past the pruned log with nothing to revoke them *)
+  buffer : Log_arena.Lww.t;
+      (* the open transaction's writes in first-write order.  SPHT works
+         on a volatile snapshot: uncommitted writes must not reach the
+         persistent home locations — a crash could leak them past the
+         pruned log with nothing to revoke them *)
   mutable arena : Log_arena.t;
   shell : Ctx.Shell.t;
-  mutable pending : (Addr.t * int) list list; (* committed, not yet replayed *)
+  mutable pending : Addr.t list; (* committed, not yet replayed; newest first *)
   mutable pending_entries : int;
   replay_batch : int;
   buffer_probes : Specpmt_obs.Metrics.counter;
@@ -45,12 +45,7 @@ let replay t =
   let n = t.pending_entries in
   if n > 0 then begin
     Pmem.with_unmetered t.pm (fun () ->
-        List.iter
-          (fun entries ->
-            List.iter
-              (fun (a, _v) -> Pmem.clwb t.pm a)
-              entries)
-          t.pending;
+        List.iter (Pmem.clwb t.pm) t.pending;
         Pmem.sfence t.pm;
         ignore (Log_arena.compact t.arena));
     (* per-entry flush plus its share of the log-prune scan *)
@@ -59,53 +54,47 @@ let replay t =
     t.pending_entries <- 0
   end
 
-(* Read-own-writes with an empty-write-set fast path: a read-only
+(* Read-own-writes with an empty-buffer fast path: a read-only
    transaction (every scan) has nothing buffered, so it must not pay a
-   hashtable probe per cell.  The non-empty path uses the exception
-   form of [find] — no option boxing per read. *)
+   probe per cell. *)
 let tx_read t a =
-  if Hashtbl.length t.tx_buffer = 0 then Pmem.load_int t.pm a
+  if Log_arena.Lww.length t.buffer = 0 then Pmem.load_int t.pm a
   else begin
     Specpmt_obs.Metrics.incr t.buffer_probes;
-    match Hashtbl.find t.tx_buffer a with
-    | v -> v
-    | exception Not_found -> Pmem.load_int t.pm a
+    match Log_arena.Lww.find t.buffer a with
+    | Some (v, _) -> v
+    | None -> Pmem.load_int t.pm a
   end
 
 let tx_write t a v =
-  let old_value = tx_read t a in
-  ignore (Write_set.record t.ws a ~old_value);
-  Hashtbl.replace t.tx_buffer a v
+  ignore (tx_read t a);
+  Log_arena.Lww.add t.buffer a ~value:v ~ts:0
 
 let commit t frees =
   (* apply the snapshot to the home locations (volatile stores; the
      background replayer persists them) *)
-  Hashtbl.iter (fun a v -> Pmem.store_int t.pm a v) t.tx_buffer;
-  Hashtbl.reset t.tx_buffer;
-  if Write_set.size t.ws > 0 then begin
+  Log_arena.Lww.iter t.buffer (fun a ~value ~ts:_ ->
+      Pmem.store_int t.pm a value);
+  if Log_arena.Lww.length t.buffer > 0 then begin
     let ts = Tsc.next t.tsc in
     Log_arena.begin_record t.arena;
-    let entries = ref [] in
-    Write_set.iter_in_order t.ws (fun a _ ->
+    Log_arena.Lww.iter t.buffer (fun a ~value:_ ~ts:_ ->
         let v = Pmem.load_int t.pm a in
         ignore (Log_arena.add_entry t.arena ~target:a ~value:v);
-        entries := (a, v) :: !entries);
+        t.pending <- a :: t.pending);
     Log_arena.commit_record t.arena ~timestamp:ts;
     (* forward-link / commit marker with its own barrier (fence #2) *)
     let marker = Heap.root_slot t.heap Slots.spht_marker in
     Pmem.store_int t.pm marker ts;
     Pmem.clwb t.pm marker;
     Pmem.sfence t.pm;
-    t.pending <- !entries :: t.pending;
-    t.pending_entries <- t.pending_entries + List.length !entries
+    t.pending_entries <- t.pending_entries + Log_arena.Lww.length t.buffer
   end;
   List.iter (fun a -> Heap.free t.heap a) frees;
-  Write_set.clear t.ws;
+  Log_arena.Lww.clear t.buffer;
   if t.pending_entries >= t.replay_batch then replay t
 
-let rollback t =
-  Hashtbl.reset t.tx_buffer;
-  Write_set.clear t.ws
+let rollback t = Log_arena.Lww.clear t.buffer
 
 let recover t =
   Heap.recover t.heap;
@@ -116,7 +105,7 @@ let recover t =
   t.arena <- Log_arena.attach t.heap ~tail:tails.(0);
   t.pending <- [];
   t.pending_entries <- 0;
-  Write_set.clear t.ws;
+  Log_arena.Lww.clear t.buffer (* a crash skips [rollback] *);
   Ctx.Shell.reset t.shell
 
 let create heap =
@@ -125,8 +114,7 @@ let create heap =
       heap;
       pm = Heap.pmem heap;
       tsc = Tsc.create ();
-      ws = Write_set.create ();
-      tx_buffer = Hashtbl.create 64;
+      buffer = Log_arena.Lww.create ();
       arena = Log_arena.create heap ~head_slot:Slots.spht_head ~block_bytes:4096;
       shell = Ctx.Shell.create "Spht";
       pending = [];

@@ -941,3 +941,63 @@ let report_to_json ?wall_s r =
        ("failures", Json.List (List.map failure_to_json r.failures));
      ]
     @ throughput)
+
+(* ------------------------------------------------------------------ *)
+(* Randomized torture                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Keys = Map.Make (Int)
+
+type torture = { crashes : int; commits : int; failure : string option }
+
+let torture ~make ~seed ~rounds () =
+  let module H = Specpmt_pstruct.Phashtbl in
+  Obs.Trace.set_capacity 256;
+  let pm =
+    Pmem.create ~seed { Config.default with crash_word_persist_prob = 0.7 }
+  in
+  let heap = Heap.create pm in
+  let cores, recover = make heap in
+  let store = cores.(0).Ctx.run_tx (fun ctx -> H.create ctx 64) in
+  let rand = Random.State.make [| seed; 0xF0 |] in
+  let apply m (del, k, v) = if del then Keys.remove k m else Keys.add k v m in
+  let committed = ref Keys.empty and commits = ref 0 and crashes = ref 0 in
+  (* every device operation is inside a transaction, so the fuse always
+     fires inside one: the op in flight *)
+  let inflight = ref (false, 0, 0) and failure = ref None and round = ref 0 in
+  while !failure = None && !round < rounds do
+    incr round;
+    Pmem.set_fuse pm (Some (100 + Random.State.int rand 3000));
+    (try
+       while true do
+         let n = Array.length cores in
+         let core = if n = 1 then 0 else Random.State.int rand n in
+         let k = 1 + Random.State.int rand 200 in
+         let v = Random.State.int rand 1_000_000 in
+         let del = Random.State.int rand 8 = 0 in
+         inflight := (del, k, v);
+         cores.(core).Ctx.run_tx (fun ctx ->
+             if del then ignore (H.remove ctx store k)
+             else ignore (H.replace ctx store k v));
+         committed := apply !committed !inflight;
+         incr commits
+       done
+     with Pmem.Crash ->
+       incr crashes;
+       Pmem.crash pm;
+       recover ());
+    let got = ref Keys.empty in
+    H.iter (Ctx.raw_ctx heap) store (fun k v -> got := Keys.add k v !got);
+    let landed = apply !committed !inflight in
+    if Keys.equal Int.equal !got landed then committed := landed
+    else if not (Keys.equal Int.equal !got !committed) then
+      failure :=
+        Some
+          (Format.asprintf
+             "round %d: the recovered table (%d keys) is neither the \
+              committed one (%d keys) nor it plus the op in flight@.last \
+              traced events:@.%a"
+             !round (Keys.cardinal !got) (Keys.cardinal !committed)
+             Obs.Trace.dump ())
+  done;
+  { crashes = !crashes; commits = !commits; failure = !failure }

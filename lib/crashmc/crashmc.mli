@@ -198,3 +198,19 @@ val report_to_json : ?wall_s:float -> report -> Specpmt_obs.Json.t
     seconds) appends the additive [wall_s] / [cases_per_sec] keys —
     timing, not verdicts, so comparisons across [jobs] settings should
     strip them. *)
+
+(** {1 Randomized torture} *)
+
+type torture = { crashes : int; commits : int; failure : string option }
+
+val torture :
+  make:(Specpmt_pmalloc.Heap.t -> Specpmt_txn.Ctx.backend array * (unit -> unit)) ->
+  seed:int -> rounds:int -> unit -> torture
+(** Crash-recovery torture of a durable hash table on a leaky device:
+    [make heap] returns the scheme's cores (sharing the pool) and its
+    recovery.  Each round runs random insert/remove transactions on
+    random cores until a random fuse fires, recovers, and audits
+    exactly: the table must equal the committed reference, or it plus
+    the op in flight at the crash (which then counts as committed).
+    The first failed audit ends the run, described in [failure] with
+    the recent trace events.  Deterministic per [seed]. *)

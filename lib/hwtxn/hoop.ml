@@ -23,7 +23,6 @@ type t = {
   heap : Heap.t;
   pm : Pmem.t;
   tsc : Tsc.t;
-  ws : Write_set.t;
   shell : Ctx.Shell.t;
   mutable arena : Log_arena.t;
   mutable map_arena : Log_arena.t;
@@ -31,16 +30,16 @@ type t = {
          traffic like the paper says, but they are translation metadata —
          recovery must never replay them as data writes *)
   mutable tx_entries : (Addr.t * int) list; (* this tx, newest first *)
-  tx_buffer : (Addr.t, int) Hashtbl.t;
-      (* HOOP is out-of-place: uncommitted writes live in the on-chip
-         buffer / log area and are redirected on read; they must never
+  buffer : Log_arena.Lww.t;
+      (* the open transaction's writes in first-write order, redirected
+         on read: HOOP is out-of-place, so uncommitted writes must never
          reach the home locations before commit, or a crash could leak
          them with no record to revoke them *)
-  tx_read_lines : (Addr.t, unit) Hashtbl.t;
-      (* lines read by the open transaction: HOOP's out-of-place
-         redirection logs a record per cache miss as well as per update
-         (Section 7.3), which is what inflates its log traffic on
-         large-footprint applications *)
+  tx_read_lines : Log_arena.Lww.t;
+      (* lines read by the open transaction, in first-read order: HOOP's
+         out-of-place redirection logs a record per cache miss as well as
+         per update (Section 7.3), which is what inflates its log traffic
+         on large-footprint applications *)
   mutable pending : (Addr.t * int) list list; (* committed, awaiting GC *)
   mutable pending_entries : int;
   gc_batch_entries : int;
@@ -64,17 +63,14 @@ let block_bytes = 4096
 let gc t =
   let n = t.pending_entries in
   if n > 0 then begin
-    let coalesced = Hashtbl.create 256 in
+    let coalesced = Log_arena.Lww.create () in
     List.iter
-      (fun entries ->
-        List.iter (fun (a, v) -> Hashtbl.replace coalesced a v) entries)
+      (List.iter (fun (a, v) -> Log_arena.Lww.add coalesced a ~value:v ~ts:0))
       (List.rev t.pending);
     Pmem.with_unmetered t.pm (fun () ->
-        Hashtbl.iter
-          (fun a v ->
-            Pmem.store_int t.pm a v;
-            Pmem.clwb t.pm a)
-          coalesced;
+        Log_arena.Lww.iter coalesced (fun a ~value ~ts:_ ->
+            Pmem.store_int t.pm a value;
+            Pmem.clwb t.pm a);
         Pmem.sfence t.pm;
         ignore (Log_arena.compact t.arena);
         ignore (Log_arena.compact t.map_arena));
@@ -84,12 +80,8 @@ let gc t =
     let burst_lines =
       List.fold_left
         (fun acc entries ->
-          let lines = Hashtbl.create 8 in
-          List.iter
-            (fun (a, _) ->
-              Hashtbl.replace lines (Specpmt_pmem.Addr.line_of a) ())
-            entries;
-          acc + Hashtbl.length lines)
+          let lines = List.map (fun (a, _) -> Addr.line_of a) entries in
+          acc + List.length (List.sort_uniq compare lines))
         0 t.pending
     in
     let occupancy =
@@ -106,43 +98,40 @@ let gc t =
   end
 
 (* Read redirection with an empty-buffer fast path: a read-only
-   transaction has no write intents buffered, so it must not pay a
-   hashtable probe per cell.  The non-empty path uses the exception form
-   of [find] — no option boxing per read. *)
+   transaction has no write intents buffered, so it must not pay a probe
+   per cell. *)
 let tx_read t a =
-  if Hashtbl.length t.tx_buffer = 0 then Pmem.load_int t.pm a
+  if Log_arena.Lww.length t.buffer = 0 then Pmem.load_int t.pm a
   else begin
     Specpmt_obs.Metrics.incr t.buffer_probes;
-    match Hashtbl.find t.tx_buffer a with
-    | v -> v (* read redirection to the write intent *)
-    | exception Not_found -> Pmem.load_int t.pm a
+    match Log_arena.Lww.find t.buffer a with
+    | Some (v, _) -> v (* read redirection to the write intent *)
+    | None -> Pmem.load_int t.pm a
   end
 
 let tx_write t a v =
-  let old_value = tx_read t a in
-  ignore (Write_set.record t.ws a ~old_value);
+  ignore (tx_read t a);
   (* on-chip buffering: a record per update, streamed to the log area
      through the write-pending queue during execution *)
   t.tx_entries <- (a, v) :: t.tx_entries;
-  Hashtbl.replace t.tx_buffer a v;
+  Log_arena.Lww.add t.buffer a ~value:v ~ts:0;
   Pmem.charge_ns t.pm t.stream_ns_per_update
 
 let commit t frees =
   (* the write intents become visible in the home locations only now *)
-  Hashtbl.iter (fun a v -> Pmem.store_int t.pm a v) t.tx_buffer;
-  Hashtbl.reset t.tx_buffer;
+  Log_arena.Lww.iter t.buffer (fun a ~value ~ts:_ ->
+      Pmem.store_int t.pm a value);
+  Log_arena.Lww.clear t.buffer;
   let ts = Tsc.next t.tsc in
   (* per-cache-miss mapping records: logged (traffic + flush cost) into
      the separate mapping log, which recovery ignores *)
-  if Hashtbl.length t.tx_read_lines > 0 then begin
+  if Log_arena.Lww.length t.tx_read_lines > 0 then begin
     Log_arena.begin_record t.map_arena;
-    Hashtbl.iter
-      (fun line () ->
-        ignore (Log_arena.add_entry t.map_arena ~target:line ~value:0))
-      t.tx_read_lines;
+    Log_arena.Lww.iter t.tx_read_lines (fun line ~value:_ ~ts:_ ->
+        ignore (Log_arena.add_entry t.map_arena ~target:line ~value:0));
     Log_arena.commit_record ~fence:false t.map_arena ~timestamp:ts
   end;
-  Hashtbl.reset t.tx_read_lines;
+  Log_arena.Lww.clear t.tx_read_lines;
   if t.tx_entries <> [] then begin
     Log_arena.begin_record t.arena;
     List.iter
@@ -156,13 +145,11 @@ let commit t frees =
   end;
   t.tx_entries <- [];
   List.iter (fun a -> Heap.free t.heap a) frees;
-  Write_set.clear t.ws;
   if t.pending_entries >= t.gc_batch_entries then gc t
 
 let rollback t =
-  Hashtbl.reset t.tx_buffer;
-  t.tx_entries <- [];
-  Write_set.clear t.ws
+  Log_arena.Lww.clear t.buffer;
+  t.tx_entries <- []
 
 let recover t =
   Heap.recover t.heap;
@@ -180,8 +167,11 @@ let recover t =
   t.map_arena <- Log_arena.attach t.heap ~tail:map_tail;
   t.pending <- [];
   t.pending_entries <- 0;
+  (* a crash skips [rollback]: the next transaction must not inherit the
+     interrupted one's writes or reads *)
   t.tx_entries <- [];
-  Write_set.clear t.ws;
+  Log_arena.Lww.clear t.buffer;
+  Log_arena.Lww.clear t.tx_read_lines;
   Ctx.Shell.reset t.shell
 
 let create ?(gc_batch_entries = 8192) ?(gc_contention = 0.4)
@@ -191,15 +181,14 @@ let create ?(gc_batch_entries = 8192) ?(gc_contention = 0.4)
       heap;
       pm = Heap.pmem heap;
       tsc = Tsc.create ();
-      ws = Write_set.create ();
       shell = Ctx.Shell.create "Hoop";
       arena =
         Log_arena.create heap ~head_slot:Hw_slots.hoop_head ~block_bytes;
       map_arena =
         Log_arena.create heap ~head_slot:Hw_slots.hoop_map_head ~block_bytes;
       tx_entries = [];
-      tx_buffer = Hashtbl.create 64;
-      tx_read_lines = Hashtbl.create 64;
+      buffer = Log_arena.Lww.create ();
+      tx_read_lines = Log_arena.Lww.create ();
       pending = [];
       pending_entries = 0;
       gc_batch_entries;
@@ -213,7 +202,7 @@ let create ?(gc_batch_entries = 8192) ?(gc_contention = 0.4)
       (Ctx.Shell.ctx t.shell ~heap ~write:(tx_write t)) with
       read =
         (fun a ->
-          Hashtbl.replace t.tx_read_lines (Addr.line_of a) ();
+          Log_arena.Lww.add t.tx_read_lines (Addr.line_of a) ~value:0 ~ts:0;
           tx_read t a);
     }
   in

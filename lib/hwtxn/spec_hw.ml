@@ -286,12 +286,10 @@ let commit t frees =
      serves as the transaction's commit marker *)
   let ts = Tsc.next t.tsc in
   Log_arena.begin_record t.arena;
-  let hot_pages = Hashtbl.create 8 in
   List.iter
     (fun a ->
       ignore
-        (Log_arena.add_entry t.arena ~target:a ~value:(Pmem.load_int t.pm a));
-      Hashtbl.replace hot_pages (Addr.page_index a) ())
+        (Log_arena.add_entry t.arena ~target:a ~value:(Pmem.load_int t.pm a)))
     (List.rev !hot);
   ignore
     (Log_arena.add_entry t.arena ~target:(gen_cell t)
@@ -308,9 +306,9 @@ let commit t frees =
   L1tags.end_tx t.l1;
   (* epoch bookkeeping *)
   t.cur.bytes <- t.cur.bytes + ((List.length !hot + 1) * 16) + 24;
-  Hashtbl.iter
-    (fun p () -> if claim t p then t.cur.pages <- p :: t.cur.pages)
-    hot_pages;
+  List.iter
+    (fun p -> if claim t p then t.cur.pages <- p :: t.cur.pages)
+    (List.sort_uniq compare (List.map Addr.page_index !hot));
   Write_set.clear t.ws;
   note_footprint t;
   maybe_epoch_work t
@@ -325,9 +323,10 @@ let rollback t =
 (* Recovery (Sections 5.1.1 and 5.2.2) of cores that share a pool —
    the tsc, the epoch coordinator, the hotness table and the heap of
    [rts.(0)]; a standalone runtime is a pool of one.  Replay every core's
-   valid records in global timestamp order (page-adoption and commit
-   records alike; one log's scan order already is that order, so it is
-   stored as it is scanned).  This also replays each commit record's
+   valid records in global timestamp order with [Log_arena.replay]
+   (page-adoption and commit records alike: a record's kind is the low
+   bit of its timestamp, so raw timestamps merge in timestamp order).
+   This also replays each commit record's
    generation bump, so the persistent generation cell of each core then
    identifies its one possibly-interrupted transaction, whose undo
    entries are still valid under it and are applied to revoke the
@@ -338,36 +337,18 @@ let rollback t =
 let recover_cores rts =
   let rt0 = rts.(0) in
   let pm = rt0.pm and heap = rt0.heap in
-  let touched = Hashtbl.create 1024 in
-  let pages = Array.map (fun _ -> Hashtbl.create 64) rts in
-  let max_ts = ref 0 and held = ref [] in
-  let store i addrs vals n =
-    for k = 0 to n - 1 do
-      let a = addrs.(k) in
-      Pmem.store_int pm a vals.(k);
-      Hashtbl.replace touched a ();
-      Hashtbl.replace pages.(i) (Addr.page_index a) ()
-    done
+  (* each core's replayed pages, newest first; a run of stores to one
+     page adds it once *)
+  let pages = Array.make (Array.length rts) [] in
+  let on_store i a =
+    let pg = Addr.page_index a in
+    match pages.(i) with p :: _ when p = pg -> () | l -> pages.(i) <- pg :: l
   in
-  let tails =
-    Array.mapi
-      (fun i rt ->
-        snd
-          (Log_arena.recover_scan pm ~head_slot:rt.head_slot
-             ~block_bytes:rt.params.hw.Hwconfig.spec_block_bytes
-             ~f:(fun ~ts addrs vals n ->
-               if ts lsr 1 > !max_ts then max_ts := ts lsr 1;
-               if Array.length rts = 1 then store i addrs vals n
-               else
-                 held :=
-                   (ts, i, Array.sub addrs 0 n, Array.sub vals 0 n) :: !held)))
-      rts
+  let max_ts, tails, _, _, _ =
+    Log_arena.replay ~on_store pm
+      ~block_bytes:rt0.params.hw.Hwconfig.spec_block_bytes
+      (Array.map (fun rt -> rt.head_slot) rts)
   in
-  List.iter
-    (fun (_, i, addrs, vals) -> store i addrs vals (Array.length addrs))
-    (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !held);
-  Hashtbl.iter (fun a () -> Pmem.clwb pm a) touched;
-  Pmem.sfence pm;
   (* per-core undo: at most one interrupted transaction each *)
   Array.iter
     (fun rt ->
@@ -389,7 +370,7 @@ let recover_cores rts =
       rt.undo <- undo)
     rts;
   Heap.recover heap;
-  Tsc.restart_above rt0.tsc !max_ts;
+  Tsc.restart_above rt0.tsc (max_ts lsr 1);
   Epoch_coord.reset rt0.coord;
   Hashtbl.reset rt0.spec_pages;
   Array.iteri
@@ -401,16 +382,17 @@ let recover_cores rts =
       rt.cur <- { eid = 1; boundary = head; pages = []; bytes = 0 };
       Epoch_coord.register_start rt.coord ~thread:rt.thread_id ~eid:1
         ~start_ts:(Tsc.peek rt.tsc);
-      Hashtbl.iter
-        (fun pg () ->
+      List.iter
+        (fun pg ->
           ignore (claim rt pg);
           rt.cur.pages <- pg :: rt.cur.pages)
-        pages.(i);
+        (List.sort_uniq compare pages.(i));
       Write_set.clear rt.ws;
       Ctx.Shell.reset rt.shell)
     rts
 
-let create ?(thread = 0) ?tsc ?coord ?spec_pages
+(* One core's runtime; the optional arguments wire it into a pool. *)
+let core ?(thread = 0) ?tsc ?coord ?spec_pages
     ?(head_slot = Hw_slots.spec_head)
     ?(undo_region_slot = Hw_slots.spec_undo_region)
     ?(undo_capacity_slot = Hw_slots.spec_undo_capacity) heap params =
@@ -494,6 +476,8 @@ let create ?(thread = 0) ?tsc ?coord ?spec_pages
   in
   (backend, t)
 
+let create heap params = core heap params
+
 (* ------------------------------------------------------------------ *)
 
 module Mt = struct
@@ -506,7 +490,7 @@ module Mt = struct
     let spec_pages = Hashtbl.create 256 in
     let pairs =
       Array.init threads (fun i ->
-          create ~thread:i ~tsc ~coord ~spec_pages
+          core ~thread:i ~tsc ~coord ~spec_pages
             ~head_slot:(Hw_slots.mt_head i)
             ~undo_region_slot:(Hw_slots.mt_undo_region i)
             ~undo_capacity_slot:(Hw_slots.mt_undo_capacity i)

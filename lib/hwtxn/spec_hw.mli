@@ -47,22 +47,11 @@ val dp_params : params
 
 type t
 
-val create :
-  ?thread:int ->
-  ?tsc:Specpmt_txn.Tsc.t ->
-  ?coord:Epoch_coord.t ->
-  ?spec_pages:(int, (int * int) list) Hashtbl.t ->
-  ?head_slot:int ->
-  ?undo_region_slot:int ->
-  ?undo_capacity_slot:int ->
-  Heap.t ->
-  params ->
-  Ctx.backend * t
-(** One per-core runtime.  The optional arguments exist for multi-core
-    pools (use {!Mt} instead of wiring them by hand): a shared timestamp
-    counter, a shared epoch coordinator (the Section 5.2.2 reclamation
-    protocol), the shared page-hotness table, and per-thread root slots
-    for the log head and undo region. *)
+val create : Heap.t -> params -> Ctx.backend * t
+(** A standalone single-core runtime.  {!Mt} builds the multi-core
+    pools, whose cores share a timestamp counter, an epoch coordinator
+    (the Section 5.2.2 reclamation protocol) and the page-hotness
+    table. *)
 
 (** {1 Introspection (tests, figures)} *)
 

@@ -205,10 +205,14 @@ module Lww = struct
       f t.addr.(p) ~value:t.value.(p) ~ts:t.ts.(p)
     done
 
-  (* Forget every binding; the capacity stays. *)
+  (* Forget every binding in O(bindings), newest first: as in
+     [Write_set.clear], un-probing the newest cell restores the table as
+     it was before that cell's insert. *)
   let clear t =
-    t.n <- 0;
-    Array.fill t.slots 0 (Array.length t.slots) (-1)
+    for p = t.n - 1 downto 0 do
+      t.slots.(probe t t.addr.(p)) <- -1
+    done;
+    t.n <- 0
 end
 
 let pm t = t.pm
@@ -639,15 +643,17 @@ let recover_scan pm ~head_slot ~block_bytes ~f =
    several logs share a timestamp counter the same rule merges them by
    global timestamp (timestamps are globally unique across threads, and a
    compacted log keeps one entry per datum per timestamp). *)
+let collect index records scanned ~ts addrs vals n =
+  incr records;
+  scanned := !scanned + n;
+  for i = 0 to n - 1 do
+    Lww.add index addrs.(i) ~value:vals.(i) ~ts
+  done
+
 let recover_collect pm ~head_slot ~block_bytes ~index =
   let records = ref 0 and scanned = ref 0 in
   let max_ts, tail =
-    recover_scan pm ~head_slot ~block_bytes ~f:(fun ~ts addrs vals n ->
-        incr records;
-        scanned := !scanned + n;
-        for i = 0 to n - 1 do
-          Lww.add index addrs.(i) ~value:vals.(i) ~ts
-        done)
+    recover_scan pm ~head_slot ~block_bytes ~f:(collect index records scanned)
   in
   (max_ts, !records, !scanned, tail)
 
@@ -657,39 +663,40 @@ let recover_collect pm ~head_slot ~block_bytes ~index =
    scan meets them; several logs are copied out of the scan buffer and
    merged by timestamp first.  Every store is kept — stale values are
    overwritten by fresher ones — and each restored cell is flushed once,
-   in the iteration order of a 256-bucket flush set, under one fence. *)
-let replay pm ~block_bytes head_slots =
-  let touched = Hashtbl.create 256 in
+   in the order replay first stored it, under one fence. *)
+let replay ?(on_store = fun _ _ -> ()) pm ~block_bytes head_slots =
+  let touched = Lww.create () in
   let records = ref 0 and entries = ref 0 and max_ts = ref 0 in
-  let store addrs vals n =
+  let store log addrs vals n =
     for i = 0 to n - 1 do
       Pmem.store_int pm addrs.(i) vals.(i);
-      Hashtbl.replace touched addrs.(i) ()
+      Lww.add touched addrs.(i) ~value:0 ~ts:0;
+      on_store log addrs.(i)
     done
   in
   let one = Array.length head_slots = 1 and held = ref [] in
   let tails =
-    Array.map
-      (fun head_slot ->
+    Array.mapi
+      (fun log head_slot ->
         let ts, tail =
           recover_scan pm ~head_slot ~block_bytes ~f:(fun ~ts addrs vals n ->
               incr records;
               entries := !entries + n;
-              if one then store addrs vals n
+              if one then store log addrs vals n
               else
                 held :=
-                  (ts, Array.sub addrs 0 n, Array.sub vals 0 n) :: !held)
+                  (ts, log, Array.sub addrs 0 n, Array.sub vals 0 n) :: !held)
         in
         if ts > !max_ts then max_ts := ts;
         tail)
       head_slots
   in
   List.iter
-    (fun (_, addrs, vals) -> store addrs vals (Array.length addrs))
-    (List.sort (fun (a, _, _) (b, _, _) -> compare a b) !held);
-  Hashtbl.iter (fun a () -> Pmem.clwb pm a) touched;
+    (fun (_, log, addrs, vals) -> store log addrs vals (Array.length addrs))
+    (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !held);
+  Lww.iter touched (fun a ~value:_ ~ts:_ -> Pmem.clwb pm a);
   Pmem.sfence pm;
-  (!max_ts, tails, !records, !entries, Hashtbl.length touched)
+  (!max_ts, tails, !records, !entries, Lww.length touched)
 
 (* One stable counting pass over the [mask]-wide digit at [shift] of the
    line offset from [lo] of the first [n] cells: the (address, value)
@@ -723,7 +730,7 @@ let line_digit_pass ~n ~lo ~shift ~mask src_a src_v dst_a dst_v =
    the lowest live line, each digit half the offset's bit width: linear
    in the live set, no comparisons.  It runs on the table's own dense
    arrays, through one pair of temporary arrays, which leaves the probe
-   table stale — hence the table is cleared afterwards. *)
+   table stale — hence it is reset whole afterwards. *)
 let apply_collected pm (index : Lww.t) =
   let n = index.n and addr = index.addr and value = index.value in
   let lo = ref max_int and hi = ref 0 in
@@ -749,7 +756,8 @@ let apply_collected pm (index : Lww.t) =
     then Pmem.clwb pm addr.(j)
   done;
   Pmem.sfence pm;
-  Lww.clear index
+  Array.fill index.slots 0 (Array.length index.slots) (-1);
+  index.n <- 0
 
 let attach heap ~tail =
   let head_slot = tail.scan_slot and block_bytes = tail.scan_block_bytes in
@@ -923,12 +931,7 @@ let compact t =
   let records = ref 0 and scanned = ref 0 in
   let _, _, _ =
     scan_records t.pm ~block_bytes:t.block_bytes ~head:t.head_block
-      ~f:(fun ~ts addrs vals n ->
-        incr records;
-        scanned := !scanned + n;
-        for i = 0 to n - 1 do
-          Lww.add freshest addrs.(i) ~value:vals.(i) ~ts
-        done)
+      ~f:(collect freshest records scanned)
   in
   let live = Lww.length freshest in
   let old_blocks = t.blocks in

@@ -164,6 +164,10 @@ module Lww : sig
 
   val iter : t -> (Addr.t -> value:int -> ts:int -> unit) -> unit
   (** Every binding, in the order the cells were first added. *)
+
+  val clear : t -> unit
+  (** Forget every binding in O(bindings), however large the table once
+      grew, so a table can serve one transaction after another. *)
 end
 
 val recover_collect :
@@ -195,19 +199,22 @@ val apply_collected : Pmem.t -> Lww.t -> unit
     is repaired by recovering again. *)
 
 val replay :
-  Pmem.t -> block_bytes:int -> int array -> int * tail array * int * int * int
+  ?on_store:(int -> Addr.t -> unit) -> Pmem.t -> block_bytes:int ->
+  int array -> int * tail array * int * int * int
 (** [replay pm ~block_bytes head_slots] is the paper's recovery over one
     or more logs that share a timestamp counter (Sections 3.1 and
     5.2.2): scan each log's valid prefix (the walk of {!recover_scan}),
     store every entry with the records of all logs in timestamp order —
     stale values are overwritten by fresher ones, O(log) data writes —
-    then flush each restored cell once and issue one fence.  A single
-    log is stored as it is scanned, its scan order being timestamp
-    order; several logs are merged after all scans.  Returns [(max_ts,
-    tails, records, entries, cells)]: the largest timestamp, each log's
-    {!tail} (same order as [head_slots]), the records and entries
-    replayed, and the distinct cells restored.  The differential oracle
-    for {!recover_collect} plus {!apply_collected}. *)
+    then flush each restored cell once, in the order it was first
+    stored, and issue one fence.  A single log is stored as it is
+    scanned, its scan order being timestamp order; several logs are
+    merged after all scans.  [on_store i a] runs after each store to [a]
+    from the log of [head_slots.(i)].  Returns [(max_ts, tails, records,
+    entries, cells)]: the largest timestamp, each log's {!tail} (same
+    order as [head_slots]), the records and entries replayed, and the
+    distinct cells restored.  The differential oracle for
+    {!recover_collect} plus {!apply_collected}. *)
 
 (** {1 Reclamation} *)
 

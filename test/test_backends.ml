@@ -801,6 +801,8 @@ let durability_cases =
           (Testlib.test_read_own_writes create);
         Alcotest.test_case (n ^ ": double crash") `Quick
           (Testlib.test_double_crash create);
+        Alcotest.test_case (n ^ ": crash drops open writes") `Quick
+          (Testlib.test_crash_drops_open_writes create);
         Alcotest.test_case (n ^ ": empty tx between commits") `Quick
           (test_empty_tx_between_commits kind);
         Alcotest.test_case (n ^ ": recovery idempotent") `Quick
@@ -1076,6 +1078,31 @@ let test_spht_readonly_skips_buffer () =
   Alcotest.(check bool) "read-after-write still probes" true
     (Specpmt_obs.Metrics.counter_value c > v0)
 
+(* A crashed transaction's bucket versions carry the timestamp the
+   restarted counter hands to the next commit; unless recovery retires
+   them, that commit makes them valid and the next recovery revives the
+   crashed write.  Every dirty word persists at both crashes. *)
+let test_hashlog_crash_not_revived () =
+  let pm, heap, b = mk_backend Registry.Hashlog in
+  let base = Heap.alloc heap 64 in
+  let x = base and z = base + 16 in
+  let crash () = Pmem.crash_with pm ~persist:(fun _ -> true) in
+  b.Ctx.run_tx (fun ctx -> ctx.Ctx.write x 1);
+  (try
+     b.Ctx.run_tx (fun ctx ->
+         ctx.Ctx.write x 2;
+         raise Pmem.Crash)
+   with Pmem.Crash -> ());
+  crash ();
+  b.Ctx.recover ();
+  Alcotest.(check int) "first recovery revokes x = 2" 1
+    (Pmem.peek_volatile_int pm x);
+  b.Ctx.run_tx (fun ctx -> ctx.Ctx.write z 7);
+  crash ();
+  b.Ctx.recover ();
+  Alcotest.(check (pair int int)) "the next commit does not revive it" (1, 7)
+    (Pmem.peek_volatile_int pm x, Pmem.peek_volatile_int pm z)
+
 let () =
   Alcotest.run "backends"
     [
@@ -1151,5 +1178,7 @@ let () =
             test_abort_releases_allocations;
           Alcotest.test_case "spht read-only tx skips the write buffer"
             `Quick test_spht_readonly_skips_buffer;
+          Alcotest.test_case "hashlog crashed tx not revived by next commit"
+            `Quick test_hashlog_crash_not_revived;
         ] );
     ]

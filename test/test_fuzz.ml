@@ -2,119 +2,44 @@
    five real bugs during development (stale NT-log handles, stale page
    snapshots of allocator headers, pre-commit durable frees, deferred
    frees surviving a crashed transaction, and in-place leaks of
-   out-of-place schemes).  A durable hash table under random
-   insert/remove churn with random crash points and aggressive cache
-   leakage; after every recovery the table must match the committed
-   reference exactly (modulo the at-most-one in-flight transaction). *)
+   out-of-place schemes), and, once its audit became exact, two more (a
+   crashed transaction's writes carried across recovery by SPHT and
+   HOOP, and a crashed transaction revived by Spec-hashlog's next
+   commit).  A durable hash table under random insert/remove churn with
+   random crash points and aggressive cache leakage; after every
+   recovery the table must equal the committed reference, or that
+   reference plus the one op in flight at the crash (Crashmc.torture). *)
 
 open Specpmt
-module H = Specpmt_pstruct.Phashtbl
 
 let schemes =
   [ "PMDK"; "SPHT"; "SpecSPMT-DP"; "SpecSPMT"; "Spec-hashlog"; "EDE"; "HOOP"; "SpecHPMT-DP"; "SpecHPMT" ]
 
-(* On an audit failure the assertion message alone is useless — the bug is
-   in whatever the log did just before the crash.  Keep a small event ring
-   during the torture and attach it to the failure. *)
-let failf_with_trace fmt =
-  Format.kasprintf
-    (fun msg ->
-      Alcotest.failf "%s@.last traced events:@.%a" msg
-        (fun ppf () -> Obs.Trace.dump ppf ())
-        ())
-    fmt
+let check name r =
+  match r.Crashmc.failure with
+  | Some msg -> Alcotest.failf "%s: %s" name msg
+  | None -> ()
 
-let torture scheme ~seed ~rounds () =
-  Obs.Trace.set_capacity 128;
-  let pm =
-    Pmem.create ~seed
-      { Pmem_config.default with crash_word_persist_prob = 0.7 }
-  in
-  let heap = Heap.create pm in
-  let backend = create_scheme heap scheme in
-  let store = backend.Ctx.run_tx (fun ctx -> H.create ctx 64) in
-  let reference = Hashtbl.create 256 in
-  let rand = Random.State.make [| seed; 0xF0 |] in
-  let ctx = Ctx.raw_ctx heap in
-  for round = 1 to rounds do
-    Pmem.set_fuse pm (Some (100 + Random.State.int rand 3000));
-    (try
-       while true do
-         let k = 1 + Random.State.int rand 200 in
-         let v = Random.State.int rand 1_000_000 in
-         let del = Random.State.int rand 8 = 0 in
-         backend.Ctx.run_tx (fun c ->
-             if del then ignore (H.remove c store k)
-             else ignore (H.replace c store k v));
-         if del then Hashtbl.remove reference k
-         else Hashtbl.replace reference k v
-       done
-     with Pmem.Crash ->
-       Pmem.crash pm;
-       backend.Ctx.recover ());
-    let mismatches = ref 0 in
-    Hashtbl.iter
-      (fun k v ->
-        match H.find ctx store k with
-        | Some v' when v' = v -> ()
-        | _ -> incr mismatches)
-      reference;
-    if !mismatches > 1 then
-      failf_with_trace "%s: round %d: %d mismatches — not crash consistent"
-        scheme round !mismatches;
-    (* reconcile the possibly in-flight transaction *)
-    if !mismatches = 1 then begin
-      Hashtbl.reset reference;
-      H.iter ctx store (fun k v -> Hashtbl.replace reference k v)
-    end
-  done
+let one_core scheme heap =
+  let b = create_scheme heap scheme in
+  ([| b |], b.Ctx.recover)
+
+let torture scheme ~seeds ~rounds () =
+  List.iter
+    (fun seed ->
+      check
+        (Printf.sprintf "%s, seed %d" scheme seed)
+        (Crashmc.torture ~make:(one_core scheme) ~seed ~rounds ()))
+    seeds
 
 (* the same torture over the multi-core hardware pool: transactions are
    spread across three cores sharing the pool *)
 let torture_mt ~seed ~rounds () =
-  let pm =
-    Pmem.create ~seed
-      { Pmem_config.default with crash_word_persist_prob = 0.7 }
+  let make heap =
+    let pool = Spec_hw.Mt.create heap ~threads:3 in
+    (Array.init 3 (Spec_hw.Mt.thread pool), fun () -> Spec_hw.Mt.recover pool)
   in
-  let heap = Heap.create pm in
-  let pool = Spec_hw.Mt.create heap ~threads:3 in
-  let store =
-    (Spec_hw.Mt.thread pool 0).Ctx.run_tx (fun ctx -> H.create ctx 64)
-  in
-  let reference = Hashtbl.create 256 in
-  let rand = Random.State.make [| seed; 0xF1 |] in
-  let ctx = Ctx.raw_ctx heap in
-  for round = 1 to rounds do
-    Pmem.set_fuse pm (Some (100 + Random.State.int rand 3000));
-    (try
-       while true do
-         let th = Random.State.int rand 3 in
-         let k = 1 + Random.State.int rand 200 in
-         let v = Random.State.int rand 1_000_000 in
-         let del = Random.State.int rand 8 = 0 in
-         (Spec_hw.Mt.thread pool th).Ctx.run_tx (fun c ->
-             if del then ignore (H.remove c store k)
-             else ignore (H.replace c store k v));
-         if del then Hashtbl.remove reference k
-         else Hashtbl.replace reference k v
-       done
-     with Pmem.Crash ->
-       Pmem.crash pm;
-       Spec_hw.Mt.recover pool);
-    let mismatches = ref 0 in
-    Hashtbl.iter
-      (fun k v ->
-        match H.find ctx store k with
-        | Some v' when v' = v -> ()
-        | _ -> incr mismatches)
-      reference;
-    if !mismatches > 1 then
-      failf_with_trace "SpecHPMT-Mt: round %d: %d mismatches" round !mismatches;
-    if !mismatches = 1 then begin
-      Hashtbl.reset reference;
-      H.iter ctx store (fun k v -> Hashtbl.replace reference k v)
-    end
-  done
+  check "SpecHPMT-Mt" (Crashmc.torture ~make ~seed ~rounds ())
 
 let () =
   Alcotest.run "fuzz"
@@ -122,10 +47,16 @@ let () =
       ( "hash-table crash torture",
         List.map
           (fun s ->
-            Alcotest.test_case s `Slow (torture s ~seed:1 ~rounds:12))
+            Alcotest.test_case s `Slow (torture s ~seeds:[ 1 ] ~rounds:12))
           schemes
         @ [
             Alcotest.test_case "SpecHPMT multi-core" `Slow
               (torture_mt ~seed:1 ~rounds:12);
           ] );
+      ( "hash-table crash torture, seeds 2-7",
+        List.map
+          (fun s ->
+            Alcotest.test_case s `Slow
+              (torture s ~seeds:[ 2; 3; 4; 5; 6; 7 ] ~rounds:40))
+          schemes );
     ]

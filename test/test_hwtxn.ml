@@ -779,6 +779,8 @@ let durability_cases =
           (Testlib.test_read_own_writes (create kind));
         Alcotest.test_case (n ^ ": double crash") `Quick
           (Testlib.test_double_crash (create kind));
+        Alcotest.test_case (n ^ ": crash drops open writes") `Quick
+          (Testlib.test_crash_drops_open_writes (create kind));
         Alcotest.test_case (n ^ ": empty tx between commits") `Quick
           (test_empty_tx_between_commits kind);
         Alcotest.test_case (n ^ ": recovery idempotent") `Quick

@@ -257,25 +257,25 @@ let prop_write_set_model =
         ops;
       true)
 
-(* History independence: a reset must not pay for the largest write set
-   the runtime has seen.  10,000 one-cell record+clear cycles after a
-   65,536-cell transaction must cost under 8x the same loop on a fresh
-   write set.  A ratio of CPU times, best of interleaved rounds, so it
-   holds on a slow or busy host. *)
-let test_reset_history_independent () =
-  let cycles ws =
+(* History independence: a reset must not pay for the largest table
+   the runtime has seen.  10,000 one-cell add+clear cycles after a
+   65,536-cell fill must cost under 8x the same loop on a fresh table.
+   A ratio of CPU times, best of interleaved rounds, so it holds on a
+   slow or busy host. *)
+let reset_history_independent ~create ~add ~clear () =
+  let cycles t =
     let t0 = Sys.time () in
     for i = 1 to 10_000 do
-      ignore (Write_set.record ws 8 ~old_value:i);
-      Write_set.clear ws
+      add t 8 i;
+      clear t
     done;
     Sys.time () -. t0
   in
-  let fresh = Write_set.create () and used = Write_set.create () in
+  let fresh = create () and used = create () in
   for x = 0 to 65_535 do
-    ignore (Write_set.record used (8 * x) ~old_value:0)
+    add used (8 * x) 0
   done;
-  Write_set.clear used;
+  clear used;
   let best_fresh = ref infinity and best_used = ref infinity in
   for _ = 1 to 7 do
     best_fresh := Float.min !best_fresh (cycles fresh);
@@ -284,9 +284,19 @@ let test_reset_history_independent () =
   let ratio = !best_used /. Float.max !best_fresh 1e-6 in
   if ratio >= 8.0 then
     Alcotest.failf
-      "10k one-cell resets cost %.1fx more after a 65,536-cell tx (%.0f vs \
-       %.0f us)"
+      "10k one-cell resets cost %.1fx more after a 65,536-cell table (%.0f \
+       vs %.0f us)"
       ratio (!best_used *. 1e6) (!best_fresh *. 1e6)
+
+let test_reset_history_independent =
+  reset_history_independent ~create:Write_set.create
+    ~add:(fun ws a v -> ignore (Write_set.record ws a ~old_value:v))
+    ~clear:Write_set.clear
+
+let test_lww_reset_history_independent =
+  reset_history_independent ~create:Log_arena.Lww.create
+    ~add:(fun t a v -> Log_arena.Lww.add t a ~value:v ~ts:0)
+    ~clear:Log_arena.Lww.clear
 
 (* log arena *)
 
@@ -539,29 +549,7 @@ let test_recover_collect_last_writer_wins () =
 
 (* replay *)
 
-(* 60 five-entry records dealt round-robin over [logs] logs that share
-   one counter (timestamps 1..60 interleave across the logs), onto 48 of
-   64 cells, each cell written six or seven times; then a crash *)
-let replay_image ~logs =
-  let pm, heap = mk () in
-  let arenas =
-    Array.init logs (fun i ->
-        Log_arena.create heap ~head_slot:(head_slot + i) ~block_bytes:bb)
-  in
-  let base = Heap.alloc heap (64 * 8) in
-  for r = 0 to 59 do
-    let a = arenas.(r mod logs) in
-    Log_arena.begin_record a;
-    for i = 0 to 4 do
-      let k = (r * 5) + i in
-      ignore
-        (Log_arena.add_entry a ~target:(base + (k * 7 mod 48 * 8))
-           ~value:(k + 1))
-    done;
-    Log_arena.commit_record a ~timestamp:(r + 1)
-  done;
-  Pmem.crash pm;
-  (pm, base, Array.init logs (fun i -> head_slot + i))
+let replay_image ~logs = Testlib.replay_image ~head_slot ~block_bytes:bb ~logs
 
 let stats_of pm f =
   let before = Stats.copy (Pmem.stats pm) in
@@ -1466,6 +1454,8 @@ let () =
         [
           Alcotest.test_case "cost independent of past write sets" `Quick
             test_reset_history_independent;
+          Alcotest.test_case "Lww clear independent of past tables" `Quick
+            test_lww_reset_history_independent;
         ] );
       ( "log arena",
         [

@@ -34,6 +34,33 @@ let reference ~cells (p : program) =
     p;
   states
 
+(** 60 five-entry records dealt round-robin over [logs] logs (root slots
+    [head_slot], [head_slot + 1], ...) that share one counter
+    (timestamps 1..60 interleave across the logs), onto 48 of 64 cells,
+    each cell written six or seven times; then a crash.  Returns the
+    device, the cells' base and the logs' head slots. *)
+let replay_image ~head_slot ~block_bytes ~logs =
+  let pm = Pmem.create { Config.small with crash_word_persist_prob = 0.0 } in
+  let heap = Heap.create pm in
+  let arenas =
+    Array.init logs (fun i ->
+        Log_arena.create heap ~head_slot:(head_slot + i) ~block_bytes)
+  in
+  let base = Heap.alloc heap (64 * 8) in
+  for r = 0 to 59 do
+    let a = arenas.(r mod logs) in
+    Log_arena.begin_record a;
+    for i = 0 to 4 do
+      let k = (r * 5) + i in
+      ignore
+        (Log_arena.add_entry a ~target:(base + (k * 7 mod 48 * 8))
+           ~value:(k + 1))
+    done;
+    Log_arena.commit_record a ~timestamp:(r + 1)
+  done;
+  Pmem.crash pm;
+  (pm, base, Array.init logs (fun i -> head_slot + i))
+
 (** Outcome of a crash-injected run. *)
 type crash_outcome = {
   committed : int;  (** transactions whose [run_tx] returned *)
@@ -120,6 +147,36 @@ let test_read_own_writes (create : Heap.t -> Ctx.backend) () =
     b.Ctx.run_tx (fun ctx -> (ctx.Ctx.read base, ctx.Ctx.read (base + 8)))
   in
   Alcotest.(check (pair int int)) "read own writes" (7, 2) v
+
+(* a crash skips the rollback: recovery must drop the crashed
+   transaction's writes, or the next transaction reads them and its
+   commit makes them durable *)
+let test_crash_drops_open_writes (create : Heap.t -> Ctx.backend) () =
+  let pm, heap = mk_pool ~seed:11 () in
+  let b = create heap in
+  let base = Heap.alloc heap 64 in
+  let x = base and y = base + 8 and z = base + 16 in
+  let xy () = (Pmem.peek_volatile_int pm x, Pmem.peek_volatile_int pm y) in
+  b.Ctx.run_tx (fun ctx ->
+      ctx.Ctx.write x 1;
+      ctx.Ctx.write y 0);
+  (try
+     b.Ctx.run_tx (fun ctx ->
+         ctx.Ctx.write x 2;
+         ctx.Ctx.write y 5;
+         raise Pmem.Crash)
+   with Pmem.Crash -> ());
+  Pmem.crash pm;
+  b.Ctx.recover ();
+  Alcotest.(check (pair int int)) "recovered" (1, 0) (xy ());
+  let seen =
+    b.Ctx.run_tx (fun ctx ->
+        let v = ctx.Ctx.read x in
+        ctx.Ctx.write z v;
+        v)
+  in
+  Alcotest.(check int) "the next transaction reads the committed x" 1 seen;
+  Alcotest.(check (pair int int)) "and its commit keeps x and y" (1, 0) (xy ())
 
 (* double crash: crash, recover, run more transactions, crash again *)
 let test_double_crash (create : Heap.t -> Ctx.backend) () =
