@@ -147,8 +147,12 @@ let commit t frees =
   List.iter (fun a -> Heap.free t.heap a) frees;
   if t.pending_entries >= t.gc_batch_entries then gc t
 
+(* drop everything the aborted transaction gathered: its write intents
+   and the lines it read, which the next commit would otherwise log into
+   its mapping record *)
 let rollback t =
   Log_arena.Lww.clear t.buffer;
+  Log_arena.Lww.clear t.tx_read_lines;
   t.tx_entries <- []
 
 let recover t =

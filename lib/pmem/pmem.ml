@@ -3,6 +3,14 @@ exception Crash
 type media =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(* native-endian 64-bit accesses, used to move raw line content a word
+   at a time (both sides native, so the bytes land unchanged) *)
+external media_get64 : media -> int -> int64 = "%caml_bigstring_get64u"
+external media_set64 : media -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
 (* The cache is a flat, fully associative pool of [cache_capacity_lines + 1]
    line slots (the +1 is headroom for the insert-then-evict order of the
    miss path).  [slot_of] maps every line index of the image to its slot,
@@ -11,8 +19,9 @@ type media =
    eviction order is an intrusive doubly-linked list threaded through
    [fifo_next]/[fifo_prev] by slot id, so invalidation (clflushopt,
    nt-store merge) unlinks the victim and can never leave a stale queue
-   entry behind.  Free slots are a stack.  Nothing on the hit path
-   allocates. *)
+   entry behind.  Free slots are a stack.  The clocks live in the flat
+   float array [clock] and the fuse is a plain int, so no access, flush
+   or fence allocates. *)
 type t = {
   cfg : Config.t;
   media : media; (* shared across views; off-heap, domain-safe *)
@@ -29,6 +38,13 @@ type t = {
   mutable occupied : int;
   nt_scratch : Bytes.t; (* one-line merge buffer for uncached nt-stores *)
   stats : Stats.t;
+      (* counters; its [ns] and [bg_ns] are copied in from [clock] when
+         {!stats} hands the record out *)
+  clock : float array;
+      (* [fg]: foreground ns, [bg]: background ns, [wpq_last]: completion
+         time of the last accepted persist (the WPQ is a serial server).
+         Unboxed, so advancing a clock allocates nothing, unlike a float
+         field of the mixed [Stats.t] *)
   rng : Random.State.t;
   (* WPQ: completion times of accepted persists.  Completions are
      strictly increasing (each starts no earlier than the previous one
@@ -37,13 +53,19 @@ type t = {
   wpq : float array;
   mutable wpq_head : int;
   mutable wpq_len : int;
-  mutable last_completion : float; (* WPQ is a serial server *)
   mutable last_persist_line : int; (* for the sequential-write fast path *)
   mutable last_read_line : int; (* for the sequential-read fast path *)
-  mutable fuse : int option;
+  mutable fuse : int;
+      (* events left until the crash, counting the crashing one; 0 when
+         disarmed *)
   mutable events : int; (* monotonic count of fuse-visible memory events *)
   mutable metered : bool;
 }
+
+(* slots of [clock] *)
+let fg = 0
+let bg = 1
+let wpq_last = 2
 
 (* A per-domain view of the same media: shares the [media] image (and
    the immutable config) but owns a private cache, write-pending queue,
@@ -55,6 +77,9 @@ type t = {
 let make_view cfg media seed =
   if cfg.Config.cache_capacity_lines < 1 then
     invalid_arg "Pmem: cache_capacity_lines < 1";
+  (* whole lines only: line copies are unchecked word accesses *)
+  if cfg.Config.mem_size mod Addr.line_size <> 0 then
+    invalid_arg "Pmem: mem_size is not a whole number of lines";
   let mem_lines =
     (cfg.Config.mem_size + Addr.line_size - 1) / Addr.line_size
   in
@@ -75,14 +100,14 @@ let make_view cfg media seed =
     occupied = 0;
     nt_scratch = Bytes.create Addr.line_size;
     stats = Stats.create ();
+    clock = Array.make 3 0.0;
     rng = Random.State.make [| seed; 0x5ec; 0x9a7e |];
     wpq = Array.make (max 1 cfg.Config.wpq_lines) 0.0;
     wpq_head = 0;
     wpq_len = 0;
-    last_completion = 0.0;
     last_persist_line = -10;
     last_read_line = -10;
-    fuse = None;
+    fuse = 0;
     events = 0;
     metered = true;
   }
@@ -98,46 +123,56 @@ let create ?(seed = 42) cfg =
 let fork_view ?(seed = 43) t = make_view t.cfg t.media seed
 
 let config t = t.cfg
-let stats t = t.stats
+
+(* a clock that has not moved since the last call is not written again:
+   each write boxes a float *)
+let stats t =
+  let s = t.stats in
+  if s.Stats.ns <> t.clock.(fg) then s.Stats.ns <- t.clock.(fg);
+  if s.Stats.bg_ns <> t.clock.(bg) then s.Stats.bg_ns <- t.clock.(bg);
+  s
+
 let mem_size t = t.cfg.Config.mem_size
-let set_fuse t n = t.fuse <- n
+
+(* every armed count at or below 1 crashes on the next event *)
+let set_fuse t = function None -> t.fuse <- 0 | Some n -> t.fuse <- max n 1
 let events t = t.events
 
 let burn_fuse t =
   t.events <- t.events + 1;
-  match t.fuse with
-  | None -> ()
-  | Some n -> if n <= 1 then raise Crash else t.fuse <- Some (n - 1)
+  if t.fuse > 0 then if t.fuse = 1 then raise Crash else t.fuse <- t.fuse - 1
 
-let charge t ns = if t.metered then t.stats.Stats.ns <- t.stats.Stats.ns +. ns
+let charge t ns = if t.metered then t.clock.(fg) <- t.clock.(fg) +. ns
 let charge_ns = charge
-
-let charge_bg_ns t ns =
-  if t.metered then t.stats.Stats.bg_ns <- t.stats.Stats.bg_ns +. ns
+let charge_bg_ns t ns = if t.metered then t.clock.(bg) <- t.clock.(bg) +. ns
 
 let count f t = if t.metered then f t.stats
 
 (* {2 Raw media access} *)
 
+let line_words = Addr.line_size / 8
+
+(* Callers pass offsets of whole lines or words inside [media] and the
+   slot payloads, so the unchecked accesses stay in bounds. *)
 let media_read_line t li dst dst_off =
   let base = li * Addr.line_size in
-  for i = 0 to Addr.line_size - 1 do
-    Bytes.unsafe_set dst (dst_off + i)
-      (Bigarray.Array1.unsafe_get t.media (base + i))
+  for w = 0 to line_words - 1 do
+    bytes_set64 dst (dst_off + (8 * w)) (media_get64 t.media (base + (8 * w)))
   done
 
-(* Unmetered byte copy into the media image (detach write-back, crash
-   word drains). *)
-let media_blit_out t src src_off media_off len =
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set t.media (media_off + i)
-      (Bytes.unsafe_get src (src_off + i))
+(* Unmetered copy of [words] 8-byte words into the media image (line
+   write-backs, crash word drains). *)
+let media_blit_out t src src_off media_off words =
+  for w = 0 to words - 1 do
+    media_set64 t.media
+      (media_off + (8 * w))
+      (bytes_get64 src (src_off + (8 * w)))
   done
 
 (* Write one line of content to the media image, with traffic accounting
    and sequential-stream detection. *)
 let media_write_line t li (src : Bytes.t) src_off =
-  media_blit_out t src src_off (li * Addr.line_size) Addr.line_size;
+  media_blit_out t src src_off (li * Addr.line_size) line_words;
   if t.metered then begin
     t.stats.Stats.pm_write_lines <- t.stats.Stats.pm_write_lines + 1;
     if li = t.last_persist_line + 1 || li = t.last_persist_line then
@@ -268,7 +303,7 @@ let detach_cache t =
     if is_dirty t !s then
       media_blit_out t t.slot_data (!s * Addr.line_size)
         (t.slot_line.(!s) * Addr.line_size)
-        Addr.line_size;
+        line_words;
     s := t.fifo_next.(!s)
   done;
   clear_cache t
@@ -291,16 +326,17 @@ let wpq_accept t li =
       (* stall until the oldest accepted persist drains, then retire
          every entry that has completed by the stalled clock *)
       let oldest = t.wpq.(t.wpq_head) in
-      if t.stats.Stats.ns < oldest then charge t (oldest -. t.stats.Stats.ns);
-      while t.wpq_len > 0 && t.wpq.(t.wpq_head) <= t.stats.Stats.ns do
+      if t.clock.(fg) < oldest then
+        t.clock.(fg) <- t.clock.(fg) +. (oldest -. t.clock.(fg));
+      while t.wpq_len > 0 && t.wpq.(t.wpq_head) <= t.clock.(fg) do
         t.wpq_head <- (t.wpq_head + 1) mod wcap;
         t.wpq_len <- t.wpq_len - 1
       done
     end;
     charge t cfg.Config.wpq_accept_ns;
-    let start = Float.max t.stats.Stats.ns t.last_completion in
+    let start = Float.max t.clock.(fg) t.clock.(wpq_last) in
     let completion = start +. line_write_cost t li in
-    t.last_completion <- completion;
+    t.clock.(wpq_last) <- completion;
     t.wpq.((t.wpq_head + t.wpq_len) mod wcap) <- completion;
     t.wpq_len <- t.wpq_len + 1
   end
@@ -395,13 +431,13 @@ let sfence t =
   burn_fuse t;
   count (fun s -> s.Stats.fences <- s.Stats.fences + 1) t;
   let latest =
-    if t.wpq_len = 0 then t.stats.Stats.ns
+    if t.wpq_len = 0 then t.clock.(fg)
     else
       (* completions are monotone: the tail entry is the latest *)
-      Float.max t.stats.Stats.ns
+      Float.max t.clock.(fg)
         t.wpq.((t.wpq_head + t.wpq_len - 1) mod Array.length t.wpq)
   in
-  if t.metered then t.stats.Stats.ns <- latest +. t.cfg.Config.fence_ns;
+  if t.metered then t.clock.(fg) <- latest +. t.cfg.Config.fence_ns;
   t.wpq_head <- 0;
   t.wpq_len <- 0
 
@@ -481,11 +517,11 @@ let crash_with t ~persist =
           let addr = (li * Addr.line_size) + (w * 8) in
           if t.cfg.Config.eadr || persist addr then
             media_blit_out t t.slot_data ((s * Addr.line_size) + (w * 8))
-              addr 8
+              addr 1
         done)
     (dirty_lines t);
   clear_cache t;
-  t.fuse <- None
+  t.fuse <- 0
 
 let crash t =
   (* under eADR the caches are inside the persistence domain: every dirty
@@ -501,25 +537,23 @@ let crash t =
           if Random.State.float t.rng 1.0 < p then
             media_blit_out t t.slot_data ((s * Addr.line_size) + (w * 8))
               ((li * Addr.line_size) + (w * 8))
-              8
+              1
         done)
     (dirty_lines t);
   clear_cache t;
-  t.fuse <- None
+  t.fuse <- 0
 
 let with_unmetered t f =
   let saved = t.metered in
   t.metered <- false;
   Fun.protect ~finally:(fun () -> t.metered <- saved) f
 
+(* little-endian, as the cache's [Bytes.get_int64_le] reads it *)
 let peek_media_int t addr =
   assert (Addr.is_word_aligned addr);
   check_bounds t addr 8;
-  let g i = Char.code (Bigarray.Array1.unsafe_get t.media (addr + i)) in
-  g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24) lor (g 4 lsl 32)
-  lor (g 5 lsl 40)
-  lor (g 6 lsl 48)
-  lor (g 7 lsl 56)
+  let v = media_get64 t.media addr in
+  Int64.to_int (if Sys.big_endian then swap64 v else v)
 
 let peek_volatile_int t addr =
   assert (Addr.is_word_aligned addr);

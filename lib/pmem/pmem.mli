@@ -31,7 +31,12 @@ val create : ?seed:int -> Config.t -> t
 (** Fresh device, media zero-filled. *)
 
 val config : t -> Config.t
+
 val stats : t -> Stats.t
+(** The device's counters.  The event counts stay live, but the clocks
+    ([ns], [bg_ns]) are kept outside the record and copied into it by
+    this call: read them from a fresh [stats] after further device
+    operations. *)
 
 (** {1 Per-domain views}
 

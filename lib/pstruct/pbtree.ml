@@ -17,10 +17,11 @@
 
     An optional DRAM {!Shadow} mirror (see {!attach_shadow}) serves
     every node read from volatile memory with binary search inside
-    nodes; transactional writes dual-write media and mirror, with the
-    mirror side staged until the transaction's outcome is known.  With
-    no mirror attached, every path below reads through the ctx exactly
-    as before — the unmirrored read sequences are unchanged. *)
+    nodes; transactional writes dual-write media and mirror, the mirror
+    updated in place under an undo log that the transaction's outcome
+    empties or replays.  With no mirror attached, every path below reads
+    through the ctx exactly as before — the unmirrored read sequences
+    are unchanged. *)
 
 open Specpmt_pmem
 open Specpmt_txn
@@ -75,9 +76,9 @@ let leaf_of m = m land 1 = 1
 
    [r_*] read the media through the ctx — the audit path, and the only
    path when no mirror is attached.  The unsuffixed accessors dispatch
-   to the mirror when one is attached: overlay-first (a mutation sees
-   its own staged updates), falling back to the metered ctx read for a
-   node the mirror does not cover. *)
+   to the mirror when one is attached (a mutation sees its own updates,
+   made in place), falling back to the metered ctx read for a node the
+   mirror does not cover. *)
 
 let r_meta (ctx : Ctx.ctx) n = ctx.Ctx.read (n_meta n)
 let r_high (ctx : Ctx.ctx) n = ctx.Ctx.read (n_high n)
@@ -155,58 +156,43 @@ let length (ctx : Ctx.ctx) t =
   | None -> ctx.Ctx.read (h_count t.hdr)
   | Some sh -> Shadow.count sh
 
-(* ---- node cell writes: media first, then the mirror's staged copy.
-   The stage/arm order inside {!Shadow.stage} makes this correct under
-   non-transactional contexts too (their hook fires immediately). *)
+(* ---- node cell writes: media first, then the mirror in place.  The
+   log-then-arm order inside {!Shadow}'s setters makes this correct
+   under non-transactional contexts too (their hook fires
+   immediately). *)
 
 let set_meta (ctx : Ctx.ctx) t n ~leaf ~nkeys =
   let v = (nkeys lsl 1) lor if leaf then 1 else 0 in
   ctx.Ctx.write (n_meta n) v;
-  match t.sh with
-  | None -> ()
-  | Some sh -> (Shadow.stage sh ctx n).Shadow.meta <- v
+  match t.sh with None -> () | Some sh -> Shadow.set_meta sh ctx n v
 
 let set_high (ctx : Ctx.ctx) t n v =
   ctx.Ctx.write (n_high n) v;
-  match t.sh with
-  | None -> ()
-  | Some sh -> (Shadow.stage sh ctx n).Shadow.high <- v
+  match t.sh with None -> () | Some sh -> Shadow.set_high sh ctx n v
 
 let set_right (ctx : Ctx.ctx) t n v =
   ctx.Ctx.write (n_right n) v;
-  match t.sh with
-  | None -> ()
-  | Some sh -> (Shadow.stage sh ctx n).Shadow.right <- v
+  match t.sh with None -> () | Some sh -> Shadow.set_right sh ctx n v
 
 let set_key (ctx : Ctx.ctx) t n i v =
   ctx.Ctx.write (n_key t n i) v;
-  match t.sh with
-  | None -> ()
-  | Some sh -> (Shadow.stage sh ctx n).Shadow.keys.(i) <- v
+  match t.sh with None -> () | Some sh -> Shadow.set_key sh ctx n i v
 
 let set_pay (ctx : Ctx.ctx) t n i v =
   ctx.Ctx.write (n_pay t n i) v;
-  match t.sh with
-  | None -> ()
-  | Some sh -> (Shadow.stage sh ctx n).Shadow.pays.(i) <- v
+  match t.sh with None -> () | Some sh -> Shadow.set_pay sh ctx n i v
 
 let set_root (ctx : Ctx.ctx) t v =
   ctx.Ctx.write (h_root t.hdr) v;
-  match t.sh with
-  | None -> ()
-  | Some sh -> Shadow.stage_root sh ctx v
+  match t.sh with None -> () | Some sh -> Shadow.set_root sh ctx v
 
 let set_count (ctx : Ctx.ctx) t v =
   ctx.Ctx.write (h_count t.hdr) v;
-  match t.sh with
-  | None -> ()
-  | Some sh -> Shadow.stage_count sh ctx v
+  match t.sh with None -> () | Some sh -> Shadow.set_count sh ctx v
 
 let free_node (ctx : Ctx.ctx) t n =
   ctx.Ctx.free n;
-  match t.sh with
-  | None -> ()
-  | Some sh -> Shadow.stage_free sh ctx n
+  match t.sh with None -> () | Some sh -> Shadow.free sh ctx n
 
 let new_node (ctx : Ctx.ctx) t ~leaf ~nkeys ~high ~right =
   let n = ctx.Ctx.alloc (node_bytes t.order) in
@@ -272,8 +258,8 @@ let verify_shadow (ctx : Ctx.ctx) t =
   match t.sh with
   | None -> invalid_arg "Pbtree.verify_shadow: no mirror attached"
   | Some sh ->
-      if Shadow.stage_size sh > 0 then
-        vfail "transaction in flight: %d staged entries" (Shadow.stage_size sh);
+      if Shadow.pending sh > 0 then
+        vfail "transaction in flight: %d undo entries" (Shadow.pending sh);
       let root = ctx.Ctx.read (h_root t.hdr) in
       if Shadow.root sh <> root then
         vfail "root %#x, media %#x" (Shadow.root sh) root;

@@ -28,9 +28,9 @@
     {b Shadow mirror.}  {!attach_shadow} equips a handle with a DRAM
     {!Shadow} mirror of the whole tree; from then on descents, reads
     and range walks are served from volatile memory (binary search
-    inside nodes), mutations dual-write media and mirror with the
-    mirror side staged until the transaction's outcome hook fires, and
-    only the transactional writes a mutation actually needs remain on
+    inside nodes), mutations dual-write media and mirror — the mirror
+    in place, under an undo log that the transaction's outcome hook
+    empties on commit and replays on abort — and only the transactional writes a mutation actually needs remain on
     the metered path.  With no mirror attached every operation reads
     through the ctx in exactly the pre-mirror sequence. *)
 

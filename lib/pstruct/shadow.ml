@@ -1,6 +1,5 @@
 (** DRAM shadow mirror storage for {!Pbtree} — see shadow.mli. *)
 
-open Specpmt_pmem
 open Specpmt_txn
 
 type node = {
@@ -11,21 +10,50 @@ type node = {
   pays : int array;
 }
 
+(* Node addresses are word-aligned and a whole node apart, so their low
+   bits barely vary: Fibonacci hashing takes the product's bits 32 and
+   up, which mix every address bit (as [Log_arena.Lww] does). *)
+module Nodes = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash a = ((a lsr 3) * 0x1E3779B97F4A7C15) lsr 32
+end)
+
+(* Undo-log entry codes: a non-negative code names a node field —
+   [f_meta], [f_high], [f_right], then key slot [i] at [f_keys + i] and
+   payload slot [i] at [f_keys + order + i]; the negative ones name the
+   header cells and the node table itself. *)
+let f_meta = 0
+let f_high = 1
+let f_right = 2
+let f_keys = 3
+let u_root = -1
+let u_count = -2
+let u_fresh = -3 (* a node entered the table: an abort removes it *)
+let u_freed = -4 (* a node left the table: an abort puts it back *)
+
 type t = {
   order : int;
-  base : (Addr.t, node) Hashtbl.t;
-      (* the committed image: coherent with the media state a fresh
-         unmetered rebuild would observe *)
-  stage : (Addr.t, node) Hashtbl.t;
-      (* copy-on-write overlay of the open transaction: applied to
-         [base] on commit, dropped wholesale on abort or crash *)
+  nodes : node Nodes.t;
+      (* the live image: committed state plus the open transaction's
+         in-place updates *)
   mutable root : int;
   mutable count : int;
-  mutable stage_root : int; (* -1 = no staged root *)
-  mutable stage_count : int; (* min_int = no staged count *)
+  mutable undo : int array;
+      (* (address, code, old value) triples, oldest first; emptied by
+         commit, replayed newest first by abort.  Reused across
+         transactions. *)
+  mutable undo_len : int; (* words of [undo] in use *)
+  mutable freed : node list;
+      (* nodes the open transaction removed, newest first: what its
+         [u_freed] entries put back *)
+  mutable last_addr : int; (* one-entry lookup memo; -1 when empty *)
+  mutable last_node : node;
   mutable armed : bool;
       (* an outcome hook for the open transaction is registered; reset
          when it fires, so each transaction registers exactly one *)
+  mutable hook : bool -> unit;
   (* plain ints on the hot path; [publish] pushes the deltas into the
      domain-local metrics registry *)
   mutable hits : int;
@@ -36,29 +64,12 @@ type t = {
   mutable pub_rebuild_ns : int;
 }
 
-let create ~order ~root ~count =
-  {
-    order;
-    base = Hashtbl.create 256;
-    stage = Hashtbl.create 16;
-    root;
-    count;
-    stage_root = -1;
-    stage_count = min_int;
-    armed = false;
-    hits = 0;
-    misses = 0;
-    rebuild_ns = 0;
-    pub_hits = 0;
-    pub_misses = 0;
-    pub_rebuild_ns = 0;
-  }
+let no_node = { meta = 0; high = 0; right = 0; keys = [||]; pays = [||] }
 
-let order t = t.order
-let root t = if t.stage_root <> -1 then t.stage_root else t.root
-let count t = if t.stage_count <> min_int then t.stage_count else t.count
-let size t = Hashtbl.length t.base
-let stage_size t = Hashtbl.length t.stage
+let root t = t.root
+let count t = t.count
+let size t = Nodes.length t.nodes
+let pending t = t.undo_len / 3
 
 let fresh_node order =
   {
@@ -69,108 +80,174 @@ let fresh_node order =
     pays = Array.make order 0;
   }
 
-(* staged view: the overlay wins (a tombstone hides the base node); the
-   empty-stage fast path keeps read-only operations at one probe *)
+(* A descent reads several fields of one node in a row, so the last node
+   found answers again without hashing.  Whenever a node enters or
+   leaves the table, the memo is emptied or pointed at the new node. *)
 let node t a =
-  if Hashtbl.length t.stage = 0 then Hashtbl.find t.base a
-  else
-    match Hashtbl.find t.stage a with
-    | n -> if n.meta < 0 then raise Not_found else n
-    | exception Not_found -> Hashtbl.find t.base a
+  if a = t.last_addr then t.last_node
+  else begin
+    let n = Nodes.find t.nodes a in
+    t.last_addr <- a;
+    t.last_node <- n;
+    n
+  end
 
-let mem t a = match node t a with _ -> true | exception Not_found -> false
+let forget t = t.last_addr <- -1
 let hit t = t.hits <- t.hits + 1
 let miss t = t.misses <- t.misses + 1
 let add_rebuild_ns t ns = t.rebuild_ns <- t.rebuild_ns + ns
 
 let load t a =
   let n = fresh_node t.order in
-  Hashtbl.replace t.base a n;
+  Nodes.replace t.nodes a n;
+  forget t;
   n
 
-(* ---- transactional staging ---- *)
+(* ---- the undo log ---- *)
+
+let push t a code old =
+  let i = t.undo_len in
+  if i + 3 > Array.length t.undo then begin
+    let bigger = Array.make (2 * Array.length t.undo) 0 in
+    Array.blit t.undo 0 bigger 0 i;
+    t.undo <- bigger
+  end;
+  t.undo.(i) <- a;
+  t.undo.(i + 1) <- code;
+  t.undo.(i + 2) <- old;
+  t.undo_len <- i + 3
+
+let restore t n code v =
+  if code = f_meta then n.meta <- v
+  else if code = f_high then n.high <- v
+  else if code = f_right then n.right <- v
+  else if code < f_keys + t.order then n.keys.(code - f_keys) <- v
+  else n.pays.(code - f_keys - t.order) <- v
 
 let commit t =
-  Hashtbl.iter
-    (fun a n ->
-      if n.meta < 0 then Hashtbl.remove t.base a
-      else Hashtbl.replace t.base a n)
-    t.stage;
-  Hashtbl.reset t.stage;
-  if t.stage_root <> -1 then begin
-    t.root <- t.stage_root;
-    t.stage_root <- -1
-  end;
-  if t.stage_count <> min_int then begin
-    t.count <- t.stage_count;
-    t.stage_count <- min_int
-  end;
+  t.undo_len <- 0;
+  t.freed <- [];
   t.armed <- false
 
+(* Newest first, so every entry meets the table as it stood when the
+   entry was logged: a field's node is back under its address, a freed
+   node's address is free again. *)
 let abort t =
-  Hashtbl.reset t.stage;
-  t.stage_root <- -1;
-  t.stage_count <- min_int;
-  t.armed <- false
+  let u = t.undo in
+  let i = ref (t.undo_len - 3) in
+  while !i >= 0 do
+    let a = u.(!i) and code = u.(!i + 1) and old = u.(!i + 2) in
+    if code >= 0 then restore t (Nodes.find t.nodes a) code old
+    else if code = u_root then t.root <- old
+    else if code = u_count then t.count <- old
+    else if code = u_fresh then Nodes.remove t.nodes a
+    else begin
+      match t.freed with
+      | n :: rest ->
+          Nodes.add t.nodes a n;
+          t.freed <- rest
+      | [] -> assert false
+    end;
+    i := !i - 3
+  done;
+  forget t;
+  commit t
 
-(* Register the outcome hook once per transaction.  Callers must stage
-   their delta {e before} arming: a non-transactional ctx fires the hook
-   immediately, committing whatever is staged at that instant (the node
-   object itself moves into [base], so the caller's subsequent field
-   stores still land on the committed image — exactly the raw-ctx
-   semantics of effects being final when made). *)
+let create ~order ~root ~count =
+  let t =
+    {
+      order;
+      nodes = Nodes.create 256;
+      root;
+      count;
+      undo = Array.make 96 0;
+      undo_len = 0;
+      freed = [];
+      last_addr = -1;
+      last_node = no_node;
+      armed = false;
+      hook = ignore;
+      hits = 0;
+      misses = 0;
+      rebuild_ns = 0;
+      pub_hits = 0;
+      pub_misses = 0;
+      pub_rebuild_ns = 0;
+    }
+  in
+  t.hook <- (fun ok -> if ok then commit t else abort t);
+  t
+
+(* Register the outcome hook once per transaction.  Callers log and
+   apply their update {e before} arming: a non-transactional ctx fires
+   the hook immediately, and its commit must find the update done. *)
 let arm t (ctx : Ctx.ctx) =
   if not t.armed then begin
     t.armed <- true;
-    ctx.Ctx.on_end (fun ok -> if ok then commit t else abort t)
+    ctx.Ctx.on_end t.hook
   end
 
-let stage t ctx a =
-  let n =
-    match Hashtbl.find t.stage a with
-    | n ->
-        if n.meta < 0 then begin
-          (* address freed then reallocated inside one transaction:
-             restart from a fresh node, the tombstone is superseded *)
-          let n = fresh_node t.order in
-          Hashtbl.replace t.stage a n;
-          n
-        end
-        else n
-    | exception Not_found ->
-        let n =
-          match Hashtbl.find t.base a with
-          | b ->
-              {
-                meta = b.meta;
-                high = b.high;
-                right = b.right;
-                keys = Array.copy b.keys;
-                pays = Array.copy b.pays;
-              }
-          | exception Not_found -> fresh_node t.order
-        in
-        Hashtbl.replace t.stage a n;
-        n
-  in
-  arm t ctx;
-  n
-
-let stage_free t ctx a =
-  (match Hashtbl.find t.stage a with
-  | n -> n.meta <- -1
+(* The node a mutation writes: the mirrored one, or a zeroed node for
+   an address the transaction has just allocated. *)
+let written t a =
+  match node t a with
+  | n -> n
   | exception Not_found ->
-      let n = fresh_node 0 in
-      n.meta <- -1;
-      Hashtbl.replace t.stage a n);
+      let n = fresh_node t.order in
+      Nodes.add t.nodes a n;
+      push t a u_fresh 0;
+      t.last_addr <- a;
+      t.last_node <- n;
+      n
+
+let set_meta t ctx a v =
+  let n = written t a in
+  push t a f_meta n.meta;
+  n.meta <- v;
   arm t ctx
 
-let stage_root t ctx r =
-  t.stage_root <- r;
+let set_high t ctx a v =
+  let n = written t a in
+  push t a f_high n.high;
+  n.high <- v;
   arm t ctx
 
-let stage_count t ctx c =
-  t.stage_count <- c;
+let set_right t ctx a v =
+  let n = written t a in
+  push t a f_right n.right;
+  n.right <- v;
+  arm t ctx
+
+let set_key t ctx a i v =
+  let n = written t a in
+  push t a (f_keys + i) n.keys.(i);
+  n.keys.(i) <- v;
+  arm t ctx
+
+let set_pay t ctx a i v =
+  let n = written t a in
+  push t a (f_keys + t.order + i) n.pays.(i);
+  n.pays.(i) <- v;
+  arm t ctx
+
+let free t ctx a =
+  match Nodes.find t.nodes a with
+  | n ->
+      Nodes.remove t.nodes a;
+      forget t;
+      t.freed <- n :: t.freed;
+      push t a u_freed 0;
+      arm t ctx
+  | exception Not_found -> ()
+
+let set_root t ctx r =
+  push t 0 u_root t.root;
+  t.root <- r;
+  arm t ctx
+
+let set_count t ctx c =
+  push t 0 u_count t.count;
+  t.count <- c;
   arm t ctx
 
 (* ---- audits & metrics ---- *)

@@ -9,15 +9,17 @@
     on the metered path.  That split is exactly the speculative-logging
     cost model: volatile state is free, persistence events cost.
 
-    {b Coherence protocol.}  The mirror holds two layers: [base], the
-    committed image, and [stage], a copy-on-write overlay populated by
-    the open transaction ({!stage} clones a node on first touch;
-    {!stage_free} writes a tombstone).  Reads go overlay-first, so a
-    transaction observes its own structural updates.  The first staging
-    call of a transaction arms a {!Specpmt_txn.Ctx.ctx.on_end} hook:
-    on commit the overlay is folded into [base]; on abort {e or on a
-    crash escaping the transaction} it is dropped wholesale — [base]
-    never sees uncommitted state.
+    {b Coherence protocol.}  The mirror holds one node table, updated
+    in place: a transaction reads its own structural updates because
+    they are already there.  Every mutation first pushes (node, field,
+    old value) onto a flat undo log, reused across transactions, and the
+    first mutation of a transaction arms a
+    {!Specpmt_txn.Ctx.ctx.on_end} hook.  On commit the hook empties the
+    log; on abort {e or on a crash escaping the transaction} it replays
+    the log newest first — restoring fields, root and count, putting
+    freed nodes back and removing fresh ones — so the table returns to
+    the committed image.  This is the paper's undo trade moved to DRAM,
+    where it costs no ordering: the mirror is volatile.
 
     {b Crash story.}  A crash inside the commit protocol can leave the
     transaction durable on media while the hook reported failure (the
@@ -32,7 +34,7 @@ open Specpmt_pmem
 open Specpmt_txn
 
 type node = {
-  mutable meta : int;  (** [nkeys*2 + is_leaf], [-1] marks a staged tombstone *)
+  mutable meta : int;  (** [nkeys*2 + is_leaf] *)
   mutable high : int;  (** inclusive upper bound of the subtree *)
   mutable right : int;  (** right-sibling link, [0] at the spine end *)
   keys : int array;  (** slots [0..nkeys); the rest is dead *)
@@ -49,48 +51,57 @@ type t
 val create : order:int -> root:int -> count:int -> t
 (** Empty mirror for a tree of the given order; {!load} fills it. *)
 
-val order : t -> int
-
 val root : t -> int
-(** Root node address, staged view (a transaction that grew or shrank
-    the root sees its own update). *)
+(** Root node address, including the open transaction's update. *)
 
 val count : t -> int
-(** Entry count, staged view. *)
+(** Entry count, including the open transaction's update. *)
 
 val node : t -> Addr.t -> node
-(** Staged view of a node: the open transaction's overlay wins, a
-    staged tombstone hides the base node.  Raises [Not_found] when the
-    mirror does not cover the address — callers fall back to metered
-    ctx reads and count a {!miss}. *)
-
-val mem : t -> Addr.t -> bool
+(** The node at an address, with the open transaction's updates; a node
+    the transaction freed is gone.  Raises [Not_found] when the mirror
+    does not cover the address — callers fall back to metered ctx reads
+    and count a {!miss}.  The last node found is memoised, so the
+    fields of one node read in a row cost one table probe.  The record
+    returned is the mirror's own: mutate it only through the setters
+    below. *)
 
 val load : t -> Addr.t -> node
-(** Install a zeroed node in the committed image and return it for the
-    rebuild pass to fill.  Only attach/rebuild may call this. *)
+(** Install a zeroed node and return it for the rebuild pass to fill,
+    outside any transaction (nothing is logged).  Only attach/rebuild
+    may call this. *)
 
-val stage : t -> Ctx.ctx -> Addr.t -> node
-(** Copy-on-write handle for a mutation: returns the staged clone of
-    the node (created from [base], or zeroed for a fresh allocation)
-    and arms the transaction's outcome hook.  The caller updates the
-    returned fields {e mirroring each transactional write it issues}. *)
+(** {1 Transactional updates}
 
-val stage_free : t -> Ctx.ctx -> Addr.t -> unit
-(** Stage removal of a node (transactional [free]); applied on commit,
-    dropped on abort. *)
+    Each mirrors one transactional write the caller has just issued to
+    the media: it updates the node in place, logs the old value, and
+    arms the transaction's outcome hook.  A node setter on an address
+    the mirror does not hold installs a zeroed node first (a fresh
+    allocation), which an abort removes again. *)
 
-val stage_root : t -> Ctx.ctx -> int -> unit
-(** Stage a root change (root growth/collapse). *)
+val set_meta : t -> Ctx.ctx -> Addr.t -> int -> unit
+val set_high : t -> Ctx.ctx -> Addr.t -> int -> unit
+val set_right : t -> Ctx.ctx -> Addr.t -> int -> unit
 
-val stage_count : t -> Ctx.ctx -> int -> unit
-(** Stage a count change. *)
+val set_key : t -> Ctx.ctx -> Addr.t -> int -> int -> unit
+(** [set_key t ctx a i v] sets key slot [i] of the node at [a]. *)
+
+val set_pay : t -> Ctx.ctx -> Addr.t -> int -> int -> unit
+(** [set_pay t ctx a i v] sets payload slot [i] of the node at [a]. *)
+
+val free : t -> Ctx.ctx -> Addr.t -> unit
+(** Remove a node (transactional [free]); an abort puts it back. *)
+
+val set_root : t -> Ctx.ctx -> int -> unit
+(** A root change (root growth/collapse). *)
+
+val set_count : t -> Ctx.ctx -> int -> unit
 
 val size : t -> int
-(** Nodes in the committed image. *)
+(** Nodes in the mirror. *)
 
-val stage_size : t -> int
-(** Staged entries of the open transaction (0 between transactions). *)
+val pending : t -> int
+(** Undo-log entries of the open transaction (0 between transactions). *)
 
 val hit : t -> unit
 (** Count a mirror-served node fetch. *)

@@ -28,10 +28,10 @@ type ctx = {
           the commit or rollback itself — the transaction may then be
           durable on media — so a hook must not be the only record of an
           outcome.  Hooks are volatile bookkeeping only (DRAM caches
-          staging their deltas, e.g. the {!Specpmt_pstruct} shadow
-          mirror): they must not touch the device, and they do not
-          survive recovery — post-crash state is rebuilt from media,
-          never from hook effects.  After a commit or rollback a hook
+          settling their updates, e.g. the {!Specpmt_pstruct} shadow
+          mirror's undo log): they must not touch the device, and they
+          do not survive recovery — post-crash state is rebuilt from
+          media, never from hook effects.  After a commit or rollback a hook
           may open the next transaction.  Registering on a backend's
           ctx outside its transaction raises [Invalid_argument];
           non-transactional contexts ({!raw_ctx}) invoke the callback
@@ -75,7 +75,7 @@ let raw_ctx (heap : Specpmt_pmalloc.Heap.t) =
     free = (fun a -> Specpmt_pmalloc.Heap.free heap a);
     (* non-transactional: every effect is already final when made, so an
        outcome hook can only ever observe a commit — fire it now (which
-       is why hook users must stage their delta BEFORE registering) *)
+       is why hook users must make their update BEFORE registering) *)
     on_end = (fun f -> f true);
   }
 

@@ -698,26 +698,57 @@ let replay ?(on_store = fun _ _ -> ()) pm ~block_bytes head_slots =
   Pmem.sfence pm;
   (!max_ts, tails, !records, !entries, Lww.length touched)
 
-(* One stable counting pass over the [mask]-wide digit at [shift] of the
-   line offset from [lo] of the first [n] cells: the (address, value)
-   pairs move from [src_a]/[src_v] to [dst_a]/[dst_v]. *)
-let line_digit_pass ~n ~lo ~shift ~mask src_a src_v dst_a dst_v =
-  let digit a = ((Addr.line_index a - lo) lsr shift) land mask in
-  let start = Array.make (mask + 2) 0 in
+(* Stable LSD counting sort of the permutation [perm.(0 .. n-1)] by
+   [keys.(perm.(j))], in passes over the key's offset from the smallest
+   key.  Everything goes through [tmp] (at least [n + 3] long; clobbered):
+   its first [n] words take every other pass's output and the words past
+   them the digit counts, so the digits are as wide as that room allows,
+   up to 16 bits, and the sort allocates nothing.  Linear in [n], no
+   comparisons. *)
+let radix_sort_perm ~n ~keys perm tmp =
+  let lo = ref max_int and hi = ref min_int in
   for j = 0 to n - 1 do
-    let k = digit src_a.(j) + 1 in
-    start.(k) <- start.(k) + 1
+    let k = keys.(perm.(j)) in
+    if k < !lo then lo := k;
+    if k > !hi then hi := k
   done;
-  for k = 1 to mask + 1 do
-    start.(k) <- start.(k) + start.(k - 1)
+  let bits = ref 0 in
+  while n > 1 && (!hi - !lo) lsr !bits > 0 do
+    incr bits
   done;
-  for j = 0 to n - 1 do
-    let a = src_a.(j) in
-    let k = digit a in
-    dst_a.(start.(k)) <- a;
-    dst_v.(start.(k)) <- src_v.(j);
-    start.(k) <- start.(k) + 1
-  done
+  if !bits > 0 then begin
+    let room = Array.length tmp - n - 1 in
+    if room < 2 then invalid_arg "Log_arena.radix_sort_perm: tmp too short";
+    let max_width = ref 1 in
+    while !max_width < 16 && 1 lsl (!max_width + 1) <= room do
+      incr max_width
+    done;
+    let passes = (!bits + !max_width - 1) / !max_width in
+    let width = (!bits + passes - 1) / passes in
+    let mask = (1 lsl width) - 1 and lo = !lo in
+    (* digit [k] counts at [tmp.(n + 1 + k)], then starts at [tmp.(n + k)] *)
+    let src = ref perm and dst = ref tmp in
+    for p = 0 to passes - 1 do
+      let shift = p * width and s = !src and d = !dst in
+      Array.fill tmp n (mask + 2) 0;
+      for j = 0 to n - 1 do
+        let k = n + 1 + (((keys.(s.(j)) - lo) lsr shift) land mask) in
+        tmp.(k) <- tmp.(k) + 1
+      done;
+      for k = n + 1 to n + mask + 1 do
+        tmp.(k) <- tmp.(k) + tmp.(k - 1)
+      done;
+      for j = 0 to n - 1 do
+        let i = s.(j) in
+        let k = n + (((keys.(i) - lo) lsr shift) land mask) in
+        d.(tmp.(k)) <- i;
+        tmp.(k) <- tmp.(k) + 1
+      done;
+      src := d;
+      dst := s
+    done;
+    if !src != perm then Array.blit !src 0 perm 0 n
+  end
 
 (* Write-back of a coalesced table in ascending line order.  Insertion
    order scatters a line's cells over the whole pass, so storing every
@@ -726,38 +757,29 @@ let line_digit_pass ~n ~lo ~shift ~mask src_a src_v dst_a dst_v =
    one), and writes a line once more whenever the cache evicts it
    between two of its stores.  Sorted by line index, the pass is one
    ascending stream: a line's cells are stored, then the line is
-   flushed once.  The sort is a two-pass LSD radix on the offset from
-   the lowest live line, each digit half the offset's bit width: linear
-   in the live set, no comparisons.  It runs on the table's own dense
-   arrays, through one pair of temporary arrays, which leaves the probe
-   table stale — hence it is reset whole afterwards. *)
+   flushed once.  The cells are ordered through an index permutation,
+   with the table's probe table as the sort's temporary — hence it is
+   reset whole afterwards. *)
 let apply_collected pm (index : Lww.t) =
   let n = index.n and addr = index.addr and value = index.value in
-  let lo = ref max_int and hi = ref 0 in
+  let lines = Array.init n (fun p -> Addr.line_index addr.(p)) in
+  let order = Array.init n Fun.id in
+  radix_sort_perm ~n ~keys:lines order index.slots;
   for j = 0 to n - 1 do
-    let l = Addr.line_index addr.(j) in
-    if l < !lo then lo := l;
-    if l > !hi then hi := l
-  done;
-  if n > 1 then begin
-    let bits = ref 1 in
-    while (!hi - !lo) lsr !bits > 0 do
-      incr bits
-    done;
-    let half = (!bits + 1) / 2 in
-    let mask = (1 lsl half) - 1 in
-    let addr' = Array.make n 0 and value' = Array.make n 0 in
-    line_digit_pass ~n ~lo:!lo ~shift:0 ~mask addr value addr' value';
-    line_digit_pass ~n ~lo:!lo ~shift:half ~mask addr' value' addr value
-  end;
-  for j = 0 to n - 1 do
-    Pmem.store_int pm addr.(j) value.(j);
-    if j = n - 1 || Addr.line_index addr.(j + 1) <> Addr.line_index addr.(j)
-    then Pmem.clwb pm addr.(j)
+    let p = order.(j) in
+    Pmem.store_int pm addr.(p) value.(p);
+    if j = n - 1 || lines.(order.(j + 1)) <> lines.(p) then
+      Pmem.clwb pm addr.(p)
   done;
   Pmem.sfence pm;
   Array.fill index.slots 0 (Array.length index.slots) (-1);
   index.n <- 0
+
+let ts_addr_order ~n ~ts ~addr ~tmp =
+  let order = Array.init n Fun.id in
+  radix_sort_perm ~n ~keys:addr order tmp;
+  radix_sort_perm ~n ~keys:ts order tmp;
+  order
 
 let attach heap ~tail =
   let head_slot = tail.scan_slot and block_bytes = tail.scan_block_bytes in
@@ -945,14 +967,10 @@ let compact t =
      scan order of the new chain then agrees with the timestamp order,
      as required of any single log), its entries in ascending address
      order — so the compacted bytes depend on the log alone, not on the
-     table's layout. *)
-  let { Lww.addr; value; ts; _ } = freshest in
-  let order = Array.init live Fun.id in
-  Array.sort
-    (fun i j ->
-      let c = Int.compare ts.(i) ts.(j) in
-      if c <> 0 then c else Int.compare addr.(i) addr.(j))
-    order;
+     table's layout.  The probe table has served its purpose once the
+     scan is done; it is the sort's temporary. *)
+  let { Lww.addr; value; ts; slots; _ } = freshest in
+  let order = ts_addr_order ~n:live ~ts ~addr ~tmp:slots in
   let b0 = alloc_block t in
   let t2 = mk t.heap ~head_slot:t.head_slot ~block_bytes:t.block_bytes b0 in
   if live > 0 then begin

@@ -170,6 +170,17 @@ module Lww : sig
       grew, so a table can serve one transaction after another. *)
 end
 
+val ts_addr_order :
+  n:int -> ts:int array -> addr:int array -> tmp:int array -> int array
+(** [ts_addr_order ~n ~ts ~addr ~tmp] is the permutation of [0 .. n-1]
+    that orders the cells by ([ts.(i)], [addr.(i)]), ties kept in index
+    order: the order {!compact} writes its survivors in.  Stable LSD
+    counting passes, first by address and then by timestamp — linear in
+    [n], no comparisons — through [tmp] (at least [n + 3] long; its
+    content is clobbered), whose room past [n] words holds the digit
+    counts: the longer [tmp], the wider the digits and the fewer the
+    passes.  Allocates only the returned permutation. *)
+
 val recover_collect :
   Pmem.t ->
   head_slot:int ->

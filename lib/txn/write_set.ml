@@ -18,9 +18,10 @@ type slot = {
    [addrs]/[slots] arrays; a linear-probing index over the address space
    maps address -> position.  Slot records are reused across transactions
    ([clear] keeps them allocated), so the steady-state commit path does
-   no hashing through a generic Hashtbl and no allocation per write.  The
-   probe table only grows, so [clear] empties just the slots this
-   transaction filled. *)
+   no hashing through a generic Hashtbl and no allocation per write.
+   [clear] empties just the slots this transaction filled, and drops a
+   table that has grown far past the transaction back to its initial
+   size (see [shrink_factor]). *)
 type t = {
   mutable addrs : Addr.t array;
   mutable slots : slot array; (* parallel to addrs; records are reused *)
@@ -36,15 +37,31 @@ let dummy_slot = { old_value = 0; entry_pos = -1 }
 
 let initial_cells = 64
 
+(* A table whose cell capacity is at least [shrink_factor] times what
+   the closing transaction used (never counting fewer than
+   [initial_cells]) goes back to its initial size.  One large
+   transaction — a service shard's 65,536-cell adoption — would
+   otherwise leave a 262,144-slot probe table behind, and every later
+   one-cell transaction would probe it and recycle slot records
+   scattered over 65,536 entries, missing the host cache on every
+   [record] and [clear].  Transactions that keep using a 64th of the
+   table never shrink it, and once shrunk, transactions that fit in 64
+   cells never grow it again. *)
+let shrink_factor = 64
+
+let fresh_arrays t =
+  t.addrs <- Array.make initial_cells (-1);
+  t.slots <- Array.make initial_cells dummy_slot;
+  t.keys <- Array.make (4 * initial_cells) (-1);
+  t.vals <- Array.make (4 * initial_cells) 0;
+  t.mask <- (4 * initial_cells) - 1
+
 let create () =
-  {
-    addrs = Array.make initial_cells (-1);
-    slots = Array.make initial_cells dummy_slot;
-    n = 0;
-    keys = Array.make (4 * initial_cells) (-1);
-    vals = Array.make (4 * initial_cells) 0;
-    mask = (4 * initial_cells) - 1;
-  }
+  let t =
+    { addrs = [||]; slots = [||]; n = 0; keys = [||]; vals = [||]; mask = 0 }
+  in
+  fresh_arrays t;
+  t
 
 let size t = t.n
 
@@ -66,9 +83,12 @@ let probe t addr =
    order, so emptying the cells' slots newest first walks the table back
    to empty. *)
 let clear t =
-  for i = t.n - 1 downto 0 do
-    t.keys.(probe t t.addrs.(i)) <- -1
-  done;
+  if Array.length t.addrs >= shrink_factor * max t.n initial_cells then
+    fresh_arrays t
+  else
+    for i = t.n - 1 downto 0 do
+      t.keys.(probe t t.addrs.(i)) <- -1
+    done;
   t.n <- 0
 
 let insert_index t addr pos =

@@ -22,9 +22,13 @@ type t
 val create : unit -> t
 
 val clear : t -> unit
-(** Forget every cell, keeping the grown arrays and slot records.  Costs
-    O(cells in the transaction), however large an earlier transaction made
-    the probe table. *)
+(** Forget every cell.  Costs O(cells in the transaction), however large
+    an earlier transaction made the probe table.  The grown arrays and
+    slot records are kept for the next transaction, unless their cell
+    capacity is at least 64 times what this transaction used (counting
+    at least 64 cells): then they go back to their initial 64-cell size,
+    so one large transaction does not leave every later small one
+    probing a table sized for it. *)
 
 val size : t -> int
 

@@ -764,6 +764,33 @@ let test_hoop_readonly_skips_buffer () =
   Alcotest.(check bool) "read-after-write still probes" true
     (Specpmt_obs.Metrics.counter_value c > v0)
 
+(* An aborted HOOP transaction's reads must not reach the next commit:
+   [rollback] used to keep its read lines, and the next commit logged
+   them into its mapping record (75 stores and 11 clwbs for one write,
+   after an abort that read 32 lines). *)
+let test_hoop_rollback_drops_read_lines () =
+  let pm, heap = mk_pool () in
+  let b = Hw_registry.create heap Hw_registry.Hoop in
+  let base = Heap.alloc heap (64 * 33) in
+  let commit_one v =
+    let st = Pmem.stats pm in
+    let s0 = st.Stats.stores and c0 = st.Stats.clwbs in
+    b.Ctx.run_tx (fun ctx -> ctx.Ctx.write base v);
+    let st = Pmem.stats pm in
+    (st.Stats.stores - s0, st.Stats.clwbs - c0)
+  in
+  ignore (commit_one 1);
+  (try
+     b.Ctx.run_tx (fun ctx ->
+         for l = 1 to 32 do
+           ignore (ctx.Ctx.read (base + (64 * l)))
+         done;
+         raise Ctx.Abort)
+   with Ctx.Abort -> ());
+  Alcotest.(check (pair int int))
+    "(stores, clwbs) of a one-write commit after the abort" (7, 2)
+    (commit_one 2)
+
 let durability_cases =
   List.concat_map
     (fun kind ->
@@ -868,5 +895,7 @@ let () =
         [
           Alcotest.test_case "hoop read-only tx skips the write buffer"
             `Quick test_hoop_readonly_skips_buffer;
+          Alcotest.test_case "hoop rollback drops the read lines" `Quick
+            test_hoop_rollback_drops_read_lines;
         ] );
     ]

@@ -307,9 +307,26 @@ let prop_pbtree_crash_recover =
    differential against a fresh peek rebuild *)
 
 (* a mirrored raw-ctx handle stays coherent (the immediate-fire hook
-   path), and the mirror serves the same answers as the media *)
+   path), and the mirror serves the same answers as the media; the
+   inserts after the removals reuse the addresses of nodes the merges
+   freed, which a raw ctx returns to the heap at once *)
 let test_shadow_raw_coherent () =
-  let pm, _, ctx = mk () in
+  let pm, _, raw = mk () in
+  let freed = ref [] and reused = ref 0 in
+  let ctx =
+    {
+      raw with
+      Ctx.free =
+        (fun a ->
+          freed := a :: !freed;
+          raw.Ctx.free a);
+      alloc =
+        (fun n ->
+          let a = raw.Ctx.alloc n in
+          if List.mem a !freed then incr reused;
+          a);
+    }
+  in
   let t = Pbtree.create ~order:4 ctx () in
   Pbtree.attach_shadow ctx t;
   for i = 0 to 199 do
@@ -318,6 +335,11 @@ let test_shadow_raw_coherent () =
   for i = 0 to 49 do
     ignore (Pbtree.remove ctx t (i * 29 mod 201))
   done;
+  Pbtree.verify_shadow ctx t;
+  for i = 0 to 99 do
+    Pbtree.insert ctx t (1000 + (i * 7 mod 101)) i
+  done;
+  Alcotest.(check bool) "freed node addresses reused" true (!reused > 0);
   Pbtree.check ctx t;
   Pbtree.verify_shadow ctx t;
   (match Pbtree.shadow t with

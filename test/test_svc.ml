@@ -340,11 +340,12 @@ let test_spsc_wraparound () =
 
 (* the constant-cost tentpole in one number: steady-state committed
    writes on the serial service path must stay under a small minor-heap
-   budget per op.  Measured at ~85 words/op (completion records,
+   budget per op.  Measured at ~56 words/op (completion records,
    latency observations and admission queueing legitimately allocate;
-   backends build their ctx once, not per transaction); the budget adds
-   ~18% headroom but fails loudly if per-transaction closures, option
-   boxing or hashtable churn creep back into the write path. *)
+   backends build their ctx once, not per transaction; the device
+   clocks are unboxed); the budget adds ~20% headroom but fails loudly
+   if per-transaction closures, option boxing, boxed floats or hashtable
+   churn creep back into the write path. *)
 let test_alloc_budget_per_write () =
   let _, svc =
     mk_svc { Service.shards = 1; batch_max = 8; depth = 128; keys = 64 }
@@ -372,8 +373,39 @@ let test_alloc_budget_per_write () =
   done;
   let per_op = (Gc.minor_words () -. w0) /. float_of_int (rounds * 64) in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per committed write <= 100" per_op)
-    true (per_op <= 100.0)
+    (Printf.sprintf "%.1f minor words per committed write <= 68" per_op)
+    true (per_op <= 68.0)
+
+(* The index side of the same budget: one insert per SpecSPMT
+   transaction into an order-8 mirrored tree, 10,000 random keys after a
+   10,000-key warm-up.  The mirror is updated in place under a reused
+   undo log, so an insert allocates no node copies: ~96 words
+   measured, against ~433 when every first write to a node copied it. *)
+let test_alloc_budget_mirrored_insert () =
+  let open Specpmt_txn in
+  let open Specpmt_pstruct in
+  let pm = Pmem.create ~seed:5 Config.default in
+  let heap = Heap.create pm in
+  let b =
+    Specpmt_backends.Registry.create heap Specpmt_backends.Registry.Spec
+  in
+  let t = b.Ctx.run_tx (fun ctx -> Pbtree.create ~order:8 ctx ()) in
+  Pbtree.attach_shadow (Ctx.peek_ctx pm) t;
+  let rng = Random.State.make [| 11 |] in
+  let inserts n =
+    for _ = 1 to n do
+      let k = 1 + Random.State.int rng 1_000_000_000 in
+      b.Ctx.run_tx (fun ctx -> Pbtree.insert ctx t k k)
+    done
+  in
+  inserts 10_000;
+  let w0 = Gc.minor_words () in
+  inserts 10_000;
+  let per_insert = (Gc.minor_words () -. w0) /. 10_000.0 in
+  Pbtree.verify_shadow (Ctx.peek_ctx pm) t;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per mirrored insert <= 150" per_insert)
+    true (per_insert <= 150.0)
 
 (* ---------- descent-read budget (shadow mirror) ---------- *)
 
@@ -835,6 +867,8 @@ let () =
         [
           Alcotest.test_case "minor words per committed write" `Quick
             test_alloc_budget_per_write;
+          Alcotest.test_case "minor words per mirrored index insert" `Quick
+            test_alloc_budget_mirrored_insert;
         ] );
       ( "reads",
         [

@@ -147,6 +147,26 @@ let test_write_set_clear_after_big () =
   Write_set.iter_newest_first ws (fun a _ -> newest := a :: !newest);
   Alcotest.(check (list int)) "newest first" tiny !newest
 
+(* A write set goes back to its initial size after a transaction that
+   left it oversized: after one 65,536-cell transaction and one
+   one-cell transaction it is within 2x a fresh write set's footprint. *)
+let test_write_set_shrinks_back () =
+  let words ws = Obj.reachable_words (Obj.repr ws) in
+  let fresh = words (Write_set.create ()) in
+  let ws = Write_set.create () in
+  for x = 0 to 65_535 do
+    ignore (Write_set.record ws (8 * x) ~old_value:x)
+  done;
+  Write_set.clear ws;
+  ignore (Write_set.record ws 8 ~old_value:1);
+  Write_set.clear ws;
+  if words ws > 2 * fresh then
+    Alcotest.failf "%d words reachable after the big transaction, fresh %d"
+      (words ws) fresh;
+  let _, first = Write_set.record ws 8 ~old_value:2 in
+  Alcotest.(check bool) "first write after the shrink" true first;
+  Alcotest.(check int) "one cell" 1 (Write_set.size ws)
+
 (* Differential test against a Hashtbl model: tiny transactions around
    one > 65,536-cell transaction, addresses from colliding classes that
    the big transaction also filled. *)
@@ -518,6 +538,47 @@ let test_compact_preserves_timestamps () =
       (2, [ (8, 2) ]);
     ]
     (scan_all pm)
+
+(* Compaction's linear-time order against a comparison sort by
+   (timestamp, address), ties in index order, on random
+   tables over narrow and wide key ranges, tables whose timestamps are
+   all equal, and tables of 0-2 entries. *)
+let test_compaction_order_differential () =
+  let rng = Random.State.make [| 23 |] in
+  let check ?(tmp_words = fun n -> (2 * n) + 3) what ~ts ~addr =
+    let n = Array.length ts in
+    let expect = Array.init n Fun.id in
+    Array.stable_sort
+      (fun i j ->
+        let c = Int.compare ts.(i) ts.(j) in
+        if c <> 0 then c else Int.compare addr.(i) addr.(j))
+      expect;
+    let got =
+      Log_arena.ts_addr_order ~n ~ts ~addr ~tmp:(Array.make (tmp_words n) (-1))
+    in
+    if got <> expect then Alcotest.failf "%s (n = %d): orders differ" what n
+  in
+  let table n ~ts_range ~addr_range =
+    ( Array.init n (fun _ -> 1 + Random.State.full_int rng ts_range),
+      Array.init n (fun _ -> 8 * Random.State.int rng addr_range) )
+  in
+  for n = 0 to 2 do
+    for _ = 1 to 20 do
+      let ts, addr = table n ~ts_range:3 ~addr_range:4 in
+      check "tiny" ~ts ~addr
+    done
+  done;
+  List.iter
+    (fun (ts_range, addr_range) ->
+      for _ = 1 to 5 do
+        let n = Random.State.int rng 5_000 in
+        let ts, addr = table n ~ts_range ~addr_range in
+        check "random" ~ts ~addr;
+        (* the shortest temporary: 1-bit digits, one pass per key bit *)
+        check "random, tight temporary" ~tmp_words:(fun n -> n + 3) ~ts ~addr;
+        check "equal timestamps" ~ts:(Array.make n 7) ~addr
+      done)
+    [ (5, 1 lsl 8); (100_000, 1 lsl 23); (1 lsl 40, 1 lsl 23); (1 lsl 20, 64) ]
 
 (* coalescing scan *)
 
@@ -1448,6 +1509,8 @@ let () =
             test_write_set_first_and_order;
           Alcotest.test_case "clear after a 65,536-cell tx" `Quick
             test_write_set_clear_after_big;
+          Alcotest.test_case "shrinks back after a 65,536-cell tx" `Quick
+            test_write_set_shrinks_back;
           QCheck_alcotest.to_alcotest prop_write_set_model;
         ] );
       ( "reset",
@@ -1478,6 +1541,8 @@ let () =
             test_compact_is_crash_atomic;
           Alcotest.test_case "compact preserves timestamps" `Quick
             test_compact_preserves_timestamps;
+          Alcotest.test_case "compaction order = comparator order" `Quick
+            test_compaction_order_differential;
           Alcotest.test_case "recover_collect last-writer-wins" `Quick
             test_recover_collect_last_writer_wins;
           Alcotest.test_case "replay: one log" `Quick (test_replay ~logs:1);
