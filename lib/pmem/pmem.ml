@@ -10,6 +10,27 @@ external media_set64 : media -> int -> int64 -> unit = "%caml_bigstring_set64u"
 external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
+
+(* Cache lines are 64 bytes ([Addr.line_size]).  The access paths do
+   their own line arithmetic with these constants: the dev build
+   compiles each module [-opaque], so a call to an [Addr] helper is an
+   indirect call through its module block on every access, and
+   [Addr.line_size] a load and a multiply. *)
+let line_shift = 6
+let line_size = 1 lsl line_shift
+let line_mask = line_size - 1
+let () = assert (Addr.line_size = line_size)
+
+(* A cached line's bytes are little-endian, the encoding [load_bytes]
+   hands out; [%big_endian] is a compile-time constant, so on a
+   little-endian host these are one unchecked 64-bit access. *)
+let[@inline] get_le b off =
+  let v = bytes_get64 b off in
+  if big_endian () then swap64 v else v
+
+let[@inline] set_le b off v =
+  bytes_set64 b off (if big_endian () then swap64 v else v)
 
 (* The cache is a flat, fully associative pool of [cache_capacity_lines + 1]
    line slots (the +1 is headroom for the insert-then-evict order of the
@@ -25,6 +46,8 @@ external swap64 : int64 -> int64 = "%bswap_int64"
 type t = {
   cfg : Config.t;
   media : media; (* shared across views; off-heap, domain-safe *)
+  mem : int; (* [cfg.mem_size] *)
+  last_word : int; (* [mem - 8]: the highest word address *)
   slot_of : int array; (* line index -> slot, -1 when uncached *)
   slot_line : int array; (* slot -> line index, -1 when free *)
   slot_dirty : Bytes.t; (* slot -> 0/1 *)
@@ -78,19 +101,19 @@ let make_view cfg media seed =
   if cfg.Config.cache_capacity_lines < 1 then
     invalid_arg "Pmem: cache_capacity_lines < 1";
   (* whole lines only: line copies are unchecked word accesses *)
-  if cfg.Config.mem_size mod Addr.line_size <> 0 then
+  if cfg.Config.mem_size mod line_size <> 0 then
     invalid_arg "Pmem: mem_size is not a whole number of lines";
-  let mem_lines =
-    (cfg.Config.mem_size + Addr.line_size - 1) / Addr.line_size
-  in
+  let mem_lines = cfg.Config.mem_size / line_size in
   let nslots = cfg.Config.cache_capacity_lines + 1 in
   {
     cfg;
     media;
+    mem = cfg.Config.mem_size;
+    last_word = cfg.Config.mem_size - 8;
     slot_of = Array.make mem_lines (-1);
     slot_line = Array.make nslots (-1);
     slot_dirty = Bytes.make nslots '\000';
-    slot_data = Bytes.create (nslots * Addr.line_size);
+    slot_data = Bytes.create (nslots * line_size);
     fifo_next = Array.make nslots (-1);
     fifo_prev = Array.make nslots (-1);
     fifo_head = -1;
@@ -98,7 +121,7 @@ let make_view cfg media seed =
     free_slots = Array.init nslots (fun i -> nslots - 1 - i);
     free_top = nslots;
     occupied = 0;
-    nt_scratch = Bytes.create Addr.line_size;
+    nt_scratch = Bytes.create line_size;
     stats = Stats.create ();
     clock = Array.make 3 0.0;
     rng = Random.State.make [| seed; 0x5ec; 0x9a7e |];
@@ -132,30 +155,68 @@ let stats t =
   if s.Stats.bg_ns <> t.clock.(bg) then s.Stats.bg_ns <- t.clock.(bg);
   s
 
-let mem_size t = t.cfg.Config.mem_size
+let mem_size t = t.mem
 
 (* every armed count at or below 1 crashes on the next event *)
 let set_fuse t = function None -> t.fuse <- 0 | Some n -> t.fuse <- max n 1
 let events t = t.events
 
-let burn_fuse t =
-  t.events <- t.events + 1;
-  if t.fuse > 0 then if t.fuse = 1 then raise Crash else t.fuse <- t.fuse - 1
+(* {2 The access prologue}
 
-let charge t ns = if t.metered then t.clock.(fg) <- t.clock.(fg) +. ns
+   Every entry point starts the same way, and in this order: one test of
+   the address, then one fuse event, then (when metered) its counter and
+   clock.  A rejected address therefore burns no event, and a crashing
+   event has counted nothing.  The tests and the fuse's countdown are
+   inlined; what they rarely lead to (raising, counting the fuse down)
+   is out of line. *)
+
+let[@inline never] out_of_bounds addr len =
+  Fmt.invalid_arg "Pmem: address out of bounds: %d (+%d)" addr len
+
+let[@inline never] bad_word t addr =
+  if addr >= 0 && addr <= t.last_word then
+    Fmt.invalid_arg "Pmem: misaligned word address: %d" addr
+  else out_of_bounds addr 8
+
+(* sign bit: below 0 or past [last_word]; low bits: misaligned *)
+let word_reject = min_int lor 7
+
+(* A word access needs [0 <= addr <= last_word] and [addr] a multiple of
+   8.  [last_word - addr] is negative past the end, and a multiple of 8
+   exactly when [addr] is ([last_word] is one), so the two tests fold
+   into one branch.  The hit paths' unchecked 64-bit accesses rely on
+   it, so it is a test, not an [assert] that [-noassert] would drop. *)
+let[@inline] check_word t addr =
+  if (addr lor (t.last_word - addr)) land word_reject <> 0 then
+    bad_word t addr
+
+(* [0 <= addr] and [addr + len <= mem], [len >= 0], without the
+   overflow of [addr + len] *)
+let[@inline] check_range t addr len =
+  if addr lor len lor (t.mem - len - addr) < 0 then out_of_bounds addr len
+
+let[@inline never] fuse_tick t =
+  if t.fuse = 1 then raise Crash else t.fuse <- t.fuse - 1
+
+let[@inline] event t =
+  t.events <- t.events + 1;
+  if t.fuse > 0 then fuse_tick t
+
+let[@inline] advance t ns =
+  Array.unsafe_set t.clock fg (Array.unsafe_get t.clock fg +. ns)
+
+let charge t ns = if t.metered then advance t ns
 let charge_ns = charge
 let charge_bg_ns t ns = if t.metered then t.clock.(bg) <- t.clock.(bg) +. ns
 
-let count f t = if t.metered then f t.stats
-
 (* {2 Raw media access} *)
 
-let line_words = Addr.line_size / 8
+let line_words = line_size / 8
 
 (* Callers pass offsets of whole lines or words inside [media] and the
    slot payloads, so the unchecked accesses stay in bounds. *)
 let media_read_line t li dst dst_off =
-  let base = li * Addr.line_size in
+  let base = li lsl line_shift in
   for w = 0 to line_words - 1 do
     bytes_set64 dst (dst_off + (8 * w)) (media_get64 t.media (base + (8 * w)))
   done
@@ -172,7 +233,7 @@ let media_blit_out t src src_off media_off words =
 (* Write one line of content to the media image, with traffic accounting
    and sequential-stream detection. *)
 let media_write_line t li (src : Bytes.t) src_off =
-  media_blit_out t src src_off (li * Addr.line_size) line_words;
+  media_blit_out t src src_off (li lsl line_shift) line_words;
   if t.metered then begin
     t.stats.Stats.pm_write_lines <- t.stats.Stats.pm_write_lines + 1;
     if li = t.last_persist_line + 1 || li = t.last_persist_line then
@@ -230,53 +291,55 @@ let evict_capacity t =
     fifo_unlink t s;
     let li = t.slot_line.(s) in
     if is_dirty t s then begin
-      count (fun st -> st.Stats.evictions <- st.Stats.evictions + 1) t;
+      if t.metered then t.stats.Stats.evictions <- t.stats.Stats.evictions + 1;
       (* the cost must be read off before the write-back advances
          [last_persist_line] to the victim, otherwise every capacity
          eviction bills the sequential rate regardless of locality *)
       let cost = line_write_cost t li in
-      media_write_line t li t.slot_data (s * Addr.line_size);
+      media_write_line t li t.slot_data (s lsl line_shift);
       charge_bg_ns t cost
     end;
     release_slot t s
   done
 
-(* Fetch a line into the cache (clean copy from media) if absent;
-   returns the slot id. *)
-let get_slot t li ~for_load =
-  let s = t.slot_of.(li) in
+(* The miss path: fetch absent line [li] into the cache (a clean copy
+   from media), evicting past capacity; returns its slot. *)
+let[@inline never] fill t li ~for_load =
+  if for_load then begin
+    if t.metered then
+      t.stats.Stats.pm_read_lines <- t.stats.Stats.pm_read_lines + 1;
+    (* a miss continuing the previous miss's stream is bandwidth-bound:
+       prefetch hides the media latency (the read-side twin of the
+       sequential-write fast path) *)
+    let seq = li = t.last_read_line + 1 || li = t.last_read_line in
+    if seq then begin
+      if t.metered then
+        t.stats.Stats.pm_read_lines_seq <- t.stats.Stats.pm_read_lines_seq + 1;
+      charge t t.cfg.Config.pm_seq_read_ns
+    end
+    else charge t t.cfg.Config.pm_read_ns;
+    if t.metered then t.last_read_line <- li
+  end
+  else charge t t.cfg.Config.l1_hit_ns;
+  let s = alloc_slot t in
+  t.slot_of.(li) <- s;
+  t.slot_line.(s) <- li;
+  Bytes.unsafe_set t.slot_dirty s '\000';
+  media_read_line t li t.slot_data (s lsl line_shift);
+  fifo_push t s;
+  t.occupied <- t.occupied + 1;
+  evict_capacity t;
+  s
+
+(* Line [li]'s slot, with the access charge; a miss fills it.  [li] is
+   in bounds: every caller has passed the prologue. *)
+let[@inline] slot t li ~for_load =
+  let s = Array.unsafe_get t.slot_of li in
   if s >= 0 then begin
     charge t t.cfg.Config.l1_hit_ns;
     s
   end
-  else begin
-    if for_load then begin
-      count (fun st -> st.Stats.pm_read_lines <- st.Stats.pm_read_lines + 1) t;
-      (* a miss continuing the previous miss's stream is bandwidth-bound:
-         prefetch hides the media latency (the read-side twin of the
-         sequential-write fast path) *)
-      let seq = li = t.last_read_line + 1 || li = t.last_read_line in
-      if seq then begin
-        count
-          (fun st ->
-            st.Stats.pm_read_lines_seq <- st.Stats.pm_read_lines_seq + 1)
-          t;
-        charge t t.cfg.Config.pm_seq_read_ns
-      end
-      else charge t t.cfg.Config.pm_read_ns;
-      if t.metered then t.last_read_line <- li
-    end
-    else charge t t.cfg.Config.l1_hit_ns;
-    let s = alloc_slot t in
-    t.slot_of.(li) <- s;
-    t.slot_line.(s) <- li;
-    Bytes.unsafe_set t.slot_dirty s '\000';
-    media_read_line t li t.slot_data (s * Addr.line_size);
-    fifo_push t s;
-    t.occupied <- t.occupied + 1;
-    evict_capacity t;
-    s
-  end
+  else fill t li ~for_load
 
 (* Write every dirty cached line back to media and empty the cache —
    the handoff fence when line ownership moves between views (e.g. a
@@ -301,8 +364,8 @@ let detach_cache t =
   let s = ref t.fifo_head in
   while !s >= 0 do
     if is_dirty t !s then
-      media_blit_out t t.slot_data (!s * Addr.line_size)
-        (t.slot_line.(!s) * Addr.line_size)
+      media_blit_out t t.slot_data (!s lsl line_shift)
+        (t.slot_line.(!s) lsl line_shift)
         line_words;
     s := t.fifo_next.(!s)
   done;
@@ -315,7 +378,9 @@ let discard_cache t = clear_cache t
 
 (* Accept one line into the write-pending queue: may stall the foreground
    if the queue is full; the drain itself is asynchronous and paid by the
-   next fence. *)
+   next fence.  The ring holds at most [Array.length wpq] entries and
+   [wpq_head] stays below that, so an index past the end wraps with one
+   subtraction. *)
 let wpq_accept t li =
   (* background-core persists do not occupy the foreground's
      write-pending queue in the model *)
@@ -329,56 +394,81 @@ let wpq_accept t li =
       if t.clock.(fg) < oldest then
         t.clock.(fg) <- t.clock.(fg) +. (oldest -. t.clock.(fg));
       while t.wpq_len > 0 && t.wpq.(t.wpq_head) <= t.clock.(fg) do
-        t.wpq_head <- (t.wpq_head + 1) mod wcap;
+        let h = t.wpq_head + 1 in
+        t.wpq_head <- (if h = wcap then 0 else h);
         t.wpq_len <- t.wpq_len - 1
       done
     end;
-    charge t cfg.Config.wpq_accept_ns;
+    advance t cfg.Config.wpq_accept_ns;
     let start = Float.max t.clock.(fg) t.clock.(wpq_last) in
     let completion = start +. line_write_cost t li in
     t.clock.(wpq_last) <- completion;
-    t.wpq.((t.wpq_head + t.wpq_len) mod wcap) <- completion;
+    let i = t.wpq_head + t.wpq_len in
+    t.wpq.(if i >= wcap then i - wcap else i) <- completion;
     t.wpq_len <- t.wpq_len + 1
   end
 
-let check_bounds t addr len =
-  if addr < 0 || addr + len > t.cfg.Config.mem_size then
-    Fmt.invalid_arg "Pmem: address out of bounds: %d (+%d)" addr len
+(* The word paths: the prologue, then on a hit one [slot_of] lookup,
+   the counter and the hit charge under one [metered] test, and one
+   64-bit access at the slot's offset.  A miss goes out of line to the
+   same accounting [slot] gives the byte paths. *)
+
+let[@inline never] load_miss t addr =
+  if t.metered then t.stats.Stats.loads <- t.stats.Stats.loads + 1;
+  fill t (addr lsr line_shift) ~for_load:true
 
 let load_int t addr =
-  assert (Addr.is_word_aligned addr);
-  check_bounds t addr 8;
-  burn_fuse t;
-  count (fun s -> s.Stats.loads <- s.Stats.loads + 1) t;
-  let s = get_slot t (Addr.line_index addr) ~for_load:true in
+  check_word t addr;
+  event t;
+  let s = Array.unsafe_get t.slot_of (addr lsr line_shift) in
+  let s =
+    if s >= 0 then begin
+      if t.metered then begin
+        t.stats.Stats.loads <- t.stats.Stats.loads + 1;
+        advance t t.cfg.Config.l1_hit_ns
+      end;
+      s
+    end
+    else load_miss t addr
+  in
   Int64.to_int
-    (Bytes.get_int64_le t.slot_data
-       ((s * Addr.line_size) + Addr.offset_in_line addr))
+    (get_le t.slot_data ((s lsl line_shift) lor (addr land line_mask)))
+
+let[@inline never] store_miss t addr =
+  if t.metered then t.stats.Stats.stores <- t.stats.Stats.stores + 1;
+  fill t (addr lsr line_shift) ~for_load:false
 
 let store_int t addr v =
-  assert (Addr.is_word_aligned addr);
-  check_bounds t addr 8;
-  burn_fuse t;
-  count (fun s -> s.Stats.stores <- s.Stats.stores + 1) t;
-  let s = get_slot t (Addr.line_index addr) ~for_load:false in
-  Bytes.set_int64_le t.slot_data
-    ((s * Addr.line_size) + Addr.offset_in_line addr)
+  check_word t addr;
+  event t;
+  let s = Array.unsafe_get t.slot_of (addr lsr line_shift) in
+  let s =
+    if s >= 0 then begin
+      if t.metered then begin
+        t.stats.Stats.stores <- t.stats.Stats.stores + 1;
+        advance t t.cfg.Config.l1_hit_ns
+      end;
+      s
+    end
+    else store_miss t addr
+  in
+  set_le t.slot_data
+    ((s lsl line_shift) lor (addr land line_mask))
     (Int64.of_int v);
   set_dirty t s
 
 let load_bytes t addr len =
-  check_bounds t addr len;
-  burn_fuse t;
-  count (fun s -> s.Stats.loads <- s.Stats.loads + 1) t;
+  check_range t addr len;
+  event t;
+  if t.metered then t.stats.Stats.loads <- t.stats.Stats.loads + 1;
   let out = Bytes.create len in
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let li = Addr.line_index a in
-    let off = Addr.offset_in_line a in
-    let n = min (Addr.line_size - off) (len - !pos) in
-    let s = get_slot t li ~for_load:true in
-    Bytes.blit t.slot_data ((s * Addr.line_size) + off) out !pos n;
+    let off = a land line_mask in
+    let n = min (line_size - off) (len - !pos) in
+    let s = slot t (a lsr line_shift) ~for_load:true in
+    Bytes.blit t.slot_data ((s lsl line_shift) + off) out !pos n;
     pos := !pos + n
   done;
   out
@@ -386,35 +476,36 @@ let load_bytes t addr len =
 let store_bytes t addr b =
   let len = Bytes.length b in
   if len > 0 then begin
-    check_bounds t addr len;
-    burn_fuse t;
-    count (fun s -> s.Stats.stores <- s.Stats.stores + 1) t;
+    check_range t addr len;
+    event t;
+    if t.metered then t.stats.Stats.stores <- t.stats.Stats.stores + 1;
     let pos = ref 0 in
     while !pos < len do
       let a = addr + !pos in
-      let li = Addr.line_index a in
-      let off = Addr.offset_in_line a in
-      let n = min (Addr.line_size - off) (len - !pos) in
-      let s = get_slot t li ~for_load:false in
-      Bytes.blit b !pos t.slot_data ((s * Addr.line_size) + off) n;
+      let off = a land line_mask in
+      let n = min (line_size - off) (len - !pos) in
+      let s = slot t (a lsr line_shift) ~for_load:false in
+      Bytes.blit b !pos t.slot_data ((s lsl line_shift) + off) n;
       set_dirty t s;
       pos := !pos + n
     done
   end
 
 let clwb t addr =
-  check_bounds t addr 1;
-  burn_fuse t;
-  count (fun s -> s.Stats.clwbs <- s.Stats.clwbs + 1) t;
-  charge t t.cfg.Config.clwb_issue_ns;
+  check_range t addr 1;
+  event t;
+  if t.metered then begin
+    t.stats.Stats.clwbs <- t.stats.Stats.clwbs + 1;
+    advance t t.cfg.Config.clwb_issue_ns
+  end;
   if not t.cfg.Config.eadr then begin
-    let li = Addr.line_index addr in
-    let s = t.slot_of.(li) in
+    let li = addr lsr line_shift in
+    let s = Array.unsafe_get t.slot_of li in
     if s >= 0 && is_dirty t s then begin
       (* accepted by the WPQ: persistent now, drain time paid at the
          fence *)
       wpq_accept t li;
-      media_write_line t li t.slot_data (s * Addr.line_size);
+      media_write_line t li t.slot_data (s lsl line_shift);
       Bytes.unsafe_set t.slot_dirty s '\000'
     end
   end
@@ -424,20 +515,23 @@ let clwb t addr =
    victim is unlinked from the eviction FIFO, not just unmapped. *)
 let clflushopt t addr =
   clwb t addr;
-  let s = t.slot_of.(Addr.line_index addr) in
+  let s = Array.unsafe_get t.slot_of (addr lsr line_shift) in
   if s >= 0 then invalidate_slot t s
 
 let sfence t =
-  burn_fuse t;
-  count (fun s -> s.Stats.fences <- s.Stats.fences + 1) t;
-  let latest =
-    if t.wpq_len = 0 then t.clock.(fg)
-    else
-      (* completions are monotone: the tail entry is the latest *)
-      Float.max t.clock.(fg)
-        t.wpq.((t.wpq_head + t.wpq_len - 1) mod Array.length t.wpq)
-  in
-  if t.metered then t.clock.(fg) <- latest +. t.cfg.Config.fence_ns;
+  event t;
+  if t.metered then begin
+    t.stats.Stats.fences <- t.stats.Stats.fences + 1;
+    let latest =
+      if t.wpq_len = 0 then t.clock.(fg)
+      else
+        (* completions are monotone: the tail entry is the latest *)
+        let i = t.wpq_head + t.wpq_len - 1 in
+        let wcap = Array.length t.wpq in
+        Float.max t.clock.(fg) t.wpq.(if i >= wcap then i - wcap else i)
+    in
+    t.clock.(fg) <- latest +. t.cfg.Config.fence_ns
+  end;
   t.wpq_head <- 0;
   t.wpq_len <- 0
 
@@ -448,23 +542,24 @@ let nt_store_bytes t addr b =
   else
     let len = Bytes.length b in
     if len > 0 then begin
-      check_bounds t addr len;
-      burn_fuse t;
-      count (fun s -> s.Stats.nt_stores <- s.Stats.nt_stores + 1) t;
+      check_range t addr len;
+      event t;
+      if t.metered then
+        t.stats.Stats.nt_stores <- t.stats.Stats.nt_stores + 1;
       let pos = ref 0 in
       while !pos < len do
         let a = addr + !pos in
-        let li = Addr.line_index a in
-        let off = Addr.offset_in_line a in
-        let n = min (Addr.line_size - off) (len - !pos) in
+        let li = a lsr line_shift in
+        let off = a land line_mask in
+        let n = min (line_size - off) (len - !pos) in
         (* write-combining through the WPQ; cached copies are invalidated,
            merging with any cached dirty content first so that unrelated
            bytes of the line are not lost *)
-        let s = t.slot_of.(li) in
+        let s = Array.unsafe_get t.slot_of li in
         if s >= 0 then begin
-          Bytes.blit b !pos t.slot_data ((s * Addr.line_size) + off) n;
+          Bytes.blit b !pos t.slot_data ((s lsl line_shift) + off) n;
           wpq_accept t li;
-          media_write_line t li t.slot_data (s * Addr.line_size);
+          media_write_line t li t.slot_data (s lsl line_shift);
           invalidate_slot t s
         end
         else begin
@@ -478,13 +573,10 @@ let nt_store_bytes t addr b =
     end
 
 let flush_range t addr len =
-  if len > 0 then begin
-    let first = Addr.line_index addr in
-    let last = Addr.line_index (addr + len - 1) in
-    for li = first to last do
-      clwb t (li * Addr.line_size)
+  if len > 0 then
+    for li = addr lsr line_shift to (addr + len - 1) lsr line_shift do
+      clwb t (li lsl line_shift)
     done
-  end
 
 let dirty_lines t =
   let acc = ref [] in
@@ -497,9 +589,7 @@ let dirty_lines t =
 
 let dirty_words t =
   List.concat_map
-    (fun li ->
-      List.init (Addr.line_size / 8) (fun w ->
-          (li * Addr.line_size) + (w * 8)))
+    (fun li -> List.init line_words (fun w -> (li lsl line_shift) + (w * 8)))
     (dirty_lines t)
 
 (* Oracle-driven crash: [persist] decides, per dirty 8-byte word in
@@ -513,10 +603,10 @@ let crash_with t ~persist =
       if s >= 0 then
         (* each 8-byte word may have drained independently (stores are
            word-atomic with respect to persistence) *)
-        for w = 0 to (Addr.line_size / 8) - 1 do
-          let addr = (li * Addr.line_size) + (w * 8) in
+        for w = 0 to line_words - 1 do
+          let addr = (li lsl line_shift) + (w * 8) in
           if t.cfg.Config.eadr || persist addr then
-            media_blit_out t t.slot_data ((s * Addr.line_size) + (w * 8))
+            media_blit_out t t.slot_data ((s lsl line_shift) + (w * 8))
               addr 1
         done)
     (dirty_lines t);
@@ -533,10 +623,10 @@ let crash t =
     (fun li ->
       let s = t.slot_of.(li) in
       if s >= 0 then
-        for w = 0 to (Addr.line_size / 8) - 1 do
+        for w = 0 to line_words - 1 do
           if Random.State.float t.rng 1.0 < p then
-            media_blit_out t t.slot_data ((s * Addr.line_size) + (w * 8))
-              ((li * Addr.line_size) + (w * 8))
+            media_blit_out t t.slot_data ((s lsl line_shift) + (w * 8))
+              ((li lsl line_shift) + (w * 8))
               1
         done)
     (dirty_lines t);
@@ -548,19 +638,16 @@ let with_unmetered t f =
   t.metered <- false;
   Fun.protect ~finally:(fun () -> t.metered <- saved) f
 
-(* little-endian, as the cache's [Bytes.get_int64_le] reads it *)
+(* little-endian, as the cache's [get_le] reads it *)
 let peek_media_int t addr =
-  assert (Addr.is_word_aligned addr);
-  check_bounds t addr 8;
+  check_word t addr;
   let v = media_get64 t.media addr in
-  Int64.to_int (if Sys.big_endian then swap64 v else v)
+  Int64.to_int (if big_endian () then swap64 v else v)
 
 let peek_volatile_int t addr =
-  assert (Addr.is_word_aligned addr);
-  check_bounds t addr 8;
-  let s = t.slot_of.(Addr.line_index addr) in
+  check_word t addr;
+  let s = Array.unsafe_get t.slot_of (addr lsr line_shift) in
   if s >= 0 then
     Int64.to_int
-      (Bytes.get_int64_le t.slot_data
-         ((s * Addr.line_size) + Addr.offset_in_line addr))
+      (get_le t.slot_data ((s lsl line_shift) lor (addr land line_mask)))
   else peek_media_int t addr

@@ -65,7 +65,14 @@ val discard_cache : t -> unit
     {!detach_cache}.  Unpersisted stores in this view are lost, as a
     power failure would lose one core's caches. *)
 
-(** {1 Data access} *)
+(** {1 Data access}
+
+    Every access and persistence call below is one fuse event ({!events};
+    the byte-string calls only with a non-empty buffer).  An address
+    outside the image raises [Invalid_argument] before that event, so a
+    rejected call has no effect at all; so does a word access
+    ({!load_int}, {!store_int}) at an address that is not 8-byte
+    aligned. *)
 
 val load_int : t -> Addr.t -> int
 (** 8-byte load of a 63-bit OCaml [int] at an 8-byte-aligned address. *)

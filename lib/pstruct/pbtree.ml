@@ -704,16 +704,18 @@ let fail fmt = Fmt.kstr (fun s -> failwith ("Pbtree.check: " ^ s)) fmt
    the mirror against itself *)
 let check (ctx : Ctx.ctx) t =
   let min_keys = t.order / 2 in
-  (* nodes per depth in left-to-right walk order, for the chain audit *)
-  let levels : (int, Addr.t list ref) Hashtbl.t = Hashtbl.create 8 in
+  (* [levels.(d)]: the nodes at depth [d], newest first, for the chain
+     audit; the walk reaches depth [d + 1] only through depth [d], so
+     the array grows one level at a time *)
+  let levels = ref [||] in
   let leaf_depth = ref (-1) in
   let entries = ref 0 in
   (* subtree keys must lie in (lo, hi]; [hi] is also the separator the
      parent holds for this node *)
   let rec walk n ~lo ~hi ~depth ~is_root =
-    (match Hashtbl.find_opt levels depth with
-    | Some l -> l := n :: !l
-    | None -> Hashtbl.add levels depth (ref [ n ]));
+    if depth = Array.length !levels then
+      levels := Array.append !levels [| [] |];
+    !levels.(depth) <- n :: !levels.(depth);
     let m = r_meta ctx n in
     let nk = nkeys_of m in
     let leaf = leaf_of m in
@@ -754,10 +756,12 @@ let check (ctx : Ctx.ctx) t =
   in
   walk (ctx.Ctx.read (h_root t.hdr)) ~lo:min_int ~hi:no_key ~depth:0
     ~is_root:true;
-  (* every level's right links must chain its nodes in walk order *)
-  Hashtbl.iter
+  (* every level's right links must chain its nodes in walk order,
+     audited from the root down: the first broken link reported is the
+     shallowest, whatever the hash seed *)
+  Array.iteri
     (fun depth l ->
-      let nodes = Array.of_list (List.rev !l) in
+      let nodes = Array.of_list (List.rev l) in
       let last = Array.length nodes - 1 in
       Array.iteri
         (fun i n ->
@@ -766,7 +770,7 @@ let check (ctx : Ctx.ctx) t =
             fail "node %#x (depth %d): right link %#x, expected %#x" n depth
               (r_right ctx n) expect)
         nodes)
-    levels;
+    !levels;
   let count = ctx.Ctx.read (h_count t.hdr) in
   if count <> !entries then
     fail "header count %d, %d leaf entries" count !entries

@@ -33,15 +33,16 @@ let crc32c ?(init = 0) b =
 (* entry [b] (masked to a byte) of slicing table [k] *)
 let[@inline] slice k b = Array.unsafe_get tables ((k lsl 8) lor (b land 0xFF))
 
-(* One slicing-by-8 step: the word's 8 LE bytes are looked up in the 8
-   tables at once instead of fed through 8 dependent byte steps.  The low
-   4 bytes absorb the running state; byte k of the word is shifted by
-   7 - k further bytes, hence table 7 - k.  Bytes must match [words]'s
-   Int64 LE encoding, including the sign-extended top byte of negative
-   tags — hence [asr], not [lsr].  Every index is masked to a byte, so
-   the unchecked reads stay in bounds. *)
-let crc32c_word init w =
-  let lo = init lxor 0xFFFFFFFF lxor (w land 0xFFFFFFFF) in
+(* One slicing-by-8 step on the raw (unfinalized) state [c]: the word's
+   8 LE bytes are looked up in the 8 tables at once instead of fed
+   through 8 dependent byte steps.  The low 4 bytes absorb the running
+   state; byte k of the word is shifted by 7 - k further bytes, hence
+   table 7 - k.  Bytes must match [words]'s Int64 LE encoding, including
+   the sign-extended top byte of negative tags — hence [asr], not
+   [lsr].  Every index is masked to a byte, so the unchecked reads stay
+   in bounds. *)
+let[@inline] step c w =
+  let lo = c lxor (w land 0xFFFFFFFF) in
   let hi = w asr 32 in
   slice 7 lo
   lxor slice 6 (lo lsr 8)
@@ -51,7 +52,13 @@ let crc32c_word init w =
   lxor slice 2 (hi asr 8)
   lxor slice 1 (hi asr 16)
   lxor slice 0 (hi asr 24)
-  lxor 0xFFFFFFFF
+
+let crc32c_word init w = step (init lxor 0xFFFFFFFF) w lxor 0xFFFFFFFF
+
+(* the finalizing xor of the first word and the unfinalizing xor of the
+   second cancel, so two steps run back to back on the raw state *)
+let crc32c_pair init a b =
+  step (step (init lxor 0xFFFFFFFF) a) b lxor 0xFFFFFFFF
 
 let words ws =
   let b = Bytes.create (8 * List.length ws) in

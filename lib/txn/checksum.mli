@@ -15,6 +15,11 @@ val crc32c_word : int -> int -> int
     and log-scan hot path — one slicing-by-8 step, no buffer, no list,
     no boxing; {!words} stays as the differential-test oracle. *)
 
+val crc32c_pair : int -> int -> int -> int
+(** [crc32c_pair crc a b] is [crc32c_word (crc32c_word crc a) b] in one
+    call: a log entry's two words (target and value, or a record's size
+    and timestamp) folded back to back. *)
+
 val words : int list -> int
 (** Checksum of a list of 63-bit integers, each taken as 8 LE bytes.
     Convenient for records assembled from word-granular cells. *)

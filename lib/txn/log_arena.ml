@@ -386,8 +386,7 @@ let abandon_record t =
   t.n_segs <- 0;
   t.seg_start <- -1
 
-let[@inline] fold w a b =
-  w.crc <- Checksum.crc32c_word (Checksum.crc32c_word w.crc a) b
+let[@inline] fold w a b = w.crc <- Checksum.crc32c_pair w.crc a b
 
 let push w a v =
   if w.n = Array.length w.addrs then begin
@@ -457,7 +456,7 @@ let walk_entries pm ~block_bytes ~block ~meta ~size ~copy w =
 
 (* The checksum fold of [size; ts] — the words every record's stream
    starts with. *)
-let meta_crc ~size ~ts = Checksum.crc32c_word (Checksum.crc32c_word 0 size) ts
+let meta_crc ~size ~ts = Checksum.crc32c_pair 0 size ts
 
 let commit_record ?(fence = true) ?(flush = true) ?(tentative = false) t
     ~timestamp =
@@ -857,15 +856,12 @@ let append_page_record ?(fence = false) t ~timestamp ~page_base =
   (* folded in stream order [size; ts; tag; base; a0; v0; ...] — the
      same word sequence [walk_entries] folds when scanning *)
   let crc =
-    ref
-      (Checksum.crc32c_word
-         (Checksum.crc32c_word (meta_crc ~size ~ts:timestamp) page_tag)
-         page_base)
+    ref (Checksum.crc32c_pair (meta_crc ~size ~ts:timestamp) page_tag page_base)
   in
   for w = 0 to (Addr.page_size / 8) - 1 do
     crc :=
-      Checksum.crc32c_word
-        (Checksum.crc32c_word !crc (page_base + (w * 8)))
+      Checksum.crc32c_pair !crc
+        (page_base + (w * 8))
         (Int64.to_int (Bytes.get_int64_le content (w * 8)))
   done;
   Pmem.store_int t.pm meta size;

@@ -327,6 +327,363 @@ let test_budget_sfence () =
   within ~budget:0.0 "sfence, empty WPQ"
     (words_per_call ~calls:budget_calls fences)
 
+(* [rounds] rounds of: dirty the first [lines] lines, fence, then
+   measure [f]; the mean of the per-call words *)
+let dirty_rounds pm ~lines ~rounds ~calls f =
+  let words = ref 0.0 in
+  for r = 1 to rounds do
+    for i = 0 to lines - 1 do
+      Pmem.store_int pm (64 * i) r
+    done;
+    Pmem.sfence pm;
+    words := !words +. words_per_call ~calls f
+  done;
+  !words /. float_of_int rounds
+
+let test_budget_clflushopt () =
+  let pm = Pmem.create cfg in
+  let lines = cfg.Config.wpq_lines in
+  (* each flush writes a dirty line back and drops it, so every store
+     of the next round misses *)
+  let flush () =
+    for i = 0 to lines - 1 do
+      Pmem.clflushopt pm (64 * i)
+    done
+  in
+  within ~budget:0.0 "clflushopt, dirty line"
+    (dirty_rounds pm ~lines ~rounds:10_000 ~calls:lines flush)
+
+let test_budget_flush_range () =
+  let pm = Pmem.create cfg in
+  let lines = cfg.Config.wpq_lines in
+  let flush () = Pmem.flush_range pm 0 (64 * lines) in
+  within ~budget:0.0 "flush_range, dirty lines"
+    (dirty_rounds pm ~lines ~rounds:10_000 ~calls:1 flush)
+
+let test_budget_nt_store () =
+  let pm = Pmem.create cfg in
+  (* caller-owned, line-crossing: every call merges two uncached lines
+     through the scratch line, and the queue stalls once full *)
+  let buf = Bytes.make 64 'n' in
+  let stores () =
+    for i = 0 to budget_calls - 1 do
+      Pmem.nt_store_bytes pm ((64 * (i land 31)) + 32) buf
+    done
+  in
+  stores ();
+  within ~budget:0.0 "nt_store_bytes, 64 bytes over two lines"
+    (words_per_call ~calls:budget_calls stores)
+
+(* ---------- device contract ----------
+
+   What every entry point promises, whatever its hot path looks like:
+   one fuse event per call; a rejected address raises [Invalid_argument]
+   before any effect; an armed fuse crashes the k-th event and the
+   crashing call moves nothing but [events]; unmetered calls move no
+   counter and no clock. *)
+
+let mem = cfg.Config.mem_size
+
+(* every [Stats] field, the clocks by their bit patterns *)
+let tally pm =
+  let s = Pmem.stats pm in
+  let i name v = (name, Int64.of_int v)
+  and f name v = (name, Int64.bits_of_float v) in
+  Stats.
+    [
+      i "loads" s.loads;
+      i "stores" s.stores;
+      i "clwbs" s.clwbs;
+      i "fences" s.fences;
+      i "nt_stores" s.nt_stores;
+      i "pm_read_lines" s.pm_read_lines;
+      i "pm_read_lines_seq" s.pm_read_lines_seq;
+      i "pm_write_lines" s.pm_write_lines;
+      i "pm_write_lines_seq" s.pm_write_lines_seq;
+      i "evictions" s.evictions;
+      f "ns" s.ns;
+      f "bg_ns" s.bg_ns;
+    ]
+
+let tally_t = Alcotest.(list (pair string int64))
+
+(* a device with dirty, clean and flushed lines and a non-empty WPQ, so
+   that a call which wrongly acted would show *)
+let warm () =
+  let pm = Pmem.create cfg in
+  for i = 0 to 31 do
+    Pmem.store_int pm (64 * i) (i + 1)
+  done;
+  Pmem.clwb pm 0;
+  Pmem.clwb pm 64;
+  ignore (Pmem.load_int pm 8192);
+  pm
+
+(* each entry point at an address, and the extent it touches there *)
+let entry_points =
+  let buf = Bytes.make 16 'x' in
+  [
+    ("load_int", 8, fun pm a -> ignore (Pmem.load_int pm a));
+    ("store_int", 8, fun pm a -> Pmem.store_int pm a 7);
+    ("load_bytes", 16, fun pm a -> ignore (Pmem.load_bytes pm a 16));
+    ("store_bytes", 16, fun pm a -> Pmem.store_bytes pm a buf);
+    ("nt_store_bytes", 16, fun pm a -> Pmem.nt_store_bytes pm a buf);
+    ("clwb", 1, fun pm a -> Pmem.clwb pm a);
+    ("clflushopt", 1, fun pm a -> Pmem.clflushopt pm a);
+    ("sfence", 0, fun pm _ -> Pmem.sfence pm);
+  ]
+
+(* a flushed line, a dirty one, two misses, the end of the image, and
+   an offset that crosses a line for byte ranges (the last word of line
+   0 for word calls) *)
+let good_addrs extent =
+  let last = mem - max extent 8 in
+  [ 0; 128; 8192 + 64; 40_000; last; (if extent = 8 then 56 else 60) ]
+
+let test_contract_one_event () =
+  List.iter
+    (fun (name, extent, call) ->
+      let pm = warm () in
+      List.iter
+        (fun a ->
+          let e = Pmem.events pm in
+          call pm a;
+          Alcotest.(check int)
+            (Fmt.str "%s %d: one event" name a)
+            (e + 1) (Pmem.events pm))
+        (good_addrs extent))
+    entry_points
+
+(* [call] must raise [Invalid_argument] and leave [events], every
+   counter, both clocks and the dirty lines as they were; the resident
+   lines of [warm] must still hit *)
+let rejected pm what call =
+  let events = Pmem.events pm
+  and before = tally pm
+  and dirty = Pmem.dirty_lines pm in
+  (match call () with
+  | () -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
+  Alcotest.(check int) (what ^ ": events") events (Pmem.events pm);
+  Alcotest.check tally_t (what ^ ": stats") before (tally pm);
+  Alcotest.(check (list int)) (what ^ ": dirty lines") dirty
+    (Pmem.dirty_lines pm);
+  let r = (Pmem.stats pm).Stats.pm_read_lines in
+  ignore (Pmem.load_int pm (64 * 31));
+  ignore (Pmem.load_int pm 8192);
+  Alcotest.(check int) (what ^ ": cache kept") r
+    (Pmem.stats pm).Stats.pm_read_lines
+
+let test_contract_out_of_bounds () =
+  List.iter
+    (fun (name, extent, call) ->
+      if extent > 0 then
+        List.iter
+          (fun a ->
+            let pm = warm () in
+            rejected pm (Fmt.str "%s %d" name a) (fun () -> call pm a))
+          ([ -8; mem; mem + 64; max_int - 7; min_int ]
+          @ if extent > 8 then [ mem - 8 ] else []))
+    entry_points
+
+let test_contract_misaligned () =
+  List.iter
+    (fun (name, extent, call) ->
+      if extent = 8 then
+        List.iter
+          (fun a ->
+            let pm = warm () in
+            rejected pm (Fmt.str "%s %d" name a) (fun () -> call pm a))
+          [ 4; 63; 8192 + 1; mem - 4 ])
+    entry_points
+
+(* a mixed sequence over every entry point: k-th event crashes, and the
+   crashing call moves only [events] *)
+let mixed_calls =
+  List.concat_map
+    (fun i ->
+      List.map
+        (fun (name, extent, call) ->
+          let addrs = good_addrs extent in
+          (name, call, List.nth addrs (i mod List.length addrs)))
+        entry_points)
+    [ 0; 1; 2; 3; 4; 5 ]
+
+let test_contract_fuse () =
+  let n = List.length mixed_calls in
+  for k = 1 to n do
+    let pm = warm () in
+    let base = Pmem.events pm in
+    Pmem.set_fuse pm (Some k);
+    let crashed =
+      List.fold_left
+        (fun crashed (name, call, a) ->
+          if crashed then true
+          else begin
+            let e = Pmem.events pm
+            and before = tally pm
+            and dirty = Pmem.dirty_lines pm in
+            match call pm a with
+            | () -> false
+            | exception Pmem.Crash ->
+                let what = Fmt.str "fuse %d, %s %d" k name a in
+                Alcotest.(check int) (what ^ ": crashing event") k
+                  (Pmem.events pm - base);
+                Alcotest.(check int) (what ^ ": events") (e + 1)
+                  (Pmem.events pm);
+                Alcotest.check tally_t (what ^ ": stats") before (tally pm);
+                Alcotest.(check (list int)) (what ^ ": dirty lines") dirty
+                  (Pmem.dirty_lines pm);
+                true
+          end)
+        false mixed_calls
+    in
+    if not crashed then Alcotest.failf "fuse %d of %d never burned" k n
+  done
+
+let test_contract_unmetered () =
+  let pm = warm () in
+  let before = tally pm in
+  Pmem.with_unmetered pm (fun () ->
+      List.iter
+        (fun (name, call, a) ->
+          let e = Pmem.events pm in
+          call pm a;
+          let what = Fmt.str "unmetered %s %d" name a in
+          Alcotest.(check int) (what ^ ": one event") (e + 1) (Pmem.events pm);
+          Alcotest.check tally_t (what ^ ": stats") before (tally pm))
+        mixed_calls)
+
+(* ---------- device model pinned ----------
+
+   A seeded mix of about 290,000 calls per run over three times the
+   cache's lines, with an sfence every ~16 calls, bursts of twelve
+   dirty-line flushes between two fences (more than [wpq_lines], so the
+   WPQ-full stall runs), sequential scans and unmetered stretches.  The
+   run ends in a seeded [crash].  Every counter, both clocks (as bits),
+   [events], a fold of every loaded value and a fold of the media words
+   of the touched lines are pinned to the values the model gave before
+   its access path was rewritten for host speed: a change to the hot
+   path that moves any modelled number fails here. *)
+
+let pinned_lines = 3 * cfg.Config.cache_capacity_lines
+
+let pinned_run ~eadr =
+  let pm = Pmem.create ~seed:7 { cfg with eadr } in
+  let rng = Random.State.make [| 2024 |] in
+  let loaded = ref 0 in
+  let seen v = loaded := (!loaded * 31) + v in
+  let bufs =
+    Array.map
+      (fun n -> Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)))
+      [| 8; 24; 72 |]
+  in
+  let word () =
+    (64 * Random.State.int rng pinned_lines) + (8 * Random.State.int rng 8)
+  in
+  let byte_addr n = Random.State.int rng ((64 * pinned_lines) - n) in
+  let rec step ~unmetered =
+    match Random.State.int rng 100 with
+    | r when r < 38 -> seen (Pmem.load_int pm (word ()))
+    | r when r < 62 -> Pmem.store_int pm (word ()) (Random.State.bits rng)
+    | r when r < 72 -> Pmem.clwb pm (word ())
+    | r when r < 77 -> Pmem.clflushopt pm (word ())
+    | r when r < 82 ->
+        let b = bufs.(Random.State.int rng 3) in
+        Pmem.nt_store_bytes pm (byte_addr (Bytes.length b)) b
+    | r when r < 87 ->
+        let b = bufs.(Random.State.int rng 3) in
+        Pmem.store_bytes pm (byte_addr (Bytes.length b)) b
+    | r when r < 92 ->
+        let n = 1 + Random.State.int rng 100 in
+        Bytes.iter (fun c -> seen (Char.code c))
+          (Pmem.load_bytes pm (byte_addr n) n)
+    | r when r < 95 ->
+        (* dirty-line flushes past the WPQ's capacity, sequential *)
+        let l = Random.State.int rng (pinned_lines - 12) in
+        for i = l to l + 11 do
+          Pmem.store_int pm (64 * i) i;
+          Pmem.clwb pm (64 * i)
+        done
+    | r when r < 98 ->
+        let l = Random.State.int rng (pinned_lines - 12) in
+        for i = l to l + 11 do
+          seen (Pmem.load_int pm ((64 * i) + 8))
+        done
+    | _ when unmetered -> Pmem.sfence pm
+    | _ ->
+        Pmem.with_unmetered pm (fun () ->
+            for _ = 1 to 20 do
+              step ~unmetered:true
+            done)
+  in
+  for _ = 1 to 100_000 do
+    step ~unmetered:false;
+    if Random.State.int rng 16 = 0 then Pmem.sfence pm
+  done;
+  let stats = tally pm and events = Pmem.events pm in
+  Pmem.crash pm;
+  let media = ref 0 in
+  for w = 0 to (8 * pinned_lines) - 1 do
+    media := (!media * 31) + Pmem.peek_media_int pm (8 * w)
+  done;
+  (stats, events, !loaded, !media)
+
+let check_pinned ~eadr ~stats ~events ~loaded ~media () =
+  let s, e, l, m = pinned_run ~eadr in
+  Alcotest.check tally_t "stats" stats s;
+  Alcotest.(check int) "events" events e;
+  Alcotest.(check int) "loaded values" loaded l;
+  Alcotest.(check int) "media after crash" media m;
+  let field f = List.assoc f s in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " reached") true (field f > 0L))
+    ((if eadr then [] else [ "pm_write_lines_seq" ])
+    @ [ "evictions"; "pm_read_lines_seq" ])
+
+(* taken from a run of the model as it stood before its access path was
+   rewritten (one prologue per call, a one-lookup hit path) *)
+let test_pinned_adr =
+  check_pinned ~eadr:false
+    ~stats:
+      [
+        ("loads", 80013L);
+        ("stores", 65824L);
+        ("clwbs", 51485L);
+        ("fences", 6295L);
+        ("nt_stores", 4973L);
+        ("pm_read_lines", 56039L);
+        ("pm_read_lines_seq", 20150L);
+        ("pm_write_lines", 70416L);
+        ("pm_write_lines_seq", 31658L);
+        ("evictions", 25034L);
+        ("ns", 4713475949310509056L);
+        ("bg_ns", 4712727576492113920L);
+      ]
+    ~events:288578 ~loaded:(-2865930195385671244) ~media:911692945719398156
+
+let test_pinned_eadr =
+  check_pinned ~eadr:true
+    ~stats:
+      [
+        ("loads", 80013L);
+        ("stores", 70797L);
+        ("clwbs", 51485L);
+        ("fences", 6295L);
+        ("nt_stores", 0L);
+        ("pm_read_lines", 55924L);
+        ("pm_read_lines_seq", 20081L);
+        ("pm_write_lines", 61455L);
+        ("pm_write_lines_seq", 21895L);
+        ("evictions", 61455L);
+        ("ns", 4707946752831913984L);
+        ("bg_ns", 4716662602980130816L);
+      ]
+    ~events:288578 ~loaded:(-3363668225286029614)
+    ~media:(-4180051933371510069)
+
 let prop_flush_semantics =
   QCheck.Test.make ~name:"media = flushed stores" ~count:200
     QCheck.(
@@ -409,5 +766,29 @@ let () =
           Alcotest.test_case "Pmem.clwb 0 words, dirty or clean line"
             `Quick test_budget_clwb;
           Alcotest.test_case "Pmem.sfence 0 words" `Quick test_budget_sfence;
+          Alcotest.test_case "Pmem.clflushopt 0 words, dirty line" `Quick
+            test_budget_clflushopt;
+          Alcotest.test_case "Pmem.flush_range 0 words, dirty lines" `Quick
+            test_budget_flush_range;
+          Alcotest.test_case "Pmem.nt_store_bytes 0 words, caller's buffer"
+            `Quick test_budget_nt_store;
+        ] );
+      ( "device contract",
+        [
+          Alcotest.test_case "every call is one event" `Quick
+            test_contract_one_event;
+          Alcotest.test_case "out of bounds: rejected before any effect"
+            `Quick test_contract_out_of_bounds;
+          Alcotest.test_case "misaligned word: rejected before any effect"
+            `Quick test_contract_misaligned;
+          Alcotest.test_case "fuse: k-th event crashes, moves only events"
+            `Quick test_contract_fuse;
+          Alcotest.test_case "unmetered: events move, counters do not"
+            `Quick test_contract_unmetered;
+        ] );
+      ( "device model pinned",
+        [
+          Alcotest.test_case "ADR mix, then crash" `Quick test_pinned_adr;
+          Alcotest.test_case "eADR mix, then crash" `Quick test_pinned_eadr;
         ] );
     ]

@@ -119,6 +119,35 @@ let commits_and_drain create () =
   in
   (stats, states 1 [])
 
+(* [Pbtree.check] audits right links level by level from the root: with
+   one link broken at depth 1 and one at depth 2 it names the depth-1
+   node every time, whatever order a hash table would have given the
+   levels *)
+let pbtree_check_depth_order () =
+  let open Specpmt_pstruct in
+  let pm, heap = fresh () in
+  let b = Registry.create heap Registry.Raw in
+  let t = b.Ctx.run_tx (fun ctx -> Pbtree.create ~order:4 ctx ()) in
+  for k = 0 to 60 do
+    b.Ctx.run_tx (fun ctx -> Pbtree.insert ctx t k k)
+  done;
+  let peek = Ctx.peek_ctx pm in
+  Alcotest.(check bool) "three levels or more" true (Pbtree.height peek t >= 3);
+  (* node layout [meta; high; right; keys[4]; payloads[4]] *)
+  let child n = peek.Ctx.read (n + 24 + (8 * 4)) in
+  let d1 = child (peek.Ctx.read (Pbtree.header t + 8)) in
+  let d2 = child d1 in
+  Pmem.store_int pm (d1 + 16) 8;
+  Pmem.store_int pm (d2 + 16) 8;
+  let prefix = Fmt.str "Pbtree.check: node %#x (depth 1)" d1 in
+  for _ = 1 to 20 do
+    match Pbtree.check peek t with
+    | () -> Alcotest.fail "check passed a broken right link"
+    | exception Failure msg ->
+        if not (String.starts_with ~prefix msg) then
+          Alcotest.failf "check named %S, not the depth-1 node" msg
+  done
+
 let spht h = Registry.create h Registry.Spht
 let hoop h = Hw_registry.create h Hw_registry.Hoop
 
@@ -138,5 +167,7 @@ let () =
             (same (commits_and_drain spht));
           Alcotest.test_case "HOOP commits and drain" `Quick
             (same (commits_and_drain hoop));
+          Alcotest.test_case "Pbtree.check audits levels in depth order"
+            `Quick pbtree_check_depth_order;
         ] );
     ]

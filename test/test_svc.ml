@@ -376,6 +376,39 @@ let test_alloc_budget_per_write () =
     (Printf.sprintf "%.1f minor words per committed write <= 68" per_op)
     true (per_op <= 68.0)
 
+(* An accepted submit allocates its request record (5 words) and its
+   admission queue cell (3 words), and nothing for the clock it stamps:
+   [Pmem.stats] stores the device clock into [Stats.t] (one boxed float)
+   only when it moved since the last read, and a submit does no device
+   work, so a run of submits reads one unchanged clock.  Over 10,000
+   submits after a drain, only the first read after that drain's device
+   work boxes; a box per submit would add 2 words each. *)
+let test_alloc_budget_submit () =
+  let submits = 10_000 in
+  let _, svc =
+    mk_svc { Service.shards = 1; batch_max = 8; depth = submits; keys = 64 }
+  in
+  (* built before the measured loop: a [Write i] per submit is 2 words
+     of the caller's *)
+  let ops = Array.init 64 (fun i -> Service.Write i) in
+  let submit i =
+    match Service.submit svc ~client:0 ~key:(i mod 64) ops.(i mod 64) with
+    | Admission.Accepted -> ()
+    | Admission.Rejected _ -> Alcotest.fail "unexpected shed"
+  in
+  for i = 1 to 64 do
+    submit i
+  done;
+  ignore (Service.drain svc);
+  let w0 = Gc.minor_words () in
+  for i = 1 to submits do
+    submit i
+  done;
+  let per_submit = (Gc.minor_words () -. w0) /. float_of_int submits in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per accepted submit <= 8.1" per_submit)
+    true (per_submit <= 8.1)
+
 (* The index side of the same budget: one insert per SpecSPMT
    transaction into an order-8 mirrored tree, 10,000 random keys after a
    10,000-key warm-up.  The mirror is updated in place under a reused
@@ -869,6 +902,8 @@ let () =
             test_alloc_budget_per_write;
           Alcotest.test_case "minor words per mirrored index insert" `Quick
             test_alloc_budget_mirrored_insert;
+          Alcotest.test_case "minor words per accepted submit" `Quick
+            test_alloc_budget_submit;
         ] );
       ( "reads",
         [

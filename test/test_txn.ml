@@ -48,6 +48,17 @@ let prop_crc_word_fold_oracle =
     (fun ws ->
       List.fold_left Checksum.crc32c_word 0 ws = Checksum.words ws)
 
+(* the two-word fold is two one-word folds, negative words (the
+   marker and page tags) included *)
+let prop_crc_pair =
+  QCheck.Test.make ~name:"crc32c_pair equals two crc32c_word" ~count:500
+    QCheck.(
+      let word = oneof [ int; neg_int; oneofl [ -1; -2; min_int; max_int ] ] in
+      triple (int_bound 0xFFFFFFFF) word word)
+    (fun (c, a, b) ->
+      Checksum.crc32c_pair c a b
+      = Checksum.crc32c_word (Checksum.crc32c_word c a) b)
+
 let prop_crc_detects_flip =
   QCheck.Test.make ~name:"crc detects single-word corruption" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 10) (int_bound 10000)) small_nat)
@@ -1501,6 +1512,7 @@ let () =
           Alcotest.test_case "word-fold oracle" `Quick
             test_crc_word_fold_oracle;
           QCheck_alcotest.to_alcotest prop_crc_word_fold_oracle;
+          QCheck_alcotest.to_alcotest prop_crc_pair;
           QCheck_alcotest.to_alcotest prop_crc_detects_flip;
         ] );
       ( "write set",
