@@ -20,14 +20,15 @@ type t = {
   heap : Heap.t;
   pm : Pmem.t;
   log : Intent_log.t;
-  ws : Write_set.t;
+  ws : Log_arena.Lww.t; (* cell -> undo image, first-write order *)
   shell : Ctx.Shell.t;
 }
 
 let tx_write t a v =
   let old_value = Pmem.load_int t.pm a in
-  let _, first = Write_set.record t.ws a ~old_value in
-  if first then Intent_log.append_durable t.log [ a ];
+  let n = Log_arena.Lww.length t.ws in
+  if Log_arena.Lww.bind t.ws a ~value:old_value ~ts:0 = n then
+    Intent_log.append_durable t.log [ a ];
   Pmem.store_int t.pm a v
 
 (* Commit: clear the intent list with one barrier.  No data flushes — the
@@ -35,13 +36,13 @@ let tx_write t a v =
 let commit t frees =
   Intent_log.truncate_durable t.log;
   List.iter (fun a -> Heap.free t.heap a) frees;
-  Write_set.clear t.ws
+  Log_arena.Lww.clear t.ws
 
 let rollback t =
-  Write_set.iter_newest_first t.ws (fun a slot ->
-      Pmem.store_int t.pm a slot.Write_set.old_value);
+  Log_arena.Lww.iter_newest_first t.ws (fun a ~value ~ts:_ ->
+      Pmem.store_int t.pm a value);
   Intent_log.truncate_durable t.log;
-  Write_set.clear t.ws
+  Log_arena.Lww.clear t.ws
 
 let create heap =
   let t =
@@ -52,7 +53,7 @@ let create heap =
         Intent_log.create heap ~region_slot:Slots.kamino_region
           ~capacity_slot:Slots.kamino_capacity ~words_per_entry:1
           ~capacity:1024;
-      ws = Write_set.create ();
+      ws = Log_arena.Lww.create ();
       shell = Ctx.Shell.create "Kamino";
     }
   in

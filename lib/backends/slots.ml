@@ -1,7 +1,10 @@
 (** Root-slot assignments for the software backends.
 
     Slots 0–7 of the pool root area belong to applications; the rest are
-    claimed here so that two backends never collide on the same device. *)
+    claimed here so that two software backends never collide on the same
+    device.  The hardware schemes' slots are not disjoint from these
+    ([Specpmt_hwtxn.Hw_slots] names the shared ones): a pool hosts one
+    family of schemes. *)
 
 let app_first = 0
 let app_last = 7

@@ -1,5 +1,8 @@
 (** Root-slot assignments of the software backends (slots 0-7 belong to
-    applications). *)
+    applications).  The per-thread heads {!spec_mt_head} 0, 1 and 2
+    (slots 24, 32 and 40) are also hardware-scheme slots (see
+    [Specpmt_hwtxn.Hw_slots]), so a pool hosts software schemes or
+    hardware ones, never both. *)
 
 val app_first : int
 val app_last : int

@@ -21,7 +21,7 @@ type t = {
   heap : Heap.t;
   pm : Pmem.t;
   tsc : Tsc.t;
-  ws : Write_set.t;
+  ws : Log_arena.Lww.t; (* cell -> undo image, first-write order *)
   shell : Ctx.Shell.t;
   mutable table : Addr.t;
   mutable buckets : int;
@@ -31,7 +31,8 @@ type t = {
 let bucket_bytes = 64
 let version_bytes = 32
 
-let slot_crc ~addr ~value ~ts = Checksum.words [ addr + 1; value; ts ]
+let slot_crc ~addr ~value ~ts =
+  Checksum.crc32c_word (Checksum.crc32c_pair 0 (addr + 1) value) ts
 
 let bucket_addr t i = t.table + (i * bucket_bytes)
 
@@ -77,7 +78,7 @@ let write_version t a value ts =
 
 let tx_write t a v =
   let old_value = Pmem.load_int t.pm a in
-  ignore (Write_set.record t.ws a ~old_value);
+  ignore (Log_arena.Lww.bind t.ws a ~value:old_value ~ts:0);
   write_version t a v (Tsc.peek t.tsc);
   Pmem.store_int t.pm a v
 
@@ -94,12 +95,12 @@ let commit t frees =
   Pmem.sfence t.pm;
   List.iter (fun a -> Heap.free t.heap a) frees;
   t.touched <- [];
-  Write_set.clear t.ws
+  Log_arena.Lww.clear t.ws
 
 let rollback t =
-  Write_set.iter_newest_first t.ws (fun a slot ->
-      Pmem.store_int t.pm a slot.Write_set.old_value;
-      write_version t a slot.Write_set.old_value (Tsc.peek t.tsc));
+  Log_arena.Lww.iter_newest_first t.ws (fun a ~value ~ts:_ ->
+      Pmem.store_int t.pm a value;
+      write_version t a value (Tsc.peek t.tsc));
   commit t []
 
 let recover t =
@@ -142,7 +143,7 @@ let recover t =
   Pmem.sfence t.pm;
   Tsc.restart_above t.tsc committed;
   t.touched <- [];
-  Write_set.clear t.ws;
+  Log_arena.Lww.clear t.ws;
   Ctx.Shell.reset t.shell
 
 let create ?buckets heap =
@@ -170,7 +171,7 @@ let create ?buckets heap =
       heap;
       pm;
       tsc = Tsc.create ();
-      ws = Write_set.create ();
+      ws = Log_arena.Lww.create ();
       shell = Ctx.Shell.create "Spec_hashlog";
       table;
       buckets;

@@ -27,7 +27,9 @@ type t = {
   params : params;
   head_slot : int;
   tsc : Tsc.t;
-  ws : Write_set.t;
+  ws : Log_arena.Lww.t;
+      (* cell -> undo image ([value]) and the position of its entry in
+         the open record ([ts]), in first-write order *)
   shell : Ctx.Shell.t;
   mutable allocs : Addr.t list;
       (* allocations made by the open transaction: released again on
@@ -96,10 +98,12 @@ let maybe_reclaim t =
 (* ---------- Transactions ---------- *)
 
 let tx_write t a v =
-  let slot, first = Write_set.record t.ws a ~old_value:(Pmem.load_int t.pm a) in
-  if first then
-    slot.Write_set.entry_pos <- Log_arena.add_entry t.arena ~target:a ~value:v
-  else Log_arena.set_entry_value t.arena slot.Write_set.entry_pos v;
+  let n = Log_arena.Lww.length t.ws in
+  let p = Log_arena.Lww.bind t.ws a ~value:(Pmem.load_int t.pm a) ~ts:(-1) in
+  if p < n then Log_arena.set_entry_value t.arena (Log_arena.Lww.ts t.ws p) v
+  else
+    Log_arena.Lww.set_ts t.ws p
+      (Log_arena.add_entry t.arena ~target:a ~value:v);
   Pmem.store_int t.pm a v
 
 let commit t frees =
@@ -113,12 +117,12 @@ let commit t frees =
   if t.params.data_persist then begin
     (* SpecSPMT-DP: also force the in-place updates into the persistence
        domain before returning (what vanilla SpecPMT deliberately skips) *)
-    Write_set.iter_in_order t.ws (fun a _ -> Pmem.clwb t.pm a);
+    Log_arena.Lww.iter t.ws (fun a ~value:_ ~ts:_ -> Pmem.clwb t.pm a);
     Pmem.sfence t.pm
   end;
   List.iter (fun a -> Heap.free t.heap a) frees;
   t.allocs <- [];
-  Write_set.clear t.ws;
+  Log_arena.Lww.clear t.ws;
   (* reclamation would rewrite the chain out from under the unsealed
      records; during a batch it is deferred to [batch_end] *)
   if not t.in_batch then maybe_reclaim t
@@ -128,10 +132,9 @@ let commit t frees =
    record — the log then describes exactly the post-rollback state, which
    keeps the "every datum has a fresh committed record" invariant. *)
 let rollback t =
-  Write_set.iter_newest_first t.ws (fun a slot ->
-      Pmem.store_int t.pm a slot.Write_set.old_value;
-      Log_arena.set_entry_value t.arena slot.Write_set.entry_pos
-        slot.Write_set.old_value);
+  Log_arena.Lww.iter_newest_first t.ws (fun a ~value ~ts:entry ->
+      Pmem.store_int t.pm a value;
+      Log_arena.set_entry_value t.arena entry value);
   if Log_arena.entry_words t.arena = 0 then Log_arena.abandon_record t.arena
   else begin
     let ts = Tsc.next t.tsc in
@@ -141,7 +144,7 @@ let rollback t =
      are simply dropped, but blocks it allocated would otherwise leak *)
   List.iter (fun a -> Heap.free t.heap a) t.allocs;
   t.allocs <- [];
-  Write_set.clear t.ws
+  Log_arena.Lww.clear t.ws
 
 (* ---------- Group commit ---------- *)
 
@@ -228,7 +231,7 @@ let restore pm params head_slots =
 let reattach t ~tail =
   t.arena <- Log_arena.attach t.heap ~tail;
   t.allocs <- [] (* Heap.recover owns a crashed transaction's allocations *);
-  Write_set.clear t.ws;
+  Log_arena.Lww.clear t.ws;
   Ctx.Shell.reset t.shell;
   t.in_batch <- false (* an unsealed batch died with the crash *)
 
@@ -301,7 +304,7 @@ let create ?(head_slot = Slots.spec_head) ?tsc heap params =
       params;
       head_slot;
       tsc = (match tsc with Some c -> c | None -> Tsc.create ());
-      ws = Write_set.create ();
+      ws = Log_arena.Lww.create ();
       shell = Ctx.Shell.create "Spec_soft";
       allocs = [];
       arena =

@@ -17,30 +17,31 @@ type t = {
   heap : Heap.t;
   pm : Pmem.t;
   mutable log : Nt_log.t;
-  ws : Write_set.t;
+  ws : Log_arena.Lww.t; (* cell -> undo image, first-write order *)
   shell : Ctx.Shell.t;
 }
 
 let tx_write t a v =
   let old_value = Pmem.load_int t.pm a in
-  let _, first = Write_set.record t.ws a ~old_value in
-  if first then Nt_log.append t.log ~addr:a ~old:old_value;
+  let n = Log_arena.Lww.length t.ws in
+  if Log_arena.Lww.bind t.ws a ~value:old_value ~ts:0 = n then
+    Nt_log.append t.log ~addr:a ~old:old_value;
   Pmem.store_int t.pm a v
 
 let commit t frees =
-  Write_set.iter_in_order t.ws (fun a _ -> Pmem.clwb t.pm a);
+  Log_arena.Lww.iter t.ws (fun a ~value:_ ~ts:_ -> Pmem.clwb t.pm a);
   Pmem.sfence t.pm;
   Nt_log.truncate t.log;
   List.iter (fun a -> Heap.free t.heap a) frees;
-  Write_set.clear t.ws
+  Log_arena.Lww.clear t.ws
 
 let rollback t =
-  Write_set.iter_newest_first t.ws (fun a slot ->
-      Pmem.store_int t.pm a slot.Write_set.old_value;
+  Log_arena.Lww.iter_newest_first t.ws (fun a ~value ~ts:_ ->
+      Pmem.store_int t.pm a value;
       Pmem.clwb t.pm a);
   Pmem.sfence t.pm;
   Nt_log.truncate t.log;
-  Write_set.clear t.ws
+  Log_arena.Lww.clear t.ws
 
 let recover t =
   Heap.recover t.heap;
@@ -58,7 +59,7 @@ let recover t =
   Nt_log.truncate log;
   (* adopt the reattached log (fresh cached generation and region) *)
   t.log <- log;
-  Write_set.clear t.ws;
+  Log_arena.Lww.clear t.ws;
   Ctx.Shell.reset t.shell
 
 let create heap =
@@ -69,7 +70,7 @@ let create heap =
       log =
         Nt_log.create heap ~region_slot:Hw_slots.ede_region
           ~capacity_slot:Hw_slots.ede_capacity ~capacity:1024;
-      ws = Write_set.create ();
+      ws = Log_arena.Lww.create ();
       shell = Ctx.Shell.create "Ede";
     }
   in

@@ -104,9 +104,9 @@ let tx_read t a =
   if Log_arena.Lww.length t.buffer = 0 then Pmem.load_int t.pm a
   else begin
     Specpmt_obs.Metrics.incr t.buffer_probes;
-    match Log_arena.Lww.find t.buffer a with
-    | Some (v, _) -> v (* read redirection to the write intent *)
-    | None -> Pmem.load_int t.pm a
+    let p = Log_arena.Lww.pos t.buffer a in
+    (* a hit redirects the read to the write intent *)
+    if p >= 0 then Log_arena.Lww.value t.buffer p else Pmem.load_int t.pm a
   end
 
 let tx_write t a v =

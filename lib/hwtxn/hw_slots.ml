@@ -1,5 +1,8 @@
-(** Root-slot assignments for the hardware schemes (disjoint from the
-    software backends' slots, see {!Specpmt_backends.Slots}). *)
+(** Root-slot assignments for the hardware schemes.  Slots 24, 32 and
+    40 are also the software runtime's per-thread heads (see the
+    interface): a pool hosts one family of schemes.  Renumbering them
+    would move SpecHPMT's root lines, and with them its modelled
+    numbers. *)
 
 let ede_region = 21
 let ede_capacity = 22

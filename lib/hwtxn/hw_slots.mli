@@ -1,5 +1,10 @@
-(** Root-slot assignments of the hardware schemes (disjoint from the
-    software backends', see {!Specpmt_backends.Slots}). *)
+(** Root-slot assignments of the hardware schemes.  Three of them are
+    also software slots (see {!Specpmt_backends.Slots}): {!spec_head}
+    (24) is [Slots.spec_mt_head 0], [mt_head 0] (32) is
+    [Slots.spec_mt_head 1] and [mt_undo_capacity 2] (40) is
+    [Slots.spec_mt_head 2].  So a pool hosts hardware schemes or
+    software ones, never both; every crash-exploration target, bench
+    measurement and example builds one family per device. *)
 
 val ede_region : int
 val ede_capacity : int

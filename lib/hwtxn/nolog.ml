@@ -8,18 +8,18 @@ open Specpmt_pmalloc
 open Specpmt_txn
 
 let create heap =
-  let pm = Heap.pmem heap and ws = Write_set.create () in
+  let pm = Heap.pmem heap and ws = Log_arena.Lww.create () in
   let shell = Ctx.Shell.create "Nolog" in
   let write a v =
-    ignore (Write_set.record ws a ~old_value:0);
+    Log_arena.Lww.add ws a ~value:0 ~ts:0;
     Pmem.store_int pm a v
   in
   let ctx = { (Ctx.Shell.ctx shell ~heap ~write) with free = Heap.free heap } in
   let commit _ =
-    Write_set.iter_in_order ws (fun a _ -> Pmem.clwb pm a);
+    Log_arena.Lww.iter ws (fun a ~value:_ ~ts:_ -> Pmem.clwb pm a);
     Pmem.sfence pm;
-    Write_set.clear ws
-  and rollback () = Write_set.clear ws in
+    Log_arena.Lww.clear ws
+  and rollback () = Log_arena.Lww.clear ws in
   {
     Ctx.name = "no-log";
     run_tx =

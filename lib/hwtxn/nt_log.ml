@@ -34,7 +34,8 @@ type t = {
 let entry_words = 3
 let entry_bytes = entry_words * 8
 let entries_base r = r + 8
-let entry_crc ~gen ~addr ~old = Checksum.words [ gen; addr; old ]
+let entry_crc ~gen ~addr ~old =
+  Checksum.crc32c_word (Checksum.crc32c_pair 0 gen addr) old
 
 let nt_store_words t a ws =
   let b = Bytes.create (8 * List.length ws) in

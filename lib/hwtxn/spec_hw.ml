@@ -47,7 +47,7 @@ type t = {
   mutable l1 : L1tags.t;
   mutable undo : Nt_log.t;
   tsc : Tsc.t;
-  ws : Write_set.t;
+  ws : Log_arena.Lww.t; (* cell -> undo image, first-write order *)
   shell : Ctx.Shell.t;
   mutable arena : Log_arena.t;
   (* the single source of truth for logging decisions: a page is hot iff
@@ -128,7 +128,8 @@ let tx_write t a v =
   let page = Addr.page_index a in
   let e = Tlb.access t.tlb ~page in
   let old_value = Pmem.load_int t.pm a in
-  let _, first = Write_set.record t.ws a ~old_value in
+  let n = Log_arena.Lww.length t.ws in
+  let first = Log_arena.Lww.bind t.ws a ~value:old_value ~ts:0 = n in
   let tag = L1tags.touch t.l1 ~line:(Addr.line_of a) in
   tag.L1tags.tx_dirty <- true;
   tag.L1tags.logbit <- true;
@@ -279,7 +280,7 @@ let commit t frees =
   (* (1) cold data first: flushes are persistent on acceptance, so a
      checksum-valid commit record always implies durable cold data *)
   let hot = ref [] in
-  Write_set.iter_in_order t.ws (fun a _ ->
+  Log_arena.Lww.iter t.ws (fun a ~value:_ ~ts:_ ->
       if Hashtbl.mem t.spec_pages (Addr.page_index a) then hot := a :: !hot
       else Pmem.clwb t.pm a);
   (* (2) the commit record: hot values plus the undo-generation bump that
@@ -309,15 +310,15 @@ let commit t frees =
   List.iter
     (fun p -> if claim t p then t.cur.pages <- p :: t.cur.pages)
     (List.sort_uniq compare (List.map Addr.page_index !hot));
-  Write_set.clear t.ws;
+  Log_arena.Lww.clear t.ws;
   note_footprint t;
   maybe_epoch_work t
 
 let rollback t =
   (* restore from the volatile write set, then commit the (now no-op)
      record so the log matches the restored state *)
-  Write_set.iter_newest_first t.ws (fun a slot ->
-      Pmem.store_int t.pm a slot.Write_set.old_value);
+  Log_arena.Lww.iter_newest_first t.ws (fun a ~value ~ts:_ ->
+      Pmem.store_int t.pm a value);
   commit t []
 
 (* Recovery (Sections 5.1.1 and 5.2.2) of cores that share a pool —
@@ -387,7 +388,7 @@ let recover_cores rts =
           ignore (claim rt pg);
           rt.cur.pages <- pg :: rt.cur.pages)
         (List.sort_uniq compare pages.(i));
-      Write_set.clear rt.ws;
+      Log_arena.Lww.clear rt.ws;
       Ctx.Shell.reset rt.shell)
     rts
 
@@ -428,7 +429,7 @@ let core ?(thread = 0) ?tsc ?coord ?spec_pages
         Nt_log.create heap ~region_slot:undo_region_slot
           ~capacity_slot:undo_capacity_slot ~capacity:1024;
       tsc = (match tsc with Some c -> c | None -> Tsc.create ());
-      ws = Write_set.create ();
+      ws = Log_arena.Lww.create ();
       shell = Ctx.Shell.create "Spec_hw";
       arena;
       spec_pages =

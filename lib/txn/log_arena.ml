@@ -109,11 +109,12 @@ type compact_stats = {
   blocks_allocated : int;
 }
 
-(* Last-writer-wins table, the [Write_set] idiom with values: the live
-   cells sit in first-insert order in the dense [addr]/[value]/[ts]
-   arrays, and an open-addressing probe table of positions (-1 = empty)
-   at twice the dense capacity finds a cell's position.  Nothing is ever
-   deleted, so linear probing needs no tombstones. *)
+(* The one volatile cell table: the live cells sit in first-insert order
+   in the dense [addr]/[value]/[ts] arrays, and an open-addressing probe
+   table of positions (-1 = empty) at twice the dense capacity finds a
+   cell's position.  Nothing is ever deleted, so linear probing needs no
+   tombstones.  [add] and [bind] share the probe and the insert; they
+   differ only in what a present cell does. *)
 module Lww = struct
   type t = {
     mutable addr : Addr.t array;
@@ -126,15 +127,30 @@ module Lww = struct
 
   let initial_cells = 64
 
+  (* A table whose cell capacity is at least [shrink_factor] times what
+     the closing transaction used (never counting fewer than
+     [initial_cells]) goes back to its initial size.  One large
+     transaction — a service shard's 65,536-cell adoption — would
+     otherwise leave arrays sized for it behind, and every later
+     one-cell transaction would probe them, missing the host cache on
+     every [bind] and [clear].  Transactions that keep using a 64th of
+     the table never shrink it, and once shrunk, transactions that fit
+     in 64 cells never grow it again. *)
+  let shrink_factor = 64
+
+  let fresh_arrays t =
+    t.addr <- Array.make initial_cells 0;
+    t.value <- Array.make initial_cells 0;
+    t.ts <- Array.make initial_cells 0;
+    t.slots <- Array.make (2 * initial_cells) (-1);
+    t.mask <- (2 * initial_cells) - 1
+
   let create () =
-    {
-      addr = Array.make initial_cells 0;
-      value = Array.make initial_cells 0;
-      ts = Array.make initial_cells 0;
-      n = 0;
-      slots = Array.make (2 * initial_cells) (-1);
-      mask = (2 * initial_cells) - 1;
-    }
+    let t =
+      { addr = [||]; value = [||]; ts = [||]; n = 0; slots = [||]; mask = 0 }
+    in
+    fresh_arrays t;
+    t
 
   let length t = t.n
 
@@ -170,48 +186,68 @@ module Lww = struct
       t.slots.(probe t t.addr.(p)) <- p
     done
 
+  (* Bind an absent cell at position [n]; [h] is the empty probe-table
+     slot its probe stopped at. *)
+  let[@inline] insert t h a ~value ~ts =
+    let h =
+      if t.n < Array.length t.addr then h
+      else begin
+        grow t;
+        probe t a
+      end
+    in
+    let p = t.n in
+    t.addr.(p) <- a;
+    t.value.(p) <- value;
+    t.ts.(p) <- ts;
+    t.slots.(h) <- p;
+    t.n <- p + 1;
+    p
+
   (* An entry replaces the cell's binding iff it is at least as new. *)
   let add t a ~value ~ts =
     let h = probe t a in
     let p = t.slots.(h) in
-    if p >= 0 then begin
-      if ts >= t.ts.(p) then begin
-        t.value.(p) <- value;
-        t.ts.(p) <- ts
-      end
-    end
-    else begin
-      let h =
-        if t.n < Array.length t.addr then h
-        else begin
-          grow t;
-          probe t a
-        end
-      in
-      let p = t.n in
-      t.addr.(p) <- a;
+    if p < 0 then ignore (insert t h a ~value ~ts)
+    else if ts >= t.ts.(p) then begin
       t.value.(p) <- value;
-      t.ts.(p) <- ts;
-      t.slots.(h) <- p;
-      t.n <- p + 1
+      t.ts.(p) <- ts
     end
 
-  let find t a =
-    let p = t.slots.(probe t a) in
-    if p >= 0 then Some (t.value.(p), t.ts.(p)) else None
+  let bind t a ~value ~ts =
+    let h = probe t a in
+    let p = t.slots.(h) in
+    if p >= 0 then p else insert t h a ~value ~ts
+
+  let pos t a = t.slots.(probe t a)
+  let value t p = t.value.(p)
+  let ts t p = t.ts.(p)
+  let set_ts t p ts = t.ts.(p) <- ts
 
   let iter t f =
     for p = 0 to t.n - 1 do
       f t.addr.(p) ~value:t.value.(p) ~ts:t.ts.(p)
     done
 
-  (* Forget every binding in O(bindings), newest first: as in
-     [Write_set.clear], un-probing the newest cell restores the table as
-     it was before that cell's insert. *)
-  let clear t =
+  let iter_newest_first t f =
     for p = t.n - 1 downto 0 do
-      t.slots.(probe t t.addr.(p)) <- -1
-    done;
+      f t.addr.(p) ~value:t.value.(p) ~ts:t.ts.(p)
+    done
+
+  (* Under linear probing with no deletions, removing the most recently
+     inserted cell restores the probe table exactly as it was before that
+     insert: the cell took the first empty slot on its probe path, and
+     every other cell present went in earlier, when that slot was already
+     empty, so no other cell's probe path crosses it.  [grow] re-inserts
+     in first-insert order, so emptying the cells' slots newest first
+     walks the table back to empty. *)
+  let clear t =
+    if Array.length t.addr >= shrink_factor * max t.n initial_cells then
+      fresh_arrays t
+    else
+      for p = t.n - 1 downto 0 do
+        t.slots.(probe t t.addr.(p)) <- -1
+      done;
     t.n <- 0
 end
 

@@ -139,12 +139,18 @@ val recover_scan :
     passes an [f] that ignores its records.  The walk allocates only
     the buffer, which grows by doubling to the largest record. *)
 
-(** Last-writer-wins table: a map from cell address to the newest
-    [(value, timestamp)] fed to it, the volatile index with which
-    recovery coalesces a log and reclamation finds its fresh records
-    (Sections 4.1 and 4.2).  Flat: three dense int arrays in first-insert
-    order plus an open-addressing probe table, so neither a lookup nor a
-    replacement allocates; memory is O(live cells), not O(entries). *)
+(** The volatile cell table: a map from a cell address to two ints, its
+    [value] and [ts] (timestamp), with the cells in the order they were
+    first bound.  It has two entry points.  {!add} is last-writer-wins:
+    recovery coalesces a log with it and reclamation finds its fresh
+    records with it (Sections 4.1 and 4.2).  {!bind} is first-write-wins:
+    a transaction's write set, the paper's write-set indexing that keeps
+    one log entry per datum per transaction (Section 4), binds each cell
+    it writes, keeping the undo image of the first write in [value] and
+    whatever the backend tracks per cell (its log entry's position) in
+    [ts].  Flat: three dense int arrays in first-bind order plus an
+    open-addressing probe table, so neither a lookup nor a replacement
+    allocates; memory is O(live cells), not O(entries). *)
 module Lww : sig
   type t
 
@@ -156,18 +162,42 @@ module Lww : sig
       binding iff [ts] is at least as new ([>=]): among entries with
       equal timestamps the last one added wins. *)
 
-  val length : t -> int
-  (** Number of cells bound. *)
+  val bind : t -> Addr.t -> value:int -> ts:int -> int
+  (** The cell's position.  An absent cell is bound to [value] and [ts]
+      first, at position [length t]: a caller that compares the result
+      with the length before the call knows whether this is the cell's
+      first write.  A present cell keeps its binding. *)
 
-  val find : t -> Addr.t -> (int * int) option
-  (** The cell's [(value, timestamp)], if bound. *)
+  val length : t -> int
+  (** Number of cells bound; their positions are [0 .. length t - 1]. *)
+
+  val pos : t -> Addr.t -> int
+  (** The cell's position, or [-1] if it is not bound. *)
+
+  val value : t -> int -> int
+  (** The value bound at a position. *)
+
+  val ts : t -> int -> int
+  (** The timestamp bound at a position. *)
+
+  val set_ts : t -> int -> int -> unit
+  (** [set_ts t p ts] overwrites the timestamp bound at position [p]. *)
 
   val iter : t -> (Addr.t -> value:int -> ts:int -> unit) -> unit
-  (** Every binding, in the order the cells were first added. *)
+  (** Every binding, in the order the cells were first bound: a straight
+      walk over the dense arrays, no hashing — the commit path. *)
+
+  val iter_newest_first : t -> (Addr.t -> value:int -> ts:int -> unit) -> unit
+  (** The reverse order: the order an undo rollback restores cells in. *)
 
   val clear : t -> unit
   (** Forget every binding in O(bindings), however large the table once
-      grew, so a table can serve one transaction after another. *)
+      grew, so a table can serve one transaction after another.  The
+      grown arrays are kept for the next transaction, unless their cell
+      capacity is at least 64 times the cells bound (counting at least
+      64): then they go back to their initial 64-cell size, so one large
+      transaction does not leave every later small one probing a table
+      sized for it. *)
 end
 
 val ts_addr_order :

@@ -59,6 +59,17 @@ let prop_crc_pair =
       Checksum.crc32c_pair c a b
       = Checksum.crc32c_word (Checksum.crc32c_word c a) b)
 
+(* the three-word fold of a hash-log slot and a hardware undo entry *)
+let prop_crc_triple =
+  QCheck.Test.make ~name:"pair-then-word fold equals words of three"
+    ~count:500
+    QCheck.(
+      let word = oneof [ int; neg_int; oneofl [ -1; -2; min_int; max_int ] ] in
+      triple word word word)
+    (fun (a, b, c) ->
+      Checksum.crc32c_word (Checksum.crc32c_pair 0 a b) c
+      = Checksum.words [ a; b; c ])
+
 let prop_crc_detects_flip =
   QCheck.Test.make ~name:"crc detects single-word corruption" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 10) (int_bound 10000)) small_nat)
@@ -68,36 +79,76 @@ let prop_crc_detects_flip =
       let ws' = List.mapi (fun j w -> if j = i then w + 1 else w) ws in
       Checksum.words ws <> Checksum.words ws')
 
-(* write set *)
+(* write set: [Lww.bind], the first-write entry point *)
+
+module Lww = Log_arena.Lww
+
+(* the cell's [(value, ts)], if bound *)
+let lww_find t a =
+  let p = Lww.pos t a in
+  if p < 0 then None else Some (Lww.value t p, Lww.ts t p)
+
+(* [bind]'s position, and whether that was the cell's first write *)
+let bind t a ~value ~ts =
+  let n = Lww.length t in
+  let p = Lww.bind t a ~value ~ts in
+  (p, p = n)
 
 let test_write_set_first_and_order () =
-  let ws = Write_set.create () in
-  let s1, f1 = Write_set.record ws 8 ~old_value:10 in
-  let _, f2 = Write_set.record ws 16 ~old_value:20 in
-  let s3, f3 = Write_set.record ws 8 ~old_value:999 in
+  let ws = Lww.create () in
+  let p1, f1 = bind ws 8 ~value:10 ~ts:(-1) in
+  let _, f2 = bind ws 16 ~value:20 ~ts:(-1) in
+  let p3, f3 = bind ws 8 ~value:999 ~ts:(-1) in
   Alcotest.(check bool) "first" true f1;
   Alcotest.(check bool) "second addr first" true f2;
   Alcotest.(check bool) "repeat not first" false f3;
-  Alcotest.(check bool) "same slot" true (s1 == s3);
-  Alcotest.(check int) "old value kept from first write" 10
-    s3.Write_set.old_value;
+  Alcotest.(check int) "same position" p1 p3;
+  Alcotest.(check int) "old value kept from first write" 10 (Lww.value ws p3);
   let order = ref [] in
-  Write_set.iter_in_order ws (fun a _ -> order := a :: !order);
+  Lww.iter ws (fun a ~value:_ ~ts:_ -> order := a :: !order);
   Alcotest.(check (list int)) "oldest first" [ 16; 8 ] !order
 
-(* Probe-colliding cells.  The write set hashes cell index x = addr / 8 to
-   (x * C) mod table size, so cells whose indexes agree modulo 2^20 share a
-   home slot in every probe table of up to 2^20 slots.  [tail_x] mirrors
-   write_set.ml's multiplier C to home its class on each table's last
-   slot, so those chains wrap past the end into the class of residue 0. *)
+(* Probe-colliding cells.  The table homes cell index x = addr / 8 on
+   bits 32 and up of the wrapped product x * C, masked to the probe
+   table's size, so cells whose products agree in bits 32-51 share a
+   home slot in every probe table of up to 2^20 slots.  C is odd, hence
+   invertible: the j-th cell of the class whose bits 32-51 read
+   [residue] is x = j + k * 2^32, with k solving
+   (bits 32-51 of j * C) + k * C = residue (mod 2^20).  The class of
+   residue [tail] homes on each table's last slot, so its chains wrap
+   past the end into the class of residue 0. *)
 let collide_bits = 20
+let lww_mult = 0x1E3779B97F4A7C15
 
-let tail_x =
+let lww_inverse =
+  (* Newton's iteration doubles the bits of an odd number's inverse *)
+  let rec go i x = if i = 0 then x else go (i - 1) (x * (2 - (lww_mult * x))) in
+  go 5 lww_mult
+
+let tail = (1 lsl collide_bits) - 1
+
+let colliding ~residue j =
   let m = (1 lsl collide_bits) - 1 in
-  let rec go x = if (x * 0x9E3779B1) land m = m then x else go (x + 1) in
-  go 0
+  let k = (residue - ((j * lww_mult) lsr 32)) * lww_inverse land m in
+  8 * (j + (k lsl 32))
 
-let colliding ~residue j = 8 * (residue + (j lsl collide_bits))
+(* the classes do collide: every member homes where member 0 does, in
+   every probe table from 2^7 slots (a fresh table) to 2^20 *)
+let check_colliding_classes () =
+  Alcotest.(check int) "inverse" 1 (lww_mult * lww_inverse);
+  List.iter
+    (fun residue ->
+      for bits = 7 to collide_bits do
+        let home a = ((a lsr 3) * lww_mult) lsr 32 land ((1 lsl bits) - 1) in
+        let h0 = home (colliding ~residue 0) in
+        if h0 <> residue land ((1 lsl bits) - 1) then
+          Alcotest.failf "residue %d homes on %d in 2^%d slots" residue h0 bits;
+        for j = 1 to 600 do
+          if home (colliding ~residue j) <> h0 then
+            Alcotest.failf "cell %d of residue %d leaves its class" j residue
+        done
+      done)
+    [ 0; tail ]
 
 (* One transaction big enough to grow the table several times (> 65,536
    distinct cells: 64 -> 131,072 cell capacity), with two 512-long
@@ -106,7 +157,7 @@ let big_tx_cells seed =
   let cells =
     Array.concat
       [
-        Array.init 512 (colliding ~residue:tail_x);
+        Array.init 512 (colliding ~residue:tail);
         Array.init 512 (colliding ~residue:0);
         Array.init 70_000 (fun x -> 8 * x);
       ]
@@ -122,32 +173,32 @@ let big_tx_cells seed =
 
 let ws_cells ws =
   let l = ref [] in
-  Write_set.iter_in_order ws (fun a s ->
-      l := (a, s.Write_set.old_value, s.Write_set.entry_pos) :: !l);
+  Lww.iter ws (fun a ~value ~ts -> l := (a, value, ts) :: !l);
   List.rev !l
 
 let test_write_set_clear_after_big () =
-  let ws = Write_set.create () in
+  check_colliding_classes ();
+  let ws = Lww.create () in
   let big = big_tx_cells 1 in
-  Array.iter (fun a -> ignore (Write_set.record ws a ~old_value:a)) big;
+  Array.iter (fun a -> ignore (Lww.bind ws a ~value:a ~ts:(-1))) big;
   (* address 0 is both in the residue-0 chain and in the dense range *)
-  Alcotest.(check int) "big tx cells" (70_000 + 1023) (Write_set.size ws);
-  Write_set.clear ws;
-  Alcotest.(check int) "cleared" 0 (Write_set.size ws);
+  Alcotest.(check int) "big tx cells" (70_000 + 1023) (Lww.length ws);
+  Lww.clear ws;
+  Alcotest.(check int) "cleared" 0 (Lww.length ws);
   Array.iter
     (fun a ->
-      if Write_set.find ws a <> None then
+      if Lww.pos ws a >= 0 then
         Alcotest.failf "cell %d still indexed after clear" a)
     big;
   (* a tiny transaction over old and new cells: each is a first write and
      iteration yields only these *)
   let tiny =
-    [ colliding ~residue:tail_x 3; 8 * 70_001; big.(0);
-      colliding ~residue:0 511; colliding ~residue:tail_x 600 ]
+    [ colliding ~residue:tail 3; 8 * 70_001; big.(0);
+      colliding ~residue:0 511; colliding ~residue:tail 600 ]
   in
   List.iteri
     (fun i a ->
-      let _, first = Write_set.record ws a ~old_value:i in
+      let _, first = bind ws a ~value:i ~ts:(-1) in
       if not first then Alcotest.failf "cell %d not a first write" a)
     tiny;
   Alcotest.(check (list (triple int int int)))
@@ -155,28 +206,28 @@ let test_write_set_clear_after_big () =
     (List.mapi (fun i a -> (a, i, -1)) tiny)
     (ws_cells ws);
   let newest = ref [] in
-  Write_set.iter_newest_first ws (fun a _ -> newest := a :: !newest);
+  Lww.iter_newest_first ws (fun a ~value:_ ~ts:_ -> newest := a :: !newest);
   Alcotest.(check (list int)) "newest first" tiny !newest
 
-(* A write set goes back to its initial size after a transaction that
-   left it oversized: after one 65,536-cell transaction and one
-   one-cell transaction it is within 2x a fresh write set's footprint. *)
+(* A table goes back to its initial size after a transaction that left
+   it oversized: after one 65,536-cell transaction and one one-cell
+   transaction it is within 2x a fresh table's footprint. *)
 let test_write_set_shrinks_back () =
   let words ws = Obj.reachable_words (Obj.repr ws) in
-  let fresh = words (Write_set.create ()) in
-  let ws = Write_set.create () in
+  let fresh = words (Lww.create ()) in
+  let ws = Lww.create () in
   for x = 0 to 65_535 do
-    ignore (Write_set.record ws (8 * x) ~old_value:x)
+    ignore (Lww.bind ws (8 * x) ~value:x ~ts:0)
   done;
-  Write_set.clear ws;
-  ignore (Write_set.record ws 8 ~old_value:1);
-  Write_set.clear ws;
+  Lww.clear ws;
+  ignore (Lww.bind ws 8 ~value:1 ~ts:0);
+  Lww.clear ws;
   if words ws > 2 * fresh then
     Alcotest.failf "%d words reachable after the big transaction, fresh %d"
       (words ws) fresh;
-  let _, first = Write_set.record ws 8 ~old_value:2 in
+  let _, first = bind ws 8 ~value:2 ~ts:0 in
   Alcotest.(check bool) "first write after the shrink" true first;
-  Alcotest.(check int) "one cell" 1 (Write_set.size ws)
+  Alcotest.(check int) "one cell" 1 (Lww.length ws)
 
 (* Differential test against a Hashtbl model: tiny transactions around
    one > 65,536-cell transaction, addresses from colliding classes that
@@ -203,7 +254,7 @@ let ws_ops_arb =
     int_bound 63 >>= fun j ->
     oneof
       [
-        return (colliding ~residue:tail_x j);
+        return (colliding ~residue:tail j);
         return (colliding ~residue:0 j);
         map (fun x -> 8 * x) (int_bound 4095);
       ]
@@ -228,13 +279,13 @@ let ws_ops_arb =
 let prop_write_set_model =
   QCheck.Test.make ~name:"write set = Hashtbl model across a big tx"
     ~count:20 ws_ops_arb (fun ops ->
-      let ws = Write_set.create () in
-      (* addr -> (old value, entry position); [order] is newest first.
-         The entry position is the slot's mutable payload: the model
-         writes [v + 1] into it on every record. *)
+      let ws = Lww.create () in
+      (* addr -> (undo image, entry position); [order] is newest first.
+         The entry position is the cell's second int, which the model
+         overwrites with [v + 1] on every record, as SpecSPMT does. *)
       let model = Hashtbl.create 64 and order = ref [] in
       let record a v =
-        let s, first = Write_set.record ws a ~old_value:v in
+        let p, first = bind ws a ~value:v ~ts:(-1) in
         (match Hashtbl.find_opt model a with
         | None ->
             if not first then
@@ -243,10 +294,10 @@ let prop_write_set_model =
         | Some (old, _) ->
             if first then
               QCheck.Test.fail_reportf "%d: first write reported twice" a;
-            if s.Write_set.old_value <> old then
+            if Lww.value ws p <> old then
               QCheck.Test.fail_reportf "%d: undo image overwritten" a);
-        let old = if first then v else s.Write_set.old_value in
-        s.Write_set.entry_pos <- v + 1;
+        let old = if first then v else Lww.value ws p in
+        Lww.set_ts ws p (v + 1);
         Hashtbl.replace model a (old, v + 1)
       in
       let expect () =
@@ -262,28 +313,23 @@ let prop_write_set_model =
           | Rec (a, v) -> record a v
           | Big seed -> Array.iter (fun a -> record a a) (big_tx_cells seed)
           | Find a ->
-              let got =
-                Option.map
-                  (fun s -> (s.Write_set.old_value, s.Write_set.entry_pos))
-                  (Write_set.find ws a)
-              in
-              if got <> Hashtbl.find_opt model a then
+              if lww_find ws a <> Hashtbl.find_opt model a then
                 QCheck.Test.fail_reportf "find %d disagrees with the model" a
           | In_order ->
               if ws_cells ws <> expect () then
-                QCheck.Test.fail_report "iter_in_order disagrees"
+                QCheck.Test.fail_report "iter disagrees"
           | Newest_first ->
               let l = ref [] in
-              Write_set.iter_newest_first ws (fun a s ->
-                  l := (a, s.Write_set.old_value, s.Write_set.entry_pos) :: !l);
+              Lww.iter_newest_first ws (fun a ~value ~ts ->
+                  l := (a, value, ts) :: !l);
               if !l <> expect () then
                 QCheck.Test.fail_report "iter_newest_first disagrees"
           | Clear ->
-              Write_set.clear ws;
+              Lww.clear ws;
               Hashtbl.reset model;
               order := []);
-          if Write_set.size ws <> Hashtbl.length model then
-            QCheck.Test.fail_reportf "size %d, model %d" (Write_set.size ws)
+          if Lww.length ws <> Hashtbl.length model then
+            QCheck.Test.fail_reportf "length %d, model %d" (Lww.length ws)
               (Hashtbl.length model))
         ops;
       true)
@@ -292,21 +338,23 @@ let prop_write_set_model =
    the runtime has seen.  10,000 one-cell add+clear cycles after a
    65,536-cell fill must cost under 8x the same loop on a fresh table.
    A ratio of CPU times, best of interleaved rounds, so it holds on a
-   slow or busy host. *)
-let reset_history_independent ~create ~add ~clear () =
+   slow or busy host.  The first one-cell clear after the fill shrinks
+   the table back to its initial size, so the loop then runs on a
+   fresh-sized table. *)
+let test_lww_reset_history_independent () =
   let cycles t =
     let t0 = Sys.time () in
     for i = 1 to 10_000 do
-      add t 8 i;
-      clear t
+      Lww.add t 8 ~value:i ~ts:0;
+      Lww.clear t
     done;
     Sys.time () -. t0
   in
-  let fresh = create () and used = create () in
+  let fresh = Lww.create () and used = Lww.create () in
   for x = 0 to 65_535 do
-    add used (8 * x) 0
+    Lww.add used (8 * x) ~value:0 ~ts:0
   done;
-  clear used;
+  Lww.clear used;
   let best_fresh = ref infinity and best_used = ref infinity in
   for _ = 1 to 7 do
     best_fresh := Float.min !best_fresh (cycles fresh);
@@ -318,16 +366,6 @@ let reset_history_independent ~create ~add ~clear () =
       "10k one-cell resets cost %.1fx more after a 65,536-cell table (%.0f \
        vs %.0f us)"
       ratio (!best_used *. 1e6) (!best_fresh *. 1e6)
-
-let test_reset_history_independent =
-  reset_history_independent ~create:Write_set.create
-    ~add:(fun ws a v -> ignore (Write_set.record ws a ~old_value:v))
-    ~clear:Write_set.clear
-
-let test_lww_reset_history_independent =
-  reset_history_independent ~create:Log_arena.Lww.create
-    ~add:(fun t a v -> Log_arena.Lww.add t a ~value:v ~ts:0)
-    ~clear:Log_arena.Lww.clear
 
 (* log arena *)
 
@@ -615,9 +653,9 @@ let test_recover_collect_last_writer_wins () =
   Alcotest.(check int) "entries scanned" 3 entries;
   Alcotest.(check int) "index holds live set" 2 (Log_arena.Lww.length index);
   Alcotest.(check (option (pair int int)))
-    "freshest write wins" (Some (2, 2)) (Log_arena.Lww.find index 8);
+    "freshest write wins" (Some (2, 2)) (lww_find index 8);
   Alcotest.(check (option (pair int int)))
-    "old but live survives" (Some (10, 1)) (Log_arena.Lww.find index 16)
+    "old but live survives" (Some (10, 1)) (lww_find index 16)
 
 (* replay *)
 
@@ -723,10 +761,10 @@ let prop_lww_model =
       Log_arena.Lww.length t = Int_map.cardinal model
       && lww_bindings t = expect
       && List.for_all
-           (fun (a, b) -> Log_arena.Lww.find t a = Some b)
+           (fun (a, b) -> lww_find t a = Some b)
            expect
-      && Log_arena.Lww.find t (-8) = None
-      && Log_arena.Lww.find t (8 * 200_000) = None)
+      && lww_find t (-8) = None
+      && lww_find t (8 * 200_000) = None)
 
 (* two logs sharing one timestamp counter, collected into one table, read
    back as the newest write of every cell in global timestamp order —
@@ -888,7 +926,7 @@ let test_scan_stops_at_stale_recycled_record () =
   Alcotest.(check (pair int int)) "recover_collect stops too" (21, 12)
     (max_ts, records);
   Alcotest.(check (option (pair int int))) "cell 8 keeps its newest value"
-    (Some (10, 10)) (Log_arena.Lww.find index 8);
+    (Some (10, 10)) (lww_find index 8);
   (* attach resumes right after ts 21, not after the stale records *)
   let a = Log_arena.attach heap ~tail in
   Log_arena.begin_record a;
@@ -1382,6 +1420,59 @@ let fresh create =
   let b = create heap in
   (pm, b, Heap.alloc heap 64)
 
+(* Allocation budget: minor words per one-write transaction, after a
+   warm-up, for the schemes that checksum three words per log slot or
+   undo entry.  The three words fold through [crc32c_pair] and
+   [crc32c_word], with no list or buffer: ~23 (Spec-hashlog) and ~44
+   (EDE) measured, against 45 and 66 with a [Checksum.words] list per
+   checksum. *)
+let test_commit_budget () =
+  List.iter
+    (fun (name, bound) ->
+      let _, b, base = fresh (List.assoc name schemes) in
+      let tx i =
+        b.Ctx.run_tx (fun ctx -> ctx.Ctx.write (base + (8 * (i land 7))) i)
+      in
+      for i = 1 to 1_000 do
+        tx i
+      done;
+      let w0 = Gc.minor_words () in
+      for i = 1 to 10_000 do
+        tx i
+      done;
+      let per_tx = (Gc.minor_words () -. w0) /. 10_000.0 in
+      if per_tx > bound then
+        Alcotest.failf "%s: %.1f minor words per one-write commit (budget %.0f)"
+          name per_tx bound)
+    [ ("Spec-hashlog", 30.0); ("EDE", 50.0) ]
+
+(* A read of a cell the open transaction wrote is served from SPHT's
+   and HOOP's buffer by position, with no option or tuple per hit (5
+   words each when the lookup returned [Some (value, ts)]). *)
+let test_buffered_read_budget () =
+  List.iter
+    (fun name ->
+      let _, b, base = fresh (List.assoc name schemes) in
+      let reads () =
+        b.Ctx.run_tx (fun ctx ->
+            ctx.Ctx.write base 1;
+            let w0 = Gc.minor_words () in
+            for _ = 1 to 1_000 do
+              ignore (Sys.opaque_identity (ctx.Ctx.read base))
+            done;
+            Gc.minor_words () -. w0)
+      in
+      let overhead =
+        b.Ctx.run_tx (fun _ ->
+            let w0 = Gc.minor_words () in
+            Gc.minor_words () -. w0)
+      in
+      let words = reads () -. overhead in
+      if words > 0.0 then
+        Alcotest.failf "%s: %.0f minor words over 1,000 buffered reads" name
+          words)
+    [ "SPHT"; "HOOP" ]
+
 let outcomes = Alcotest.(list (pair int bool))
 
 let test_hook_contract create () =
@@ -1513,6 +1604,7 @@ let () =
             test_crc_word_fold_oracle;
           QCheck_alcotest.to_alcotest prop_crc_word_fold_oracle;
           QCheck_alcotest.to_alcotest prop_crc_pair;
+          QCheck_alcotest.to_alcotest prop_crc_triple;
           QCheck_alcotest.to_alcotest prop_crc_detects_flip;
         ] );
       ( "write set",
@@ -1527,8 +1619,6 @@ let () =
         ] );
       ( "reset",
         [
-          Alcotest.test_case "cost independent of past write sets" `Quick
-            test_reset_history_independent;
           Alcotest.test_case "Lww clear independent of past tables" `Quick
             test_lww_reset_history_independent;
         ] );
@@ -1595,6 +1685,13 @@ let () =
             test_walk_budget_collect;
           Alcotest.test_case "compact <= 24 words/scanned entry" `Quick
             test_walk_budget_compact;
+        ] );
+      ( "alloc budget",
+        [
+          Alcotest.test_case "minor words per one-write commit" `Quick
+            test_commit_budget;
+          Alcotest.test_case "buffered reads allocate nothing" `Quick
+            test_buffered_read_budget;
         ] );
       ("outcome hooks", hook_cases);
     ]
