@@ -61,9 +61,8 @@ let record ((_, _, cs) as k) m =
 (* Additive top-level sections beside [results], in report order, each
    filled by one experiment: recovery-sweep, svc, svc-scale (one
    Dataplane report per domain count), ycsb and scan.  A section is the
-   list of its rows, except [ycsb]: its rows are the named invariant /
-   modelled / measured parts of one object — the invariant part must be
-   byte-identical across --jobs and domain counts (CI diffs it). *)
+   list of its rows, except [ycsb] and [scan]: each is the one
+   invariant / modelled / measured report its experiment records. *)
 let sections = [ "recovery_sweep"; "svc"; "svc_scale"; "ycsb"; "scan" ]
 let section_rows : (string * Json.t) list ref = ref []
 
@@ -74,9 +73,7 @@ let section key =
   let mine (k, row) = if k = key then Some row else None in
   match List.filter_map mine (List.rev !section_rows) with
   | [] -> []
-  | parts when key = "ycsb" ->
-      let fields = function Json.Obj kv -> kv | _ -> [] in
-      [ (key, Json.Obj (List.concat_map fields parts)) ]
+  | [ report ] when key = "ycsb" || key = "scan" -> [ (key, report) ]
   | rows -> [ (key, Json.List rows) ]
 
 let write_json_report ~scale_name ~wall_s path =
@@ -92,9 +89,9 @@ let write_json_report ~scale_name ~wall_s path =
     (Cli.envelope ~generator:"specpmt-bench"
        ((("scale", Json.Str scale_name) :: ("results", Json.List results)
         :: List.concat_map section sections)
-       (* additive harness-timing key: wall-clock of the selected
-          experiments, the denominator of the --jobs speedup *)
-       @ [ ("wall_s", Json.Float wall_s) ]));
+       (* the wall clock of the selected experiments, the denominator of
+          the --jobs speedup *)
+       @ [ ("measured", Json.Obj [ ("wall_s", Json.Float wall_s) ]) ]));
   Printf.printf "\nwrote %d measurements to %s\n" (List.length results) path
 
 (* The paper's software results come from a real machine running full
@@ -991,7 +988,6 @@ let ycsb () =
   let stream_of mix =
     Svc.Scenario.op_stream (Svc.Scenario.spec mix) ~ops ~keys ~seed
   in
-  let record_part name j = record_in "ycsb" (Json.Obj [ (name, j) ]) in
   let run_open ~rate stream =
     fst
       (Cli.serve ~seed cfg
@@ -1000,21 +996,6 @@ let ycsb () =
   in
   let open Svc.Openloop in
   let q r p = Obs.Hist.quantile r.latency p in
-  (* deterministic identity of one open-loop run — the invariant rows *)
-  let inv r =
-    [
-      ("ops", Json.Int r.ops);
-      ("reads", Json.Int r.reads);
-      ("writes", Json.Int r.writes);
-      ("rmws", Json.Int r.rmws);
-      ("scans", Json.Int r.scans);
-      ("reads_sum", Json.Int r.reads_sum);
-      ("attempts", Json.Int r.attempts);
-      ("rejects", Json.Int r.rejects);
-      ("max_backlog", Json.Int r.max_backlog);
-      ("fences", Json.Int r.fences);
-    ]
-  in
   (* 1: capacity — the saturation probe on mix A *)
   let a_stream = stream_of Svc.Scenario.A in
   let cap_r = run_open ~rate:0.0 a_stream in
@@ -1131,11 +1112,29 @@ let ycsb () =
     (per e_off.span_ns e_off) (per wall_off e_off) l_off;
   Printf.printf "  on:  %8.1f sim ns/op  %8.0f host ns/op  %9d loads\n"
     (per e_on.span_ns e_on) (per wall_on e_on) l_on;
-  record_part "invariant"
-    (Json.Obj
+  (* the section files every run's own report under the run's name *)
+  let shadow_run r loads wall =
+    Obs.Sections.add
+      ~modelled:
+        [
+          ("ns_per_op", Json.Float (per r.span_ns r));
+          ("loads", Json.Int loads);
+        ]
+      ~measured:[ ("wall_ns_per_op", Json.Float (per wall r)) ]
+      (report_to_json r)
+  in
+  let invariant fields =
+    Obs.Sections.v ~invariant:fields ~modelled:[] ~measured:[]
+  in
+  let named label xs runs =
+    Obs.Sections.group
+      (List.map2 (fun x r -> (label x, report_to_json r)) xs runs)
+  in
+  record_in "ycsb"
+    (Obs.Sections.group
        [
          ( "config",
-           Json.Obj
+           invariant
              [
                ("shards", Json.Int shards);
                ("batch_max", Json.Int batch_max);
@@ -1144,98 +1143,22 @@ let ycsb () =
                ("ops", Json.Int ops);
                ("seed", Json.Int seed);
              ] );
-         ("capacity_probe", Json.Obj (inv cap_r));
-         ( "rate_sweep",
-           Json.List
-             (List.map2
-                (fun m r -> Json.Obj (("rate_x", Json.Float m) :: inv r))
-                mults sweep) );
+         ("capacity_probe", report_to_json cap_r);
+         ("rate_sweep", named (Printf.sprintf "%gx") mults sweep);
          ( "mixes",
-           Json.List
-             (List.map2
-                (fun mix r ->
-                  Json.Obj
-                    (("mix", Json.Str (Svc.Scenario.mix_to_string mix))
-                    :: inv r))
-                Svc.Scenario.all_mixes mix_reports) );
+           named Svc.Scenario.mix_to_string Svc.Scenario.all_mixes mix_reports
+         );
          ( "dataplane_domains",
-           Json.Obj [ ("identical_1_vs_2", Json.Bool dp_same) ] );
-         ( "recovery",
-           Json.Obj
-             [
-               ("fuse_batches", Json.Int rv.rv_fuse);
-               ("halted", Json.Bool rv.rv_halted);
-               ("recover_ns", Json.Float rv.rv_recover_ns);
-               ("audit_failures", Json.Int rv.rv_audit_failures);
-             ] );
+           invariant [ ("identical_1_vs_2", Json.Bool dp_same) ] );
+         ("recovery", recovery_to_json rv);
          ( "shadow_mix_e",
-           Json.Obj
-             [
-               ("identical", Json.Bool e_same);
-               ("acked", Json.Int e_off.ops);
-               ("reads_sum", Json.Int e_off.reads_sum);
-               ("fences", Json.Int e_off.fences);
-             ] );
-       ]);
-  record_part "modelled"
-    (Json.Obj
-       [
-         ("capacity_ops_per_sec", Json.Float cap);
-         ( "rate_sweep",
-           Json.List
-             (List.map2
-                (fun m r ->
-                  Json.Obj
-                    [
-                      ("rate_x", Json.Float m);
-                      ("offered_ops_per_sec", Json.Float r.offered_ops_per_sec);
-                      ("goodput_ops_per_sec", Json.Float r.goodput_ops_per_sec);
-                      ("p50_ns", Json.Int (q r 0.5));
-                      ("p99_ns", Json.Int (q r 0.99));
-                      ("span_ns", Json.Float r.span_ns);
-                    ])
-                mults sweep) );
-         ( "mixes",
-           Json.List
-             (List.map2
-                (fun mix r ->
-                  Json.Obj
-                    [
-                      ("mix", Json.Str (Svc.Scenario.mix_to_string mix));
-                      ("goodput_ops_per_sec", Json.Float r.goodput_ops_per_sec);
-                      ("p99_ns", Json.Int (q r 0.99));
-                      ("fences_per_op", Json.Float r.fences_per_op);
-                    ])
-                Svc.Scenario.all_mixes mix_reports) );
-         ( "shadow_mix_e",
-           Json.Obj
-             [
-               ("ns_per_op_off", Json.Float (per e_off.span_ns e_off));
-               ("ns_per_op_on", Json.Float (per e_on.span_ns e_on));
-               ("loads_off", Json.Int l_off);
-               ("loads_on", Json.Int l_on);
-             ] );
-       ]);
-  record_part "measured"
-    (Json.Obj
-       [
-         ( "recovery",
-           Json.Obj
-             [
-               ("acked_before_crash", Json.Int rv.rv_acked_before);
-               ("backlog_ops", Json.Int rv.rv_backlog);
-               ("resumed_ops", Json.Int rv.rv_resumed);
-               ("recover_wall_s", Json.Float rv.rv_recover_wall_s);
-               ("first_ack_wall_s", Json.Float rv.rv_first_ack_wall_s);
-               ("rto_wall_s", Json.Float rv.rv_rto_wall_s);
-               ("total_wall_s", Json.Float rv.rv_total_wall_s);
-             ] );
-         ( "shadow_mix_e",
-           Json.Obj
-             [
-               ("wall_ns_per_op_off", Json.Float (per wall_off e_off));
-               ("wall_ns_per_op_on", Json.Float (per wall_on e_on));
-             ] );
+           Obs.Sections.add
+             ~invariant:[ ("identical", Json.Bool e_same) ]
+             (Obs.Sections.group
+                [
+                  ("off", shadow_run e_off l_off wall_off);
+                  ("on", shadow_run e_on l_on wall_on);
+                ]) );
        ])
 
 (* ---------- scan: ordered-index range scans (Pbtree) ---------- *)
@@ -1269,15 +1192,6 @@ let scan () =
   Printf.printf
     "tree: %d keys, order %d, height %d, %d internal + %d leaf nodes\n" n
     (Pstruct.Pbtree.order tree) height inodes leaves;
-  record_in "scan"
-    (Json.Obj
-       [
-         ("keys", Json.Int n);
-         ("order", Json.Int (Pstruct.Pbtree.order tree));
-         ("height", Json.Int height);
-         ("internal_nodes", Json.Int inodes);
-         ("leaf_nodes", Json.Int leaves);
-       ]);
   let rounds = 256 in
   let sim f =
     let t0 = (Pmem.stats pm).Stats.ns in
@@ -1346,7 +1260,7 @@ let scan () =
     (float_of_int loads /. float_of_int probes, wall /. float_of_int probes)
   in
   let lens = [ 1; 4; 16; 64 ] in
-  (* shadow-off first: the PR 9 measurements, JSON keys unchanged *)
+  (* the unmirrored tree first *)
   let off = List.map (fun len -> (len, tree_scan len, point_scan len)) lens in
   let off_loads, off_find_wall = find_probe () in
   (* attach the DRAM mirror (one unmetered peek pass) and re-measure the
@@ -1362,28 +1276,34 @@ let scan () =
   in
   Printf.printf "\n%-6s %9s %14s %15s %7s %15s %7s\n" "len" "entries"
     "tree ns/entry" "point ns/entry" "ratio" "shadow ns/entry" "off/on";
-  List.iter2
-    (fun (len, (tns, twall, te), (pns, pe)) (ons, owall, oe) ->
-      let tpe = tns /. float_of_int (max 1 te)
-      and ppe = pns /. float_of_int (max 1 pe)
-      and ope = ons /. float_of_int (max 1 oe) in
-      Printf.printf "%-6d %9d %14.1f %15.1f %7.2f %15.1f %7.2f\n" len te tpe
-        ppe (tpe /. ppe) ope (tpe /. ope);
-      record_in "scan"
-        (Json.Obj
-           [
-             ("len", Json.Int len);
-             ("rounds", Json.Int rounds);
-             ("entries", Json.Int te);
-             ("tree_ns_per_entry", Json.Float tpe);
-             ("point_ns_per_entry", Json.Float ppe);
-             ( "tree_wall_ns_per_entry",
-               Json.Float (twall /. float_of_int (max 1 te)) );
-             ("shadow_tree_ns_per_entry", Json.Float ope);
-             ( "shadow_tree_wall_ns_per_entry",
-               Json.Float (owall /. float_of_int (max 1 oe)) );
-           ]))
-    off on;
+  let per_len =
+    List.map2
+      (fun (len, (tns, twall, te), (pns, pe)) (ons, owall, oe) ->
+        let per v e = v /. float_of_int (max 1 e) in
+        let tpe = per tns te and ppe = per pns pe and ope = per ons oe in
+        Printf.printf "%-6d %9d %14.1f %15.1f %7.2f %15.1f %7.2f\n" len te tpe
+          ppe (tpe /. ppe) ope (tpe /. ope);
+        ( Printf.sprintf "len_%d" len,
+          Obs.Sections.v
+            ~invariant:
+              [
+                ("len", Json.Int len);
+                ("rounds", Json.Int rounds);
+                ("entries", Json.Int te);
+              ]
+            ~modelled:
+              [
+                ("tree_ns_per_entry", Json.Float tpe);
+                ("point_ns_per_entry", Json.Float ppe);
+                ("shadow_tree_ns_per_entry", Json.Float ope);
+              ]
+            ~measured:
+              [
+                ("tree_wall_ns_per_entry", Json.Float (per twall te));
+                ("shadow_tree_wall_ns_per_entry", Json.Float (per owall oe));
+              ] ))
+      off on
+  in
   Printf.printf
     "point lookup (find): %.1f device loads/op off -> %.1f on; host %.0f \
      ns/op off -> %.0f on\n"
@@ -1392,93 +1312,33 @@ let scan () =
     sh_misses
     (float_of_int sh_rebuild_ns /. 1e6);
   record_in "scan"
-    (Json.Obj
-       [
-         ("find_loads_per_lookup_off", Json.Float off_loads);
-         ("find_loads_per_lookup_on", Json.Float on_loads);
-         ("find_wall_ns_off", Json.Float off_find_wall);
-         ("find_wall_ns_on", Json.Float on_find_wall);
-         ("shadow_hits", Json.Int sh_hits);
-         ("shadow_misses", Json.Int sh_misses);
-         ("shadow_rebuild_ns", Json.Int sh_rebuild_ns);
-       ]);
+    (Obs.Sections.add
+       ~invariant:
+         [
+           ("keys", Json.Int n);
+           ("order", Json.Int (Pstruct.Pbtree.order tree));
+           ("height", Json.Int height);
+           ("internal_nodes", Json.Int inodes);
+           ("leaf_nodes", Json.Int leaves);
+           ("shadow_hits", Json.Int sh_hits);
+           ("shadow_misses", Json.Int sh_misses);
+         ]
+       ~modelled:
+         [
+           ("find_loads_per_lookup_off", Json.Float off_loads);
+           ("find_loads_per_lookup_on", Json.Float on_loads);
+         ]
+       ~measured:
+         [
+           ("find_wall_ns_off", Json.Float off_find_wall);
+           ("find_wall_ns_on", Json.Float on_find_wall);
+           ("shadow_rebuild_ns", Json.Int sh_rebuild_ns);
+         ]
+       (Obs.Sections.group per_len));
   Printf.printf
     "shape: the B-link walk pays its root-to-leaf descent once per scan, \
      so ns/entry falls toward the flat walk as the window grows; the \
      mirror removes the descent's device reads entirely\n"
-
-(* ---------- Bechamel wall-clock microbenches ---------- *)
-
-let bechamel () =
-  header "Bechamel: wall-clock of the primitives behind each figure";
-  let open Bechamel in
-  let mk_pool () =
-    let pm = Pmem.create Pmem_config.default in
-    Heap.create pm
-  in
-  let tx_bench scheme =
-    Staged.stage (fun () ->
-        let heap = mk_pool () in
-        let b = create_scheme heap scheme in
-        let base = Heap.alloc heap (16 * 8) in
-        for r = 0 to 99 do
-          b.Ctx.run_tx (fun ctx ->
-              for i = 0 to 15 do
-                ctx.Ctx.write (base + (i * 8)) (r + i)
-              done)
-        done)
-  in
-  let tests =
-    [
-      Test.make ~name:"fig12:pmdk-100tx" (tx_bench "PMDK");
-      Test.make ~name:"fig12:specspmt-100tx" (tx_bench "SpecSPMT");
-      Test.make ~name:"fig13:ede-100tx" (tx_bench "EDE");
-      Test.make ~name:"fig13:spechpmt-100tx" (tx_bench "SpecHPMT");
-      Test.make ~name:"fig14:nolog-100tx" (tx_bench "no-log");
-      Test.make ~name:"table2:crc32c-4k"
-        (Staged.stage
-           (let b = Bytes.create 4096 in
-            fun () -> ignore (Checksum.crc32c b)));
-      Test.make ~name:"fig15:recovery-scan"
-        (Staged.stage (fun () ->
-             let heap = mk_pool () in
-             let pm = Heap.pmem heap in
-             let b = create_scheme heap "SpecSPMT" in
-             let base = Heap.alloc heap (16 * 8) in
-             for r = 0 to 49 do
-               b.Ctx.run_tx (fun ctx ->
-                   for i = 0 to 15 do
-                     ctx.Ctx.write (base + (i * 8)) (r + i)
-                   done)
-             done;
-             Pmem.crash pm;
-             b.Ctx.recover ()));
-    ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances test
-  in
-  List.iter
-    (fun t ->
-      let results = benchmark t in
-      (* print mean run time per test *)
-      Hashtbl.iter
-        (fun name r ->
-          match
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              Toolkit.Instance.monotonic_clock r
-          with
-          | ols -> (
-              match Analyze.OLS.estimates ols with
-              | Some [ est ] -> Printf.printf "%-28s %12.0f ns/run\n" name est
-              | _ -> Printf.printf "%-28s (no estimate)\n" name))
-        results)
-    tests
-
 
 (* ---------- the experiments ---------- *)
 
@@ -1508,7 +1368,6 @@ let experiments =
     ("scan", solo scan);
     ("eadr", solo eadr);
     ("hotness", solo hotness);
-    ("bechamel", solo bechamel);
   ]
 
 let cmd =

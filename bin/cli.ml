@@ -82,10 +82,13 @@ let json_arg =
     const check
     $ Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc))
 
-(* The top of every report: its layout version and what wrote it. *)
+(* The top of every file the CLI writes: its layout version, bumped on
+   any incompatible change to the layout, and what wrote it. *)
+let schema_version = 3
+
 let envelope ~generator fields =
   Json.Obj
-    (("schema_version", Json.Int Run.schema_version)
+    (("schema_version", Json.Int schema_version)
     :: ("generator", Json.Str generator)
     :: fields)
 

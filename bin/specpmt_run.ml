@@ -320,19 +320,33 @@ let explore_cmd =
                 ~scheme ~seed ())
         in
         let wall_s = Unix.gettimeofday () -. t0 in
+        let cases_per_sec =
+          if wall_s > 0.0 then float_of_int r.Crashmc.cases /. wall_s else 0.0
+        in
         Fmt.pr
           "%s: %d crash points (of %d events, stride %d) x persist choices = \
            %d cases, %d clean@."
           r.Crashmc.scheme r.Crashmc.points r.Crashmc.total_events
           r.Crashmc.stride r.Crashmc.cases r.Crashmc.passes;
         Fmt.pr "%.2fs wall (%d jobs), %.0f cases/sec@." wall_s jobs
-          (if wall_s > 0.0 then float_of_int r.Crashmc.cases /. wall_s else 0.0);
+          cases_per_sec;
         List.iter
           (fun f ->
             Fmt.pr "FAILURE %a@." Crashmc.pp_failure f;
             List.iter (fun l -> Fmt.pr "  trace: %s@." l) f.Crashmc.trace)
           r.Crashmc.failures;
-        write_json json (fun () -> Crashmc.report_to_json ~wall_s r);
+        write_json json (fun () ->
+            envelope ~generator:"specpmt-crashmc"
+              [
+                ( "report",
+                  Obs.Sections.add
+                    ~measured:
+                      [
+                        ("wall_s", Json.Float wall_s);
+                        ("cases_per_sec", Json.Float cases_per_sec);
+                      ]
+                    (Crashmc.report_to_json r) );
+              ]);
         if r.Crashmc.failures <> [] then exit 1
     | _ -> fail "specpmt_run: replay needs both --fuse and --choice@."
   in
@@ -462,29 +476,19 @@ let svc_bench_cmd =
                float_of_int report.Svc.Openloop.ops /. wall_s
              else 0.0))
         batches reports;
-      (* wall keys are additive and timing-dependent: strip them before
-         diffing reports across runs or job counts *)
-      let point (report, wall_s) =
-        [
-          ("report", Svc.Openloop.report_to_json report);
-          ("wall_s", Json.Float wall_s);
-        ]
+      let to_json (report, wall_s) =
+        Obs.Sections.add
+          ~measured:[ ("wall_s", Json.Float wall_s) ]
+          (Svc.Openloop.report_to_json report)
       in
       write_json json (fun () ->
           envelope ~generator:"specpmt-svc"
-            (("scheme", Json.Str scheme)
-            ::
-            (match reports with
-            | [ r ] -> point r
-            | _ ->
-                [
-                  ( "reports",
-                    Json.List
-                      (List.map2
-                         (fun batch r ->
-                           Json.Obj (("batch", Json.Int batch) :: point r))
-                         batches reports) );
-                ])))
+            [
+              ("scheme", Json.Str scheme);
+              (match reports with
+              | [ r ] -> ("report", to_json r)
+              | _ -> ("reports", Json.List (List.map to_json reports)));
+            ])
     end
   in
   Cmd.v
@@ -624,17 +628,16 @@ let ycsb_cmd =
           rates reports;
         write_json json (fun () ->
             envelope ~generator:"specpmt-ycsb"
-              (("workload", Json.Str (Svc.Scenario.mix_to_string mix))
-              :: ("spec", Svc.Scenario.spec_to_json sp)
-              ::
-              (match reports with
-              | [ r ] -> [ ("report", Svc.Openloop.report_to_json r) ]
-              | _ ->
-                  [
+              [
+                ("workload", Json.Str (Svc.Scenario.mix_to_string mix));
+                ("spec", Svc.Scenario.spec_to_json sp);
+                (match reports with
+                | [ r ] -> ("report", Svc.Openloop.report_to_json r)
+                | _ ->
                     ( "reports",
                       Json.List (List.map Svc.Openloop.report_to_json reports)
-                    );
-                  ])))
+                    ));
+              ])
   in
   Cmd.v
     (Cmd.info "ycsb"

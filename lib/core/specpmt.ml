@@ -195,9 +195,6 @@ module Run = struct
       measurement, schema-stable across PRs so the bench trajectory can
       be diffed.  See EXPERIMENTS.md, "JSON bench reports". *)
 
-  (** Bumped on any incompatible change to the report layout. *)
-  let schema_version = 2
-
   let phase_to_json (s : Stats.t) =
     Json.Obj
       [
@@ -209,15 +206,11 @@ module Run = struct
       ]
 
   let phases_to_json p =
-    (* schema-only zero rows: a run never recovers and reclaims unmetered *)
-    let zero = phase_to_json (Stats.create ()) in
     Json.Obj
       [
         ("prepare", phase_to_json p.prepare);
         ("work", phase_to_json p.work);
         ("drain", phase_to_json p.drain);
-        ("recover", zero);
-        ("reclaim", zero);
         ("other", phase_to_json p.other);
       ]
 

@@ -906,41 +906,26 @@ let failure_to_json f =
       ("trace", Json.List (List.map (fun s -> Json.Str s) f.trace));
     ]
 
-(* Bumped on any incompatible change to the report layout. *)
-let schema_version = 1
-
-let report_to_json ?wall_s r =
-  let throughput =
-    (* additive keys: harness timing, not part of the deterministic
-       verdict set (strip them before comparing parallel/serial runs) *)
-    match wall_s with
-    | None -> []
-    | Some w ->
-        [
-          ("wall_s", Json.Float w);
-          ( "cases_per_sec",
-            Json.Float
-              (if w > 0.0 then float_of_int r.cases /. w else 0.0) );
-        ]
-  in
-  Json.Obj
-    ([
-       ("schema_version", Json.Int schema_version);
-       ("generator", Json.Str "specpmt-crashmc");
-       ("scheme", Json.Str r.scheme);
-       ("seed", Json.Int r.seed);
-       ("cells", Json.Int r.cells);
-       ("txs", Json.Int r.txs);
-       ("max_writes", Json.Int r.max_writes);
-       ("budget", Json.Int r.budget);
-       ("total_events", Json.Int r.total_events);
-       ("stride", Json.Int r.stride);
-       ("points", Json.Int r.points);
-       ("cases", Json.Int r.cases);
-       ("passes", Json.Int r.passes);
-       ("failures", Json.List (List.map failure_to_json r.failures));
-     ]
-    @ throughput)
+(* the verdict set is all counts; the harness's wall clock is the
+   CLI's to add under [measured] *)
+let report_to_json r =
+  Obs.Sections.v
+    ~invariant:
+      [
+        ("scheme", Json.Str r.scheme);
+        ("seed", Json.Int r.seed);
+        ("cells", Json.Int r.cells);
+        ("txs", Json.Int r.txs);
+        ("max_writes", Json.Int r.max_writes);
+        ("budget", Json.Int r.budget);
+        ("total_events", Json.Int r.total_events);
+        ("stride", Json.Int r.stride);
+        ("points", Json.Int r.points);
+        ("cases", Json.Int r.cases);
+        ("passes", Json.Int r.passes);
+        ("failures", Json.List (List.map failure_to_json r.failures));
+      ]
+    ~modelled:[] ~measured:[]
 
 (* ------------------------------------------------------------------ *)
 (* Randomized torture                                                  *)

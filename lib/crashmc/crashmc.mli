@@ -192,12 +192,11 @@ val pp_failure : Format.formatter -> failure -> unit
 (** Human-readable failure: verdict, recovered-vs-expected cells and the
     one-line reproducer. *)
 
-val report_to_json : ?wall_s:float -> report -> Specpmt_obs.Json.t
-(** Schema-stable JSON ([generator = "specpmt-crashmc"]); failures embed
-    their reproducer line and trace.  [wall_s] (harness wall-clock
-    seconds) appends the additive [wall_s] / [cases_per_sec] keys —
-    timing, not verdicts, so comparisons across [jobs] settings should
-    strip them. *)
+val report_to_json : report -> Specpmt_obs.Json.t
+(** A {!Specpmt_obs.Sections} report whose [invariant] holds the
+    workload parameters, the sweep's counts and the failures, each with
+    its reproducer line and trace.  Nothing is modelled or measured; a
+    caller that times the sweep adds its wall clock under [measured]. *)
 
 (** {1 Randomized torture} *)
 

@@ -35,14 +35,3 @@ let can_reclaim ~all e =
              || o.inactive (* inactive epochs don't constrain reclamation *)
              || o.start_ts > e_end)
            all
-
-(** First reclaimable epoch in [all], oldest end first — the paper's
-    "always reclaim the oldest epoch" strategy with deferral when active
-    epochs overlap ("the software defers the check and log reclamation to
-    further transaction starts or commits"). *)
-let next_reclaimable all =
-  let closed =
-    List.filter (fun e -> e.end_ts <> None && e.inactive) all
-    |> List.sort (fun a b -> compare a.end_ts b.end_ts)
-  in
-  List.find_opt (fun e -> can_reclaim ~all e) closed

@@ -15,7 +15,3 @@ type epoch_span = {
 }
 
 val can_reclaim : all:epoch_span list -> epoch_span -> bool
-
-val next_reclaimable : epoch_span list -> epoch_span option
-(** Oldest-ending reclaimable epoch, if any — the paper's "always reclaim
-    the oldest" strategy with deferral. *)

@@ -29,6 +29,8 @@ type t = {
   mutable capacity : int; (* entries *)
   mutable count : int;
   mutable gen : int;
+  word : Bytes.t; (* the buffers every non-temporal store goes through *)
+  entry : Bytes.t;
 }
 
 let entry_words = 3
@@ -37,17 +39,22 @@ let entries_base r = r + 8
 let entry_crc ~gen ~addr ~old =
   Checksum.crc32c_word (Checksum.crc32c_pair 0 gen addr) old
 
-let nt_store_words t a ws =
-  let b = Bytes.create (8 * List.length ws) in
-  List.iteri (fun i w -> Bytes.set_int64_le b (i * 8) (Int64.of_int w)) ws;
-  Pmem.nt_store_bytes t.pm a b
+let nt_store_word t a w =
+  Bytes.set_int64_le t.word 0 (Int64.of_int w);
+  Pmem.nt_store_bytes t.pm a t.word
+
+let nt_store_entry t a w0 w1 w2 =
+  Bytes.set_int64_le t.entry 0 (Int64.of_int w0);
+  Bytes.set_int64_le t.entry 8 (Int64.of_int w1);
+  Bytes.set_int64_le t.entry 16 (Int64.of_int w2);
+  Pmem.nt_store_bytes t.pm a t.entry
 
 let allocate t capacity =
   let r = Heap.alloc_log t.heap (8 + (capacity * entry_bytes)) in
   t.region <- r;
   t.capacity <- capacity;
   t.gen <- 1;
-  nt_store_words t r [ 1 ];
+  nt_store_word t r 1;
   Pmem.store_int t.pm (Heap.root_slot t.heap t.region_slot) r;
   Pmem.store_int t.pm (Heap.root_slot t.heap t.capacity_slot) capacity;
   (* both root cells are flushed: the two slots may straddle a cache
@@ -68,6 +75,8 @@ let create heap ~region_slot ~capacity_slot ~capacity =
       capacity = 0;
       count = 0;
       gen = 0;
+      word = Bytes.create 8;
+      entry = Bytes.create entry_bytes;
     }
   in
   allocate t capacity;
@@ -96,6 +105,8 @@ let attach heap ~region_slot ~capacity_slot =
     capacity;
     count = 0 (* unknown; scans are self-describing *);
     gen = Pmem.load_int pm region;
+    word = Bytes.create 8;
+    entry = Bytes.create entry_bytes;
   }
 
 (** Persist one undo entry; no fence. *)
@@ -105,29 +116,27 @@ let append t ~addr ~old =
     let old_region = t.region and n = t.count and gen = t.gen in
     allocate t (t.capacity * 2);
     t.gen <- gen;
-    nt_store_words t t.region [ gen ];
+    nt_store_word t t.region gen;
     for i = 0 to n - 1 do
       let src = entries_base old_region + (i * entry_bytes) in
-      nt_store_words t
-        (entries_base t.region + (i * entry_bytes))
-        [
-          Pmem.load_int t.pm src;
-          Pmem.load_int t.pm (src + 8);
-          Pmem.load_int t.pm (src + 16);
-        ]
+      let w0 = Pmem.load_int t.pm src in
+      let w1 = Pmem.load_int t.pm (src + 8) in
+      let w2 = Pmem.load_int t.pm (src + 16) in
+      nt_store_entry t (entries_base t.region + (i * entry_bytes)) w0 w1 w2
     done;
     Heap.free t.heap old_region
   end;
-  nt_store_words t
+  nt_store_entry t
     (entries_base t.region + (t.count * entry_bytes))
-    [ addr; old; entry_crc ~gen:t.gen ~addr ~old ];
+    addr old
+    (entry_crc ~gen:t.gen ~addr ~old);
   t.count <- t.count + 1
 
 (** Commit-side truncation: persist a new generation; one non-temporal
     store, no fence. *)
 let truncate t =
   t.gen <- t.gen + 1;
-  nt_store_words t t.region [ t.gen ];
+  nt_store_word t t.region t.gen;
   t.count <- 0
 
 (** Valid entries of the current generation, oldest first. *)

@@ -613,25 +613,10 @@ let crash_with t ~persist =
   clear_cache t;
   t.fuse <- 0
 
+(* the coin-flip oracle: one draw per dirty word (none under eADR) *)
 let crash t =
-  (* under eADR the caches are inside the persistence domain: every dirty
-     word drains, deterministically *)
-  let p =
-    if t.cfg.Config.eadr then 1.0 else t.cfg.Config.crash_word_persist_prob
-  in
-  List.iter
-    (fun li ->
-      let s = t.slot_of.(li) in
-      if s >= 0 then
-        for w = 0 to line_words - 1 do
-          if Random.State.float t.rng 1.0 < p then
-            media_blit_out t t.slot_data ((s lsl line_shift) + (w * 8))
-              ((li lsl line_shift) + (w * 8))
-              1
-        done)
-    (dirty_lines t);
-  clear_cache t;
-  t.fuse <- 0
+  let p = t.cfg.Config.crash_word_persist_prob in
+  crash_with t ~persist:(fun _ -> Random.State.float t.rng 1.0 < p)
 
 let with_unmetered t f =
   let saved = t.metered in

@@ -125,9 +125,10 @@ val events : t -> int
     measure a workload once and then target any event as a crash point. *)
 
 val crash : t -> unit
-(** Take the crash: every dirty cached word independently reaches the media
-    with probability [crash_word_persist_prob]; then the cache, queue and
-    fuse are cleared.  Subsequent loads observe only the media. *)
+(** Take the crash: {!crash_with} a seeded coin flip, so every dirty cached
+    word independently reaches the media with probability
+    [crash_word_persist_prob]; then the cache, queue and fuse are cleared.
+    Subsequent loads observe only the media. *)
 
 val crash_with : t -> persist:(Addr.t -> bool) -> unit
 (** Oracle-driven crash: like {!crash}, but the persistence of each dirty

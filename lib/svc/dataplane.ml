@@ -432,60 +432,54 @@ let shard_to_json s =
       ("sealed_records", Json.Int s.d_sealed);
     ]
 
-(* The three-way split is the contract: [invariant] must be
-   byte-identical across domain counts (CI diffs it 1 vs N); [measured]
-   is host wall clock; [modelled] is simulated device time, whose cache
-   locality legitimately depends on the shard->domain packing. *)
+(* [invariant] must be byte-identical across domain counts (CI diffs
+   it 1 vs N); [modelled] is simulated device time, whose cache locality
+   legitimately depends on the shard->domain packing; [measured] is the
+   domain layout and host wall clock. *)
 let report_to_json cfg r =
-  Json.Obj
-    [
-      ( "invariant",
-        Json.Obj
-          [
-            ("shards", Json.Int cfg.shards);
-            ("batch_max", Json.Int cfg.batch_max);
-            ("depth", Json.Int cfg.depth);
-            ("keys", Json.Int cfg.keys);
-            ("halted", Json.Bool r.halted);
-            ("total_ops", Json.Int r.total_ops);
-            ("reads", Json.Int r.reads);
-            ("writes", Json.Int r.writes);
-            ("rmws", Json.Int r.rmws);
-            ("scans", Json.Int r.scans);
-            ("reads_sum", Json.Int r.reads_sum);
-            ("table_crc", Json.Int r.table_crc);
-            ("fences", Json.Int r.fences);
-            ("batches", Json.Int r.batches);
-            ("sealed_records", Json.Int r.sealed_records);
-            ("per_shard", Json.List (List.map shard_to_json r.per_shard));
-          ] );
-      ( "measured",
-        Json.Obj
-          [
-            ("domains", Json.Int r.domains);
-            ( "placement",
-              Json.List
-                (List.map (fun s -> Json.Int s.d_domain) r.per_shard) );
-            ("wall_s", Json.Float r.wall_s);
-            ("wall_ops_per_sec", Json.Float r.wall_ops_per_sec);
-            ("wall_latency_ns", Hist.to_json r.wall_latency);
-            ("router_stalls", Json.Int r.router_stalls);
-          ] );
-      ( "modelled",
-        Json.Obj
-          [
-            ("sim_ns_max", Json.Float r.sim_ns_max);
-            ("sim_ns_sum", Json.Float r.sim_ns_sum);
-            ("sim_bg_ns", Json.Float r.sim_bg_ns);
-            ("sim_ops_per_sec_max",
-             Json.Float
-               (if r.sim_ns_max > 0.0 then
-                  float_of_int r.total_ops /. (r.sim_ns_max /. 1e9)
-                else 0.0));
-            ("pm_write_lines", Json.Int r.pm_write_lines);
-            ("pm_read_lines", Json.Int r.pm_read_lines);
-          ] );
-    ]
+  Specpmt_obs.Sections.v
+    ~invariant:
+      [
+        ("shards", Json.Int cfg.shards);
+        ("batch_max", Json.Int cfg.batch_max);
+        ("depth", Json.Int cfg.depth);
+        ("keys", Json.Int cfg.keys);
+        ("halted", Json.Bool r.halted);
+        ("total_ops", Json.Int r.total_ops);
+        ("reads", Json.Int r.reads);
+        ("writes", Json.Int r.writes);
+        ("rmws", Json.Int r.rmws);
+        ("scans", Json.Int r.scans);
+        ("reads_sum", Json.Int r.reads_sum);
+        ("table_crc", Json.Int r.table_crc);
+        ("fences", Json.Int r.fences);
+        ("batches", Json.Int r.batches);
+        ("sealed_records", Json.Int r.sealed_records);
+        ("per_shard", Json.List (List.map shard_to_json r.per_shard));
+      ]
+    ~modelled:
+      [
+        ("sim_ns_max", Json.Float r.sim_ns_max);
+        ("sim_ns_sum", Json.Float r.sim_ns_sum);
+        ("sim_bg_ns", Json.Float r.sim_bg_ns);
+        ( "sim_ops_per_sec_max",
+          Json.Float
+            (if r.sim_ns_max > 0.0 then
+               float_of_int r.total_ops /. (r.sim_ns_max /. 1e9)
+             else 0.0) );
+        ("pm_write_lines", Json.Int r.pm_write_lines);
+        ("pm_read_lines", Json.Int r.pm_read_lines);
+      ]
+    ~measured:
+      [
+        ("domains", Json.Int r.domains);
+        ( "placement",
+          Json.List (List.map (fun s -> Json.Int s.d_domain) r.per_shard) );
+        ("wall_s", Json.Float r.wall_s);
+        ("wall_ops_per_sec", Json.Float r.wall_ops_per_sec);
+        ("wall_latency_ns", Hist.to_json r.wall_latency);
+        ("router_stalls", Json.Int r.router_stalls);
+      ]
 
 let pp ppf (cfg, r) =
   let q p = Hist.quantile r.wall_latency p in

@@ -138,8 +138,9 @@ val peek : t -> int -> int
     clean join or {!recover}), when no worker cache is live. *)
 
 val report_to_json : config -> report -> Specpmt_obs.Json.t
-(** Three sections: [invariant] (must be byte-identical across domain
-    counts — CI diffs 1 vs N), [measured] (host wall clock),
-    [modelled] (simulated device time). *)
+(** A {!Specpmt_obs.Sections} report: [invariant] (must be
+    byte-identical across domain counts — CI diffs 1 vs N), [modelled]
+    (simulated device time) and [measured] (domain count, placement and
+    host wall clock). *)
 
 val pp : Format.formatter -> config * report -> unit

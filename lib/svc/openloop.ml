@@ -2,6 +2,7 @@ open Specpmt_pmem
 module Hist = Specpmt_obs.Hist
 module Metrics = Specpmt_obs.Metrics
 module Json = Specpmt_obs.Json
+module Sections = Specpmt_obs.Sections
 
 (* The one load driver.  Every op of a stream is released at some
    virtual time and measured from that release to its ack; only the
@@ -253,34 +254,42 @@ let shard_to_json (s : Service.shard_stats) =
       ("max_inflight", Json.Int s.s_max_inflight);
     ]
 
+(* counts and checksums are invariant; the rate, every time and every
+   rate derived from one are on the simulated clock; nothing is read
+   from the host clock *)
 let report_to_json r =
-  Json.Obj
-    [
-      ("rate", Json.Float r.o_config.rate);
-      ("arrivals", Json.Str (arrivals_to_string r.o_config.arrivals));
-      ("seed", Json.Int r.o_config.seed);
-      ("shards", Json.Int r.svc_config.Service.shards);
-      ("batch_max", Json.Int r.svc_config.Service.batch_max);
-      ("depth", Json.Int r.svc_config.Service.depth);
-      ("keys", Json.Int r.svc_config.Service.keys);
-      ("ops", Json.Int r.ops);
-      ("reads", Json.Int r.reads);
-      ("writes", Json.Int r.writes);
-      ("rmws", Json.Int r.rmws);
-      ("scans", Json.Int r.scans);
-      ("reads_sum", Json.Int r.reads_sum);
-      ("attempts", Json.Int r.attempts);
-      ("rejects", Json.Int r.rejects);
-      ("max_backlog", Json.Int r.max_backlog);
-      ("last_arrival_ns", Json.Float r.last_arrival_ns);
-      ("span_ns", Json.Float r.span_ns);
-      ("offered_ops_per_sec", Json.Float r.offered_ops_per_sec);
-      ("goodput_ops_per_sec", Json.Float r.goodput_ops_per_sec);
-      ("fences", Json.Int r.fences);
-      ("fences_per_op", Json.Float r.fences_per_op);
-      ("latency_ns", Hist.to_json r.latency);
-      ("per_shard", Json.List (List.map shard_to_json r.shards));
-    ]
+  Sections.v
+    ~invariant:
+      [
+        ("arrivals", Json.Str (arrivals_to_string r.o_config.arrivals));
+        ("seed", Json.Int r.o_config.seed);
+        ("shards", Json.Int r.svc_config.Service.shards);
+        ("batch_max", Json.Int r.svc_config.Service.batch_max);
+        ("depth", Json.Int r.svc_config.Service.depth);
+        ("keys", Json.Int r.svc_config.Service.keys);
+        ("ops", Json.Int r.ops);
+        ("reads", Json.Int r.reads);
+        ("writes", Json.Int r.writes);
+        ("rmws", Json.Int r.rmws);
+        ("scans", Json.Int r.scans);
+        ("reads_sum", Json.Int r.reads_sum);
+        ("attempts", Json.Int r.attempts);
+        ("rejects", Json.Int r.rejects);
+        ("max_backlog", Json.Int r.max_backlog);
+        ("fences", Json.Int r.fences);
+        ("per_shard", Json.List (List.map shard_to_json r.shards));
+      ]
+    ~modelled:
+      [
+        ("rate", Json.Float r.o_config.rate);
+        ("last_arrival_ns", Json.Float r.last_arrival_ns);
+        ("span_ns", Json.Float r.span_ns);
+        ("offered_ops_per_sec", Json.Float r.offered_ops_per_sec);
+        ("goodput_ops_per_sec", Json.Float r.goodput_ops_per_sec);
+        ("fences_per_op", Json.Float r.fences_per_op);
+        ("latency_ns", Hist.to_json r.latency);
+      ]
+    ~measured:[]
 
 let pp ppf r =
   let q p = Hist.quantile r.latency p in
@@ -420,28 +429,24 @@ let recovery_under_load ?params heap cfg stream ~fuse_batches =
   }
 
 let recovery_to_json r =
-  Json.Obj
-    [
-      ( "invariant",
-        Json.Obj
-          [
-            ("fuse_batches", Json.Int r.rv_fuse);
-            ("halted", Json.Bool r.rv_halted);
-            ("recover_ns", Json.Float r.rv_recover_ns);
-            ("audit_failures", Json.Int r.rv_audit_failures);
-          ] );
-      ( "measured",
-        Json.Obj
-          [
-            ("acked_before_crash", Json.Int r.rv_acked_before);
-            ("backlog_ops", Json.Int r.rv_backlog);
-            ("resumed_ops", Json.Int r.rv_resumed);
-            ("recover_wall_s", Json.Float r.rv_recover_wall_s);
-            ("first_ack_wall_s", Json.Float r.rv_first_ack_wall_s);
-            ("rto_wall_s", Json.Float r.rv_rto_wall_s);
-            ("total_wall_s", Json.Float r.rv_total_wall_s);
-          ] );
-    ]
+  Sections.v
+    ~invariant:
+      [
+        ("fuse_batches", Json.Int r.rv_fuse);
+        ("halted", Json.Bool r.rv_halted);
+        ("audit_failures", Json.Int r.rv_audit_failures);
+      ]
+    ~modelled:[ ("recover_ns", Json.Float r.rv_recover_ns) ]
+    ~measured:
+      [
+        ("acked_before_crash", Json.Int r.rv_acked_before);
+        ("backlog_ops", Json.Int r.rv_backlog);
+        ("resumed_ops", Json.Int r.rv_resumed);
+        ("recover_wall_s", Json.Float r.rv_recover_wall_s);
+        ("first_ack_wall_s", Json.Float r.rv_first_ack_wall_s);
+        ("rto_wall_s", Json.Float r.rv_rto_wall_s);
+        ("total_wall_s", Json.Float r.rv_total_wall_s);
+      ]
 
 let pp_recovery ppf r =
   Fmt.pf ppf

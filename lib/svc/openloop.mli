@@ -93,10 +93,12 @@ val run : Service.t -> config -> (int * Service.op) array -> report
     [Invalid_argument] on an empty stream or [clients < 1]. *)
 
 val report_to_json : report -> Specpmt_obs.Json.t
-(** One flat object — every field deterministic (no wall clock):
-    config echo, op-kind counts, [reads_sum], attempts/rejects/
-    max_backlog, span/offered/goodput, fences and the CO-safe latency
-    histogram, plus a [per_shard] list. *)
+(** A {!Specpmt_obs.Sections} report: [invariant] holds the config echo
+    (all but [rate]), the op-kind counts, [reads_sum], attempts/rejects/
+    max_backlog, fences and the [per_shard] list; [modelled] holds
+    [rate], the arrival and span times, offered/goodput, fences per op
+    and the CO-safe latency histogram.  [measured] is empty: nothing
+    reads the host clock. *)
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable summary (the [ycsb] and [svc-bench] CLI output). *)
@@ -140,9 +142,9 @@ val recovery_under_load :
     streams raise [Invalid_argument]. *)
 
 val recovery_to_json : recovery_report -> Specpmt_obs.Json.t
-(** Two sections: [invariant] (fuse, halted flag, simulated recovery
-    ns, audit failures — byte-identical across [--jobs] and repeat
-    runs) and [measured] (ack/backlog split and wall-clock RTO, which
-    depend on router/worker timing). *)
+(** A {!Specpmt_obs.Sections} report: [invariant] (fuse, halted flag,
+    audit failures), [modelled] (the simulated recovery ns) and
+    [measured] (the ack/backlog split, which depends on router/worker
+    timing, and the wall-clock RTO). *)
 
 val pp_recovery : Format.formatter -> recovery_report -> unit

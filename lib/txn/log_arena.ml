@@ -494,8 +494,7 @@ let walk_entries pm ~block_bytes ~block ~meta ~size ~copy w =
    starts with. *)
 let meta_crc ~size ~ts = Checksum.crc32c_pair 0 size ts
 
-let commit_record ?(fence = true) ?(flush = true) ?(tentative = false) t
-    ~timestamp =
+let commit_record ?(fence = true) ?(tentative = false) t ~timestamp =
   assert (has_open_record t);
   (* a valid record appended past pending tentative ones would sit behind
      a checksum gap and be unreachable by the valid-prefix scan — the
@@ -534,7 +533,7 @@ let commit_record ?(fence = true) ?(flush = true) ?(tentative = false) t
      speculative-logging commit of Figure 2 (right).  Tentative records
      defer both to the seal.  Pending chain pointers go first, then the
      record spans in append order. *)
-  if flush && not tentative then begin
+  if not tentative then begin
     flush_pending t;
     for i = 0 to t.n_segs - 1 do
       Pmem.flush_range t.pm t.seg_a.(i) (t.seg_b.(i) - t.seg_a.(i))

@@ -70,15 +70,12 @@ val abandon_record : t -> unit
     which would read as the end-of-log sentinel. *)
 
 val commit_record :
-  ?fence:bool -> ?flush:bool -> ?tentative:bool -> t -> timestamp:int -> unit
+  ?fence:bool -> ?tentative:bool -> t -> timestamp:int -> unit
 (** Seal the open record: write metadata with the checksum commit marker,
     flush every line of the record, and issue one fence.  [~fence:false]
     skips the fence — used by the hardware bulk-copy engine, whose flushes
     are persistent on write-pending-queue acceptance (ADR) and whose
     ordering is enforced by the engine itself (Section 5.1).
-    [~flush:false] skips persistence entirely: the record drains via cache
-    evictions — only for logs whose content recovery never reads (HOOP's
-    address-mapping log).
 
     [~tentative:true] is the group-commit path: the record is written with
     a deliberately poisoned checksum and neither flushed nor fenced, so it

@@ -62,6 +62,27 @@ let test_quantile_monotone () =
   Alcotest.(check bool) "quantile is monotone in q" true (mono vs);
   Alcotest.(check int) "q=1.0 is the max" s.Hist.max (Hist.quantile s 1.0)
 
+(* Sections.group files each named run's sections under its name, in
+   the order given, and leaves a run out of a section it has nothing
+   in; Sections.add appends to a report's sections. *)
+let test_sections_group () =
+  let run ops = Sections.v ~invariant:[ ("ops", Json.Int ops) ] in
+  let a = run 1 ~modelled:[ ("ns", Json.Int 2) ] ~measured:[] in
+  let b =
+    Sections.add
+      ~measured:[ ("wall_s", Json.Int 3) ]
+      (run 4 ~modelled:[] ~measured:[])
+  in
+  Alcotest.(check string)
+    "sections of named runs"
+    {|{"invariant":{"a":{"ops":1},"b":{"ops":4}},"modelled":{"a":{"ns":2}},"measured":{"b":{"wall_s":3}}}|}
+    (Fmt.str "%a" Json.pp (Sections.group [ ("a", a); ("b", b) ]));
+  Alcotest.(check bool)
+    "a value of another layout is rejected" true
+    (match Sections.group [ ("c", Json.Obj []) ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "obs"
     [
@@ -72,4 +93,6 @@ let () =
           Alcotest.test_case "q=0.0 and q=1.0" `Quick test_quantile_extremes;
           Alcotest.test_case "monotone in q" `Quick test_quantile_monotone;
         ] );
+      ( "sections",
+        [ Alcotest.test_case "group named runs" `Quick test_sections_group ] );
     ]
