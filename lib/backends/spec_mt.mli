@@ -11,8 +11,8 @@
     standalone runtime's own recovery sequence.  In {!Spec_soft.Replay}
     mode {!Specpmt_txn.Log_arena.replay} stores every record of every
     log oldest first; in the default {!Spec_soft.Coalesce} mode all logs
-    fold into one last-writer-wins index and each live cell is written
-    exactly once.
+    are gathered into one buffer, each cell keeps its newest entry, and
+    each live cell is written exactly once.
 
     Threads here are deterministic interleavings (the test harness runs
     one transaction at a time); concurrency control is the application's

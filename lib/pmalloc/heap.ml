@@ -262,6 +262,7 @@ let register_free t addr =
   else push_free t size addr
 
 let usable_size t addr = fst (read_header t addr)
+let log_zone_bytes t = t.hi - t.log_bump
 let root_slot _t i = Layout.root_slot i
 let used_bytes t = t.bump - t.lo
 let live_bytes t = used_bytes t - t.freed

@@ -49,6 +49,13 @@ val register_free : t -> Addr.t -> unit
 val usable_size : t -> Addr.t -> int
 (** The size-class capacity of an allocated block. *)
 
+val log_zone_bytes : t -> int
+(** Bytes of the log zone: every block {!alloc_log} has handed out,
+    live or free, with its header.  No log block lies outside it, so the
+    logs of this heap hold at most [log_zone_bytes / 16] entries of 16
+    bytes.  After {!recover} it is read from the zone's persistent bump
+    cell. *)
+
 val root_slot : t -> int -> Addr.t
 (** Address of persistent root-pointer slot [i] (see
     {!Specpmt_pmalloc.Layout.root_slot_count}). *)

@@ -678,25 +678,27 @@ let test_recovery_walks_each_log_once () =
   let pm2, heap2, _, _ = spec_image () in
   Pmem.crash pm1;
   Pmem.crash pm2;
-  let index = Log_arena.Lww.create () in
-  let tail = ref None in
-  let collect =
-    stats_of pm2 (fun () ->
-        let _, _, _, t =
-          Log_arena.recover_collect pm2 ~head_slot:Slots.spec_head
-            ~block_bytes:256 ~index
-        in
-        tail := Some t)
-  in
-  let blocks =
-    Log_arena.block_count (Log_arena.attach heap2 ~tail:(Option.get !tail))
-  in
-  let recovery = stats_of pm1 backend.Ctx.recover in
-  Alcotest.(check int) "loads = one collect walk + one per chained block"
-    (collect.Stats.loads + blocks) recovery.Stats.loads;
-  (* the one clwb beyond the restored lines is attach's sentinel *)
   let live = ref [] in
-  Log_arena.Lww.iter index (fun a ~value:_ ~ts:_ -> live := a :: !live);
+  ignore
+    (Log_arena.recover_scan pm2 ~head_slot:Slots.spec_head ~block_bytes:256
+       ~f:(fun ~ts:_ addrs _ n ->
+         for i = 0 to n - 1 do
+           live := addrs.(i) :: !live
+         done));
+  let tails = ref [||] in
+  let coalesce =
+    stats_of pm2 (fun () ->
+        let _, t, _, _, _ =
+          Log_arena.coalesce pm2 ~block_bytes:256
+            ~log_bytes:(Heap.log_zone_bytes heap2) [| Slots.spec_head |]
+        in
+        tails := t)
+  in
+  let blocks = Log_arena.block_count (Log_arena.attach heap2 ~tail:!tails.(0)) in
+  let recovery = stats_of pm1 backend.Ctx.recover in
+  Alcotest.(check int) "loads = one coalesce walk + one per chained block"
+    (coalesce.Stats.loads + blocks) recovery.Stats.loads;
+  (* the one clwb beyond the restored lines is attach's sentinel *)
   let lines = line_count !live in
   Alcotest.(check bool) "the live cells span several lines" true (lines > 1);
   Alcotest.(check int) "one clwb per restored line" (lines + 1)

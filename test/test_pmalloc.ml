@@ -118,6 +118,28 @@ let prop_alloc_free_random =
         script;
       true)
 
+(* the log zone's bytes: every log block handed out, freed or not, with
+   its header, and no data block; the same after a crash and [recover],
+   which reads the zone's bump cell back *)
+let test_log_zone_bytes () =
+  let pm, heap = mk () in
+  Alcotest.(check int) "empty zone" 0 (Heap.log_zone_bytes heap);
+  let blocks = List.init 6 (fun _ -> Heap.alloc_log heap 512) in
+  let zone = 6 * (512 + 8) in
+  Alcotest.(check int) "six blocks" zone (Heap.log_zone_bytes heap);
+  List.iteri (fun i b -> if i mod 2 = 0 then Heap.free heap b) blocks;
+  ignore (Heap.alloc heap 512);
+  Alcotest.(check int) "frees and data allocations do not move it" zone
+    (Heap.log_zone_bytes heap);
+  Pmem.crash pm;
+  Heap.recover heap;
+  Alcotest.(check int) "read back by recover" zone (Heap.log_zone_bytes heap);
+  ignore (Heap.alloc_log heap 512);
+  Alcotest.(check int) "a free block reused" zone (Heap.log_zone_bytes heap);
+  ignore (Heap.alloc_log heap 1024);
+  Alcotest.(check int) "a fresh block" (zone + 1024 + 8)
+    (Heap.log_zone_bytes heap)
+
 let () =
   Alcotest.run "pmalloc"
     [
@@ -138,5 +160,6 @@ let () =
             test_create_twice_rejected;
           Alcotest.test_case "headers survive crash" `Quick
             test_headers_survive_crash;
+          Alcotest.test_case "log zone bytes" `Quick test_log_zone_bytes;
         ] );
     ]

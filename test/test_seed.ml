@@ -71,6 +71,19 @@ let replay () =
   let replay () = ignore (Log_arena.replay pm ~block_bytes:512 heads) in
   (measure pm replay, [])
 
+(* a three-thread SpecSPMT pool's Coalesce recovery: the heap walks,
+   one gather over the three logs, the line sort and the write-back, and
+   the three reattaches *)
+let coalesce_pool () =
+  let pm, heap = fresh () in
+  let mt = Spec_mt.create heap ~threads:3 in
+  let base = Heap.alloc heap (1024 * 8) in
+  churn ~cores:3
+    (fun i f -> (Spec_mt.thread mt i).Ctx.run_tx f)
+    base ~cells:1024 ~txs:90;
+  Pmem.crash_with pm ~persist:(fun a -> a land 64 = 0);
+  (measure pm (fun () -> Spec_mt.recover mt), [])
+
 let switch_out () =
   let pm, heap = fresh () in
   let b, rt = Spec_soft.create heap Spec_soft.default_params in
@@ -159,6 +172,8 @@ let () =
         [
           Alcotest.test_case "Log_arena.replay, three logs" `Quick
             (same replay);
+          Alcotest.test_case "SpecSPMT three-thread Coalesce recovery" `Quick
+            (same coalesce_pool);
           Alcotest.test_case "Spec_soft.switch_out" `Quick (same switch_out);
           Alcotest.test_case "SpecHPMT three-core recovery" `Quick
             (same spechpmt_pool);
