@@ -90,9 +90,9 @@ let reclaim_arg =
 
 let recovery_arg =
   let doc =
-    "Recovery mode for the SpecSPMT schemes: $(b,coalesce) (last-writer-wins \
-     index, one write per live cell) or $(b,replay) (the paper's \
-     replay-every-record loop)."
+    "Recovery mode for the SpecSPMT schemes: $(b,coalesce) (gather every \
+     log entry, sort the entries by line, write each live cell once) or \
+     $(b,replay) (the paper's replay-every-record loop)."
   in
   Arg.(value & opt (some string) None & info [ "recovery" ] ~docv:"MODE" ~doc)
 

@@ -146,15 +146,10 @@ let recover t =
   Log_arena.Lww.clear t.ws;
   Ctx.Shell.reset t.shell
 
-let create ?buckets heap =
+let create heap =
   let pm = Heap.pmem heap in
-  let buckets =
-    match buckets with
-    | Some b -> b
-    | None ->
-        (* size the table to a sixteenth of the pool by default *)
-        max 256 (Pmem.mem_size pm / (16 * bucket_bytes))
-  in
+  (* the table takes a sixteenth of the pool *)
+  let buckets = max 256 (Pmem.mem_size pm / (16 * bucket_bytes)) in
   let table = Heap.alloc_log heap (buckets * bucket_bytes) in
   Pmem.with_unmetered pm (fun () ->
       for i = 0 to buckets - 1 do

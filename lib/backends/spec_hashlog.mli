@@ -7,5 +7,5 @@
 open Specpmt_pmalloc
 open Specpmt_txn
 
-val create : ?buckets:int -> Heap.t -> Ctx.backend
-(** [buckets] defaults to a sixteenth of the pool. *)
+val create : Heap.t -> Ctx.backend
+(** The table's buckets take a sixteenth of the pool. *)

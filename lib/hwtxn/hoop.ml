@@ -42,13 +42,6 @@ type t = {
          on large-footprint applications *)
   mutable pending : (Addr.t * int) list list; (* committed, awaiting GC *)
   mutable pending_entries : int;
-  gc_batch_entries : int;
-  gc_contention : float;
-      (** fraction of the GC's media-write occupancy that stalls the
-          foreground (shared write-pending queue) *)
-  stream_ns_per_update : float;
-      (** on-chip log-buffer drain: WPQ acceptance plus the entry's share
-          of log-write bandwidth, paid per update during the transaction *)
   buffer_probes : Specpmt_obs.Metrics.counter;
       (* [tx.buffer_probes]: read-own-writes lookups that actually probed
          the redirection buffer; the empty-buffer fast path keeps
@@ -56,6 +49,17 @@ type t = {
 }
 
 let block_bytes = 4096
+
+(* log entries that trigger a GC cycle *)
+let gc_batch_entries = 8192
+
+(* fraction of the GC's media-write occupancy that stalls the foreground
+   (shared write-pending queue) *)
+let gc_contention = 0.4
+
+(* on-chip log-buffer drain: WPQ acceptance plus the entry's share of
+   log-write bandwidth, paid per update during the transaction *)
+let stream_ns_per_update = 5.0
 
 (* Background GC: coalesce pending records, apply them to the home
    locations, prune the log.  Off the critical path except for the
@@ -92,7 +96,7 @@ let gc t =
     (* the GC burst exhausts the shared write-pending queue: the working
        thread contends for it (the paper's explanation of HOOP's gap to
        SpecHPMT, Section 7.3) *)
-    Pmem.charge_ns t.pm (occupancy *. t.gc_contention);
+    Pmem.charge_ns t.pm (occupancy *. gc_contention);
     t.pending <- [];
     t.pending_entries <- 0
   end
@@ -115,7 +119,7 @@ let tx_write t a v =
      through the write-pending queue during execution *)
   t.tx_entries <- (a, v) :: t.tx_entries;
   Log_arena.Lww.add t.buffer a ~value:v ~ts:0;
-  Pmem.charge_ns t.pm t.stream_ns_per_update
+  Pmem.charge_ns t.pm stream_ns_per_update
 
 let commit t frees =
   (* the write intents become visible in the home locations only now *)
@@ -145,7 +149,7 @@ let commit t frees =
   end;
   t.tx_entries <- [];
   List.iter (fun a -> Heap.free t.heap a) frees;
-  if t.pending_entries >= t.gc_batch_entries then gc t
+  if t.pending_entries >= gc_batch_entries then gc t
 
 (* drop everything the aborted transaction gathered: its write intents
    and the lines it read, which the next commit would otherwise log into
@@ -178,8 +182,7 @@ let recover t =
   Log_arena.Lww.clear t.tx_read_lines;
   Ctx.Shell.reset t.shell
 
-let create ?(gc_batch_entries = 8192) ?(gc_contention = 0.4)
-    ?(stream_ns_per_update = 5.0) heap =
+let create heap =
   let t =
     {
       heap;
@@ -195,9 +198,6 @@ let create ?(gc_batch_entries = 8192) ?(gc_contention = 0.4)
       tx_read_lines = Log_arena.Lww.create ();
       pending = [];
       pending_entries = 0;
-      gc_batch_entries;
-      gc_contention;
-      stream_ns_per_update;
       buffer_probes = Specpmt_obs.Metrics.counter "tx.buffer_probes";
     }
   in

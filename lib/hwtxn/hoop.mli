@@ -10,13 +10,7 @@
 open Specpmt_pmalloc
 open Specpmt_txn
 
-val create :
-  ?gc_batch_entries:int ->
-  ?gc_contention:float ->
-  ?stream_ns_per_update:float ->
-  Heap.t ->
-  Ctx.backend
-(** [gc_batch_entries] log entries trigger a GC cycle; [gc_contention] is
-    the fraction of the GC burst's write-queue occupancy that stalls the
-    foreground; [stream_ns_per_update] is the on-chip buffer streaming
-    cost per logged update. *)
+val create : Heap.t -> Ctx.backend
+(** 8,192 log entries trigger a GC cycle; 0.4 of the GC burst's
+    write-queue occupancy stalls the foreground; streaming the on-chip
+    buffer costs 5 ns per logged update. *)

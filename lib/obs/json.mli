@@ -18,11 +18,9 @@ type t =
 val pp : Format.formatter -> t -> unit
 (** Compact one-line output. *)
 
-val pp_hum : Format.formatter -> t -> unit
-(** Two-space indented output, for files meant to be read by humans. *)
-
 val to_string : t -> string
-(** [pp_hum] into a string, with a trailing newline. *)
+(** Two-space indented output, for files meant to be read by humans,
+    with a trailing newline. *)
 
 val to_file : string -> t -> unit
 (** Write [to_string] to a file (truncating). *)

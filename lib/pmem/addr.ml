@@ -7,7 +7,6 @@ let line_of a = a land lnot (line_size - 1)
 let line_index a = a lsr 6
 let page_of a = a land lnot (page_size - 1)
 let page_index a = a lsr 12
-let offset_in_line a = a land (line_size - 1)
 
 let is_word_aligned a = a land (word_size - 1) = 0
 

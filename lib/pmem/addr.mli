@@ -27,9 +27,6 @@ val page_of : t -> t
 val page_index : t -> int
 (** [page_index a] is [a / page_size]. *)
 
-val offset_in_line : t -> int
-(** Byte offset of [a] within its cache line. *)
-
 val is_word_aligned : t -> bool
 (** Whether [a] is 8-byte aligned. *)
 

@@ -12,9 +12,6 @@ let create (ctx : Ctx.ctx) len =
   assert (len > 0);
   { base = ctx.Ctx.alloc (len * 8); len }
 
-(** Adopt an existing allocation (e.g. rediscovered via a root slot). *)
-let of_base ~base ~len = { base; len }
-
 let length t = t.len
 let base t = t.base
 

@@ -12,9 +12,6 @@ type t
 val create : Ctx.ctx -> int -> t
 (** [create ctx len] allocates [len] cells (uninitialised). *)
 
-val of_base : base:Addr.t -> len:int -> t
-(** Adopt an existing allocation (e.g. rediscovered via a root slot). *)
-
 val length : t -> int
 val base : t -> Addr.t
 

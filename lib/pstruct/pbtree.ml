@@ -1,8 +1,8 @@
 (** Persistent B-link tree.
 
-    Layout: header [order; root; count]; node [meta; high; right;
-    keys[order]; payloads[order]] with [meta = nkeys*2 + is_leaf].
-    Internal entry [i] points at the child covering keys in
+    Layout, in words: header [order; root; count]; node [meta; high;
+    right; keys[order]; payloads[order]] with [meta = nkeys*2 +
+    is_leaf].  Internal entry [i] points at the child covering keys in
     [(keys.(i-1), keys.(i)]]; a node's [high] is its own inclusive
     bound ([max_int] on the rightmost spine) and always equals its
     separator in the parent, and [keys.(nkeys-1) = high] on internal
@@ -15,9 +15,10 @@
     case with no retro-propagation — small transactional write sets
     are the whole point of running this over speculative logging.
 
-    An optional DRAM {!Shadow} mirror (see {!attach_shadow}) serves
-    every node read from volatile memory with binary search inside
-    nodes; transactional writes dual-write media and mirror, the mirror
+    An optional DRAM {!Shadow} mirror (see {!attach_shadow}) holds every
+    node, and the header, as an image of its cells, and serves every
+    read from volatile memory with binary search inside nodes;
+    transactional writes dual-write media and mirror, the mirror
     updated in place under an undo log that the transaction's outcome
     empties or replays.  With no mirror attached, every path below reads
     through the ctx exactly as before — the unmirrored read sequences
@@ -55,150 +56,72 @@ let fresh_stats () =
     root_shrinks = 0;
   }
 
-(* header cells *)
-let h_order h = h
-let h_root h = h + 8
-let h_count h = h + 16
+(* cell offsets, in words: the header's, then a node's *)
+let o_order = 0
+let o_root = 1
+let o_count = 2
 let header_bytes = 24
-
-(* node cells *)
-let n_meta n = n
-let n_high n = n + 8
-let n_right n = n + 16
-let n_key _t n i = n + 24 + (8 * i)
-let n_pay t n i = n + 24 + (8 * t.order) + (8 * i)
-let node_bytes order = 24 + (16 * order)
+let o_meta = 0
+let o_high = 1
+let o_right = 2
+let o_key i = 3 + i
+let o_pay t i = 3 + t.order + i
+let node_cells order = 3 + (2 * order)
 
 let nkeys_of m = m lsr 1
 let leaf_of m = m land 1 = 1
 
-(* ---- node cell reads ----
+(* ---- cell reads and writes ----
 
-   [r_*] read the media through the ctx — the audit path, and the only
-   path when no mirror is attached.  The unsuffixed accessors dispatch
-   to the mirror when one is attached (a mutation sees its own updates,
-   made in place), falling back to the metered ctx read for a node the
-   mirror does not cover. *)
+   [rd] reads the media through the ctx: the audit path, and the only
+   path when no mirror is attached.  [image] is the one mirror lookup:
+   it counts one hit per node it serves (header reads go uncounted), or
+   one miss, and then answers [no_image] as it does without a mirror,
+   so the caller falls back to [rd].  [get] serves one cell through it
+   (a mutation sees its own updates, made in place); a descent serves
+   a whole node from one [image]. *)
 
-let r_meta (ctx : Ctx.ctx) n = ctx.Ctx.read (n_meta n)
-let r_high (ctx : Ctx.ctx) n = ctx.Ctx.read (n_high n)
-let r_right (ctx : Ctx.ctx) n = ctx.Ctx.read (n_right n)
-let r_key (ctx : Ctx.ctx) t n i = ctx.Ctx.read (n_key t n i)
-let r_pay (ctx : Ctx.ctx) t n i = ctx.Ctx.read (n_pay t n i)
+let rd (ctx : Ctx.ctx) a off = ctx.Ctx.read (a + (8 * off))
+let no_image = [||]
 
-let meta_ ctx t n =
+let image t n =
   match t.sh with
-  | None -> r_meta ctx n
+  | None -> no_image
   | Some sh -> (
       match Shadow.node sh n with
-      | nd ->
-          Shadow.hit sh;
-          nd.Shadow.meta
+      | c ->
+          if n <> t.hdr then Shadow.hit sh;
+          c
       | exception Not_found ->
           Shadow.miss sh;
-          r_meta ctx n)
+          no_image)
 
-let high_ ctx t n =
-  match t.sh with
-  | None -> r_high ctx n
-  | Some sh -> (
-      match Shadow.node sh n with
-      | nd ->
-          Shadow.hit sh;
-          nd.Shadow.high
-      | exception Not_found ->
-          Shadow.miss sh;
-          r_high ctx n)
+let get ctx t n off =
+  let c = image t n in
+  if c == no_image then rd ctx n off else Array.unsafe_get c off
 
-let right_ ctx t n =
-  match t.sh with
-  | None -> r_right ctx n
-  | Some sh -> (
-      match Shadow.node sh n with
-      | nd ->
-          Shadow.hit sh;
-          nd.Shadow.right
-      | exception Not_found ->
-          Shadow.miss sh;
-          r_right ctx n)
+(* media first, then the mirror in place; the log-then-arm order inside
+   {!Shadow.set} makes this correct under non-transactional contexts too
+   (their hook fires immediately) *)
+let set (ctx : Ctx.ctx) t a off v =
+  ctx.Ctx.write (a + (8 * off)) v;
+  match t.sh with None -> () | Some sh -> Shadow.set sh ctx a off v
 
-let key_ ctx t n i =
-  match t.sh with
-  | None -> r_key ctx t n i
-  | Some sh -> (
-      match Shadow.node sh n with
-      | nd ->
-          Shadow.hit sh;
-          nd.Shadow.keys.(i)
-      | exception Not_found ->
-          Shadow.miss sh;
-          r_key ctx t n i)
+let root_ ctx t = get ctx t t.hdr o_root
+let length ctx t = get ctx t t.hdr o_count
 
-let pay_ ctx t n i =
-  match t.sh with
-  | None -> r_pay ctx t n i
-  | Some sh -> (
-      match Shadow.node sh n with
-      | nd ->
-          Shadow.hit sh;
-          nd.Shadow.pays.(i)
-      | exception Not_found ->
-          Shadow.miss sh;
-          r_pay ctx t n i)
-
-let root_ (ctx : Ctx.ctx) t =
-  match t.sh with
-  | None -> ctx.Ctx.read (h_root t.hdr)
-  | Some sh -> Shadow.root sh
-
-let length (ctx : Ctx.ctx) t =
-  match t.sh with
-  | None -> ctx.Ctx.read (h_count t.hdr)
-  | Some sh -> Shadow.count sh
-
-(* ---- node cell writes: media first, then the mirror in place.  The
-   log-then-arm order inside {!Shadow}'s setters makes this correct
-   under non-transactional contexts too (their hook fires
-   immediately). *)
-
-let set_meta (ctx : Ctx.ctx) t n ~leaf ~nkeys =
-  let v = (nkeys lsl 1) lor if leaf then 1 else 0 in
-  ctx.Ctx.write (n_meta n) v;
-  match t.sh with None -> () | Some sh -> Shadow.set_meta sh ctx n v
-
-let set_high (ctx : Ctx.ctx) t n v =
-  ctx.Ctx.write (n_high n) v;
-  match t.sh with None -> () | Some sh -> Shadow.set_high sh ctx n v
-
-let set_right (ctx : Ctx.ctx) t n v =
-  ctx.Ctx.write (n_right n) v;
-  match t.sh with None -> () | Some sh -> Shadow.set_right sh ctx n v
-
-let set_key (ctx : Ctx.ctx) t n i v =
-  ctx.Ctx.write (n_key t n i) v;
-  match t.sh with None -> () | Some sh -> Shadow.set_key sh ctx n i v
-
-let set_pay (ctx : Ctx.ctx) t n i v =
-  ctx.Ctx.write (n_pay t n i) v;
-  match t.sh with None -> () | Some sh -> Shadow.set_pay sh ctx n i v
-
-let set_root (ctx : Ctx.ctx) t v =
-  ctx.Ctx.write (h_root t.hdr) v;
-  match t.sh with None -> () | Some sh -> Shadow.set_root sh ctx v
-
-let set_count (ctx : Ctx.ctx) t v =
-  ctx.Ctx.write (h_count t.hdr) v;
-  match t.sh with None -> () | Some sh -> Shadow.set_count sh ctx v
+let set_meta ctx t n ~leaf ~nkeys =
+  set ctx t n o_meta ((nkeys lsl 1) lor if leaf then 1 else 0)
 
 let free_node (ctx : Ctx.ctx) t n =
   ctx.Ctx.free n;
   match t.sh with None -> () | Some sh -> Shadow.free sh ctx n
 
 let new_node (ctx : Ctx.ctx) t ~leaf ~nkeys ~high ~right =
-  let n = ctx.Ctx.alloc (node_bytes t.order) in
+  let n = ctx.Ctx.alloc (8 * node_cells t.order) in
   set_meta ctx t n ~leaf ~nkeys;
-  set_high ctx t n high;
-  set_right ctx t n right;
+  set ctx t n o_high high;
+  set ctx t n o_right right;
   n
 
 let create ?(order = 8) (ctx : Ctx.ctx) () =
@@ -206,13 +129,13 @@ let create ?(order = 8) (ctx : Ctx.ctx) () =
   let hdr = ctx.Ctx.alloc header_bytes in
   let t = { hdr; order; st = fresh_stats (); sh = None } in
   let root = new_node ctx t ~leaf:true ~nkeys:0 ~high:no_key ~right:0 in
-  ctx.Ctx.write (h_order hdr) order;
-  ctx.Ctx.write (h_root hdr) root;
-  ctx.Ctx.write (h_count hdr) 0;
+  set ctx t hdr o_order order;
+  set ctx t hdr o_root root;
+  set ctx t hdr o_count 0;
   t
 
 let of_header (ctx : Ctx.ctx) hdr =
-  let order = ctx.Ctx.read (h_order hdr) in
+  let order = rd ctx hdr o_order in
   if order < 4 || order > 4096 then
     Fmt.invalid_arg
       "Pbtree.of_header: cell at %#x holds %d, not a plausible order" hdr order;
@@ -227,28 +150,34 @@ let stats t = t.st
 let shadow t = t.sh
 let detach_shadow t = t.sh <- None
 
+(* [live t ~nk f] visits the offsets of a node's live cells after its
+   meta, in media read order: high, right, then each key and payload *)
+let live t ~nk f =
+  f o_high;
+  f o_right;
+  for i = 0 to nk - 1 do
+    f (o_key i);
+    f (o_pay t i)
+  done
+
 let attach_shadow (ctx : Ctx.ctx) t =
   let t0 = Unix.gettimeofday () in
-  let root = ctx.Ctx.read (h_root t.hdr) in
-  let count = ctx.Ctx.read (h_count t.hdr) in
-  let sh = Shadow.create ~order:t.order ~root ~count in
+  let sh = Shadow.create ~cells:(node_cells t.order) in
+  let h = Shadow.load sh t.hdr in
+  h.(o_order) <- t.order;
+  h.(o_root) <- rd ctx t.hdr o_root;
+  h.(o_count) <- rd ctx t.hdr o_count;
   let rec walk n =
-    let nd = Shadow.load sh n in
-    let m = r_meta ctx n in
-    nd.Shadow.meta <- m;
-    nd.Shadow.high <- r_high ctx n;
-    nd.Shadow.right <- r_right ctx n;
-    let nk = nkeys_of m in
-    for i = 0 to nk - 1 do
-      nd.Shadow.keys.(i) <- r_key ctx t n i;
-      nd.Shadow.pays.(i) <- r_pay ctx t n i
-    done;
-    if not (leaf_of m) then
+    let c = Shadow.load sh n in
+    c.(o_meta) <- rd ctx n o_meta;
+    let nk = nkeys_of c.(o_meta) in
+    live t ~nk (fun off -> c.(off) <- rd ctx n off);
+    if not (leaf_of c.(o_meta)) then
       for i = 0 to nk - 1 do
-        walk nd.Shadow.pays.(i)
+        walk c.(o_pay t i)
       done
   in
-  walk root;
+  walk h.(o_root);
   Shadow.add_rebuild_ns sh (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
   t.sh <- Some sh
 
@@ -260,40 +189,29 @@ let verify_shadow (ctx : Ctx.ctx) t =
   | Some sh ->
       if Shadow.pending sh > 0 then
         vfail "transaction in flight: %d undo entries" (Shadow.pending sh);
-      let root = ctx.Ctx.read (h_root t.hdr) in
-      if Shadow.root sh <> root then
-        vfail "root %#x, media %#x" (Shadow.root sh) root;
-      let count = ctx.Ctx.read (h_count t.hdr) in
-      if Shadow.count sh <> count then
-        vfail "count %d, media %d" (Shadow.count sh) count;
-      let seen = ref 0 in
-      let rec walk n =
-        incr seen;
-        let nd =
+      let cell n off =
+        let c =
           match Shadow.node sh n with
-          | nd -> nd
+          | c -> c
           | exception Not_found -> vfail "node %#x missing from mirror" n
         in
-        let m = r_meta ctx n in
-        if nd.Shadow.meta <> m then
-          vfail "node %#x: meta %d, media %d" n nd.Shadow.meta m;
-        if nd.Shadow.high <> r_high ctx n then
-          vfail "node %#x: high %d, media %d" n nd.Shadow.high (r_high ctx n);
-        if nd.Shadow.right <> r_right ctx n then
-          vfail "node %#x: right %#x, media %#x" n nd.Shadow.right
-            (r_right ctx n);
+        let v = rd ctx n off in
+        if c.(off) <> v then
+          vfail "node %#x: cell %d holds %d, media %d" n off c.(off) v;
+        v
+      in
+      let root = cell t.hdr o_root in
+      ignore (cell t.hdr o_count);
+      (* the header is one more mirrored node *)
+      let seen = ref 1 in
+      let rec walk n =
+        incr seen;
+        let m = cell n o_meta in
         let nk = nkeys_of m in
-        for i = 0 to nk - 1 do
-          if nd.Shadow.keys.(i) <> r_key ctx t n i then
-            vfail "node %#x: key slot %d holds %d, media %d" n i
-              nd.Shadow.keys.(i) (r_key ctx t n i);
-          if nd.Shadow.pays.(i) <> r_pay ctx t n i then
-            vfail "node %#x: payload slot %d holds %d, media %d" n i
-              nd.Shadow.pays.(i) (r_pay ctx t n i)
-        done;
+        live t ~nk (fun off -> ignore (cell n off));
         if not (leaf_of m) then
           for i = 0 to nk - 1 do
-            walk (r_pay ctx t n i)
+            walk (rd ctx n (o_pay t i))
           done
       in
       walk root;
@@ -302,131 +220,93 @@ let verify_shadow (ctx : Ctx.ctx) t =
 
 (* ---- descent ---- *)
 
-(* smallest slot whose separator bounds [key]; exists because descent
-   (after the move-right step) guarantees key <= high = keys.(nkeys-1).
-   Mirror-served nodes use binary search over the separator prefix; the
-   ctx path keeps the original linear scan (same read sequence as ever
-   for unmirrored trees). *)
-let child_slot_slow ctx t n ~nkeys key =
+(* [lower_bound c n key]: the smallest key slot [i < n] of the image [c]
+   with a key [>= key], or [n] — the in-node binary search that replaces
+   the linear slot scans on mirror-served nodes *)
+let lower_bound c n key =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get c (o_key mid) < key then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* the first of key slots [0..n) of node [nd] whose key is [>= key], or
+   [n], by the linear scan the unmirrored read sequence is made of *)
+let scan_slot ctx nd n key =
   let i = ref 0 in
-  while !i < nkeys - 1 && key > r_key ctx t n !i do
+  while !i < n && key > rd ctx nd (o_key !i) do
     incr i
   done;
   !i
 
-let child_slot ctx t n ~nkeys key =
-  match t.sh with
-  | None -> child_slot_slow ctx t n ~nkeys key
-  | Some sh -> (
-      match Shadow.node sh n with
-      | nd ->
-          Shadow.hit sh;
-          Shadow.lower_bound nd.Shadow.keys (nkeys - 1) key
-      | exception Not_found ->
-          Shadow.miss sh;
-          child_slot_slow ctx t n ~nkeys key)
+(* the same slot, binary-searched when the mirror serves the node: the
+   insert / remove position in a leaf *)
+let slot ctx t nd n key =
+  let c = image t nd in
+  if c == no_image then scan_slot ctx nd n key else lower_bound c n key
 
-(* smallest leaf slot with keys.(i) >= key (nk if none) — the insert /
-   remove / find position *)
-let leaf_slot ctx t n ~nk key =
-  match t.sh with
-  | Some sh -> (
-      match Shadow.node sh n with
-      | nd ->
-          Shadow.hit sh;
-          Shadow.lower_bound nd.Shadow.keys nk key
-      | exception Not_found ->
-          Shadow.miss sh;
-          let i = ref 0 in
-          while !i < nk && key > r_key ctx t n !i do
-            incr i
-          done;
-          !i)
-  | None ->
-      let i = ref 0 in
-      while !i < nk && key > r_key ctx t n !i do
-        incr i
-      done;
-      !i
+(* smallest slot whose separator bounds [key]; exists because descent
+   (after the move-right step) guarantees key <= high = keys.(nkeys-1) *)
+let child_slot ctx t n ~nkeys key = slot ctx t n (nkeys - 1) key
 
 (* B-link descent: follow a right link whenever the key exceeds the
    node's bound, otherwise descend through the separator slot.  A
    mirror-served level costs one hashtable probe and a binary search —
    no device reads at all. *)
 let rec locate_leaf ctx t n key =
-  match t.sh with
-  | Some sh -> (
-      match Shadow.node sh n with
-      | nd ->
-          Shadow.hit sh;
-          if nd.Shadow.right <> 0 && key > nd.Shadow.high then
-            locate_leaf ctx t nd.Shadow.right key
-          else
-            let m = nd.Shadow.meta in
-            if leaf_of m then n
-            else
-              locate_leaf ctx t
-                nd.Shadow.pays.(Shadow.lower_bound nd.Shadow.keys
-                                  (nkeys_of m - 1) key)
-                key
-      | exception Not_found ->
-          Shadow.miss sh;
-          locate_leaf_slow ctx t n key)
-  | None -> locate_leaf_slow ctx t n key
-
-and locate_leaf_slow ctx t n key =
-  if r_right ctx n <> 0 && key > r_high ctx n then
-    locate_leaf ctx t (r_right ctx n) key
+  let c = image t n in
+  if c == no_image then
+    if rd ctx n o_right <> 0 && key > rd ctx n o_high then
+      locate_leaf ctx t (rd ctx n o_right) key
+    else
+      let m = rd ctx n o_meta in
+      if leaf_of m then n
+      else
+        locate_leaf ctx t
+          (rd ctx n (o_pay t (scan_slot ctx n (nkeys_of m - 1) key)))
+          key
+  else if c.(o_right) <> 0 && key > c.(o_high) then
+    locate_leaf ctx t c.(o_right) key
   else
-    let m = r_meta ctx n in
+    let m = c.(o_meta) in
     if leaf_of m then n
-    else
-      locate_leaf ctx t
-        (r_pay ctx t n (child_slot_slow ctx t n ~nkeys:(nkeys_of m) key))
-        key
-
-let find_in_leaf_slow ctx t n key =
-  let nk = nkeys_of (r_meta ctx n) in
-  let rec scan i =
-    if i >= nk then None
-    else
-      let k = r_key ctx t n i in
-      if k = key then Some (r_pay ctx t n i)
-      else if k > key then None
-      else scan (i + 1)
-  in
-  scan 0
+    else locate_leaf ctx t c.(o_pay t (lower_bound c (nkeys_of m - 1) key)) key
 
 let find ctx t key =
   let n = locate_leaf ctx t (root_ ctx t) key in
-  match t.sh with
-  | Some sh -> (
-      match Shadow.node sh n with
-      | nd ->
-          Shadow.hit sh;
-          let nk = nkeys_of nd.Shadow.meta in
-          let i = Shadow.lower_bound nd.Shadow.keys nk key in
-          if i < nk && nd.Shadow.keys.(i) = key then Some nd.Shadow.pays.(i)
-          else None
-      | exception Not_found ->
-          Shadow.miss sh;
-          find_in_leaf_slow ctx t n key)
-  | None -> find_in_leaf_slow ctx t n key
+  let c = image t n in
+  if c == no_image then begin
+    let nk = nkeys_of (rd ctx n o_meta) in
+    let rec scan i =
+      if i >= nk then None
+      else
+        let k = rd ctx n (o_key i) in
+        if k = key then Some (rd ctx n (o_pay t i))
+        else if k > key then None
+        else scan (i + 1)
+    in
+    scan 0
+  end
+  else
+    let nk = nkeys_of c.(o_meta) in
+    let i = lower_bound c nk key in
+    if i < nk && c.(o_key i) = key then Some c.(o_pay t i) else None
 
 let mem ctx t key = find ctx t key <> None
 
 (* shift entries [i..nkeys-1] one slot right (opening slot [i]) *)
 let shift_right ctx t n ~nkeys i =
   for j = nkeys - 1 downto i do
-    set_key ctx t n (j + 1) (key_ ctx t n j);
-    set_pay ctx t n (j + 1) (pay_ ctx t n j)
+    set ctx t n (o_key (j + 1)) (get ctx t n (o_key j));
+    set ctx t n (o_pay t (j + 1)) (get ctx t n (o_pay t j))
   done
 
 (* shift entries [i+1..nkeys-1] one slot left (closing slot [i]) *)
 let shift_left ctx t n ~nkeys i =
   for j = i + 1 to nkeys - 1 do
-    set_key ctx t n (j - 1) (key_ ctx t n j);
-    set_pay ctx t n (j - 1) (pay_ ctx t n j)
+    set ctx t n (o_key (j - 1)) (get ctx t n (o_key j));
+    set ctx t n (o_pay t (j - 1)) (get ctx t n (o_pay t j))
   done
 
 (* Split the full child at parent slot [i] (preemptive, on the insert
@@ -437,27 +317,28 @@ let shift_left ctx t n ~nkeys i =
    link-walker crossing the split sees no gap.  Returns the new
    separator so the caller can re-aim its descent. *)
 let split_child ctx t parent i =
-  let c = pay_ ctx t parent i in
-  let leaf = leaf_of (meta_ ctx t c) in
+  let c = get ctx t parent (o_pay t i) in
+  let leaf = leaf_of (get ctx t c o_meta) in
   let lh = (t.order + 1) / 2 in
   let rh = t.order - lh in
   let r =
-    new_node ctx t ~leaf ~nkeys:rh ~high:(high_ ctx t c) ~right:(right_ ctx t c)
+    new_node ctx t ~leaf ~nkeys:rh ~high:(get ctx t c o_high)
+      ~right:(get ctx t c o_right)
   in
   for j = 0 to rh - 1 do
-    set_key ctx t r j (key_ ctx t c (lh + j));
-    set_pay ctx t r j (pay_ ctx t c (lh + j))
+    set ctx t r (o_key j) (get ctx t c (o_key (lh + j)));
+    set ctx t r (o_pay t j) (get ctx t c (o_pay t (lh + j)))
   done;
-  let sep = key_ ctx t c (lh - 1) in
-  set_right ctx t c r;
-  set_high ctx t c sep;
+  let sep = get ctx t c (o_key (lh - 1)) in
+  set ctx t c o_right r;
+  set ctx t c o_high sep;
   set_meta ctx t c ~leaf ~nkeys:lh;
-  let pk = nkeys_of (meta_ ctx t parent) in
-  let old_sep = key_ ctx t parent i in
+  let pk = nkeys_of (get ctx t parent o_meta) in
+  let old_sep = get ctx t parent (o_key i) in
   shift_right ctx t parent ~nkeys:pk (i + 1);
-  set_key ctx t parent i sep;
-  set_key ctx t parent (i + 1) old_sep;
-  set_pay ctx t parent (i + 1) r;
+  set ctx t parent (o_key i) sep;
+  set ctx t parent (o_key (i + 1)) old_sep;
+  set ctx t parent (o_pay t (i + 1)) r;
   set_meta ctx t parent ~leaf:false ~nkeys:(pk + 1);
   if leaf then t.st.leaf_splits <- t.st.leaf_splits + 1
   else t.st.internal_splits <- t.st.internal_splits + 1;
@@ -471,11 +352,11 @@ let insert (ctx : Ctx.ctx) t key value =
      under the +inf bound, then splits as an ordinary child *)
   let root = root_ ctx t in
   let root =
-    if nkeys_of (meta_ ctx t root) = t.order then begin
+    if nkeys_of (get ctx t root o_meta) = t.order then begin
       let r = new_node ctx t ~leaf:false ~nkeys:1 ~high:no_key ~right:0 in
-      set_key ctx t r 0 no_key;
-      set_pay ctx t r 0 root;
-      set_root ctx t r;
+      set ctx t r (o_key 0) no_key;
+      set ctx t r (o_pay t 0) root;
+      set ctx t t.hdr o_root r;
       t.st.root_grows <- t.st.root_grows + 1;
       ignore (split_child ctx t r 0);
       r
@@ -483,26 +364,28 @@ let insert (ctx : Ctx.ctx) t key value =
     else root
   in
   let rec go n =
-    let m = meta_ ctx t n in
+    let m = get ctx t n o_meta in
     let nk = nkeys_of m in
     if leaf_of m then begin
-      let i = leaf_slot ctx t n ~nk key in
-      if i < nk && key_ ctx t n i = key then set_pay ctx t n i value
+      let i = slot ctx t n nk key in
+      if i < nk && get ctx t n (o_key i) = key then
+        set ctx t n (o_pay t i) value
       else begin
         shift_right ctx t n ~nkeys:nk i;
-        set_key ctx t n i key;
-        set_pay ctx t n i value;
+        set ctx t n (o_key i) key;
+        set ctx t n (o_pay t i) value;
         set_meta ctx t n ~leaf:true ~nkeys:(nk + 1);
-        set_count ctx t (length ctx t + 1)
+        set ctx t t.hdr o_count (length ctx t + 1)
       end
     end
     else begin
       let i = child_slot ctx t n ~nkeys:nk key in
-      if nkeys_of (meta_ ctx t (pay_ ctx t n i)) = t.order then begin
+      if nkeys_of (get ctx t (get ctx t n (o_pay t i)) o_meta) = t.order
+      then begin
         let sep = split_child ctx t n i in
-        go (pay_ ctx t n (if key > sep then i + 1 else i))
+        go (get ctx t n (o_pay t (if key > sep then i + 1 else i)))
       end
-      else go (pay_ ctx t n i)
+      else go (get ctx t n (o_pay t i))
     end
   in
   go root
@@ -515,38 +398,39 @@ let insert (ctx : Ctx.ctx) t key value =
    and the root sheds single-child states eagerly (see [remove]). *)
 let fix_child ctx t parent i =
   let min_keys = t.order / 2 in
-  let pk = nkeys_of (meta_ ctx t parent) in
-  let c = pay_ ctx t parent i in
-  let cm = meta_ ctx t c in
+  let pk = nkeys_of (get ctx t parent o_meta) in
+  let c = get ctx t parent (o_pay t i) in
+  let cm = get ctx t c o_meta in
   let leaf = leaf_of cm in
   let ck = nkeys_of cm in
   (* move the right sibling's first entry under [c]'s (raised) bound *)
   let borrow_right r =
-    let rk = nkeys_of (meta_ ctx t r) in
-    let k0 = key_ ctx t r 0 and p0 = pay_ ctx t r 0 in
-    set_key ctx t c ck k0;
-    set_pay ctx t c ck p0;
+    let rk = nkeys_of (get ctx t r o_meta) in
+    let k0 = get ctx t r (o_key 0) and p0 = get ctx t r (o_pay t 0) in
+    set ctx t c (o_key ck) k0;
+    set ctx t c (o_pay t ck) p0;
     set_meta ctx t c ~leaf ~nkeys:(ck + 1);
     shift_left ctx t r ~nkeys:rk 0;
     set_meta ctx t r ~leaf ~nkeys:(rk - 1);
-    set_high ctx t c k0;
-    set_key ctx t parent i k0;
+    set ctx t c o_high k0;
+    set ctx t parent (o_key i) k0;
     t.st.borrows <- t.st.borrows + 1;
     c
   in
   (* move the left sibling's last entry to [c]'s front, lowering the
      sibling's bound to its new last key *)
   let borrow_left l =
-    let lk = nkeys_of (meta_ ctx t l) in
-    let kl = key_ ctx t l (lk - 1) and pl = pay_ ctx t l (lk - 1) in
+    let lk = nkeys_of (get ctx t l o_meta) in
+    let kl = get ctx t l (o_key (lk - 1))
+    and pl = get ctx t l (o_pay t (lk - 1)) in
     shift_right ctx t c ~nkeys:ck 0;
-    set_key ctx t c 0 kl;
-    set_pay ctx t c 0 pl;
+    set ctx t c (o_key 0) kl;
+    set ctx t c (o_pay t 0) pl;
     set_meta ctx t c ~leaf ~nkeys:(ck + 1);
     set_meta ctx t l ~leaf ~nkeys:(lk - 1);
-    let bound = key_ ctx t l (lk - 2) in
-    set_high ctx t l bound;
-    set_key ctx t parent (i - 1) bound;
+    let bound = get ctx t l (o_key (lk - 2)) in
+    set ctx t l o_high bound;
+    set ctx t parent (o_key (i - 1)) bound;
     t.st.borrows <- t.st.borrows + 1;
     c
   in
@@ -554,18 +438,18 @@ let fix_child ctx t parent i =
      one: entries, bound and right link all move left, the parent drops
      one entry, the emptied node is freed (deferred to commit) *)
   let merge j =
-    let l = pay_ ctx t parent j in
-    let r = pay_ ctx t parent (j + 1) in
-    let lm = meta_ ctx t l in
-    let lk = nkeys_of lm and rk = nkeys_of (meta_ ctx t r) in
+    let l = get ctx t parent (o_pay t j) in
+    let r = get ctx t parent (o_pay t (j + 1)) in
+    let lm = get ctx t l o_meta in
+    let lk = nkeys_of lm and rk = nkeys_of (get ctx t r o_meta) in
     for x = 0 to rk - 1 do
-      set_key ctx t l (lk + x) (key_ ctx t r x);
-      set_pay ctx t l (lk + x) (pay_ ctx t r x)
+      set ctx t l (o_key (lk + x)) (get ctx t r (o_key x));
+      set ctx t l (o_pay t (lk + x)) (get ctx t r (o_pay t x))
     done;
     set_meta ctx t l ~leaf:(leaf_of lm) ~nkeys:(lk + rk);
-    set_high ctx t l (high_ ctx t r);
-    set_right ctx t l (right_ ctx t r);
-    set_key ctx t parent j (key_ ctx t parent (j + 1));
+    set ctx t l o_high (get ctx t r o_high);
+    set ctx t l o_right (get ctx t r o_right);
+    set ctx t parent (o_key j) (get ctx t parent (o_key (j + 1)));
     shift_left ctx t parent ~nkeys:pk (j + 1);
     set_meta ctx t parent ~leaf:false ~nkeys:(pk - 1);
     free_node ctx t r;
@@ -574,24 +458,28 @@ let fix_child ctx t parent i =
   in
   if ck > min_keys then c
   else if
-    i + 1 < pk && nkeys_of (meta_ ctx t (pay_ ctx t parent (i + 1))) > min_keys
-  then borrow_right (pay_ ctx t parent (i + 1))
+    i + 1 < pk
+    && nkeys_of (get ctx t (get ctx t parent (o_pay t (i + 1))) o_meta)
+       > min_keys
+  then borrow_right (get ctx t parent (o_pay t (i + 1)))
   else if
-    i > 0 && nkeys_of (meta_ ctx t (pay_ ctx t parent (i - 1))) > min_keys
-  then borrow_left (pay_ ctx t parent (i - 1))
+    i > 0
+    && nkeys_of (get ctx t (get ctx t parent (o_pay t (i - 1))) o_meta)
+       > min_keys
+  then borrow_left (get ctx t parent (o_pay t (i - 1)))
   else if i + 1 < pk then merge i
   else merge (i - 1)
 
 let remove (ctx : Ctx.ctx) t key =
   let rec go n =
-    let m = meta_ ctx t n in
+    let m = get ctx t n o_meta in
     let nk = nkeys_of m in
     if leaf_of m then begin
-      let i = leaf_slot ctx t n ~nk key in
-      if i < nk && key_ ctx t n i = key then begin
+      let i = slot ctx t n nk key in
+      if i < nk && get ctx t n (o_key i) = key then begin
         shift_left ctx t n ~nkeys:nk i;
         set_meta ctx t n ~leaf:true ~nkeys:(nk - 1);
-        set_count ctx t (length ctx t - 1);
+        set ctx t t.hdr o_count (length ctx t - 1);
         true
       end
       else false
@@ -604,9 +492,9 @@ let remove (ctx : Ctx.ctx) t key =
      precondition of [fix_child] holds on every later descent *)
   let rec collapse () =
     let root = root_ ctx t in
-    let m = meta_ ctx t root in
+    let m = get ctx t root o_meta in
     if (not (leaf_of m)) && nkeys_of m = 1 then begin
-      set_root ctx t (pay_ ctx t root 0);
+      set ctx t t.hdr o_root (get ctx t root (o_pay t 0));
       free_node ctx t root;
       t.st.root_shrinks <- t.st.root_shrinks + 1;
       collapse ()
@@ -617,50 +505,41 @@ let remove (ctx : Ctx.ctx) t key =
 
 (* ---- ordered iteration: one descent, then leaf right-links ---- *)
 
-let iter_leaf_slow ctx t ~lo f n continue_ =
-  let node = !n in
-  let nk = nkeys_of (r_meta ctx node) in
-  let i = ref 0 in
-  while !continue_ && !i < nk do
-    let k = r_key ctx t node !i in
-    if k >= lo then continue_ := f k (r_pay ctx t node !i);
-    incr i
-  done;
-  if !continue_ then n := r_right ctx node
-
 let iter_from ctx t ~lo f =
   let n = ref (locate_leaf ctx t (root_ ctx t) lo) in
   let continue_ = ref true in
   while !continue_ && !n <> 0 do
-    match t.sh with
-    | Some sh -> (
-        match Shadow.node sh !n with
-        | nd ->
-            Shadow.hit sh;
-            let nk = nkeys_of nd.Shadow.meta in
-            let i = ref (Shadow.lower_bound nd.Shadow.keys nk lo) in
-            while !continue_ && !i < nk do
-              continue_ := f nd.Shadow.keys.(!i) nd.Shadow.pays.(!i);
-              incr i
-            done;
-            if !continue_ then n := nd.Shadow.right
-        | exception Not_found ->
-            Shadow.miss sh;
-            iter_leaf_slow ctx t ~lo f n continue_)
-    | None -> iter_leaf_slow ctx t ~lo f n continue_
+    let node = !n in
+    let c = image t node in
+    if c == no_image then begin
+      let nk = nkeys_of (rd ctx node o_meta) in
+      let i = ref 0 in
+      while !continue_ && !i < nk do
+        let k = rd ctx node (o_key !i) in
+        if k >= lo then continue_ := f k (rd ctx node (o_pay t !i));
+        incr i
+      done;
+      if !continue_ then n := rd ctx node o_right
+    end
+    else begin
+      let nk = nkeys_of c.(o_meta) in
+      let i = ref (lower_bound c nk lo) in
+      while !continue_ && !i < nk do
+        continue_ := f c.(o_key !i) c.(o_pay t !i);
+        incr i
+      done;
+      if !continue_ then n := c.(o_right)
+    end
   done
-
-let iter_range ctx t ~lo ~hi f =
-  iter_from ctx t ~lo (fun k v ->
-      k <= hi
-      && begin
-           f k v;
-           true
-         end)
 
 let range ctx t ~lo ~hi =
   let acc = ref [] in
-  iter_range ctx t ~lo ~hi (fun k v -> acc := (k, v) :: !acc);
+  iter_from ctx t ~lo (fun k v ->
+      k <= hi
+      && begin
+           acc := (k, v) :: !acc;
+           true
+         end);
   List.rev !acc
 
 let iter ctx t f =
@@ -675,20 +554,20 @@ let fold ctx t f init =
 
 let height ctx t =
   let rec go n acc =
-    let m = meta_ ctx t n in
-    if leaf_of m then acc else go (pay_ ctx t n 0) (acc + 1)
+    let m = get ctx t n o_meta in
+    if leaf_of m then acc else go (get ctx t n (o_pay t 0)) (acc + 1)
   in
   go (root_ ctx t) 1
 
 let node_count ctx t =
   let internal = ref 0 and leaves = ref 0 in
   let rec go n =
-    let m = meta_ ctx t n in
+    let m = get ctx t n o_meta in
     if leaf_of m then incr leaves
     else begin
       incr internal;
       for i = 0 to nkeys_of m - 1 do
-        go (pay_ ctx t n i)
+        go (get ctx t n (o_pay t i))
       done
     end
   in
@@ -699,7 +578,7 @@ let node_count ctx t =
 
 let fail fmt = Fmt.kstr (fun s -> failwith ("Pbtree.check: " ^ s)) fmt
 
-(* the audit reads the media directly ([r_*], never the mirror): it must
+(* the audit reads the media directly ([rd], never the mirror): it must
    catch a mirror that diverged from the durable structure, not certify
    the mirror against itself *)
 let check (ctx : Ctx.ctx) t =
@@ -716,19 +595,19 @@ let check (ctx : Ctx.ctx) t =
     if depth = Array.length !levels then
       levels := Array.append !levels [| [] |];
     !levels.(depth) <- n :: !levels.(depth);
-    let m = r_meta ctx n in
+    let m = rd ctx n o_meta in
     let nk = nkeys_of m in
     let leaf = leaf_of m in
-    if r_high ctx n <> hi then
-      fail "node %#x: high %d, parent separator %d" n (r_high ctx n) hi;
+    if rd ctx n o_high <> hi then
+      fail "node %#x: high %d, parent separator %d" n (rd ctx n o_high) hi;
     if nk > t.order then fail "node %#x: %d keys, order %d" n nk t.order;
     if (not is_root) && nk < min_keys then
       fail "node %#x: %d keys, minimum %d" n nk min_keys;
     if is_root && (not leaf) && nk < 2 then
       fail "internal root %#x kept %d child(ren)" n nk;
     for i = 0 to nk - 1 do
-      let k = r_key ctx t n i in
-      if i > 0 && k <= r_key ctx t n (i - 1) then
+      let k = rd ctx n (o_key i) in
+      if i > 0 && k <= rd ctx n (o_key (i - 1)) then
         fail "node %#x: keys out of order at slot %d" n i;
       if k <= lo || k > hi then
         fail "node %#x: key %d outside bound (%d, %d]" n k lo hi
@@ -741,21 +620,20 @@ let check (ctx : Ctx.ctx) t =
     end
     else begin
       if nk = 0 then fail "internal node %#x is empty" n;
-      if r_key ctx t n (nk - 1) <> hi then
+      if rd ctx n (o_key (nk - 1)) <> hi then
         fail "internal %#x: last separator %d <> high %d" n
-          (r_key ctx t n (nk - 1))
+          (rd ctx n (o_key (nk - 1)))
           hi;
       let prev = ref lo in
       for i = 0 to nk - 1 do
-        let sep = r_key ctx t n i in
-        walk (r_pay ctx t n i) ~lo:!prev ~hi:sep ~depth:(depth + 1)
+        let sep = rd ctx n (o_key i) in
+        walk (rd ctx n (o_pay t i)) ~lo:!prev ~hi:sep ~depth:(depth + 1)
           ~is_root:false;
         prev := sep
       done
     end
   in
-  walk (ctx.Ctx.read (h_root t.hdr)) ~lo:min_int ~hi:no_key ~depth:0
-    ~is_root:true;
+  walk (rd ctx t.hdr o_root) ~lo:min_int ~hi:no_key ~depth:0 ~is_root:true;
   (* every level's right links must chain its nodes in walk order,
      audited from the root down: the first broken link reported is the
      shallowest, whatever the hash seed *)
@@ -766,11 +644,11 @@ let check (ctx : Ctx.ctx) t =
       Array.iteri
         (fun i n ->
           let expect = if i = last then 0 else nodes.(i + 1) in
-          if r_right ctx n <> expect then
+          if rd ctx n o_right <> expect then
             fail "node %#x (depth %d): right link %#x, expected %#x" n depth
-              (r_right ctx n) expect)
+              (rd ctx n o_right) expect)
         nodes)
     !levels;
-  let count = ctx.Ctx.read (h_count t.hdr) in
+  let count = rd ctx t.hdr o_count in
   if count <> !entries then
     fail "header count %d, %d leaf entries" count !entries

@@ -26,13 +26,15 @@
     reserved as the tree's -inf/+inf sentinels.
 
     {b Shadow mirror.}  {!attach_shadow} equips a handle with a DRAM
-    {!Shadow} mirror of the whole tree; from then on descents, reads
+    {!Shadow} mirror of the whole tree: every node, and the header, as
+    an image of its cells by word offset.  From then on descents, reads
     and range walks are served from volatile memory (binary search
-    inside nodes), mutations dual-write media and mirror — the mirror
-    in place, under an undo log that the transaction's outcome hook
-    empties on commit and replays on abort — and only the transactional writes a mutation actually needs remain on
-    the metered path.  With no mirror attached every operation reads
-    through the ctx in exactly the pre-mirror sequence. *)
+    inside nodes), and every cell write goes to the media, then to the
+    mirror in place, under an undo log that the transaction's outcome
+    hook empties on commit and replays on abort; only the transactional
+    writes a mutation actually needs remain on the metered path.  With
+    no mirror attached every operation reads through the ctx in exactly
+    the pre-mirror sequence. *)
 
 open Specpmt_pmem
 open Specpmt_txn
@@ -91,11 +93,12 @@ val shadow : t -> Shadow.t option
 
 val verify_shadow : Ctx.ctx -> t -> unit
 (** Audit the mirror against the media image read through [ctx]
-    (normally a peek ctx): root, count, the reachable node set, and
-    every node's meta/high/right plus its live key/payload prefix must
-    match exactly.  Raises [Failure] with a description on the first
-    divergence, [Invalid_argument] if no mirror is attached or a
-    transaction is in flight.  The qcheck differential suite and the
+    (normally a peek ctx): the header's root and count cells, the
+    reachable node set, and every node's live cells (meta, high, right
+    and its live key/payload prefix) must match exactly.  Raises
+    [Failure] with a description on the first divergence,
+    [Invalid_argument] if no mirror is attached or a transaction is in
+    flight.  The qcheck differential suite and the
     crash explorer's recovery audit run this after every recover. *)
 
 val insert : Ctx.ctx -> t -> int -> int -> unit
@@ -118,11 +121,8 @@ val iter_from : Ctx.ctx -> t -> lo:int -> (int -> int -> bool) -> unit
     returns whether to continue after the entry it was given — the
     early-stop primitive count-limited scans are built on. *)
 
-val iter_range : Ctx.ctx -> t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** All entries with [lo <= key <= hi], ascending. *)
-
 val range : Ctx.ctx -> t -> lo:int -> hi:int -> (int * int) list
-(** {!iter_range} materialised, ascending. *)
+(** All entries with [lo <= key <= hi], ascending. *)
 
 val iter : Ctx.ctx -> t -> (int -> int -> unit) -> unit
 (** Every entry, ascending. *)

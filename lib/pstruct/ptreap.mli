@@ -16,10 +16,6 @@ val create : Ctx.ctx -> t
 (** Allocate an empty treap: one root cell in the transaction's heap
     holding the (initially null) root pointer. *)
 
-val of_root_cell : Addr.t -> t
-(** Reattach to an existing treap from its root cell (as returned by
-    {!root_cell}) — the rediscovery path after a crash. *)
-
 val root_cell : t -> Addr.t
 (** The treap's root cell, the one address that must be stored
     somewhere reachable (e.g. a

@@ -72,7 +72,7 @@ type t = {
 
 let domain_of_shard t s = s mod t.cfg.domains
 
-let create ?(params = Spec_soft.default_params) ?(shadow = true) t_heap cfg =
+let create ?(params = Spec_soft.default_params) t_heap cfg =
   let rows = Shards.rows ~shards:cfg.shards ~keys:cfg.keys in
   if cfg.domains < 1 || cfg.domains > cfg.shards then
     invalid_arg "Dataplane.create: 1..shards domains";
@@ -131,7 +131,7 @@ let create ?(params = Spec_soft.default_params) ?(shadow = true) t_heap cfg =
      directory and root slot go through the parent, whose cache must be
      detached again before any worker forks, since the directory write
      and its heap allocation dirtied parent lines. *)
-  let core = Shards.create ~shadow t_heap ~pool ~rows ~cells in
+  let core = Shards.create ~shadow:true t_heap ~pool ~rows ~cells in
   Pmem.detach_cache pm;
   let spd = (cfg.shards + cfg.domains - 1) / cfg.domains in
   let ring_cap = (spd * cfg.depth) + 8 in

@@ -43,19 +43,19 @@ val default_log_region_bytes : int
 
 type t
 
-val create : ?params:Spec_soft.params -> ?shadow:bool -> Heap.t -> config -> t
+val create : ?params:Spec_soft.params -> Heap.t -> config -> t
 (** Build the plane on a freshly formatted root heap: allocates
     line-aligned per-shard key regions, carves per-shard log regions,
     detaches the parent cache, forks one view per domain, builds the
     partitioned {!Specpmt_backends.Spec_mt} pool and the core
     ({!Shards.create}: adoption, then the ordered index with its tree
     nodes in the carved sub-heaps), and detaches the parent cache
-    again.  [shadow] (default [true]) mirrors each shard's tree in
-    DRAM, built through the shard's own view; workers publish the
-    [shadow.*] counter deltas on clean stop, before detaching their
-    caches.  The [reclaim_bytes] trigger is clamped to a quarter of the
-    log region so compaction keeps each shard's chain inside its carved
-    region.  Raises {!Shards.Too_large} when the device is too small. *)
+    again.  Each shard's tree is mirrored in DRAM, built through the
+    shard's own view; workers publish the [shadow.*] counter deltas on
+    clean stop, before detaching their caches.  The [reclaim_bytes]
+    trigger is clamped to a quarter of the log region so compaction
+    keeps each shard's chain inside its carved region.  Raises
+    {!Shards.Too_large} when the device is too small. *)
 
 type shard_report = {
   d_shard : int;

@@ -54,8 +54,7 @@ let batch_end t ~n =
     (* looked up per seal: metric cells are domain-local, and a
        module-level lazy would capture (and race on) the cell of
        whichever domain forced it first *)
-    Specpmt_obs.Hist.observe (Metrics.histogram "svc.batch_size") n;
-    Metrics.incr (Metrics.counter "svc.batches")
+    Specpmt_obs.Hist.observe (Metrics.histogram "svc.batch_size") n
   end
 
 let sealing t = t.sealing

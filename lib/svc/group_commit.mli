@@ -38,9 +38,9 @@ val exec : t -> (Ctx.ctx -> unit) -> unit
 
 val batch_end : t -> n:int -> unit
 (** Seal the open batch.  [n] is the number of transactions executed
-    since {!batch_begin}.  When [n > 0], observes [n] into the
-    [svc.batch_size] histogram and bumps the [svc.batches] counter; the
-    seal itself always closes an opened batch. *)
+    since {!batch_begin}.  When [n > 0], counts the batch in
+    {!batches} and observes [n] into the [svc.batch_size] histogram;
+    the seal itself always closes an opened batch. *)
 
 val sealing : t -> bool
 (** True exactly while the seal of a batch is running — a crash observed

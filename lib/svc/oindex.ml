@@ -33,7 +33,10 @@ let attach_mirrors ~pool trees =
       Pbtree.attach_shadow (Ctx.peek_ctx view) tree)
     trees
 
-let create ?(order = 8) ?(shadow = true) heap ~pool ~shards ~keys =
+(* the order of every shard's tree, which the directory persists *)
+let order = 8
+
+let create ?(shadow = true) heap ~pool ~shards ~keys =
   let trees =
     Array.init shards (fun s ->
         (Spec_mt.thread pool s).Ctx.run_tx (fun ctx ->

@@ -28,14 +28,8 @@ open Specpmt_txn
 type t
 
 val create :
-  ?order:int ->
-  ?shadow:bool ->
-  Heap.t ->
-  pool:Spec_mt.t ->
-  shards:int ->
-  keys:int ->
-  t
-(** Create one empty tree per shard (each inside one committed
+  ?shadow:bool -> Heap.t -> pool:Spec_mt.t -> shards:int -> keys:int -> t
+(** Create one empty order-8 tree per shard (each inside one committed
     transaction on that shard's backend, so node cells are logged
     before any later structural update can tear them), then persist the
     directory and root slot through the parent heap's view.  [shadow]

@@ -1,6 +1,5 @@
 open Specpmt_pmem
 module Hist = Specpmt_obs.Hist
-module Metrics = Specpmt_obs.Metrics
 module Json = Specpmt_obs.Json
 module Sections = Specpmt_obs.Sections
 
@@ -157,7 +156,6 @@ let run svc cfg stream =
     let l = c.Service.ack_ns +. !voff -. sched.(c.Service.c_client) in
     let l = int_of_float l in
     Hist.observe lat l;
-    Hist.observe (Metrics.histogram "svc.openloop.latency_ns") l;
     if !released < n then begin
       sched.(!released) <- c.Service.ack_ns +. !voff;
       incr released
@@ -182,7 +180,6 @@ let run svc cfg stream =
       let key, _ = stream.(!next) in
       Queue.add !next backlog.(Service.shard_of_key svc key);
       incr backlog_len;
-      Metrics.incr (Metrics.counter "svc.openloop.arrivals");
       incr next
     done;
     if !backlog_len > !max_backlog then max_backlog := !backlog_len;
@@ -201,7 +198,6 @@ let run svc cfg stream =
               (* the op stays at the head of its shard's backlog and
                  keeps accruing scheduled-time latency *)
               incr rejects;
-              Metrics.incr (Metrics.counter "svc.openloop.rejects");
               blocked := true
         done)
       backlog;
@@ -217,10 +213,6 @@ let run svc cfg stream =
        t = 0, so the offered load equals whatever the service absorbed *)
     if last_arrival_ns > 0.0 then per_sec n last_arrival_ns else goodput
   in
-  Metrics.set_gauge
-    (Metrics.gauge "svc.openloop.max_backlog")
-    (float_of_int !max_backlog);
-  Metrics.set_gauge (Metrics.gauge "svc.openloop.goodput_per_sec") goodput;
   {
     o_config = cfg;
     svc_config = scfg;

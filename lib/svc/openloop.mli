@@ -86,10 +86,7 @@ val run : Service.t -> config -> (int * Service.op) array -> report
 (** Drive the whole stream through the service under the config's
     arrival process and return when every op has been acknowledged.
     Stream indices ride the completion's [c_client] field, so streams
-    must be consumed by a fresh {!Service.t} per run.  Bumps
-    [svc.openloop.arrivals] / [svc.openloop.rejects] counters, the
-    [svc.openloop.max_backlog] / [svc.openloop.goodput_per_sec] gauges
-    and the [svc.openloop.latency_ns] registry histogram.  Raises
+    must be consumed by a fresh {!Service.t} per run.  Raises
     [Invalid_argument] on an empty stream or [clients < 1]. *)
 
 val report_to_json : report -> Specpmt_obs.Json.t

@@ -1,7 +1,6 @@
 open Specpmt_pmem
 open Specpmt_pmalloc
 open Specpmt_backends
-module Metrics = Specpmt_obs.Metrics
 
 (* The serial executor: the per-shard core (Shards) run inline over a
    flat table of [keys] 8-byte cells in the shared heap, key [k] at
@@ -81,12 +80,7 @@ let submit t ~client ~key op =
   | Scan len when len < 1 -> invalid_arg "Service.submit: scan length < 1"
   | _ -> ());
   let s = t.shard_tbl.(shard_of_key t key) in
-  let v = Admission.offer s.adm { client; key; op; enq_ns = now t } in
-  (match v with
-  | Admission.Rejected _ -> (* per-use lookup: metric cells are domain-local *)
-      Metrics.incr (Metrics.counter "svc.rejected")
-  | Admission.Accepted -> ());
-  v
+  Admission.offer s.adm { client; key; op; enq_ns = now t }
 
 (* Execute one batch on shard [s]: every request becomes one transaction
    (reads abandon their empty record and cost no fence), the batcher
@@ -128,8 +122,6 @@ let drain ?(on_ack = fun (_ : completion) -> ()) t =
     progress := false;
     Array.iter
       (fun s ->
-        Metrics.set_gauge (Metrics.gauge "svc.queue_depth")
-          (float_of_int (Admission.queued s.adm));
         match Admission.take_up_to s.adm t.cfg.batch_max with
         | [] -> ()
         | reqs ->

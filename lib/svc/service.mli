@@ -58,8 +58,7 @@ val create : ?params:Spec_soft.params -> ?shadow:bool -> Heap.t -> config -> t
 
 val submit :
   t -> client:int -> key:int -> op -> Admission.verdict
-(** Route to the owning shard and admit or shed (sheds bump the
-    [svc.rejected] counter).  Raises [Invalid_argument] on an
+(** Route to the owning shard and admit or shed.  Raises [Invalid_argument] on an
     out-of-range key or a [Scan] of length < 1. *)
 
 val drain : ?on_ack:(completion -> unit) -> t -> completion list

@@ -380,6 +380,68 @@ let test_shadow_abort_drops_stage () =
   Pbtree.verify_shadow ctx t;
   Alcotest.(check int) "aborted inserts invisible" 41 (Pbtree.length ctx t)
 
+(* The mirror's counters and the device traffic of a seeded mix, pinned.
+   A hit or miss is counted per mirror read — one per cell a mutation
+   reads, one per node a descent, slot search or leaf walk serves whole
+   — so counting one per node visited fails here, as does one more
+   device read on either tree.  The mirrored order-8 tree runs each op
+   in its own SpecSPMT transaction, so the stores include the log; the
+   unmirrored order-4 tree runs on a raw ctx, so the counters are the
+   tree's own accesses. *)
+let pinned_mix ~order ~mirrored =
+  let pm = Pmem.create ~seed:5 Config.small in
+  let heap = Heap.create pm in
+  let b =
+    Specpmt_backends.Registry.create heap Specpmt_backends.Registry.Spec
+  in
+  let run_tx f = if mirrored then b.Ctx.run_tx f else f (Ctx.raw_ctx heap) in
+  let t = run_tx (fun ctx -> Pbtree.create ~order ctx ()) in
+  if mirrored then Pbtree.attach_shadow (Ctx.peek_ctx pm) t;
+  let before = Stats.copy (Pmem.stats pm) in
+  let rng = Random.State.make [| 28 |] in
+  let sum = ref 0 in
+  for _ = 1 to 3_000 do
+    let k = 1 + Random.State.int rng 600 and op = Random.State.int rng 10 in
+    run_tx (fun ctx ->
+        if op < 5 then Pbtree.insert ctx t k (op * k)
+        else if op < 7 then ignore (Pbtree.remove ctx t k)
+        else if op < 9 then
+          sum := !sum + Option.value ~default:(-1) (Pbtree.find ctx t k)
+        else begin
+          let left = ref 8 in
+          Pbtree.iter_from ctx t ~lo:k (fun k v ->
+              sum := (!sum * 31) + k + v;
+              decr left;
+              !left > 0)
+        end)
+  done;
+  let d = Stats.diff before (Pmem.stats pm) in
+  let ctx = Ctx.peek_ctx pm in
+  Pbtree.check ctx t;
+  if mirrored then Pbtree.verify_shadow ctx t;
+  (t, !sum land 0xFFFF_FFFF, Pbtree.length ctx t, d.Stats.loads, d.Stats.stores)
+
+let test_shadow_counters_pinned () =
+  let t, sum, len, loads, stores = pinned_mix ~order:8 ~mirrored:true in
+  let hits, misses, size =
+    match Pbtree.shadow t with
+    | None -> Alcotest.fail "mirror detached"
+    | Some sh ->
+        let h, m, _ = Shadow.totals sh in
+        (h, m, Shadow.size sh)
+  in
+  Alcotest.(check (list int))
+    "mirrored order 8: sum, length, hits, misses, size, loads, stores"
+    (* 103 tree nodes, plus the header mirrored as one more node *)
+    [ 158399975; 426; 55418; 0; 103 + 1; 53935; 63999 ]
+    [ sum; len; hits; misses; size; loads; stores ];
+  let t, sum, len, loads, stores = pinned_mix ~order:4 ~mirrored:false in
+  Alcotest.(check bool) "unmirrored" true (Pbtree.shadow t = None);
+  Alcotest.(check (list int))
+    "unmirrored order 4: sum, length, loads, stores"
+    [ 158399975; 426; 137868; 36597 ]
+    [ sum; len; loads; stores ]
+
 let prop_shadow_differential =
   QCheck.Test.make ~name:"shadow mirror equals a fresh peek rebuild"
     ~count:40
@@ -492,6 +554,8 @@ let () =
             test_shadow_raw_coherent;
           Alcotest.test_case "abort drops the stage" `Quick
             test_shadow_abort_drops_stage;
+          Alcotest.test_case "counters pinned" `Quick
+            test_shadow_counters_pinned;
           QCheck_alcotest.to_alcotest prop_shadow_differential;
         ] );
       ( "transactional",
