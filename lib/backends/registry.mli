@@ -5,8 +5,21 @@ open Specpmt_txn
 
 type kind =
   | Raw  (** no crash consistency (Figure 1 baseline) *)
-  | Pmdk  (** undo logging, the paper's software baseline *)
-  | Kamino  (** Kamino-Tx upper bound *)
+  | Pmdk
+      (** PMDK-style undo logging, the paper's software baseline
+          (Section 7.1.2): before the first in-place update of each cell,
+          its address and old value are persisted with a flush and a
+          fence (Figure 2, left: "a fence after each log"); commit
+          flushes every updated line, fences, and truncates the log with
+          a second barrier; recovery rolls back newest first. *)
+  | Kamino
+      (** Kamino-Tx upper bound (Section 7.1.2): in-place updates that
+          persist only the {e address} of each first update, with a flush
+          and a fence — "Kamino-Tx does not avoid the fences for ensuring
+          address persistence" (Section 8) — and leave data persistence
+          to a backup copy.  Following the paper, the backup copying is
+          omitted, so this is an upper bound on Kamino-Tx's performance
+          that cannot recover ([supports_recovery = false]). *)
   | Spht  (** redo logging + background replayer *)
   | Spec_dp  (** software SpecPMT with forced data persistence *)
   | Spec  (** software SpecPMT *)

@@ -30,6 +30,11 @@ val scan : t -> (Addr.t * int) list
 
 val footprint : t -> int
 
+val view : t -> Specpmt_txn.Undo.log
+(** The log as an {!Specpmt_txn.Undo.log}: [append], [truncate] and
+    [footprint] as above; [undo] visits the entries {!scan} returns,
+    newest first. *)
+
 val gen_cell : t -> Addr.t
 (** Address of the persistent generation word — hardware SpecPMT logs the
     generation bump inside its commit record, making the record the

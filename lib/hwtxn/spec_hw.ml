@@ -357,13 +357,7 @@ let recover_cores rts =
         Nt_log.attach heap ~region_slot:rt.undo_region_slot
           ~capacity_slot:rt.undo_capacity_slot
       in
-      List.iter
-        (fun (a, old) ->
-          Pmem.store_int pm a old;
-          Pmem.clwb pm a)
-        (List.rev (Nt_log.scan undo));
-      Pmem.sfence pm;
-      Nt_log.truncate undo;
+      Undo.revoke pm (Nt_log.view undo);
       (* the runtime must adopt the reattached log: its cached generation
          now matches the persistent cell; keeping the stale handle would
          emit undo entries under a dead generation, invisible to the next
