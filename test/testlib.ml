@@ -266,3 +266,71 @@ let test_crash_during_recovery (create : Heap.t -> Ctx.backend) () =
         fun label ->
           Alcotest.(check (array int)) label [| 7; 8; 9; 10 |]
             (read_cells pm base 4) ))
+
+(** One transaction of first writes to [cells] (write [i] stores [-1 - i]
+    over [i]), crashed inside write [grow_at] — the write whose undo
+    append outgrows the log's first region — at every [stride]-th event
+    of that write, under each extreme crash: every dirty word persists,
+    or none does.  Recovery must then leave every cell at its value
+    before the transaction.  [image ()] builds a fresh device, the
+    backend and the cells. *)
+let sweep_growth_crashes ~grow_at ~stride image =
+  let run ~before_write =
+    let pm, b, cells = image () in
+    (* the committed image is written raw, so that no transaction grows
+       the log before the one under test *)
+    Array.iteri
+      (fun i a ->
+        Pmem.store_int pm a i;
+        Pmem.clwb pm a)
+      cells;
+    Pmem.sfence pm;
+    let crashed =
+      match
+        b.Ctx.run_tx (fun ctx ->
+            Array.iteri
+              (fun i a ->
+                before_write pm i;
+                ctx.Ctx.write a (-1 - i))
+              cells)
+      with
+      | () -> false
+      | exception Pmem.Crash -> true
+    in
+    (pm, b, cells, crashed)
+  in
+  let marks = Array.make 2 0 in
+  ignore
+    (run ~before_write:(fun pm i ->
+         if i = grow_at || i = grow_at + 1 then
+           marks.(i - grow_at) <- Pmem.events pm));
+  let events = marks.(1) - marks.(0) in
+  (* an undo write without growth is under a dozen events *)
+  if events < 100 then
+    Alcotest.failf "write %d did not grow the log (%d events)" grow_at events;
+  let fuse = ref 1 in
+  while !fuse <= events do
+    List.iter
+      (fun persist ->
+        let pm, b, cells, crashed =
+          run ~before_write:(fun pm i ->
+              if i = grow_at then Pmem.set_fuse pm (Some !fuse))
+        in
+        if not crashed then Alcotest.failf "fuse %d never fired" !fuse;
+        Pmem.set_fuse pm None;
+        Pmem.crash_with pm ~persist:(fun _ -> persist);
+        b.Ctx.recover ();
+        Array.iteri
+          (fun i a ->
+            let v = Pmem.peek_volatile_int pm a in
+            if v <> i then
+              Alcotest.failf
+                "crash at event %d of %d of the growing write, %s dirty \
+                 words persisted: cell %d reads %d after recovery, not %d"
+                !fuse events
+                (if persist then "all" else "no")
+                i v i)
+          cells)
+      [ true; false ];
+    fuse := !fuse + stride
+  done
