@@ -88,50 +88,24 @@ let reclaim_arg =
   in
   Arg.(value & opt (some int) None & info [ "reclaim" ] ~docv:"BYTES" ~doc)
 
-let recovery_arg =
-  let doc =
-    "Recovery mode for the SpecSPMT schemes: $(b,coalesce) (gather every \
-     log entry, sort the entries by line, write each live cell once) or \
-     $(b,replay) (the paper's replay-every-record loop)."
-  in
-  Arg.(value & opt (some string) None & info [ "recovery" ] ~docv:"MODE" ~doc)
-
-(* Apply --reclaim/--recovery to a SpecSPMT params record; [None] when
-   neither flag was given (the registry path stays in charge). *)
-let spec_params_override ~reclaim ~recovery base =
-  match (reclaim, recovery) with
-  | None, None -> None
-  | _ ->
-      let p =
-        match reclaim with
-        | None -> base
-        | Some b when b > 0 -> { base with Spec_soft.reclaim_bytes = b }
-        | Some b -> fail "specpmt_run: --reclaim must be positive, not %d@." b
-      in
-      let p =
-        match recovery with
-        | None -> p
-        | Some "coalesce" -> { p with Spec_soft.recovery = Spec_soft.Coalesce }
-        | Some "replay" -> { p with Spec_soft.recovery = Spec_soft.Replay }
-        | Some s ->
-            fail "specpmt_run: unknown --recovery %S (coalesce|replay)@." s
-      in
-      Some p
+(* Apply --reclaim to a SpecSPMT params record; [None] when the flag was
+   not given (the registry path stays in charge). *)
+let spec_params_override ~reclaim base =
+  match reclaim with
+  | None -> None
+  | Some b when b > 0 -> Some { base with Spec_soft.reclaim_bytes = b }
+  | Some b -> fail "specpmt_run: --reclaim must be positive, not %d@." b
 
 let run_cmd =
-  let run scheme wname (scale, sc) seed reclaim recovery json =
+  let run scheme wname (scale, sc) seed reclaim json =
     let w = get_workload wname in
-    let wants_override = reclaim <> None || recovery <> None in
+    let wants_override = reclaim <> None in
     let m =
       match spec_params_of_name scheme with
       | None when wants_override ->
-          fail
-            "specpmt_run: --reclaim/--recovery only apply to the SpecSPMT \
-             schemes@."
+          fail "specpmt_run: --reclaim only applies to the SpecSPMT schemes@."
       | Some base when wants_override ->
-          let params =
-            Option.get (spec_params_override ~reclaim ~recovery base)
-          in
+          let params = Option.get (spec_params_override ~reclaim base) in
           Run.run_custom ~seed
             ~make:(fun heap -> create_scheme ~spec_params:params heap scheme)
             ~name:scheme w sc
@@ -143,7 +117,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Measure one workload under one scheme")
     Term.(
       const run $ scheme_arg $ workload_arg $ scale_arg $ seed_arg
-      $ reclaim_arg $ recovery_arg $ json_arg)
+      $ reclaim_arg $ json_arg)
 
 let compare_cmd =
   let run wname (scale, sc) seed json =
@@ -412,7 +386,7 @@ let svc_bench_cmd =
        closed-loop path."
   in
   let run scheme shards batches depth mix skew clients ops keys seed reclaim
-      recovery jobs domains json =
+      jobs domains json =
     let base =
       match spec_params_of_name scheme with
       | Some p -> p
@@ -421,7 +395,7 @@ let svc_bench_cmd =
             scheme
     in
     let params =
-      Option.value ~default:base (spec_params_override ~reclaim ~recovery base)
+      Option.value ~default:base (spec_params_override ~reclaim base)
     in
     (* a read/write mix: YCSB-A's key draw with the given read fraction *)
     let sp =
@@ -500,8 +474,8 @@ let svc_bench_cmd =
       const run $ scheme_arg $ shards_arg $ batch_arg
       $ depth_arg ~default:64 $ mix_arg $ skew_arg $ clients_arg
       $ int_arg ~default:20_000 "ops" "Operations to complete."
-      $ keys_arg ~default:4096 $ seed_arg $ reclaim_arg $ recovery_arg
-      $ jobs_arg $ domains_arg $ json_arg)
+      $ keys_arg ~default:4096 $ seed_arg $ reclaim_arg $ jobs_arg
+      $ domains_arg $ json_arg)
 
 let ycsb_cmd =
   let mix_arg =

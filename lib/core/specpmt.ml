@@ -46,7 +46,7 @@ module Spec_soft = Specpmt_backends.Spec_soft
 module Spec_mt = Specpmt_backends.Spec_mt
 module Hw_schemes = Specpmt_hwtxn.Hw_registry
 module Spec_hw = Specpmt_hwtxn.Spec_hw
-module Epoch_protocol = Specpmt_hwtxn.Epoch_protocol
+module Epoch_coord = Specpmt_hwtxn.Epoch_coord
 module Hwconfig = Specpmt_hwsim.Hwconfig
 module Pstruct = Specpmt_pstruct
 module Workload = Specpmt_stamp.Workload

@@ -80,10 +80,6 @@ val choice_of_string : string -> (choice, string) result
     that sizes the dirty set for the line/word families. *)
 type policy = [ `All | `None | `Lines | `Words ]
 
-val default_policies : policy list
-(** [[`All; `None; `Lines]] — words are off by default (8x the cases of
-    lines for mostly-redundant coverage). *)
-
 val policies_of_string : string -> (policy list, string) result
 (** Comma-separated subset of ["all,none,lines,words"]. *)
 
@@ -156,7 +152,8 @@ val explore :
     makes a clean run a regression statement.  Raises [Invalid_argument]
     on a scheme that is unknown or cannot recover.  Defaults:
     [cells = 8], [txs = 6], [max_writes = 4], [budget = 2000],
-    [jobs = 1].
+    [policies = [`All; `None; `Lines]] (words are off by default: 8x the
+    cases of lines for mostly-redundant coverage), [jobs = 1].
 
     [jobs > 1] fans the crash points over that many worker domains (see
     [Specpmt.Par]): every case owns a fresh device, so the points are

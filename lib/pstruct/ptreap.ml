@@ -24,8 +24,6 @@ let create (ctx : Ctx.ctx) =
   ctx.Ctx.write root_cell 0;
   { root_cell }
 
-let root_cell t = t.root_cell
-
 let key_ (ctx : Ctx.ctx) n = ctx.Ctx.read n
 let value_ (ctx : Ctx.ctx) n = ctx.Ctx.read (n + 8)
 let prio_ (ctx : Ctx.ctx) n = ctx.Ctx.read (n + 16)

@@ -7,7 +7,6 @@
     {!Pbtree}: its fat nodes amortise the per-entry pointer chasing a
     binary treap pays on ordered walks. *)
 
-open Specpmt_pmem
 open Specpmt_txn
 
 type t
@@ -15,11 +14,6 @@ type t
 val create : Ctx.ctx -> t
 (** Allocate an empty treap: one root cell in the transaction's heap
     holding the (initially null) root pointer. *)
-
-val root_cell : t -> Addr.t
-(** The treap's root cell, the one address that must be stored
-    somewhere reachable (e.g. a
-    {!Specpmt_pmalloc.Heap.root_slot}) to survive a crash. *)
 
 val find : Ctx.ctx -> t -> int -> int option
 (** The value bound to a key, or [None]. *)

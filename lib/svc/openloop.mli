@@ -45,9 +45,6 @@ type config = {
   seed : int;
 }
 
-val arrivals_to_string : arrivals -> string
-(** ["poisson"], ["burst:ON_MS:OFF_MS"] or ["closed:CLIENTS"]. *)
-
 val arrivals_of_string : string -> (arrivals, string) result
 (** Parses the open-loop processes: ["poisson"], ["burst"] (default
     0.2 ms / 0.2 ms windows) or ["burst:ON_MS:OFF_MS"] (in ms). *)

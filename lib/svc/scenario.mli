@@ -47,12 +47,10 @@ type spec = {
   scan_max : int;  (** scan lengths are uniform in [1, scan_max] *)
 }
 
-val default_theta : float
-(** 0.99 — YCSB's default Zipfian constant. *)
-
 val spec : ?theta:float -> ?scan_max:int -> mix -> spec
 (** The standard fraction vector and distribution of a mix.  [theta]
-    defaults to {!default_theta}; [scan_max] (>= 1) defaults to 16. *)
+    defaults to 0.99, YCSB's Zipfian constant; [scan_max] (>= 1)
+    defaults to 16. *)
 
 val all_mixes : mix list
 (** [A; B; C; D; E; F]. *)

@@ -104,8 +104,6 @@ val tentative_records : t -> int
 val entry_words : t -> int
 (** Number of entries in the open record. *)
 
-val has_open_record : t -> bool
-
 val append_page_record :
   ?fence:bool -> t -> timestamp:int -> page_base:Addr.t -> unit
 (** Append a standalone, already-committed record embedding the current
