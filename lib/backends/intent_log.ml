@@ -16,7 +16,6 @@ type t = {
   heap : Heap.t;
   pm : Pmem.t;
   region_slot : int;
-  capacity_slot : int;
   words_per_entry : int;
   mutable region : Addr.t;
   mutable capacity : int;
@@ -42,20 +41,17 @@ let fill_region t capacity ~src ~count =
   Pmem.flush_range t.pm r (16 + (words * 8));
   r
 
-(* Switch the root slots to region [r] with one barrier; the two slots
-   of each undo scheme share a line, so one flush covers both.  Nothing
-   orders the two stores, so [attach] reads the capacity from the
-   region's header, never from the capacity slot. *)
+(* Switch the region slot to region [r] with one barrier; the capacity
+   lives in the region's header, where [attach] reads it *)
 let publish t r capacity =
   Pmem.store_int t.pm (Heap.root_slot t.heap t.region_slot) r;
-  Pmem.store_int t.pm (Heap.root_slot t.heap t.capacity_slot) capacity;
   Pmem.clwb t.pm (Heap.root_slot t.heap t.region_slot);
   Pmem.sfence t.pm;
   t.region <- r;
   t.capacity <- capacity
 
 (* Copy, then switch: the open transaction's entries and their count are
-   durable in the doubled region before the root slots name it, so a
+   durable in the doubled region before the region slot names it, so a
    crash at any point recovers from a whole log, old or new. *)
 let grow t =
   let old = t.region and capacity = t.capacity * 2 in
@@ -102,31 +98,29 @@ let view t =
     footprint = (fun () -> 16 + (t.capacity * t.words_per_entry * 8));
   }
 
-let handle heap ~region_slot ~capacity_slot ~old_values =
+let handle heap ~region_slot ~old_values =
   {
     heap;
     pm = Heap.pmem heap;
     region_slot;
-    capacity_slot;
     words_per_entry = (if old_values then 2 else 1);
     region = 0;
     capacity = 0;
     count = 0;
   }
 
-let create heap ~region_slot ~capacity_slot ~old_values =
-  let t = handle heap ~region_slot ~capacity_slot ~old_values in
+let create heap ~region_slot ~old_values =
+  let t = handle heap ~region_slot ~old_values in
   let capacity = 1024 in
   publish t (fill_region t capacity ~src:0 ~count:0) capacity;
   view t
 
-let attach heap ~region_slot ~capacity_slot ~old_values =
-  let t = handle heap ~region_slot ~capacity_slot ~old_values in
+let attach heap ~region_slot ~old_values =
+  let t = handle heap ~region_slot ~old_values in
   let pm = t.pm in
   t.region <- Pmem.load_int pm (Heap.root_slot heap region_slot);
   (* the region's own header word, durable before the region slot names
-     it; a crash inside [publish] can keep the doubled capacity slot over
-     the old region (DESIGN.md §8 bug 11) *)
+     it (DESIGN.md §8 bug 11) *)
   t.capacity <- Pmem.load_int pm t.region;
   t.count <- Pmem.load_int pm (count_addr t.region);
   view t

@@ -12,14 +12,9 @@
 open Specpmt_pmalloc
 open Specpmt_txn
 
-val create :
-  Heap.t -> region_slot:int -> capacity_slot:int -> old_values:bool -> Undo.log
-(** A fresh empty log of 1,024 entries, published in the two root
-    slots. *)
+val create : Heap.t -> region_slot:int -> old_values:bool -> Undo.log
+(** A fresh empty log of 1,024 entries, published in the region slot. *)
 
-val attach :
-  Heap.t -> region_slot:int -> capacity_slot:int -> old_values:bool -> Undo.log
+val attach : Heap.t -> region_slot:int -> old_values:bool -> Undo.log
 (** Reattach after a crash: the log the region slot names, with the
-    capacity in its header and its persistent count.  The capacity slot
-    is not read: a crash inside a growth can persist it without the
-    region slot. *)
+    capacity in its header and its persistent count. *)

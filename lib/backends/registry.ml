@@ -31,16 +31,11 @@ let create ?spec_params:override heap k =
   match k with
   | Raw -> Raw.create heap
   | Pmdk ->
-      let region_slot = Slots.pmdk_region
-      and capacity_slot = Slots.pmdk_capacity in
+      let region_slot = Slots.pmdk_region in
       Undo.create ~name:"PMDK" ~persist:true
-        ~log:
-          (Intent_log.create heap ~region_slot ~capacity_slot ~old_values:true)
+        ~log:(Intent_log.create heap ~region_slot ~old_values:true)
         ~recover:
-          (Ok
-             (fun () ->
-               Intent_log.attach heap ~region_slot ~capacity_slot
-                 ~old_values:true))
+          (Ok (fun () -> Intent_log.attach heap ~region_slot ~old_values:true))
         heap
   | Kamino ->
       (* no data flush at commit: the omitted backup copy would absorb
@@ -48,7 +43,7 @@ let create ?spec_params:override heap k =
       Undo.create ~name:"Kamino-Tx" ~persist:false
         ~log:
           (Intent_log.create heap ~region_slot:Slots.kamino_region
-             ~capacity_slot:Slots.kamino_capacity ~old_values:false)
+             ~old_values:false)
         ~recover:
           (Error
              "Kamino-Tx upper-bound model omits the backup copy and cannot \

@@ -2,16 +2,14 @@
 
     Slots 0–7 of the pool root area belong to applications; the rest are
     claimed here so that two software backends never collide on the same
-    device.  The hardware schemes' slots are not disjoint from these
-    ([Specpmt_hwtxn.Hw_slots] names the shared ones): a pool hosts one
-    family of schemes. *)
+    device.  The hardware schemes' slots are not disjoint from these:
+    thread i's head shares root line 4 + i with SpecHPMT core i
+    ([Specpmt_hwtxn.Hw_slots]), so a pool hosts one family of schemes. *)
 
 let app_first = 0
 let app_last = 7
 let pmdk_region = 8
-let pmdk_capacity = 9
 let kamino_region = 10
-let kamino_capacity = 11
 let spht_head = 12
 let spht_marker = 13
 let spec_head = 14

@@ -1,15 +1,13 @@
 (** Root-slot assignments of the software backends (slots 0-7 belong to
-    applications).  The per-thread heads {!spec_mt_head} 0, 1 and 2
-    (slots 24, 32 and 40) are also hardware-scheme slots (see
+    applications).  Thread i and SpecHPMT core i share root line 4 + i:
+    {!spec_mt_head} [i] is also core i's log head (see
     [Specpmt_hwtxn.Hw_slots]), so a pool hosts software schemes or
     hardware ones, never both. *)
 
 val app_first : int
 val app_last : int
 val pmdk_region : int
-val pmdk_capacity : int
 val kamino_region : int
-val kamino_capacity : int
 val spht_head : int
 val spht_marker : int
 val spec_head : int

@@ -126,11 +126,10 @@ module Run = struct
   (** Run [workload] at [scale] under the scheme built by [make] on a
       fresh pool; setup is excluded from the measured phase; background
       work is drained inside it. *)
-  let run_custom ?(seed = 1) ?(mem = default_mem) ~make ~name
-      (w : Workload.t) scale =
+  let run_custom ?(seed = 1) ~make ~name (w : Workload.t) scale =
     Obs.Metrics.reset_all ();
     let pm =
-      Pmem.create ~seed { Pmem_config.default with mem_size = mem }
+      Pmem.create ~seed { Pmem_config.default with mem_size = default_mem }
     in
     let heap = Heap.create pm in
     let backend = make heap in
@@ -184,8 +183,8 @@ module Run = struct
       metrics = Obs.Metrics.dump ();
     }
 
-  let run ?seed ?mem ~scheme (w : Workload.t) scale =
-    run_custom ?seed ?mem
+  let run ?seed ~scheme (w : Workload.t) scale =
+    run_custom ?seed
       ~make:(fun heap -> create_scheme heap scheme)
       ~name:scheme w scale
 

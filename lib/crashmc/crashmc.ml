@@ -749,91 +749,62 @@ let explore ?(cells = 8) ?(txs = 6) ?(max_writes = 4) ?(budget = 2000)
           ~trace r
         :: !failures
   in
-  if jobs <= 1 then begin
-    (* serial: the budget short-circuits execution, not just recording *)
-    let fuse = ref 1 in
-    while !fuse <= total_events && !cases < budget do
-      incr points;
-      (* all-drain first: it both audits the fully-persisted crash state
-         and sizes the dirty set for the adversarial families *)
-      (match
-         run_case_traced tgt ~seed ~cells ~program ~states ~fuse:!fuse
-           ~choice:Persist_all
-       with
-      | None, _ -> () (* unreachable: fuse <= total_events always crashes *)
-      | Some probe, ptrace ->
-          record ~fuse:!fuse Persist_all probe ptrace;
-          let rest =
-            choices_for ~policies ~ndl:probe.c_dirty_lines
-              ~ndw:probe.c_dirty_words
-            |> List.filter (fun c -> c <> Persist_all)
-          in
-          List.iter
-            (fun choice ->
-              if !cases < budget then
-                match
-                  run_case_traced tgt ~seed ~cells ~program ~states
-                    ~fuse:!fuse ~choice
-                with
-                | None, _ -> ()
-                | Some r, tr -> record ~fuse:!fuse choice r tr)
-            rest);
-      fuse := !fuse + stride
-    done
-  end
-  else begin
-    (* Parallel: every strided crash point is an independent job (each
-       case builds its own device), fanned over the domain pool; the
-       index-ordered results are then reduced with {e exactly} the
-       serial loop's budget accounting, so the recorded report is
-       byte-identical to [jobs = 1].  Workers don't see the global case
-       count, so up to one stride-window of cases past the budget may
-       execute and be discarded — bounded waste, traded for not sharing
-       a counter. *)
-    let npoints =
-      if total_events < 1 then 0 else 1 + ((total_events - 1) / stride)
-    in
-    let run_point fuse =
-      match
-        run_case_traced tgt ~seed ~cells ~program ~states ~fuse
-          ~choice:Persist_all
-      with
-      | None, _ -> []
-      | Some probe, ptrace ->
-          let rest =
-            choices_for ~policies ~ndl:probe.c_dirty_lines
-              ~ndw:probe.c_dirty_words
-            |> List.filter (fun c -> c <> Persist_all)
-          in
-          (Persist_all, probe, ptrace)
-          :: List.filter_map
-               (fun choice ->
-                 match
-                   run_case_traced tgt ~seed ~cells ~program ~states ~fuse
-                     ~choice
-                 with
-                 | None, _ -> None
-                 | Some r, tr -> Some (choice, r, tr))
-               rest
-    in
-    let per_point =
-      Par.run ~jobs ~n:npoints (fun i -> run_point (1 + (i * stride)))
-    in
-    (* sequential replay of the serial accounting, in submission order:
-       a point is entered only while under budget, its all-drain case is
-       always recorded, every later choice only while under budget *)
+  let npoints =
+    if total_events < 1 then 0 else 1 + ((total_events - 1) / stride)
+  in
+  (* every crash point is an independent job (each case builds its own
+     device): its all-drain case first, which both audits the fully
+     persisted crash state and sizes the dirty set for the adversarial
+     families, then those families *)
+  let run_point i =
+    let fuse = 1 + (i * stride) in
+    match
+      run_case_traced tgt ~seed ~cells ~program ~states ~fuse
+        ~choice:Persist_all
+    with
+    | None, _ -> []
+    | Some probe, ptrace ->
+        let rest =
+          choices_for ~policies ~ndl:probe.c_dirty_lines
+            ~ndw:probe.c_dirty_words
+          |> List.filter (fun c -> c <> Persist_all)
+        in
+        (Persist_all, probe, ptrace)
+        :: List.filter_map
+             (fun choice ->
+               match
+                 run_case_traced tgt ~seed ~cells ~program ~states ~fuse
+                   ~choice
+               with
+               | None, _ -> None
+               | Some r, tr -> Some (choice, r, tr))
+             rest
+  in
+  (* The points run through the domain pool, and their index-ordered
+     results are accounted in order: a point is entered only while under
+     budget, its all-drain case is always recorded, every later choice
+     only while under budget.  One job runs one point per round, so no
+     point starts once the budget is spent; more jobs fan the remaining
+     points out at once, and up to one stride-window of cases past the
+     budget may run and be discarded — bounded waste, traded for not
+     sharing a counter.  The report is the same for any [jobs]. *)
+  let next = ref 0 in
+  while !next < npoints && !cases < budget do
+    let first = !next in
+    let n = if jobs <= 1 then 1 else npoints - first in
     Array.iteri
-      (fun i results ->
+      (fun k results ->
         if !cases < budget then begin
           incr points;
           List.iteri
             (fun j (choice, r, trace) ->
               if j = 0 || !cases < budget then
-                record ~fuse:(1 + (i * stride)) choice r trace)
+                record ~fuse:(1 + ((first + k) * stride)) choice r trace)
             results
         end)
-      per_point
-  end;
+      (Par.run ~jobs ~n (fun k -> run_point (first + k)));
+    next := first + n
+  done;
   {
     scheme = tgt.t_name;
     seed;

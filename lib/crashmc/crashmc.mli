@@ -155,14 +155,13 @@ val explore :
     [policies = [`All; `None; `Lines]] (words are off by default: 8x the
     cases of lines for mostly-redundant coverage), [jobs = 1].
 
-    [jobs > 1] fans the crash points over that many worker domains (see
-    [Specpmt.Par]): every case owns a fresh device, so the points are
-    embarrassingly parallel, and the results are reduced in submission
-    order under the serial loop's exact budget accounting — the report
-    is byte-identical to [jobs = 1] for any [jobs].  The only
-    difference is unobservable waste: workers may execute up to one
-    stride-window of cases past the budget, which the reduction then
-    discards. *)
+    Every case owns a fresh device, so the crash points are independent
+    jobs of [Specpmt.Par]; their results are accounted in point order
+    under one budget rule, so the report is byte-identical for any
+    [jobs].  [jobs = 1] runs one point at a time and starts none once
+    the budget is spent; [jobs > 1] fans the points over that many
+    worker domains, which may run up to one stride-window of cases past
+    the budget for the accounting to discard. *)
 
 type replay_result =
   | Run_completed  (** the fuse outlived the workload; nothing to audit *)

@@ -24,7 +24,6 @@ let create ~lines ~on_tx_evict =
     tx_evicted = 0;
   }
 
-let resident t = Hashtbl.length t.table
 let tx_evictions t = t.tx_evicted
 
 let evict_to_capacity t =
@@ -49,8 +48,6 @@ let touch t ~line =
       Queue.push line t.order;
       evict_to_capacity t;
       e
-
-let find t ~line = Hashtbl.find_opt t.table line
 
 let scan_tx_dirty t f =
   Hashtbl.iter (fun _ e -> if e.tx_dirty then f e) t.table

@@ -33,8 +33,6 @@ val touch : t -> line:Addr.t -> entry
 (** Look a line tag up, inserting (all-clear) on a miss with FIFO
     eviction. *)
 
-val find : t -> line:Addr.t -> entry option
-
 val scan_tx_dirty : t -> (entry -> unit) -> unit
 (** The commit-time L1 scan: visit every transaction-dirty resident line. *)
 
@@ -42,5 +40,4 @@ val end_tx : t -> unit
 (** Commit/abort epilogue: clear every [LogBit] and [tx_dirty], keep the
     [PBit]s. *)
 
-val resident : t -> int
 val tx_evictions : t -> int

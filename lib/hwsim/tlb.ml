@@ -16,7 +16,6 @@ type t = {
 
 let create cfg pm = { cfg; pm; table = Hashtbl.create 64; order = Queue.create (); evicted = 0 }
 
-let resident t = Hashtbl.length t.table
 let evictions t = t.evicted
 
 (* Hotness state is only tracked while a page is L1-TLB resident: the

@@ -37,5 +37,4 @@ val clear_epoch : t -> eid:int -> int
 val flush : t -> unit
 (** Drop all entries (context switch / shootdown). *)
 
-val resident : t -> int
 val evictions : t -> int

@@ -18,16 +18,10 @@ let of_name s =
 
 let create heap = function
   | Ede ->
-      let region_slot = Hw_slots.ede_region
-      and capacity_slot = Hw_slots.ede_capacity in
+      let region_slot = Hw_slots.ede_region in
       Undo.create ~name:"EDE" ~persist:true
-        ~log:
-          (Nt_log.view
-             (Nt_log.create heap ~region_slot ~capacity_slot ~capacity:1024))
-        ~recover:
-          (Ok
-             (fun () ->
-               Nt_log.view (Nt_log.attach heap ~region_slot ~capacity_slot)))
+        ~log:(Nt_log.view (Nt_log.create heap ~region_slot ~capacity:1024))
+        ~recover:(Ok (fun () -> Nt_log.view (Nt_log.attach heap ~region_slot)))
         heap
   | Hoop -> Hoop.create heap
   | Spec_hw_dp -> fst (Spec_hw.create heap Spec_hw.dp_params)

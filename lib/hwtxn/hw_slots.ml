@@ -1,22 +1,16 @@
-(** Root-slot assignments for the hardware schemes.  Slots 24, 32 and
-    40 are also the software runtime's per-thread heads (see the
-    interface): a pool hosts one family of schemes.  Renumbering them
-    would move SpecHPMT's root lines, and with them its modelled
-    numbers. *)
+(** Root-slot assignments for the hardware schemes.  SpecHPMT core i
+    keeps its slots on root line 4 + i, the line of the software
+    runtime's thread-i head (see the interface): a pool hosts one family
+    of schemes. *)
 
 let ede_region = 21
-let ede_capacity = 22
 let hoop_head = 23
-let spec_head = 24
-let spec_undo_region = 25
-let spec_undo_capacity = 26
 let hoop_map_head = 27
 
-(* per-thread slot triples for multi-threaded hardware SpecPMT: log head,
-   undo region pointer, undo capacity *)
-let mt_head i =
-  if i < 0 || i > 3 then invalid_arg "Hw_slots.mt_head";
-  32 + (i * 3)
+(* SpecHPMT core i: log head and undo region pointer, one cache line
+   (8 slots) per core from slot 24; a standalone runtime is core 0 *)
+let spec_head i =
+  if i < 0 || i > 3 then invalid_arg "Hw_slots.spec_head";
+  24 + (i * 8)
 
-let mt_undo_region i = mt_head i + 1
-let mt_undo_capacity i = mt_head i + 2
+let spec_undo_region i = spec_head i + 1

@@ -24,7 +24,6 @@ type t = {
   heap : Heap.t;
   pm : Pmem.t;
   region_slot : int;
-  capacity_slot : int;
   mutable region : Addr.t;
   mutable capacity : int; (* entries *)
   mutable count : int;
@@ -49,28 +48,23 @@ let nt_store_entry t a w0 w1 w2 =
   Bytes.set_int64_le t.entry 16 (Int64.of_int w2);
   Pmem.nt_store_bytes t.pm a t.entry
 
-(* Switch the root slots to region [r] with one barrier *)
+(* Switch the region slot to region [r] with one barrier; the capacity
+   lives in the region's allocation header, where [attach] reads it *)
 let publish t r capacity =
   Pmem.store_int t.pm (Heap.root_slot t.heap t.region_slot) r;
-  Pmem.store_int t.pm (Heap.root_slot t.heap t.capacity_slot) capacity;
-  (* both root cells are flushed: the two slots may straddle a cache
-     line, and an unflushed capacity cell that loses the crash coin flip
-     would reattach the log with a stale (even zero) capacity *)
   Pmem.clwb t.pm (Heap.root_slot t.heap t.region_slot);
-  Pmem.clwb t.pm (Heap.root_slot t.heap t.capacity_slot);
   Pmem.sfence t.pm;
   t.region <- r;
   t.capacity <- capacity
 
 let region_bytes capacity = 8 + (capacity * entry_bytes)
 
-let create heap ~region_slot ~capacity_slot ~capacity =
+let create heap ~region_slot ~capacity =
   let t =
     {
       heap;
       pm = Heap.pmem heap;
       region_slot;
-      capacity_slot;
       region = 0;
       capacity = 0;
       count = 0;
@@ -84,25 +78,16 @@ let create heap ~region_slot ~capacity_slot ~capacity =
   publish t r capacity;
   t
 
-let attach heap ~region_slot ~capacity_slot =
+let attach heap ~region_slot =
   let pm = Heap.pmem heap in
   let region = Pmem.load_int pm (Heap.root_slot heap region_slot) in
-  (* The authoritative capacity is the region's own allocation header:
-     the header is persisted before the region pointer is published, so
-     the pair is always consistent — whereas the capacity cell can lag
-     the region cell across a crash (they may sit on different lines),
-     and a stale capacity either overruns the region on append or, at
-     zero, sends every append through the grow path with a degenerate
-     doubled size of zero. *)
-  let capacity =
-    if region = 0 then Pmem.load_int pm (Heap.root_slot heap capacity_slot)
-    else (Heap.usable_size heap region - 8) / entry_bytes
-  in
+  (* the region's allocation header, persisted before the region slot
+     names it (DESIGN.md §8 bug 6) *)
+  let capacity = (Heap.usable_size heap region - 8) / entry_bytes in
   {
     heap;
     pm;
     region_slot;
-    capacity_slot;
     region;
     capacity;
     count = 0 (* unknown; scans are self-describing *);
@@ -115,7 +100,7 @@ let attach heap ~region_slot ~capacity_slot =
 let append t ~addr ~old =
   if t.count >= t.capacity then begin
     (* rare: copy the open transaction's entries and the generation into
-       a doubled region, then switch the root slots to it.  The copies
+       a doubled region, then switch the region slot to it.  The copies
        are persistent on acceptance, ahead of the switch, so a crash at
        any point recovers from a whole log, old or new. *)
     let old_region = t.region and capacity = t.capacity * 2 in

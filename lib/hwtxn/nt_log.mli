@@ -13,11 +13,12 @@ open Specpmt_pmalloc
 
 type t
 
-val create :
-  Heap.t -> region_slot:int -> capacity_slot:int -> capacity:int -> t
+val create : Heap.t -> region_slot:int -> capacity:int -> t
+(** A fresh log of [capacity] entries, published in the region slot. *)
 
-val attach : Heap.t -> region_slot:int -> capacity_slot:int -> t
-(** Reattach after a crash (adopts the persistent generation). *)
+val attach : Heap.t -> region_slot:int -> t
+(** Reattach after a crash: the log the region slot names, with the
+    capacity of its allocation and its persistent generation. *)
 
 val append : t -> addr:Addr.t -> old:int -> unit
 (** Persist one undo entry; no fence.  Grows the region when full. *)

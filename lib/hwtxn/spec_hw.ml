@@ -39,10 +39,9 @@ type t = {
   pm : Pmem.t;
   params : params;
   thread_id : int;
-  coord : Epoch_coord.t; (* shared in multi-threaded pools *)
+  coord : Epoch_coord.t; (* shared by the pool's cores *)
   head_slot : int;
   undo_region_slot : int;
-  undo_capacity_slot : int;
   tlb : Tlb.t;
   mutable l1 : L1tags.t;
   mutable undo : Nt_log.t;
@@ -101,7 +100,6 @@ let reclaims t = t.n_reclaims
 let epochs_started t = t.n_epochs
 let peak_log_bytes t = t.peak_log
 let is_hot_page t ~page = Hashtbl.mem t.spec_pages page
-let tlb t = t.tlb
 
 let note_footprint t =
   let f = Log_arena.footprint t.arena in
@@ -353,10 +351,7 @@ let recover_cores rts =
   (* per-core undo: at most one interrupted transaction each *)
   Array.iter
     (fun rt ->
-      let undo =
-        Nt_log.attach heap ~region_slot:rt.undo_region_slot
-          ~capacity_slot:rt.undo_capacity_slot
-      in
+      let undo = Nt_log.attach heap ~region_slot:rt.undo_region_slot in
       Undo.revoke pm (Nt_log.view undo);
       (* the runtime must adopt the reattached log: its cached generation
          now matches the persistent cell; keeping the stale handle would
@@ -386,92 +381,83 @@ let recover_cores rts =
       Ctx.Shell.reset rt.shell)
     rts
 
-(* One core's runtime; the optional arguments wire it into a pool. *)
-let core ?(thread = 0) ?tsc ?coord ?spec_pages
-    ?(head_slot = Hw_slots.spec_head)
-    ?(undo_region_slot = Hw_slots.spec_undo_region)
-    ?(undo_capacity_slot = Hw_slots.spec_undo_capacity) heap params =
+(* Core [thread] of a pool whose cores share [tsc], [coord] and
+   [spec_pages]; its slots are on root line 4 + [thread]. *)
+let core ~thread ~tsc ~coord ~spec_pages heap params =
   let pm = Heap.pmem heap in
+  let head_slot = Hw_slots.spec_head thread
+  and undo_region_slot = Hw_slots.spec_undo_region thread in
   let arena =
     Log_arena.create heap ~head_slot
       ~block_bytes:params.hw.Hwconfig.spec_block_bytes
   in
-  let coord = match coord with Some c -> c | None -> Epoch_coord.create () in
   Epoch_coord.register_start coord ~thread ~eid:1 ~start_ts:0;
-  let t =
-    {
-      heap;
-      pm;
-      params;
-      thread_id = thread;
-      coord;
-      head_slot;
-      undo_region_slot;
-      undo_capacity_slot;
-      tlb = Tlb.create params.hw pm;
-      l1 =
-        L1tags.create ~lines:params.hw.Hwconfig.l1_lines
-          ~on_tx_evict:(fun tag ->
-            (* a transaction-dirty line overflowing L1 is speculatively
-               logged before the eviction (Section 5.2): its log write is
-               charged here; the write set still carries the cells, so the
-               commit record stays authoritative for recovery *)
-            if tag.L1tags.pbit then
-              Pmem.charge_ns pm
-                (Pmem.config pm).Specpmt_pmem.Config.pm_seq_write_ns);
-      undo =
-        Nt_log.create heap ~region_slot:undo_region_slot
-          ~capacity_slot:undo_capacity_slot ~capacity:1024;
-      tsc = (match tsc with Some c -> c | None -> Tsc.create ());
-      ws = Log_arena.Lww.create ();
-      shell = Ctx.Shell.create "Spec_hw";
-      arena;
-      spec_pages =
-        (match spec_pages with Some h -> h | None -> Hashtbl.create 256);
-      soft_counters = Hashtbl.create 256;
-      soft_ops = 0;
-      closed_epochs = [];
-      cur =
-        {
-          eid = 1;
-          boundary = Log_arena.current_block arena;
-          pages = [];
-          bytes = 0;
-        };
-      n_transitions = 0;
-      n_hot_writes = 0;
-      n_cold_writes = 0;
-      n_reclaims = 0;
-      n_epochs = 1;
-      peak_log = 0;
-    }
-  in
+  {
+    heap;
+    pm;
+    params;
+    thread_id = thread;
+    coord;
+    head_slot;
+    undo_region_slot;
+    tlb = Tlb.create params.hw pm;
+    l1 =
+      L1tags.create ~lines:params.hw.Hwconfig.l1_lines
+        ~on_tx_evict:(fun tag ->
+          (* a transaction-dirty line overflowing L1 is speculatively
+             logged before the eviction (Section 5.2): its log write is
+             charged here; the write set still carries the cells, so the
+             commit record stays authoritative for recovery *)
+          if tag.L1tags.pbit then
+            Pmem.charge_ns pm
+              (Pmem.config pm).Specpmt_pmem.Config.pm_seq_write_ns);
+    undo = Nt_log.create heap ~region_slot:undo_region_slot ~capacity:1024;
+    tsc;
+    ws = Log_arena.Lww.create ();
+    shell = Ctx.Shell.create "Spec_hw";
+    arena;
+    spec_pages;
+    soft_counters = Hashtbl.create 256;
+    soft_ops = 0;
+    closed_epochs = [];
+    cur =
+      {
+        eid = 1;
+        boundary = Log_arena.current_block arena;
+        pages = [];
+        bytes = 0;
+      };
+    n_transitions = 0;
+    n_hot_writes = 0;
+    n_cold_writes = 0;
+    n_reclaims = 0;
+    n_epochs = 1;
+    peak_log = 0;
+  }
+
+(* A core's transactional interface; [recover] is its pool's. *)
+let backend ~recover t =
   let ctx =
     {
-      (Ctx.Shell.ctx t.shell ~heap ~write:(tx_write t)) with
+      (Ctx.Shell.ctx t.shell ~heap:t.heap ~write:(tx_write t)) with
       alloc =
         (fun n ->
-          let a = Heap.alloc heap n in
+          let a = Heap.alloc t.heap n in
           (* the header store is a durable store like any other *)
           log_cell t (a - 8);
           a);
     }
   in
   let commit = commit t and rollback () = rollback t in
-  let backend =
-    {
-      Ctx.name = (if params.data_persist then "SpecHPMT-DP" else "SpecHPMT");
-      run_tx =
-        (fun f -> Ctx.Shell.run t.shell ctx ~start:ignore ~commit ~rollback f);
-      recover = (fun () -> recover_cores [| t |]);
-      drain = (fun () -> ());
-      log_footprint = (fun () -> Log_arena.footprint t.arena);
-      supports_recovery = true;
-    }
-  in
-  (backend, t)
-
-let create heap params = core heap params
+  {
+    Ctx.name = (if t.params.data_persist then "SpecHPMT-DP" else "SpecHPMT");
+    run_tx =
+      (fun f -> Ctx.Shell.run t.shell ctx ~start:ignore ~commit ~rollback f);
+    recover;
+    drain = (fun () -> ());
+    log_footprint = (fun () -> Log_arena.footprint t.arena);
+    supports_recovery = true;
+  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -483,20 +469,14 @@ module Mt = struct
     let tsc = Tsc.create () in
     let coord = Epoch_coord.create () in
     let spec_pages = Hashtbl.create 256 in
-    let pairs =
-      Array.init threads (fun i ->
-          core ~thread:i ~tsc ~coord ~spec_pages
-            ~head_slot:(Hw_slots.mt_head i)
-            ~undo_region_slot:(Hw_slots.mt_undo_region i)
-            ~undo_capacity_slot:(Hw_slots.mt_undo_capacity i)
-            heap params)
+    let runtimes =
+      Array.init threads (fun thread ->
+          core ~thread ~tsc ~coord ~spec_pages heap params)
     in
-    let runtimes = Array.map snd pairs in
     (* every core's [recover] is the pool's: the cores share the
        coordinator and the hotness table, which recovery rebuilds whole *)
     let recover () = recover_cores runtimes in
-    let backends = Array.map (fun (b, _) -> { b with Ctx.recover }) pairs in
-    { runtimes; backends }
+    { runtimes; backends = Array.map (backend ~recover) runtimes }
 
   let thread p i = p.backends.(i)
   let runtime p i = p.runtimes.(i)
@@ -504,3 +484,7 @@ module Mt = struct
   let coordinator p = p.runtimes.(0).coord
   let recover p = recover_cores p.runtimes
 end
+
+let create heap params =
+  let pool = Mt.create ~params heap ~threads:1 in
+  (Mt.thread pool 0, Mt.runtime pool 0)

@@ -48,10 +48,9 @@ val dp_params : params
 type t
 
 val create : Heap.t -> params -> Ctx.backend * t
-(** A standalone single-core runtime.  {!Mt} builds the multi-core
-    pools, whose cores share a timestamp counter, an epoch coordinator
-    (the Section 5.2.2 reclamation protocol) and the page-hotness
-    table. *)
+(** A standalone runtime: core 0 of a one-core {!Mt} pool.  The cores
+    of a pool share a timestamp counter, an epoch coordinator (the
+    Section 5.2.2 reclamation protocol) and the page-hotness table. *)
 
 (** {1 Introspection (tests, figures)} *)
 
@@ -78,20 +77,19 @@ val l1_tx_evictions : t -> int
 (** Transaction-dirty L1 lines that overflowed mid-transaction and were
     speculatively logged before eviction (Section 5.2). *)
 
-val tlb : t -> Tlb.t
-
 (** Multi-core hardware SpecPMT (Section 5.2.2): per-core logs, undo
     regions, TLBs and epochs over one pool, sharing the page-hotness
     metadata, the timestamp counter and the epoch-reclamation
     coordinator.  Recovery scans {e every} core's log and replays all
     records in global timestamp order, then applies each core's undo
-    log.  It is the one SpecHPMT recovery: a standalone runtime's
-    [recover] runs it as a pool of one. *)
+    log.  It is the one SpecHPMT: a standalone runtime is a pool of
+    one. *)
 module Mt : sig
   type pool
 
   val create : ?params:params -> Heap.t -> threads:int -> pool
-  (** Up to 4 cores (bounded by reserved root slots). *)
+  (** Up to 4 cores; core i's log head and undo region pointer are on
+      root line 4 + i ({!Hw_slots.spec_head}). *)
 
   val thread : pool -> int -> Ctx.backend
   (** One core's transactional interface.  Its [recover] is the pool's

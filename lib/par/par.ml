@@ -8,18 +8,14 @@ type error = {
 
 let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count () - 1))
 
-let run ?jobs ?(chunk = 1) ?(init = fun () -> ()) ~n f =
+let run ?jobs ?(chunk = 1) ~n f =
   if n < 0 then invalid_arg "Par.run: negative n";
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let chunk = max 1 chunk in
-  if n = 0 then begin
-    init ();
-    [||]
-  end
+  if n = 0 then [||]
   else if jobs = 1 then begin
     (* Inline serial reference path: ascending index order on the
        calling domain (Array.init's evaluation order is unspecified). *)
-    init ();
     let r0 = f 0 in
     let out = Array.make n r0 in
     for i = 1 to n - 1 do
@@ -46,7 +42,6 @@ let run ?jobs ?(chunk = 1) ?(init = fun () -> ()) ~n f =
       cas ()
     in
     let worker () =
-      init ();
       let running = ref true in
       while !running do
         if Atomic.get failed <> None then running := false
@@ -77,9 +72,9 @@ let run ?jobs ?(chunk = 1) ?(init = fun () -> ()) ~n f =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_list ?jobs ?chunk ?init f xs =
+let map_list ?jobs ?chunk f xs =
   let arr = Array.of_list xs in
-  run ?jobs ?chunk ?init ~n:(Array.length arr) (fun i -> f arr.(i))
+  run ?jobs ?chunk ~n:(Array.length arr) (fun i -> f arr.(i))
   |> Array.to_list
 
 (* Long-lived workers: the pipeline shape (a coordinator exchanging

@@ -39,13 +39,7 @@ val default_jobs : unit -> int
     stop scaling past that, and over-subscribing domains hurts the
     OCaml runtime). *)
 
-val run :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?init:(unit -> unit) ->
-  n:int ->
-  (int -> 'a) ->
-  'a array
+val run : ?jobs:int -> ?chunk:int -> n:int -> (int -> 'a) -> 'a array
 (** [run ~n f] computes [[| f 0; ...; f (n-1) |]].
 
     [jobs] is the worker-domain count (defaults to {!default_jobs};
@@ -53,10 +47,7 @@ val run :
     the calling domain in ascending index order, spawning nothing — the
     serial reference semantics.  [chunk] (default 1) is how many
     consecutive indices a worker claims per atomic operation: raise it
-    for very cheap jobs to cut contention.  [init] runs once per worker
-    domain before it claims any work (and once on the calling domain in
-    inline mode) — use it for domain-local setup such as
-    [Trace.set_capacity] or a compute-scale knob.
+    for very cheap jobs to cut contention.
 
     [f] must be safe to call from spawned domains: jobs must not share
     mutable state with each other (domain-local {!Specpmt_obs} state is
@@ -68,8 +59,7 @@ val run :
     work is abandoned (best effort — jobs already in flight still
     finish). *)
 
-val map_list :
-  ?jobs:int -> ?chunk:int -> ?init:(unit -> unit) -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list f xs] is {!run} over a list, preserving order. *)
 
 (** {1 Long-lived workers}

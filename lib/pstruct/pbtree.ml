@@ -293,8 +293,6 @@ let find ctx t key =
     let i = lower_bound c nk key in
     if i < nk && c.(o_key i) = key then Some c.(o_pay t i) else None
 
-let mem ctx t key = find ctx t key <> None
-
 (* shift entries [i..nkeys-1] one slot right (opening slot [i]) *)
 let shift_right ctx t n ~nkeys i =
   for j = nkeys - 1 downto i do

@@ -110,7 +110,6 @@ val remove : Ctx.ctx -> t -> int -> bool
     restructure the tree even for an absent key. *)
 
 val find : Ctx.ctx -> t -> int -> int option
-val mem : Ctx.ctx -> t -> int -> bool
 
 val length : Ctx.ctx -> t -> int
 (** Number of entries (persisted in the header, O(1)). *)

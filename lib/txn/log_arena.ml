@@ -1003,10 +1003,10 @@ let attach heap ~tail =
    one page — the bulk-copy engine's cold-to-hot page adoption.  The whole
    record (metadata + page entry) is contiguous within one block; if the
    current block lacks room, a skip marker redirects the scanner to a
-   fresh block.  Fence-free by default: the flushes are persistent on
+   fresh block.  Fence-free: the flushes are persistent on
    write-pending-queue acceptance and the engine orders them before the
    page is marked hot. *)
-let append_page_record ?(fence = false) t ~timestamp ~page_base =
+let append_page_record t ~timestamp ~page_base =
   assert (not (has_open_record t));
   assert (t.n_tent = 0);
   assert (Addr.page_of page_base = page_base);
@@ -1042,8 +1042,7 @@ let append_page_record ?(fence = false) t ~timestamp ~page_base =
   Pmem.store_int t.pm (meta + 8) timestamp;
   Pmem.store_int t.pm (meta + 16) !crc;
   Pmem.flush_range t.pm meta (t.pos + 8 - meta);
-  flush_pending t;
-  if fence then Pmem.sfence t.pm
+  flush_pending t
 
 let current_block t = t.cur_block
 

@@ -104,13 +104,12 @@ val tentative_records : t -> int
 val entry_words : t -> int
 (** Number of entries in the open record. *)
 
-val append_page_record :
-  ?fence:bool -> t -> timestamp:int -> page_base:Addr.t -> unit
+val append_page_record : t -> timestamp:int -> page_base:Addr.t -> unit
 (** Append a standalone, already-committed record embedding the current
     4 KiB image of the page at [page_base] — the hardware bulk-copy
     engine's page adoption (Section 5.1).  May not be called while a
     record is open.  Scanning expands the image into per-word entries.
-    Fence-free by default (persistent on WPQ acceptance). *)
+    Fence-free (persistent on WPQ acceptance). *)
 
 (** {1 Scanning (recovery path, works on any attached or crashed image)} *)
 

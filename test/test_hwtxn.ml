@@ -364,18 +364,12 @@ let test_software_sampled_hotness () =
 
 let test_nt_log_roundtrip () =
   let pm, heap = mk_pool ~crash_prob:0.0 () in
-  let log =
-    Nt_log.create heap ~region_slot:Hw_slots.ede_region
-      ~capacity_slot:Hw_slots.ede_capacity ~capacity:8
-  in
+  let log = Nt_log.create heap ~region_slot:Hw_slots.ede_region ~capacity:8 in
   Nt_log.append log ~addr:100 ~old:1;
   Nt_log.append log ~addr:200 ~old:2;
   (* entries are persistent with no fence at all *)
   Pmem.crash pm;
-  let log2 =
-    Nt_log.attach heap ~region_slot:Hw_slots.ede_region
-      ~capacity_slot:Hw_slots.ede_capacity
-  in
+  let log2 = Nt_log.attach heap ~region_slot:Hw_slots.ede_region in
   Alcotest.(check (list (pair int int)))
     "entries persistent without fences"
     [ (100, 1); (200, 2) ]
@@ -383,10 +377,7 @@ let test_nt_log_roundtrip () =
 
 let test_nt_log_truncation_hides_stale_entries () =
   let pm, heap = mk_pool ~crash_prob:0.0 () in
-  let log =
-    Nt_log.create heap ~region_slot:Hw_slots.ede_region
-      ~capacity_slot:Hw_slots.ede_capacity ~capacity:8
-  in
+  let log = Nt_log.create heap ~region_slot:Hw_slots.ede_region ~capacity:8 in
   Nt_log.append log ~addr:100 ~old:1;
   Nt_log.append log ~addr:200 ~old:2;
   Nt_log.append log ~addr:300 ~old:3;
@@ -395,61 +386,46 @@ let test_nt_log_truncation_hides_stale_entries () =
      region but carry the old generation *)
   Nt_log.append log ~addr:400 ~old:4;
   Pmem.crash pm;
-  let log2 =
-    Nt_log.attach heap ~region_slot:Hw_slots.ede_region
-      ~capacity_slot:Hw_slots.ede_capacity
-  in
+  let log2 = Nt_log.attach heap ~region_slot:Hw_slots.ede_region in
   Alcotest.(check (list (pair int int)))
     "only current-generation entries" [ (400, 4) ] (Nt_log.scan log2)
 
 let test_nt_log_growth () =
   let _, heap = mk_pool ~crash_prob:0.0 () in
-  let log =
-    Nt_log.create heap ~region_slot:Hw_slots.ede_region
-      ~capacity_slot:Hw_slots.ede_capacity ~capacity:2
-  in
+  let log = Nt_log.create heap ~region_slot:Hw_slots.ede_region ~capacity:2 in
   for i = 1 to 20 do
     Nt_log.append log ~addr:(i * 8) ~old:i
   done;
   Alcotest.(check int) "all entries after growth" 20
     (List.length (Nt_log.scan log))
 
-let test_nt_log_stale_capacity_cell () =
-  (* regression: the region and capacity root cells can sit on different
-     cache lines, so a crash can persist the region pointer while
-     dropping the capacity store.  [attach] must derive the capacity
-     from the region's allocation header, not trust the cell — a stale
-     zero used to send every append through the grow path with a
-     doubled size of zero, and the degenerate region overran the
-     neighbouring heap block's header *)
+(* A reattached log takes its capacity from its region's allocation
+   header (DESIGN.md §8 bug 6): it appends in place up to that capacity,
+   then grows, and every entry stays readable. *)
+let test_nt_log_reattach_capacity () =
   let pm, heap = mk_pool ~crash_prob:0.0 () in
-  let log =
-    Nt_log.create heap ~region_slot:Hw_slots.ede_region
-      ~capacity_slot:Hw_slots.ede_capacity ~capacity:4
-  in
+  let log = Nt_log.create heap ~region_slot:Hw_slots.ede_region ~capacity:4 in
   Nt_log.append log ~addr:100 ~old:1;
-  (* persist a stale zero over the capacity cell, as such a crash would
-     leave it *)
-  let cap_cell = Heap.root_slot heap Hw_slots.ede_capacity in
-  Pmem.store_int pm cap_cell 0;
-  Pmem.clwb pm cap_cell;
-  Pmem.sfence pm;
   Pmem.crash pm;
-  let log2 =
-    Nt_log.attach heap ~region_slot:Hw_slots.ede_region
-      ~capacity_slot:Hw_slots.ede_capacity
-  in
+  let log2 = Nt_log.attach heap ~region_slot:Hw_slots.ede_region in
   Alcotest.(check (list (pair int int)))
-    "entry readable past the stale cell"
-    [ (100, 1) ]
-    (Nt_log.scan log2);
+    "entry readable after the crash" [ (100, 1) ] (Nt_log.scan log2);
   Nt_log.truncate log2;
-  (* in-place appends up to the real capacity, then a legitimate grow *)
-  for i = 1 to 9 do
-    Nt_log.append log2 ~addr:(i * 8) ~old:i
-  done;
-  Alcotest.(check int) "appends use the header-derived capacity" 9
-    (List.length (Nt_log.scan log2))
+  let footprint = Nt_log.footprint log2 in
+  let capacity = (footprint - 8) / 24 in
+  Alcotest.(check bool) "at least the 4 entries created" true (capacity >= 4);
+  let entries = List.init ((2 * capacity) + 1) (fun i -> ((i + 1) * 8, i)) in
+  List.iteri
+    (fun i (addr, old) ->
+      Nt_log.append log2 ~addr ~old;
+      if i = capacity - 1 then
+        Alcotest.(check int)
+          "in place up to the region's capacity" footprint
+          (Nt_log.footprint log2))
+    entries;
+  Alcotest.(check bool) "grown" true (Nt_log.footprint log2 > footprint);
+  Alcotest.(check (list (pair int int))) "every entry" entries
+    (Nt_log.scan log2)
 
 (* the 1,025th first write of a transaction doubles the undo log *)
 
@@ -886,8 +862,8 @@ let () =
           Alcotest.test_case "truncation hides stale entries" `Quick
             test_nt_log_truncation_hides_stale_entries;
           Alcotest.test_case "growth" `Quick test_nt_log_growth;
-          Alcotest.test_case "stale capacity cell after crash" `Quick
-            test_nt_log_stale_capacity_cell;
+          Alcotest.test_case "reattached log grows past its region" `Quick
+            test_nt_log_reattach_capacity;
         ] );
       ( "log growth",
         [
