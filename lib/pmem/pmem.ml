@@ -46,6 +46,7 @@ let[@inline] set_le b off v =
 type t = {
   cfg : Config.t;
   media : media; (* shared across views; off-heap, domain-safe *)
+  written : media; (* line index -> 0 while the line reads as zero; shared *)
   mem : int; (* [cfg.mem_size] *)
   last_word : int; (* [mem - 8]: the highest word address *)
   slot_of : int array; (* line index -> slot, -1 when uncached *)
@@ -90,6 +91,57 @@ let fg = 0
 let bg = 1
 let wpq_last = 2
 
+(* {2 Images}
+
+   A device's image is its media and a written-line table, one byte per
+   line, both off the OCaml heap.  A line whose byte is 0 reads as zero
+   whatever its media bytes hold, so the media is never filled: a
+   whole-line write-back sets the byte, and a word drained alone at a
+   crash zeroes the rest of its line first.
+
+   The first write to each page of a fresh media Bigarray faults the page
+   in, inside whatever phase makes it.  So the image of a dead device is
+   kept as a spare, at most one per size: a finaliser on the media offers
+   it once every view is unreachable, and [create] takes it back and
+   clears its table.  The spares are one [Atomic] list, since a device may
+   be created on any domain and a finaliser may run inside [take]. *)
+
+(* an image: the media and its table *)
+let spares : (media * media) list Atomic.t = Atomic.make []
+let size_of (media, _) = Bigarray.Array1.dim media
+
+let rec offer img =
+  let l = Atomic.get spares in
+  if
+    (not (List.exists (fun s -> size_of s = size_of img) l))
+    && not (Atomic.compare_and_set spares l (img :: l))
+  then offer img
+
+let rec take size =
+  let l = Atomic.get spares in
+  match List.find_opt (fun s -> size_of s = size) l with
+  | None -> None
+  | Some img as spare ->
+      if Atomic.compare_and_set spares l (List.filter (( != ) img) l) then spare
+      else take size
+
+let image size =
+  let media, written =
+    match take size with
+    | Some img -> img
+    | None ->
+        let bytes n = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
+        (bytes size, bytes (size / line_size))
+  in
+  Bigarray.Array1.fill written '\000';
+  (* the finaliser holds the table only: holding the media would keep it
+     reachable for ever.  Only the main domain registers one: OCaml
+     5.1's collector could spin for ever over the finalisers of a
+     domain that had ended (a hang in ~1 of 65 [explore --jobs 4] runs) *)
+  if Domain.is_main_domain () then
+    Gc.finalise (fun media -> offer (media, written)) media;
+  (media, written)
+
 (* A per-domain view of the same media: shares the [media] image (and
    the immutable config) but owns a private cache, write-pending queue,
    stats clock and fuse.  This is the simulator's model of one core's
@@ -97,17 +149,13 @@ let wpq_last = 2
    writes media back whole lines — so callers must partition the image:
    a line written through one view must never be touched through
    another until the owning view has been detached. *)
-let make_view cfg media seed =
-  if cfg.Config.cache_capacity_lines < 1 then
-    invalid_arg "Pmem: cache_capacity_lines < 1";
-  (* whole lines only: line copies are unchecked word accesses *)
-  if cfg.Config.mem_size mod line_size <> 0 then
-    invalid_arg "Pmem: mem_size is not a whole number of lines";
+let make_view cfg (media, written) seed =
   let mem_lines = cfg.Config.mem_size / line_size in
   let nslots = cfg.Config.cache_capacity_lines + 1 in
   {
     cfg;
     media;
+    written;
     mem = cfg.Config.mem_size;
     last_word = cfg.Config.mem_size - 8;
     slot_of = Array.make mem_lines (-1);
@@ -136,14 +184,14 @@ let make_view cfg media seed =
   }
 
 let create ?(seed = 42) cfg =
-  let media =
-    Bigarray.Array1.create Bigarray.char Bigarray.c_layout
-      cfg.Config.mem_size
-  in
-  Bigarray.Array1.fill media '\000';
-  make_view cfg media seed
+  if cfg.Config.cache_capacity_lines < 1 then
+    invalid_arg "Pmem: cache_capacity_lines < 1";
+  (* whole lines only: line copies are unchecked word accesses *)
+  if cfg.Config.mem_size mod line_size <> 0 then
+    invalid_arg "Pmem: mem_size is not a whole number of lines";
+  make_view cfg (image cfg.Config.mem_size) seed
 
-let fork_view ?(seed = 43) t = make_view t.cfg t.media seed
+let fork_view ?(seed = 43) t = make_view t.cfg (t.media, t.written) seed
 
 let config t = t.cfg
 
@@ -213,27 +261,54 @@ let charge_bg_ns t ns = if t.metered then t.clock.(bg) <- t.clock.(bg) +. ns
 
 let line_words = line_size / 8
 
-(* Callers pass offsets of whole lines or words inside [media] and the
-   slot payloads, so the unchecked accesses stay in bounds. *)
-let media_read_line t li dst dst_off =
-  let base = li lsl line_shift in
-  for w = 0 to line_words - 1 do
-    bytes_set64 dst (dst_off + (8 * w)) (media_get64 t.media (base + (8 * w)))
-  done
+let[@inline] written t li = Bigarray.Array1.unsafe_get t.written li <> '\000'
 
-(* Unmetered copy of [words] 8-byte words into the media image (line
-   write-backs, crash word drains). *)
-let media_blit_out t src src_off media_off words =
-  for w = 0 to words - 1 do
-    media_set64 t.media
-      (media_off + (8 * w))
-      (bytes_get64 src (src_off + (8 * w)))
-  done
+(* Callers pass offsets of whole lines or words inside [media] and the
+   slot payloads, so the unchecked accesses stay in bounds.  The two line
+   copies are unrolled: as loops they took a miss ~20% longer, and a
+   dirty eviction ~10%. *)
+let media_read_line t li dst o =
+  if written t li then begin
+    let m = t.media and b = li lsl line_shift in
+    bytes_set64 dst o (media_get64 m b);
+    bytes_set64 dst (o + 8) (media_get64 m (b + 8));
+    bytes_set64 dst (o + 16) (media_get64 m (b + 16));
+    bytes_set64 dst (o + 24) (media_get64 m (b + 24));
+    bytes_set64 dst (o + 32) (media_get64 m (b + 32));
+    bytes_set64 dst (o + 40) (media_get64 m (b + 40));
+    bytes_set64 dst (o + 48) (media_get64 m (b + 48));
+    bytes_set64 dst (o + 56) (media_get64 m (b + 56))
+  end
+  else Bytes.unsafe_fill dst o line_size '\000'
+
+(* Unmetered copy of a whole line into the media image (line
+   write-backs), which marks it written. *)
+let media_blit_out t src o li =
+  let m = t.media and b = li lsl line_shift in
+  media_set64 m b (bytes_get64 src o);
+  media_set64 m (b + 8) (bytes_get64 src (o + 8));
+  media_set64 m (b + 16) (bytes_get64 src (o + 16));
+  media_set64 m (b + 24) (bytes_get64 src (o + 24));
+  media_set64 m (b + 32) (bytes_get64 src (o + 32));
+  media_set64 m (b + 40) (bytes_get64 src (o + 40));
+  media_set64 m (b + 48) (bytes_get64 src (o + 48));
+  media_set64 m (b + 56) (bytes_get64 src (o + 56));
+  Bigarray.Array1.unsafe_set t.written li '\001'
+
+let zero_line = Bytes.make line_size '\000'
+
+(* Unmetered copy of one word into the media image (a crash drain); a
+   line not yet written is zeroed first, so its other words still read
+   as zero. *)
+let media_drain_word t src src_off addr =
+  let li = addr lsr line_shift in
+  if not (written t li) then media_blit_out t zero_line 0 li;
+  media_set64 t.media addr (bytes_get64 src src_off)
 
 (* Write one line of content to the media image, with traffic accounting
    and sequential-stream detection. *)
 let media_write_line t li (src : Bytes.t) src_off =
-  media_blit_out t src src_off (li lsl line_shift) line_words;
+  media_blit_out t src src_off li;
   if t.metered then begin
     t.stats.Stats.pm_write_lines <- t.stats.Stats.pm_write_lines + 1;
     if li = t.last_persist_line + 1 || li = t.last_persist_line then
@@ -364,9 +439,7 @@ let detach_cache t =
   let s = ref t.fifo_head in
   while !s >= 0 do
     if is_dirty t !s then
-      media_blit_out t t.slot_data (!s lsl line_shift)
-        (t.slot_line.(!s) lsl line_shift)
-        line_words;
+      media_blit_out t t.slot_data (!s lsl line_shift) t.slot_line.(!s);
     s := t.fifo_next.(!s)
   done;
   clear_cache t
@@ -606,8 +679,7 @@ let crash_with t ~persist =
         for w = 0 to line_words - 1 do
           let addr = (li lsl line_shift) + (w * 8) in
           if t.cfg.Config.eadr || persist addr then
-            media_blit_out t t.slot_data ((s lsl line_shift) + (w * 8))
-              addr 1
+            media_drain_word t t.slot_data ((s lsl line_shift) + (w * 8)) addr
         done)
     (dirty_lines t);
   clear_cache t;
@@ -626,8 +698,10 @@ let with_unmetered t f =
 (* little-endian, as the cache's [get_le] reads it *)
 let peek_media_int t addr =
   check_word t addr;
-  let v = media_get64 t.media addr in
-  Int64.to_int (if big_endian () then swap64 v else v)
+  if written t (addr lsr line_shift) then
+    let v = media_get64 t.media addr in
+    Int64.to_int (if big_endian () then swap64 v else v)
+  else 0
 
 let peek_volatile_int t addr =
   check_word t addr;

@@ -28,7 +28,11 @@ exception Crash
     The caller should unwind to the harness, which calls {!crash}. *)
 
 val create : ?seed:int -> Config.t -> t
-(** Fresh device, media zero-filled. *)
+(** Fresh device: every line reads as zero until written; a dead
+    device's image of the same size is reused.  Raises
+    [Invalid_argument], before any image is taken or allocated, when
+    [mem_size] is not a whole number of lines or [cache_capacity_lines]
+    is below 1. *)
 
 val config : t -> Config.t
 
@@ -50,9 +54,10 @@ val stats : t -> Stats.t
     domain one view and line-disjoint log/key regions. *)
 
 val fork_view : ?seed:int -> t -> t
-(** New view over the same media.  Fresh stats/clock (per-domain time),
-    fresh empty cache.  Fork only when the parent's cache holds nothing
-    the view will touch ({!detach_cache} the parent first). *)
+(** New view over the same media, sharing its table of written lines.
+    Fresh stats/clock (per-domain time), fresh empty cache.  Fork only
+    when the parent's cache holds nothing the view will touch
+    ({!detach_cache} the parent first). *)
 
 val detach_cache : t -> unit
 (** Write every dirty cached line back to media and empty the cache —

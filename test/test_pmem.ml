@@ -555,6 +555,59 @@ let test_contract_unmetered () =
           Alcotest.check tally_t (what ^ ": stats") before (tally pm))
         mixed_calls)
 
+(* every word of [pm]'s image reads 0: on the media, through [load_int]
+   and through [load_bytes] *)
+let zero_chunk = Bytes.make 4096 '\000'
+
+let check_reads_zero what pm =
+  for w = 0 to (mem / 8) - 1 do
+    let a = 8 * w in
+    if Pmem.peek_media_int pm a <> 0 then
+      Alcotest.failf "%s: media word %d is not 0" what a;
+    if Pmem.load_int pm a <> 0 then
+      Alcotest.failf "%s: load_int %d is not 0" what a
+  done;
+  for c = 0 to (mem / 4096) - 1 do
+    if not (Bytes.equal zero_chunk (Pmem.load_bytes pm (4096 * c) 4096)) then
+      Alcotest.failf "%s: load_bytes %d is not all 0" what (4096 * c)
+  done
+
+(* Every word of a [cfg] device written back nonzero, more stores left
+   dirty at a crash, and the device dropped.  [leave_dirty_image]
+   collects first, so this device takes whatever spare earlier devices
+   left, and again after, so its image is the spare. *)
+let[@inline never] dirty_device () =
+  let pm = Pmem.create cfg in
+  for w = 0 to (mem / 8) - 1 do
+    Pmem.store_int pm (8 * w) (w + 1)
+  done;
+  Pmem.flush_range pm 0 mem;
+  Pmem.sfence pm;
+  for w = 0 to 1023 do
+    Pmem.store_int pm (8 * w) (-1)
+  done;
+  Pmem.crash pm
+
+let leave_dirty_image () =
+  Gc.full_major ();
+  dirty_device ();
+  Gc.full_major ()
+
+(* a bad config is rejected by [create] before it takes or allocates an
+   image; the next valid device still reads zero *)
+let test_contract_bad_config () =
+  leave_dirty_image ();
+  List.iter
+    (fun (what, bad) ->
+      match Pmem.create bad with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("mem_size not whole lines", { cfg with Config.mem_size = mem + 8 });
+      ("no cache line", { cfg with Config.cache_capacity_lines = 0 });
+    ];
+  check_reads_zero "after bad configs" (Pmem.create cfg)
+
 (* ---------- device model pinned ----------
 
    A seeded mix of about 290,000 calls per run over three times the
@@ -684,6 +737,51 @@ let test_pinned_eadr =
     ~events:288578 ~loaded:(-3363668225286029614)
     ~media:(-4180051933371510069)
 
+(* ---------- device images ----------
+
+   A line reads as zero until it is written, and a dead device's image
+   is reused by the next device of its size: whatever the last device
+   left in its media, a new one must read zero at every word, and a word
+   drained alone at a crash must not bring back the rest of its line. *)
+
+let test_images_reused_reads_zero () =
+  leave_dirty_image ();
+  check_reads_zero "reused image" (Pmem.create cfg)
+
+let test_images_partial_drain () =
+  leave_dirty_image ();
+  let pm = Pmem.create cfg in
+  let line = 64 * 100 in
+  Pmem.store_int pm (line + 24) 0x5ec;
+  Pmem.store_int pm (line + 32) 0x9a7e;
+  Pmem.crash_with pm ~persist:(fun a -> a = line + 24);
+  for w = 0 to 7 do
+    let a = line + (8 * w) in
+    let want = if w = 3 then 0x5ec else 0 in
+    Alcotest.(check int) (Fmt.str "media word %d" w) want
+      (Pmem.peek_media_int pm a);
+    Alcotest.(check int) (Fmt.str "loaded word %d" w) want (Pmem.load_int pm a)
+  done
+
+let test_images_pinned_twice () =
+  Gc.full_major ();
+  test_pinned_adr ();
+  Gc.full_major ();
+  test_pinned_adr ()
+
+let test_images_shared_by_views () =
+  leave_dirty_image ();
+  let pm = Pmem.create cfg in
+  let view = Pmem.fork_view pm in
+  Pmem.store_int view (4096 + 8) 77;
+  Pmem.clwb view 4096;
+  Pmem.sfence view;
+  for w = 0 to 7 do
+    Alcotest.(check int) (Fmt.str "parent reads word %d" w)
+      (if w = 1 then 77 else 0)
+      (Pmem.peek_media_int pm (4096 + (8 * w)))
+  done
+
 let prop_flush_semantics =
   QCheck.Test.make ~name:"media = flushed stores" ~count:200
     QCheck.(
@@ -785,10 +883,23 @@ let () =
             `Quick test_contract_fuse;
           Alcotest.test_case "unmetered: events move, counters do not"
             `Quick test_contract_unmetered;
+          Alcotest.test_case "bad config: rejected, next device reads zero"
+            `Quick test_contract_bad_config;
         ] );
       ( "device model pinned",
         [
           Alcotest.test_case "ADR mix, then crash" `Quick test_pinned_adr;
           Alcotest.test_case "eADR mix, then crash" `Quick test_pinned_eadr;
+        ] );
+      ( "device images",
+        [
+          Alcotest.test_case "a reused image reads zero" `Quick
+            test_images_reused_reads_zero;
+          Alcotest.test_case "a partial drain zeroes the rest of its line"
+            `Quick test_images_partial_drain;
+          Alcotest.test_case "ADR mix pinned twice in one process" `Quick
+            test_images_pinned_twice;
+          Alcotest.test_case "views share the written-line table" `Quick
+            test_images_shared_by_views;
         ] );
     ]
